@@ -18,18 +18,14 @@ from .transfer_operator import (
     DensityGrid,
     LasotaYorkeConstants,
     UlamMatrix,
-    apply_transfer,
     build_ulam,
-    cesaro_density,
     lasota_yorke_constants,
 )
 from .spectral import (
     EscapeReport,
-    SpectralReport,
     escape_rate,
     invariant_density,
     second_eigenpair,
-    spectral_report,
 )
 from .bv_analysis import (
     PostcriticalHierarchy,
@@ -37,7 +33,6 @@ from .bv_analysis import (
     jump_decay_profile,
     postcritical_hierarchy,
     saltus_decompose,
-    total_variation,
 )
 from .metastability import (
     HoleReport,
@@ -56,11 +51,10 @@ __all__ = [
     "branch_preimages", "distortion", "evaluate", "infinitesimal_holes",
     "min_expansion", "validate_hypotheses",
     "DensityGrid", "LasotaYorkeConstants", "UlamMatrix",
-    "apply_transfer", "build_ulam", "cesaro_density", "lasota_yorke_constants",
-    "EscapeReport", "SpectralReport", "escape_rate", "invariant_density",
-    "second_eigenpair", "spectral_report",
+    "build_ulam", "lasota_yorke_constants",
+    "EscapeReport", "escape_rate", "invariant_density", "second_eigenpair",
     "PostcriticalHierarchy", "SaltusDecomposition", "jump_decay_profile",
-    "postcritical_hierarchy", "saltus_decompose", "total_variation",
+    "postcritical_hierarchy", "saltus_decompose",
     "HoleReport", "SweepRow", "analytic_lhr", "compute_holes",
     "convergence_study", "flux_balance", "hole_measures", "markov_stationary",
     "predict_mixture",

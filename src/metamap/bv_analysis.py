@@ -22,11 +22,6 @@ JUMP_THRESHOLD_KAPPA = 5.0
 DECAY_SLACK = 1.1
 
 
-def total_variation(d: DensityGrid) -> float:
-    """Sum of |d_{i+1} - d_i| over interior cell boundaries."""
-    return d.total_variation()
-
-
 @dataclass(frozen=True)
 class PostcriticalPoint:
     u: float

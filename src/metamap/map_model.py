@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 ENDPOINT_TOL = 1e-12
 PREIMAGE_XTOL = 1e-13
@@ -163,6 +162,9 @@ class Branch:
             return b
         if fa * fb > 0:
             return None
+        # imported here: scipy.optimize dominates import time, and affine
+        # branches never need it
+        from scipy.optimize import brentq
         try:
             return float(brentq(lambda x: self.f(x) - y, a, b, xtol=PREIMAGE_XTOL))
         except RuntimeError as exc:  # pragma: no cover - brentq rarely fails

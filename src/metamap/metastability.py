@@ -220,7 +220,7 @@ def ergodic_densities(family: PerturbationFamily, n: int,
     out = []
     for half in (Il, Ir):
         start = DensityGrid.indicator(half, n, normalize=True).values
-        vals, _ = power_fixed_density(P0, start, tol, 10 * n * max(int(math.log(n)), 1))
+        vals, _ = power_fixed_density(P0, start, tol)
         out.append(DensityGrid(n, vals))
     return out[0], out[1]
 

@@ -1,30 +1,33 @@
 """Leading and second eigenpairs of Ulam matrices, and open-system escape rates.
 
-The primary solver is power iteration: plain (with per-step mass
-renormalization) for the invariant density, deflated against the invariant
-density for the second eigenpair.  A dense eigensolve (LAPACK, via
-numpy.linalg.eig) doubles as cross-check oracle and fallback when iterates
-fail to settle.
+Every solver here is power iteration through one kernel, ``_iterate``: it
+repeats ``w <- step(w)`` and stops when the mean-L1 step change and the
+extrapolated distance to the limit are both below the tolerance.  The
+callers differ only in their step: mass renormalization for the invariant
+density, deflation against the invariant density for the second eigenpair,
+and a hole mask with mean-1 renormalization for escape rates.  A dense
+eigensolve (LAPACK, via numpy.linalg.eig) doubles as cross-check oracle and
+as the second eigenpair's fallback when the iteration stalls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .map_model import Interval
 from .transfer_operator import DensityGrid, UlamMatrix, cells_within
 
 RESTART_SEED = 0x5EED
 DENSE_FALLBACK_CAP = 4096
+STALL_WINDOW = 200
 
 
 class SolverError(RuntimeError):
-    """Iteration failed to converge within the allowed number of steps."""
+    """Iteration stalled or did not converge within the allowed number of steps."""
 
 
 class DegenerateSpectrumError(ValueError):
@@ -51,6 +54,38 @@ def _err_estimate(diff: float, prev_diff: float) -> float:
     return diff * r / (1.0 - r)
 
 
+def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float,
+             max_iter: Optional[int] = None) -> tuple[np.ndarray, int]:
+    """Repeat ``w <- step(w)`` until it settles; return the limit and the step count.
+
+    Stops once the mean-L1 step change and its ``_err_estimate`` are both
+    <= tol.  Raises SolverError after ``max_iter`` steps (default
+    ``_default_max_iter(w.size)``), or as soon as the step change, from step
+    2*STALL_WINDOW on, is no smaller than it was STALL_WINDOW steps earlier:
+    a contracting iteration shrinks over any such window, however slowly.
+    """
+    if max_iter is None:
+        max_iter = _default_max_iter(w.size)
+    window = np.full(STALL_WINDOW, math.inf)   # step changes of the last window
+    prev_diff = math.inf
+    for k in range(1, max_iter + 1):
+        nxt = step(w)
+        diff = float(np.mean(np.abs(nxt - w)))
+        w = nxt
+        if diff <= tol and _err_estimate(diff, prev_diff) <= tol:
+            return w, k
+        slot = k % STALL_WINDOW
+        if k >= 2 * STALL_WINDOW and diff >= window[slot]:
+            raise SolverError(
+                f"power iteration stalled at step {k} (step change {diff:.3g}, "
+                f"{window[slot]:.3g} {STALL_WINDOW} steps earlier)")
+        window[slot] = diff
+        prev_diff = diff
+    raise SolverError(
+        f"power iteration did not converge in {max_iter} steps "
+        f"(last step change {prev_diff:.3g})")
+
+
 @dataclass(frozen=True)
 class InvariantDensityResult:
     phi: DensityGrid
@@ -62,22 +97,15 @@ class InvariantDensityResult:
 
 
 def power_fixed_density(P: UlamMatrix, start: np.ndarray, tol: float,
-                         max_iter: int) -> tuple[np.ndarray, int]:
+                        max_iter: Optional[int] = None) -> tuple[np.ndarray, int]:
     """Iterate the transfer matrix from a nonnegative start until the iterate
     is within ~tol (L1) of the fixed density, renormalizing mass each step."""
-    d = start / np.mean(start)
-    prev_diff = math.inf
-    for k in range(1, max_iter + 1):
+    def step(d):
         nxt = P.apply(d)
         nxt /= np.mean(nxt)
-        diff = float(np.mean(np.abs(nxt - d)))
-        d = nxt
-        if diff <= tol and _err_estimate(diff, prev_diff) <= tol:
-            return d, k
-        prev_diff = diff
-    raise SolverError(
-        f"power iteration did not converge in {max_iter} steps "
-        f"(last step change {prev_diff:.3g})")
+        return nxt
+
+    return _iterate(step, start / np.mean(start), tol, max_iter)
 
 
 def invariant_density(P: UlamMatrix, tol: float = 1e-10,
@@ -91,8 +119,6 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     reported as non-simple and both limits are returned.
     """
     n = P.n
-    if max_iter is None:
-        max_iter = _default_max_iter(n)
     if probe_start is None:
         probe_start = DensityGrid.indicator(Interval(0.0, 0.5), n, normalize=True)
     phi1, it1 = power_fixed_density(P, np.ones(n), tol, max_iter)
@@ -140,12 +166,11 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
     eigenvalue dominates.  The eigenvector is L1-normalized with positive
     integral over I_l; its own integral vanishes by construction.
 
-    Falls back to a dense eigensolve (n <= 4096) when iterates oscillate,
-    and raises if the second eigenvalue turns out to be complex.
+    Falls back to a dense eigensolve (n <= 4096) when the iteration stalls
+    or runs out of steps, and raises if the second eigenvalue turns out to
+    be complex.
     """
     n = P.n
-    if max_iter is None:
-        max_iter = _default_max_iter(n)
     phi_v = phi.values / phi.mass()
 
     w = DensityGrid.indicator(I_l, n).values - DensityGrid.indicator(Interval(I_l.hi, 1.0), n).values
@@ -157,30 +182,25 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
     w /= np.mean(np.abs(w))
 
     rho = 0.0
-    prev_diff = math.inf
-    stall: list[float] = []
-    for k in range(1, max_iter + 1):
+
+    def step(w):
+        nonlocal rho
         v = P.apply(w)
         v = v - np.mean(v) * phi_v
-        denom = float(np.dot(w, w))
-        rho_k = float(np.dot(v, w)) / denom
+        rho = float(np.dot(v, w)) / float(np.dot(w, w))
         nrm = np.mean(np.abs(v))
         if nrm <= 1e-300:
             raise DegenerateSpectrumError("iterate collapsed; no second eigenvalue found")
         v /= nrm
         if np.dot(v, w) < 0:
             v = -v
-        diff = float(np.mean(np.abs(v - w)))
-        w = v
-        rho = rho_k
-        if diff <= tol and _err_estimate(diff, prev_diff) <= tol:
-            psi = _finalize_psi(w, I_l.hi, n)
-            return rho, psi
-        prev_diff = diff
-        stall.append(diff)
-        if k >= 400 and diff > 0.5 * stall[k - 200]:
-            break  # oscillating; go dense
-    return _second_eigenpair_dense(P, phi_v, I_l)
+        return v
+
+    try:
+        w, _ = _iterate(step, w, tol, max_iter)
+    except SolverError:
+        return _second_eigenpair_dense(P, phi_v, I_l)
+    return rho, _finalize_psi(w, I_l.hi, n)
 
 
 def _second_eigenpair_dense(P: UlamMatrix, phi_v: np.ndarray,
@@ -188,7 +208,7 @@ def _second_eigenpair_dense(P: UlamMatrix, phi_v: np.ndarray,
     n = P.n
     if n > DENSE_FALLBACK_CAP:
         raise SolverError(
-            f"second eigenpair iteration oscillates and n={n} exceeds the dense "
+            f"second eigenpair iteration did not settle and n={n} exceeds the dense "
             f"fallback cap {DENSE_FALLBACK_CAP}")
     pairs = dense_top_eigenpairs(P, k=2)
     lam2, vec = pairs[1]
@@ -199,32 +219,6 @@ def _second_eigenpair_dense(P: UlamMatrix, phi_v: np.ndarray,
     vals = vals - np.mean(vals) * phi_v
     psi = _finalize_psi(vals, I_l.hi, n)
     return lam2.real, psi
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Leading eigenpair, second eigenpair and their residuals for one matrix."""
-
-    phi: DensityGrid
-    rho: Optional[float]
-    psi: Optional[DensityGrid]
-    leading_simple: bool
-    residual_phi: float
-    residual_psi: Optional[float]
-
-
-def spectral_report(P: UlamMatrix, I_l: Interval, tol: float = 1e-10,
-                    with_second: bool = True) -> SpectralReport:
-    """Convenience pipeline: invariant density, simplicity probe, second pair."""
-    inv = invariant_density(P, tol=tol,
-                            probe_start=DensityGrid.indicator(I_l, P.n, normalize=True))
-    rho = psi = res_psi = None
-    if with_second and inv.leading_simple:
-        rho, psi = second_eigenpair(P, inv.phi, I_l, tol=tol)
-        res_psi = float(np.mean(np.abs(P.apply(psi.values) - rho * psi.values)))
-    return SpectralReport(phi=inv.phi, rho=rho, psi=psi,
-                          leading_simple=inv.leading_simple,
-                          residual_phi=inv.residual, residual_psi=res_psi)
 
 
 @dataclass(frozen=True)
@@ -246,7 +240,8 @@ def escape_rate(P: UlamMatrix, hole_cells, sub_domain: Interval,
     Rows and columns are restricted to the cells of ``sub_domain`` (which must
     be invariant: restricted rows must still sum to 1), the hole columns are
     zeroed, and the leading eigenvalue of the resulting substochastic matrix
-    is found by power iteration on nonnegative vectors.  rate = -log(lambda).
+    is found by power iteration on nonnegative vectors renormalized to mean
+    1.  rate = -log(lambda).
 
     ``hole_measure`` should be the invariant measure of the true hole; when
     omitted it is approximated by the closed-system stationary measure of the
@@ -262,18 +257,13 @@ def escape_rate(P: UlamMatrix, hole_cells, sub_domain: Interval,
         raise ValueError(f"hole cells {missing[:4]}... outside the sub-domain")
     hole_pos = np.array([pos_of[int(c)] for c in hole_cells], dtype=int)
 
-    Q_closed = P.restrict(sub)
-    rs = np.asarray(Q_closed.sum(axis=1)).ravel()
-    if np.max(np.abs(rs - 1.0)) > 1e-9:
+    Q = P.restrict(sub)
+    if np.max(np.abs(Q.row_sums() - 1.0)) > 1e-9:
         raise ValueError("sub_domain is not invariant under the map")
 
     m = sub.size
-    if max_iter is None:
-        max_iter = _default_max_iter(max(m, 2))
-
     if hole_measure is None:
-        pi, _ = power_fixed_density(UlamMatrix(n=m, matrix=Q_closed),
-                                     np.ones(m), 1e-12, max_iter)
+        pi, _ = power_fixed_density(Q, np.ones(m), 1e-12, max_iter)
         hole_measure = float(np.sum(pi[hole_pos]) / m)
 
     if hole_pos.size == 0:
@@ -284,28 +274,19 @@ def escape_rate(P: UlamMatrix, hole_cells, sub_domain: Interval,
 
     keep = np.ones(m)
     keep[hole_pos] = 0.0
-    if sparse.issparse(Q_closed):
-        Q = (Q_closed @ sparse.diags(keep)).tocsr()
-    else:
-        Q = Q_closed * keep[np.newaxis, :]
-
-    w = keep / np.sum(keep)
-    lam_prev = math.inf
     lam = 1.0
-    for _ in range(max_iter):
-        v = np.asarray(w @ Q).ravel()
-        s = float(np.sum(v))
-        if s <= 0.0:
+
+    def step(w):
+        # Mean-1 iterates keep the mean-L1 step change on the scale of the
+        # iterate; sum-1 iterates shrink it by 1/m and stop too early.
+        nonlocal lam
+        v = Q.apply(w) * keep
+        lam = float(np.mean(v))
+        if lam <= 0.0:
             raise DegenerateSpectrumError("all mass escapes in one step")
-        lam = s / float(np.sum(w))
-        v /= s
-        diff = float(np.sum(np.abs(v - w)))
-        w = v
-        if abs(lam - lam_prev) <= tol * max(lam, 1e-300) and diff <= 1e-10:
-            break
-        lam_prev = lam
-    else:
-        raise SolverError("escape-rate iteration did not converge")
+        return v / lam
+
+    _iterate(step, keep / np.mean(keep), tol, max_iter)
     return EscapeReport(rate=-math.log(lam), hole_measure=hole_measure,
                         ratio=hole_measure / -math.log(lam) if lam < 1.0 else math.inf,
                         eigenvalue=lam)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metamap.bv_analysis import (jump_decay_profile, postcritical_hierarchy,
-                                 saltus_decompose, total_variation)
+                                 saltus_decompose)
 from metamap.map_model import Interval, MapModelError, evaluate
 from metamap.spectral import invariant_density
 from metamap.transfer_operator import (DensityGrid, build_ulam,
@@ -19,11 +19,11 @@ def step_grid(n, level_left, level_right):
 
 
 def test_total_variation_constant_zero():
-    assert total_variation(DensityGrid.uniform(64)) == 0.0
+    assert DensityGrid.uniform(64).total_variation() == 0.0
 
 
 def test_total_variation_single_step():
-    assert total_variation(step_grid(64, 2.0, 0.0)) == pytest.approx(2.0)
+    assert step_grid(64, 2.0, 0.0).total_variation() == pytest.approx(2.0)
 
 
 def test_sup_bounded_by_l1_plus_tv():
@@ -151,7 +151,7 @@ def test_reconstruction_identity(aligned_decomposition):
 
 def test_tv_split_inequality(aligned_decomposition):
     _, _, phi, _, _, dec = aligned_decomposition
-    total = total_variation(phi)
+    total = phi.total_variation()
     assert dec.regular.total_variation() + dec.total_jump_mass() <= total * (1 + 1e-9)
     assert dec.total_jump_mass() <= total + 1e-9
 
@@ -163,7 +163,7 @@ def test_jump_decay_profile_family_a(aligned_decomposition):
     for r in rows:
         assert r.bound == pytest.approx(3.0 ** (-r.m) * 72.0, rel=1e-9)
         assert r.passed
-    assert rows[0].tail <= total_variation(dec.saltus) + 1e-9
+    assert rows[0].tail <= dec.saltus.total_variation() + 1e-9
 
 
 def test_decay_profile_no_jumps(fam_a):

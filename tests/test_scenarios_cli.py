@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import metamap
 from metamap.cli import main
 from metamap.families import DEFAULT_EPS_LIST
 from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
@@ -197,3 +201,12 @@ def test_cli_jobs_flag_matches_serial(tmp_path):
     assert main(argv + [str(serial)]) == 0
     assert main(argv + [str(parallel), "--jobs", "2"]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+
+def test_cli_import_skips_scipy_optimize():
+    # only smooth branches need brentq; the CLI must not pay for its import
+    src = os.path.dirname(os.path.dirname(metamap.__file__))
+    code = "import sys, metamap.cli; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 0

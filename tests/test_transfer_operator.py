@@ -6,9 +6,8 @@ from metamap.families import doubling_map
 from metamap.map_model import Branch, Interval, MapModelError, PiecewiseMap
 from metamap.spectral import power_fixed_density
 from metamap.transfer_operator import (DensityGrid, UlamMatrix,
-                                       UnsupportedRegimeError, apply_transfer,
-                                       build_ulam, cells_with_center_in,
-                                       cells_within, cesaro_density,
+                                       UnsupportedRegimeError, build_ulam,
+                                       cells_with_center_in, cells_within,
                                        lasota_yorke_constants,
                                        variation_inflation_constant)
 
@@ -37,13 +36,6 @@ def test_rows_sum_to_one(fam_a, eps, n):
     assert dense.min() >= 0.0 and dense.max() <= 1.0 + 1e-15
 
 
-def test_sparse_and_dense_storage_agree(fam_a):
-    T = fam_a.instantiate(0.01)
-    dense = build_ulam(T, 600, sparse_cutoff=10 ** 9).to_dense()
-    sp = build_ulam(T, 600, sparse_cutoff=1).to_dense()
-    assert np.max(np.abs(dense - sp)) == 0.0
-
-
 def test_smooth_branch_representation_matches_affine(fam_a):
     # same map, branches given as callables: identical matrix up to rounding
     smooth_branches = []
@@ -69,14 +61,14 @@ def test_too_coarse_grid_rejected(fam_a):
 def test_apply_preserves_uniform_density(fam_a):
     P = build_ulam(fam_a.base, 384)
     d = DensityGrid.uniform(384)
-    out = apply_transfer(P, d)
+    out = DensityGrid(384, P.apply(d.values))
     assert out.l1_distance(d) <= 1e-13
 
 
 def test_apply_zero_density(fam_a):
     P = build_ulam(fam_a.base, 48)
-    out = apply_transfer(P, DensityGrid.zeros(48))
-    assert np.all(out.values == 0.0)
+    out = P.apply(DensityGrid.zeros(48).values)
+    assert np.all(out == 0.0)
 
 
 def test_apply_single_cell_mass_preserved(fam_a):
@@ -84,14 +76,14 @@ def test_apply_single_cell_mass_preserved(fam_a):
     P = build_ulam(fam_a.instantiate(0.01), n)
     vals = np.zeros(n)
     vals[17] = n       # unit mass in one cell
-    out = apply_transfer(P, DensityGrid(n, vals))
-    assert out.mass() == pytest.approx(1.0, abs=1e-12)
+    out = P.apply(vals)
+    assert np.mean(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_dimension_mismatch(fam_a):
     P = build_ulam(fam_a.base, 48)
     with pytest.raises(ValueError):
-        apply_transfer(P, DensityGrid.uniform(96))
+        P.apply(DensityGrid.uniform(96).values)
 
 
 def test_mass_conservation_random_grids(fam_a):
@@ -100,9 +92,8 @@ def test_mass_conservation_random_grids(fam_a):
     rng = np.random.default_rng(23)
     for _ in range(200):
         vals = rng.standard_normal(n)
-        d = DensityGrid(n, vals)
-        out = apply_transfer(P, d)
-        assert abs(np.sum(out.values) - np.sum(vals)) <= 1e-12 * np.sum(np.abs(vals))
+        out = P.apply(vals)
+        assert abs(np.sum(out) - np.sum(vals)) <= 1e-12 * np.sum(np.abs(vals))
 
 
 def test_positivity_preserved(fam_a):
@@ -110,8 +101,7 @@ def test_positivity_preserved(fam_a):
     P = build_ulam(fam_a.instantiate(0.01), n)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        d = DensityGrid(n, rng.uniform(0, 3, size=n))
-        assert apply_transfer(P, d).values.min() >= 0.0
+        assert P.apply(rng.uniform(0, 3, size=n)).min() >= 0.0
 
 
 def test_ly_constants_family_a(fam_a):
@@ -143,31 +133,6 @@ def test_ly_base_anchoring(fam_a):
     assert ly.C_LY == pytest.approx(72.0, abs=1e-9)
 
 
-def test_cesaro_family_a_exactly_uniform(fam_a):
-    P = build_ulam(fam_a.base, 96)
-    for terms in (1, 7, 40):
-        F = cesaro_density(P, terms)
-        assert np.max(np.abs(F.values - 1.0)) <= 1e-12
-        assert F.mass() == pytest.approx(1.0, abs=1e-13)
-
-
-def test_cesaro_single_term_is_uniform(fam_a):
-    P = build_ulam(fam_a.instantiate(0.01), 96)
-    assert np.all(cesaro_density(P, 1).values == 1.0)
-
-
-def test_cesaro_cauchy_sequence(fam_a):
-    # Cesaro averages converge like 1/m; with a spectral gap 1 - rho ~ 3e-2
-    # at eps = 0.01 the 400-vs-800 difference sits near 2e-2 and halves as
-    # both term counts double.
-    P = build_ulam(fam_a.instantiate(0.01), 768)
-    d = {m: cesaro_density(P, m) for m in (400, 800, 1600)}
-    gap1 = d[400].l1_distance(d[800])
-    gap2 = d[800].l1_distance(d[1600])
-    assert gap1 < 0.05
-    assert gap2 < 0.6 * gap1
-
-
 def test_discrete_ly_inequality_sentinel(fam_a):
     n = 384
     T = fam_a.instantiate(0.01)
@@ -184,7 +149,7 @@ def test_discrete_ly_inequality_sentinel(fam_a):
         tv0, l1 = d.total_variation(), d.l1_norm()
         cur = d
         for k in range(1, 7):
-            cur = apply_transfer(P, cur)
+            cur = DensityGrid(n, P.apply(cur.values))
             bound = ly.C_LY * ly.beta ** k * tv0 + ly.C_LY * l1
             assert cur.total_variation() <= 1.2 * bound
 
@@ -204,8 +169,9 @@ def test_refinement_consistency_trend(fam_a):
 def test_row_sparsity_bound(fam_a):
     # each row holds at most branches * (ceil(max slope) + 2) nonzeros
     T = fam_a.instantiate(0.01)
-    P = build_ulam(T, 1536, sparse_cutoff=1)
-    per_row = np.diff(P.matrix.indptr)
+    n = 1536
+    P = build_ulam(T, n)
+    per_row = np.bincount(P.matrix.indices, minlength=n)
     cap = len(T.branches) * (3 + 2)
     assert per_row.max() <= cap
 
