@@ -30,7 +30,7 @@ scn.eps_list = (0.02, 0.01)
 scn.grid_n = 768
 scn.out_dir = os.path.join(here, "output", "scenario_run")
 
-code = run_scenario(scn, jobs=2)
+code = run_scenario(scn)
 print(f"\nexit code {code}; artifacts:")
 for name in sorted(os.listdir(scn.out_dir)):
     print(f"  {scn.out_dir}/{name}")

@@ -1,7 +1,7 @@
 """Command line interface.
 
     metamap run --scenario <path|builtin:name> [--eps 0.02,0.01] [--grid n]
-                [--jobs k] [--out dir]
+                [--out dir]
     metamap validate --scenario <path|builtin:name>
     metamap markov --eps-lr x --eps-rl y
 
@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON scenario path or builtin:<name>")
     run_p.add_argument("--eps", help="comma-separated eps values (override)")
     run_p.add_argument("--grid", type=int, help="grid size n (override)")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel sweep rows")
     run_p.add_argument("--out", help="output directory (override)")
 
     val_p = sub.add_parser("validate", help="hypothesis report only")
@@ -82,7 +81,7 @@ def main(argv=None) -> int:
                 print(f"  {d}")
             return 0
         _apply_overrides(scn, args)
-        return run_scenario(scn, jobs=max(args.jobs, 1))
+        return run_scenario(scn)
     except ScenarioError as exc:
         print(exc, file=sys.stderr)
         return 1

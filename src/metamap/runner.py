@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,11 +62,11 @@ def write_density_csv(path, art: EpsArtifacts, mixture) -> None:
                      f"{float(mixture.values[i])!r},{psi_cell}\n")
 
 
-def run_scenario(scn: Scenario, jobs: int = 1, log=print) -> int:
+def run_scenario(scn: Scenario, log=print) -> int:
     os.makedirs(scn.out_dir, exist_ok=True)
     if scn.kind == "markov":
         return _run_markov(scn, log)
-    return _run_family(scn, jobs, log)
+    return _run_family(scn, log)
 
 
 def _run_markov(scn: Scenario, log) -> int:
@@ -82,7 +81,7 @@ def _run_markov(scn: Scenario, log) -> int:
     return 0
 
 
-def _run_family(scn: Scenario, jobs: int, log) -> int:
+def _run_family(scn: Scenario, log) -> int:
     fam = scn.family
     for w in scn.warnings:
         log(f"warning: {w}")
@@ -107,12 +106,7 @@ def _run_family(scn: Scenario, jobs: int, log) -> int:
                         with_escape=scn.run_escape_rates)
     log(f"alpha_pred = {ctx.alpha_pred!r} on n = {scn.grid_n}")
 
-    eps_list = list(scn.eps_list)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda e: run_sweep_row(ctx, e), eps_list))
-    else:
-        results = [run_sweep_row(ctx, e) for e in eps_list]
+    results = [run_sweep_row(ctx, e) for e in scn.eps_list]
     rows = [r for r, _ in results]
 
     saltus_rows = {}

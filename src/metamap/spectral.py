@@ -3,11 +3,16 @@
 Every solver here is power iteration through one kernel, ``_iterate``: it
 repeats ``w <- step(w)`` and stops when the mean-L1 step change and the
 extrapolated distance to the limit are both below the tolerance.  The
-callers differ only in their step: mass renormalization for the invariant
-density, deflation against the invariant density for the second eigenpair,
-and a hole mask with mean-1 renormalization for escape rates.  A dense
-eigensolve (LAPACK, via numpy.linalg.eig) doubles as cross-check oracle and
-as the second eigenpair's fallback when the iteration stalls.
+callers differ only in their step: two-block aggregation for the invariant
+density (the mass of the blocks [0,k) and [k,n) is rescaled to the
+stationary weight of the 2x2 chain between them, so nearly decomposable
+matrices converge at the within-block rate instead of at rho_eps -> 1),
+plain mass renormalization (``power_fixed_density``) for the eps=0
+ergodic densities and closed-system hole measures, deflation
+against the invariant density for the second eigenpair, and a hole mask
+with mean-1 renormalization for escape rates.  A dense eigensolve (LAPACK,
+via numpy.linalg.eig) doubles as cross-check oracle and as the second
+eigenpair's fallback when the iteration stalls.
 """
 
 from __future__ import annotations
@@ -88,24 +93,91 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
 
 @dataclass(frozen=True)
 class InvariantDensityResult:
+    """Fixed density, simplicity verdict and solver record.
+
+    ``p_lr`` / ``p_rl`` are the exit probabilities of the two-state chain
+    between the blocks [0,k) and [k,n), evaluated at ``phi`` (nan for a
+    block without mass); None when the probe start defines no blocks.
+    """
+
     phi: DensityGrid
     leading_simple: bool
     residual: float
     iterations: int
     probe_phi: Optional[DensityGrid] = None
     probe_distance: float = 0.0
+    p_lr: Optional[float] = None
+    p_rl: Optional[float] = None
+
+
+def _mass_step(P: UlamMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    def step(d):
+        nxt = P.apply(d)
+        nxt /= np.mean(nxt)
+        return nxt
+    return step
 
 
 def power_fixed_density(P: UlamMatrix, start: np.ndarray, tol: float,
                         max_iter: Optional[int] = None) -> tuple[np.ndarray, int]:
     """Iterate the transfer matrix from a nonnegative start until the iterate
     is within ~tol (L1) of the fixed density, renormalizing mass each step."""
+    return _iterate(_mass_step(P), start / np.mean(start), tol, max_iter)
+
+
+def _leading_block(start: np.ndarray) -> Optional[int]:
+    """k when ``start`` is supported exactly on a leading run [0,k), 0<k<n."""
+    k = int(np.count_nonzero(start))
+    if 0 < k < start.size and np.all(start[:k] != 0):
+        return k
+    return None
+
+
+def _block_rates(x: np.ndarray, out: np.ndarray, k: int) -> tuple[float, float, float, float]:
+    """(p_LR, p_RL, mass_L, mass_R) of the density x on the blocks [0,k), [k,n).
+
+    ``out[i]`` is row i's probability of leaving its block; a block's exit
+    probability is its mass-weighted mean, nan for a block without mass.
+    """
+    m_l, m_r = float(x[:k].sum()), float(x[k:].sum())
+    p_lr = float(x[:k] @ out[:k]) / m_l if m_l > 0 else math.nan
+    p_rl = float(x[k:] @ out[k:]) / m_r if m_r > 0 else math.nan
+    return p_lr, p_rl, m_l, m_r
+
+
+def _aggregation_step(P: UlamMatrix, k: int,
+                      out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Two-block aggregation-disaggregation step (Koury-McAllister-Stewart).
+
+    One matvec, then the 2x2 chain between the blocks: each block's mass is
+    rescaled to that chain's stationary weight w = p_RL/(p_LR+p_RL), which
+    replaces the mean renormalization.  The correction is off (plain mass
+    step) until the coarse weight settles, i.e. the first step whose change
+    in w is smaller than the previous one, and stays on from then on
+    wherever w exists.  Applied from the start, a block whose first mass
+    sits in cells without exit would get w = 0 and be wiped out; toggled
+    per step, the step change oscillates and trips the stall rule.
+    """
+    n = P.n
+    on = False
+    w1 = w2 = math.nan          # w of the previous two steps
+
     def step(d):
+        nonlocal on, w1, w2
         nxt = P.apply(d)
-        nxt /= np.mean(nxt)
+        p_lr, p_rl, m_l, m_r = _block_rates(nxt, out, k)
+        w = p_rl / (p_lr + p_rl) if p_lr + p_rl > 0 else math.nan
+        if not on:
+            on = abs(w - w1) < abs(w1 - w2)     # False while any w is nan
+            w1, w2 = w, w1
+        if not (on and math.isfinite(w)):
+            nxt /= np.mean(nxt)
+            return nxt
+        nxt[:k] *= w * n / m_l
+        nxt[k:] *= (1.0 - w) * n / m_r
         return nxt
 
-    return _iterate(step, start / np.mean(start), tol, max_iter)
+    return step
 
 
 def invariant_density(P: UlamMatrix, tol: float = 1e-10,
@@ -113,26 +185,39 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
                       probe_start: Optional[DensityGrid] = None) -> InvariantDensityResult:
     """Fixed density of the Ulam matrix with a simplicity probe.
 
-    Runs power iteration twice: from the uniform density and from an
-    independent start (by default the left half-interval indicator).  If the
-    two limits disagree by more than 10*tol in L1 the leading eigenvalue is
-    reported as non-simple and both limits are returned.
+    Runs the kernel twice: from the uniform density and from an independent
+    start (by default the left half-interval indicator).  If the two limits
+    disagree by more than 10*tol in L1 the leading eigenvalue is reported as
+    non-simple and both limits are returned.  When the probe start is
+    supported on a leading run of cells [0,k), 0<k<n, both runs use the
+    two-block aggregation step on [0,k) and [k,n); otherwise plain power
+    iteration.
     """
     n = P.n
     if probe_start is None:
         probe_start = DensityGrid.indicator(Interval(0.0, 0.5), n, normalize=True)
-    phi1, it1 = power_fixed_density(P, np.ones(n), tol, max_iter)
-    phi2, it2 = power_fixed_density(P, probe_start.values.copy(), tol, max_iter)
+    k = _leading_block(probe_start.values)
+    if k is not None:
+        # row i's probability of leaving its block
+        out = np.asarray(P.matrix[:, :k].sum(axis=1)).ravel()
+        out[:k] = 1.0 - out[:k]
+
+    def run(start):
+        step = _mass_step(P) if k is None else _aggregation_step(P, k, out)
+        return _iterate(step, start / np.mean(start), tol, max_iter)
+
+    phi1, it1 = run(np.ones(n))
+    phi2, it2 = run(probe_start.values)
     dist = float(np.mean(np.abs(phi1 - phi2)))
     simple = dist <= 10.0 * tol
     residual = float(np.mean(np.abs(P.apply(phi1) - phi1)))
-    out1 = DensityGrid(n, phi1)
-    if simple:
-        return InvariantDensityResult(phi=out1, leading_simple=True,
-                                      residual=residual, iterations=it1 + it2)
-    return InvariantDensityResult(phi=out1, leading_simple=False,
-                                  residual=residual, iterations=it1 + it2,
-                                  probe_phi=DensityGrid(n, phi2), probe_distance=dist)
+    p_lr = p_rl = None
+    if k is not None:
+        p_lr, p_rl, _, _ = _block_rates(phi1, out, k)
+    return InvariantDensityResult(
+        phi=DensityGrid(n, phi1), leading_simple=simple, residual=residual,
+        iterations=it1 + it2, probe_phi=None if simple else DensityGrid(n, phi2),
+        probe_distance=0.0 if simple else dist, p_lr=p_lr, p_rl=p_rl)
 
 
 def dense_top_eigenpairs(P: UlamMatrix, k: int = 2) -> list[tuple[complex, np.ndarray]]:
@@ -250,12 +335,12 @@ def escape_rate(P: UlamMatrix, hole_cells, sub_domain: Interval,
     sub = cells_within(sub_domain, P.n)
     if sub.size == 0:
         raise ValueError("sub_domain contains no whole cells")
-    hole_cells = np.asarray(sorted(set(int(c) for c in hole_cells)), dtype=int)
-    pos_of = {int(c): i for i, c in enumerate(sub)}
-    missing = [int(c) for c in hole_cells if int(c) not in pos_of]
-    if missing:
-        raise ValueError(f"hole cells {missing[:4]}... outside the sub-domain")
-    hole_pos = np.array([pos_of[int(c)] for c in hole_cells], dtype=int)
+    hole_cells = np.unique(np.asarray(hole_cells, dtype=int))
+    hole_pos = np.searchsorted(sub, hole_cells)
+    inside = sub[np.minimum(hole_pos, sub.size - 1)] == hole_cells
+    if not np.all(inside):
+        missing = hole_cells[~inside]
+        raise ValueError(f"hole cells {missing[:4].tolist()}... outside the sub-domain")
 
     Q = P.restrict(sub)
     if np.max(np.abs(Q.row_sums() - 1.0)) > 1e-9:

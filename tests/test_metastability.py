@@ -9,6 +9,7 @@ from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
                                    flux_balance, hole_measures,
                                    markov_stationary, predict_mixture,
                                    prepare_sweep, run_sweep_row)
+from metamap.spectral import invariant_density
 from metamap.transfer_operator import DensityGrid
 
 
@@ -235,3 +236,17 @@ def test_left_mass_converges_to_alpha_monotonically(sweep_a):
     gaps = [abs(r.mu_Il - r.alpha_pred) for r in rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.002
+
+
+def test_two_block_chain_matches_weight_and_rho(sweep_a, left_indicator):
+    # the 2x2 chain of the aggregation solver is the paper's two-state
+    # analog: its stationary weight is mu(I_l), and p_LR + p_RL approaches
+    # the switching rate 1 - rho as eps shrinks
+    gaps = []
+    for row in sweep_a["rows"]:
+        P = sweep_a["arts"][row.eps].P
+        inv = invariant_density(P, tol=1e-10, probe_start=left_indicator(P.n))
+        alpha, _ = markov_stationary(inv.p_lr, inv.p_rl)
+        assert alpha == pytest.approx(row.mu_Il, abs=1e-9)
+        gaps.append(abs(inv.p_lr + inv.p_rl - (1.0 - row.rho)) / (1.0 - row.rho))
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps

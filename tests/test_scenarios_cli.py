@@ -194,15 +194,6 @@ def test_cli_unknown_builtin_exit_1(capsys):
     assert "unknown builtin" in capsys.readouterr().err
 
 
-def test_cli_jobs_flag_matches_serial(tmp_path):
-    argv = ["run", "--scenario", "builtin:family_a", "--eps", "0.02,0.01",
-            "--grid", "192", "--out"]
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    assert main(argv + [str(serial)]) == 0
-    assert main(argv + [str(parallel), "--jobs", "2"]) == 0
-    assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
-
-
 def test_cli_import_skips_scipy_optimize():
     # only smooth branches need brentq; the CLI must not pay for its import
     src = os.path.dirname(os.path.dirname(metamap.__file__))
