@@ -19,7 +19,8 @@ import numpy as np
 
 from .map_model import Interval, MapModelError, PerturbationFamily, PiecewiseMap
 from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,
-                       invariant_density, power_fixed_density, second_eigenpair)
+                       invariant_density, power_fixed_density, restrict_invariant,
+                       second_eigenpair)
 from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam,
                                 cells_with_center_in)
 
@@ -266,6 +267,9 @@ class SweepContext:
     half_diff: DensityGrid
     alpha_pred: float
     mixture: DensityGrid
+    # half -> (its cells, P0 restricted to them); filled by the first row
+    # that needs it, so a half that is not invariant fails that row only
+    halves: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclass
@@ -356,7 +360,11 @@ def _escape_side(ctx: SweepContext, pieces, half: Interval,
         warnings.append(f"hole in [{half.lo}, {half.hi}] thinner than one cell; "
                         "escape rate skipped")
         return None
-    rep = escape_rate(ctx.P0, cells, half, hole_measure=mu_star)
+    if half not in ctx.halves:
+        ctx.halves[half] = restrict_invariant(ctx.P0, half)
+    sub, Q = ctx.halves[half]
+    # a half's cells are consecutive, so Q's cell i is cell sub[0] + i
+    rep = escape_rate(Q, cells - sub[0], Interval(0.0, 1.0), hole_measure=mu_star)
     return rep.ratio
 
 

@@ -2,17 +2,21 @@
 
 Every solver here is power iteration through one kernel, ``_iterate``: it
 repeats ``w <- step(w)`` and stops when the mean-L1 step change and the
-extrapolated distance to the limit are both below the tolerance.  The
-callers differ only in their step: two-block aggregation for the invariant
-density (the mass of the blocks [0,k) and [k,n) is rescaled to the
-stationary weight of the 2x2 chain between them, so nearly decomposable
-matrices converge at the within-block rate instead of at rho_eps -> 1),
-plain mass renormalization (``power_fixed_density``) for the eps=0
-ergodic densities and closed-system hole measures, deflation
-against the invariant density for the second eigenpair, and a hole mask
-with mean-1 renormalization for escape rates.  A dense eigensolve (LAPACK,
-via numpy.linalg.eig) doubles as cross-check oracle and as the second
-eigenpair's fallback when the iteration stalls.
+extrapolated distance to the limit are both below the tolerance.  When the
+steps shrink by a settled ratio r and each step is r times the previous
+one, the kernel jumps to the sum of their geometric tail, so one isolated
+slow eigenvalue (family B's drain, 1 - rho ~ 6 eps) costs a few dozen
+steps instead of ~1/(1 - rho).  The callers differ only in their step:
+two-block aggregation for the invariant density (the mass of the blocks
+[0,k) and [k,n) is rescaled to the stationary weight of the 2x2 chain
+between them, so nearly decomposable matrices converge at the within-block
+rate instead of at rho_eps -> 1), plain mass renormalization
+(``power_fixed_density``) for the eps=0 ergodic densities and
+closed-system hole measures, deflation against the invariant density for
+the second eigenpair, and a hole mask with mean-1 renormalization for
+escape rates.  A dense eigensolve (LAPACK, via numpy.linalg.eig) doubles as
+cross-check oracle and as the second eigenpair's fallback when the
+iteration stalls.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .transfer_operator import DensityGrid, UlamMatrix, cells_within
 RESTART_SEED = 0x5EED
 DENSE_FALLBACK_CAP = 4096
 STALL_WINDOW = 200
+JUMP_FIT = 0.1   # one-mode fit tolerance of a jump, relative to 1 - r
 
 
 class SolverError(RuntimeError):
@@ -45,17 +50,15 @@ def _default_max_iter(n: int) -> int:
     return max(int(10 * n * max(math.log(n), 1.0)), 20000)
 
 
-def _err_estimate(diff: float, prev_diff: float) -> float:
-    """Distance-to-limit estimate from two successive step sizes.
+def _err_estimate(diff: float, r: float) -> float:
+    """Distance to the limit when the step change shrinks by r per step.
 
-    For a linearly converging iteration with rate r, the remaining error is
-    about diff * r / (1 - r); r is estimated by the step ratio.
+    The remaining steps sum to about diff * r / (1 - r).
     """
     if diff == 0.0:
         return 0.0
-    if prev_diff <= 0.0 or diff >= prev_diff:
+    if r >= 1.0:
         return math.inf
-    r = diff / prev_diff
     return diff * r / (1.0 - r)
 
 
@@ -63,8 +66,25 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
              max_iter: Optional[int] = None) -> tuple[np.ndarray, int]:
     """Repeat ``w <- step(w)`` until it settles; return the limit and the step count.
 
-    Stops once the mean-L1 step change and its ``_err_estimate`` are both
-    <= tol.  Raises SolverError after ``max_iter`` steps (default
+    With d = w_k - w_{k-1}, diff = mean|d| and r = diff_k / diff_{k-1}, the
+    loop stops once diff <= tol and ``_err_estimate(diff, max(r, r_slow))``
+    <= tol.  r_slow is the largest rate a jump was made at: a jump shrinks
+    the slow mode but does not remove it, and the faster modes that dominate
+    the next steps would understate the distance still to go along it.
+
+    Jump (one-mode extrapolation): when 1/2 <= r < 1, r is within
+    JUMP_FIT*(1-r) of the previous ratio, and d matches r times the previous
+    step to JUMP_FIT*(1-r)*diff in mean, the iterate moves to the sum of the
+    geometric tail, ``w + r/(1-r) * d``.  The vector check keeps a rotating
+    complex pair, whose norm ratio can settle by chance, from jumping; it
+    runs only once the ratios settle.  A jump that would take an entry >= 0
+    below -tol is not made: density iterates never leave the nonnegative
+    cone, so it overshoots (and can leave an aggregation block with negative
+    mass).  A jump keeps mean(w) whenever the step does (d has mean 0).  It
+    is not a step: it enters neither the step count nor the stall window,
+    and the next jump needs fresh ratios.
+
+    Raises SolverError after ``max_iter`` steps (default
     ``_default_max_iter(w.size)``), or as soon as the step change, from step
     2*STALL_WINDOW on, is no smaller than it was STALL_WINDOW steps earlier:
     a contracting iteration shrinks over any such window, however slowly.
@@ -72,12 +92,17 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
     if max_iter is None:
         max_iter = _default_max_iter(w.size)
     window = np.full(STALL_WINDOW, math.inf)   # step changes of the last window
-    prev_diff = math.inf
+    diff = prev_diff = math.inf
+    prev_d = None
+    prev_r = math.nan
+    r_slow = 0.0
     for k in range(1, max_iter + 1):
         nxt = step(w)
-        diff = float(np.mean(np.abs(nxt - w)))
+        d = nxt - w
+        diff = float(np.mean(np.abs(d)))
         w = nxt
-        if diff <= tol and _err_estimate(diff, prev_diff) <= tol:
+        r = diff / prev_diff if prev_diff > 0.0 else math.inf
+        if diff <= tol and _err_estimate(diff, max(r, r_slow)) <= tol:
             return w, k
         slot = k % STALL_WINDOW
         if k >= 2 * STALL_WINDOW and diff >= window[slot]:
@@ -85,10 +110,17 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
                 f"power iteration stalled at step {k} (step change {diff:.3g}, "
                 f"{window[slot]:.3g} {STALL_WINDOW} steps earlier)")
         window[slot] = diff
-        prev_diff = diff
+        if (0.5 <= r < 1.0 and abs(r - prev_r) <= JUMP_FIT * (1.0 - r)
+                and float(np.mean(np.abs(d - r * prev_d))) <= JUMP_FIT * (1.0 - r) * diff):
+            jump = w + (r / (1.0 - r)) * d
+            if np.all((jump >= -tol) | (w < 0.0)):
+                w, r_slow = jump, max(r_slow, r)
+                prev_diff, prev_d, prev_r = math.inf, None, math.nan
+                continue
+        prev_diff, prev_d, prev_r = diff, d, r
     raise SolverError(
         f"power iteration did not converge in {max_iter} steps "
-        f"(last step change {prev_diff:.3g})")
+        f"(last step change {diff:.3g})")
 
 
 @dataclass(frozen=True)
@@ -180,6 +212,19 @@ def _aggregation_step(P: UlamMatrix, k: int,
     return step
 
 
+def _clip_negative(phi: np.ndarray) -> np.ndarray:
+    """phi clipped at 0 and rescaled to mean 1.
+
+    A jump can leave values of ~-1e-13 in cells where the density vanishes.
+    A limit without negative cells is returned as it is: rescaling it would
+    only move its last bits.
+    """
+    if phi.min() >= 0.0:
+        return phi
+    phi = np.maximum(phi, 0.0)
+    return phi / np.mean(phi)
+
+
 def invariant_density(P: UlamMatrix, tol: float = 1e-10,
                       max_iter: Optional[int] = None,
                       probe_start: Optional[DensityGrid] = None) -> InvariantDensityResult:
@@ -208,6 +253,7 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
 
     phi1, it1 = run(np.ones(n))
     phi2, it2 = run(probe_start.values)
+    phi1, phi2 = _clip_negative(phi1), _clip_negative(phi2)
     dist = float(np.mean(np.abs(phi1 - phi2)))
     simple = dist <= 10.0 * tol
     residual = float(np.mean(np.abs(P.apply(phi1) - phi1)))
@@ -316,6 +362,24 @@ class EscapeReport:
     eigenvalue: float
 
 
+def restrict_invariant(P: UlamMatrix, sub_domain: Interval) -> tuple[np.ndarray, UlamMatrix]:
+    """The cells of ``sub_domain`` and P restricted to them.
+
+    Raises ValueError unless the restriction is closed (its rows still sum
+    to 1).  A sub_domain covering every cell returns P itself, so a
+    restriction can be passed on as a closed system of its own.
+    """
+    sub = cells_within(sub_domain, P.n)
+    if sub.size == 0:
+        raise ValueError("sub_domain contains no whole cells")
+    if sub.size == P.n:
+        return sub, P
+    Q = P.restrict(sub)
+    if np.max(np.abs(Q.row_sums() - 1.0)) > 1e-9:
+        raise ValueError("sub_domain is not invariant under the map")
+    return sub, Q
+
+
 def escape_rate(P: UlamMatrix, hole_cells, sub_domain: Interval,
                 hole_measure: Optional[float] = None,
                 tol: float = 1e-12,
@@ -330,21 +394,17 @@ def escape_rate(P: UlamMatrix, hole_cells, sub_domain: Interval,
 
     ``hole_measure`` should be the invariant measure of the true hole; when
     omitted it is approximated by the closed-system stationary measure of the
-    hole cells.
+    hole cells.  A caller with many holes in one subinterval can restrict
+    once with ``restrict_invariant`` and pass the restriction, its own hole
+    cells and the whole interval [0, 1].
     """
-    sub = cells_within(sub_domain, P.n)
-    if sub.size == 0:
-        raise ValueError("sub_domain contains no whole cells")
+    sub, Q = restrict_invariant(P, sub_domain)
     hole_cells = np.unique(np.asarray(hole_cells, dtype=int))
     hole_pos = np.searchsorted(sub, hole_cells)
     inside = sub[np.minimum(hole_pos, sub.size - 1)] == hole_cells
     if not np.all(inside):
         missing = hole_cells[~inside]
         raise ValueError(f"hole cells {missing[:4].tolist()}... outside the sub-domain")
-
-    Q = P.restrict(sub)
-    if np.max(np.abs(Q.row_sums() - 1.0)) > 1e-9:
-        raise ValueError("sub_domain is not invariant under the map")
 
     m = sub.size
     if hole_measure is None:
