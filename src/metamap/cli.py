@@ -48,7 +48,7 @@ def _apply_overrides(scn, args) -> None:
             raise ScenarioError([f"--eps: cannot parse {args.eps!r}"])
         if not eps or any(e <= 0 for e in eps):
             raise ScenarioError([f"--eps: values must be positive, got {args.eps!r}"])
-        scn.eps_list = tuple(normalize_eps(eps))
+        scn.eps_list = tuple(normalize_eps(eps, field="--eps"))
     if getattr(args, "grid", None):
         scn.grid_n = args.grid
     if getattr(args, "out", None):

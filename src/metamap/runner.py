@@ -24,8 +24,9 @@ import numpy as np
 from .bv_analysis import (jump_decay_profile, postcritical_hierarchy,
                           saltus_decompose)
 from .map_model import validate_hypotheses
-from .metastability import (EpsArtifacts, SweepRow, markov_stationary,
-                            prepare_sweep, run_sweep_row)
+from .metastability import (SweepRow, markov_stationary, prepare_sweep,
+                            run_sweep_row)
+from .numfmt import format_unique
 from .scenarios import Scenario
 from .svgplot import write_line_plot
 from .transfer_operator import lasota_yorke_constants, UnsupportedRegimeError
@@ -50,16 +51,26 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
             fh.write(",".join(_cell(getattr(row, c)) for c in SWEEP_COLUMNS) + "\n")
 
 
-def write_density_csv(path, art: EpsArtifacts, mixture) -> None:
-    n = art.phi.n
-    xs = (np.arange(n) + 0.5) / n
-    psi = art.psi.values if art.psi is not None else None
+def _cell_centers(n: int) -> np.ndarray:
+    return (np.arange(n) + 0.5) / n
+
+
+def write_density_csv(path, x: list[str], mixture: list[str], phi,
+                      psi=None) -> None:
+    """Write the x, phi, mixture, psi columns of one eps, one row per cell.
+
+    ``x`` and ``mixture`` arrive formatted, because every density file of a
+    run shares them; ``phi`` and ``psi`` are float arrays, and ``psi=None``
+    leaves the last field of each row empty.
+    """
+    phi_col = format_unique(phi, repr)
+    psi_col = format_unique(psi, repr) if psi is not None else [""] * len(phi_col)
+    if not len(x) == len(phi_col) == len(mixture) == len(psi_col):
+        raise ValueError(f"density columns differ in length: x {len(x)}, "
+                         f"phi {len(phi_col)}, mixture {len(mixture)}, psi {len(psi_col)}")
     with open(path, "w", newline="") as fh:
         fh.write("x,phi,mixture,psi\n")
-        for i in range(n):
-            psi_cell = repr(float(psi[i])) if psi is not None else ""
-            fh.write(f"{float(xs[i])!r},{float(art.phi.values[i])!r},"
-                     f"{float(mixture.values[i])!r},{psi_cell}\n")
+        fh.writelines(map("{},{},{},{}\n".format, x, phi_col, mixture, psi_col))
 
 
 def run_scenario(scn: Scenario, log=print) -> int:
@@ -132,14 +143,18 @@ def _run_family(scn: Scenario, log) -> int:
                               jump_decay_profile(dec, hier, ly, 4)],
                 }
 
-    for row, art in results:
-        if art is not None:
+    arts = [art for _, art in results if art is not None]
+    if arts:
+        x_col = format_unique(_cell_centers(ctx.mixture.n), repr)
+        mixture_col = format_unique(ctx.mixture.values, repr)
+        for art in arts:
             write_density_csv(os.path.join(scn.out_dir, f"density_{art.eps:g}.csv"),
-                              art, ctx.mixture)
+                              x_col, mixture_col, art.phi.values,
+                              art.psi.values if art.psi is not None else None)
 
     write_sweep_csv(os.path.join(scn.out_dir, "sweep.csv"), rows)
     _write_sweep_json(scn, ctx.alpha_pred, rows, report, saltus_rows)
-    _write_plots(scn, ctx, rows, results, log)
+    _write_plots(scn, ctx, rows, arts)
 
     failed = [r for r in rows if r.error]
     for r in rows:
@@ -173,12 +188,10 @@ def _write_sweep_json(scn, alpha_pred, rows, report, saltus_rows) -> None:
         fh.write("\n")
 
 
-def _write_plots(scn, ctx, rows, results, log) -> None:
-    arts = [art for _, art in results if art is not None]
+def _write_plots(scn, ctx, rows, arts) -> None:
     if arts:
         art = arts[-1]
-        n = art.phi.n
-        xs = (np.arange(n) + 0.5) / n
+        xs = _cell_centers(art.phi.n)
         series = [(xs, art.phi.values, f"phi eps={art.eps:g}"),
                   (xs, ctx.mixture.values, "predicted mixture")]
         if art.psi is not None:

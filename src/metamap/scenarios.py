@@ -60,9 +60,19 @@ def _rational(value, path, errors) -> float:
     return math.nan
 
 
-def normalize_eps(eps_list) -> list[float]:
-    """Deduplicate and sort descending: sweeps run from coarse to fine."""
-    return sorted({float(e) for e in eps_list}, reverse=True)
+def normalize_eps(eps_list, field: str = "eps_list") -> list[float]:
+    """Deduplicate and sort descending: sweeps run from coarse to fine.
+
+    Per-eps artifacts are named by the ``:g`` label of eps
+    (``density_0.02.csv``), so two distinct values with one label would
+    write the same files; such a list is rejected.
+    """
+    eps = sorted({float(e) for e in eps_list}, reverse=True)
+    errors = [f"{field}: {a!r} and {b!r} share the file label {a:g}"
+              for a, b in zip(eps, eps[1:]) if f"{a:g}" == f"{b:g}"]
+    if errors:
+        raise ScenarioError(errors)
+    return eps
 
 
 def critical_denominator_lcm(map_: PiecewiseMap, limit: int = 10 ** 6) -> int:
@@ -184,7 +194,10 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
     elif any(e <= 0 for e in eps_list):
         errors.append("eps_list: values must be positive")
     else:
-        eps_list = normalize_eps(eps_list)
+        try:
+            eps_list = normalize_eps(eps_list)
+        except ScenarioError as exc:
+            errors.extend(exc.errors)
     run_cfg = data.get("run", {})
     if not isinstance(run_cfg, dict):
         errors.append("run: expected an object of toggles")

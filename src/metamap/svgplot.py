@@ -1,10 +1,15 @@
-"""Minimal SVG line plots: polylines, axes, ticks, legend.  No dependencies."""
+"""Minimal SVG line plots: polylines, axes, ticks, legend.  Needs only numpy."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .numfmt import format_unique
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_PX = "{:.2f}".format
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -41,27 +46,62 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text) -> str:
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _floats(values, n: int) -> np.ndarray:
+    """The first n values as float64.  None, strings and other non-numbers
+    raise TypeError, as ``float()`` would, instead of turning into NaN."""
+    a = np.asarray(values[:n])
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"plot values must be real numbers, got {a.dtype} data")
+    return a.astype(np.float64, copy=False)
+
+
+def _unit(v, lo: float, hi: float, log: bool) -> np.ndarray:
+    """Position of each value on the axis [lo, hi]: 0 at lo, 1 at hi."""
+    if log:
+        a, b = math.log10(lo), math.log10(hi)
+        # math.log10 per point keeps the bits of the scalar renderer; the
+        # log-axis plots have a handful of points.
+        v = np.array([math.log10(t) for t in v])
+    else:
+        a, b = lo, hi
+        v = np.asarray(v, dtype=np.float64)
+    return (v - a) / (b - a)
+
+
 def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
                      logx: bool = False, logy: bool = False,
                      width: int = 720, height: int = 480) -> str:
-    """Render [(xs, ys, label), ...] as a standalone SVG string."""
+    """Render [(xs, ys, label), ...] as a standalone SVG string.
+
+    Pairs beyond the shorter of xs and ys, pairs with a NaN and, on a log
+    axis, nonpositive values are left out.  Coordinates are computed as
+    arrays and each distinct coordinate is formatted once.
+    """
     ml, mr, mt, mb = 72, 24, 40, 52
     pw, ph = width - ml - mr, height - mt - mb
 
     clean = []
     for xs, ys, label in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if not (math.isnan(x) or math.isnan(y))
-               and not (logx and x <= 0) and not (logy and y <= 0)]
-        if pts:
-            clean.append((pts, label))
+        n = min(len(xs), len(ys))
+        x, y = _floats(xs, n), _floats(ys, n)
+        keep = ~(np.isnan(x) | np.isnan(y))
+        if logx:
+            keep &= x > 0
+        if logy:
+            keep &= y > 0
+        if keep.any():
+            clean.append((x[keep], y[keep], label))
     if not clean:
         raise ValueError("nothing to plot")
 
-    all_x = [p[0] for pts, _ in clean for p in pts]
-    all_y = [p[1] for pts, _ in clean for p in pts]
-    x0, x1 = min(all_x), max(all_x)
-    y0, y1 = min(all_y), max(all_y)
+    all_x = np.concatenate([x for x, _, _ in clean])
+    all_y = np.concatenate([y for _, y, _ in clean])
+    x0, x1 = float(all_x.min()), float(all_x.max())
+    y0, y1 = float(all_y.min()), float(all_y.max())
     if x1 == x0:
         x0, x1 = (0.5 * x0, 2.0 * x1) if logx else (x0 - 0.5, x1 + 0.5)
     if y1 == y0:
@@ -70,15 +110,11 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
         pad = 0.05 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad
 
-    def tx(x: float) -> float:
-        a, b = (math.log10(x0), math.log10(x1)) if logx else (x0, x1)
-        v = math.log10(x) if logx else x
-        return ml + (v - a) / (b - a) * pw
+    def tx(v) -> np.ndarray:
+        return ml + _unit(v, x0, x1, logx) * pw
 
-    def ty(y: float) -> float:
-        a, b = (math.log10(y0), math.log10(y1)) if logy else (y0, y1)
-        v = math.log10(y) if logy else y
-        return mt + ph - (v - a) / (b - a) * ph
+    def ty(v) -> np.ndarray:
+        return mt + ph - _unit(v, y0, y1, logy) * ph
 
     xticks = _log_ticks(x0, x1) if logx else _nice_ticks(x0, x1)
     yticks = _log_ticks(y0, y1) if logy else _nice_ticks(y0, y1)
@@ -88,14 +124,12 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
            f'<rect width="{width}" height="{height}" fill="white"/>']
     if title:
         out.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-                   f'font-size="15">{title}</text>')
-    for t in xticks:
-        px = tx(t)
+                   f'font-size="15">{_escape(title)}</text>')
+    for t, px in zip(xticks, tx(xticks).tolist()):
         out.append(f'<line x1="{px:.2f}" y1="{mt}" x2="{px:.2f}" y2="{mt + ph}" '
                    'stroke="#dddddd"/>')
         out.append(f'<text x="{px:.2f}" y="{mt + ph + 18}" text-anchor="middle">{_fmt(t)}</text>')
-    for t in yticks:
-        py = ty(t)
+    for t, py in zip(yticks, ty(yticks).tolist()):
         out.append(f'<line x1="{ml}" y1="{py:.2f}" x2="{ml + pw}" y2="{py:.2f}" '
                    'stroke="#dddddd"/>')
         out.append(f'<text x="{ml - 8}" y="{py + 4:.2f}" text-anchor="end">{_fmt(t)}</text>')
@@ -103,21 +137,28 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
                'stroke="black"/>')
     if xlabel:
         out.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" '
-                   f'text-anchor="middle">{xlabel}</text>')
+                   f'text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-                   f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>')
+                   f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>')
 
-    for k, (pts, label) in enumerate(clean):
+    # Series often share their x values (the density plot), so all x
+    # coordinates are formatted together; y coordinates one series at a time.
+    x_strs = format_unique(tx(all_x), _PX)
+    start = 0
+    for k, (x, y, label) in enumerate(clean):
+        stop = start + len(x)
+        coords = " ".join(map("{},{}".format, x_strs[start:stop],
+                              format_unique(ty(y), _PX)))
+        start = stop
         color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in pts)
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         if label:
             ly = mt + 16 + 16 * k
             out.append(f'<line x1="{ml + pw - 130}" y1="{ly - 4}" x2="{ml + pw - 104}" '
                        f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-            out.append(f'<text x="{ml + pw - 98}" y="{ly}">{label}</text>')
+            out.append(f'<text x="{ml + pw - 98}" y="{ly}">{_escape(label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

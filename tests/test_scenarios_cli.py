@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from xml.dom import minidom
 
 import pytest
 
@@ -201,3 +202,26 @@ def test_cli_import_skips_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           timeout=60)
     assert proc.returncode == 0
+
+
+def test_eps_values_sharing_a_file_label_rejected(tmp_path, capsys):
+    # 0.02000001 and 0.02000002 both label their files "0.02"
+    data = dict(FAMILY_A_JSON, eps_list=[0.02000001, 0.01, 0.02000002])
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write_scenario(tmp_path, data))
+    assert "0.02000002 and 0.02000001" in str(err.value)
+    out = tmp_path / "clash"
+    code = main(["run", "--scenario", "builtin:family_a", "--eps", "0.02000001,0.02000002",
+                 "--grid", "192", "--out", str(out)])
+    assert code == 1
+    assert "--eps: 0.02000002 and 0.02000001" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_writes_well_formed_svg_for_markup_in_scenario_name(tmp_path):
+    path = write_scenario(tmp_path, dict(FAMILY_A_JSON, name="A&B <test>"))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+    for name in ("densities.svg", "l1_vs_eps.svg", "rho_vs_eps.svg"):
+        title = minidom.parse(str(out / name)).getElementsByTagName("text")[0]
+        assert title.firstChild.data.startswith("A&B <test>: "), name
