@@ -15,7 +15,7 @@ import numpy as np
 
 from metamap.families import family_a
 from metamap.map_model import Interval
-from metamap.spectral import invariant_density, second_eigenpair
+from metamap.spectral import invariant_density
 from metamap.transfer_operator import DensityGrid, build_ulam
 
 fam = family_a()
@@ -28,17 +28,18 @@ for eps in (0.02, 0.01, 0.005, 0.0025):
     P = build_ulam(fam.instantiate(eps), n)
     res = invariant_density(P, tol=1e-10,
                             probe_start=DensityGrid.indicator(I_l, n, normalize=True))
-    rho, psi = second_eigenpair(P, res.phi, I_l, tol=1e-10)
+    rho, psi = res.rho, res.psi      # the pair that decided simplicity
     print(f"{eps:8.4f} {rho:10.6f} {1 - rho:10.6f} {(1 - rho) / eps:12.3f} "
           f"{psi.l1_distance(ref):15.5f}")
 
 print("\n(1 - rho)/eps settles near 8/3: the left hole leaks mass at rate "
       "2 eps\nand the right hole at 2 eps / 3, and the chain loses the sum.")
 
-# at eps = 0 the top eigenvalue is doubly degenerate: two independent starts
-# converge to different fixed densities and the probe reports it
+# at eps = 0 the top eigenvalue is doubly degenerate: the deflated second
+# eigenvalue is 1, and phi plus a multiple of its eigenvector is a second
+# fixed density (here the left half's, at L1 distance 1 from the uniform one)
 P0 = build_ulam(fam.base, n)
 res0 = invariant_density(P0, tol=1e-10,
                          probe_start=DensityGrid.indicator(I_l, n, normalize=True))
 print(f"\neps=0: leading eigenvalue simple? {res0.leading_simple} "
-      f"(independent limits differ by {res0.probe_distance:.3f} in L1)")
+      f"(a second fixed density lies {res0.probe_distance:.3f} away in L1)")

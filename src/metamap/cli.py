@@ -49,7 +49,9 @@ def _apply_overrides(scn, args) -> None:
         if not eps or any(e <= 0 for e in eps):
             raise ScenarioError([f"--eps: values must be positive, got {args.eps!r}"])
         scn.eps_list = tuple(normalize_eps(eps, field="--eps"))
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
+        if args.grid < 2:
+            raise ScenarioError([f"--grid: expected an integer >= 2, got {args.grid}"])
         scn.grid_n = args.grid
     if getattr(args, "out", None):
         scn.out_dir = args.out

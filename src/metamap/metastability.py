@@ -327,7 +327,11 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
         phi = inv.phi
         rho = psi = l1_psi = None
         if ctx.with_second and inv.leading_simple:
-            rho, psi = second_eigenpair(P, phi, ctx.I_l, tol=ctx.tol)
+            rho, psi = inv.rho, inv.psi
+            if psi is None:
+                # the density solve found no real second eigenvalue; this
+                # raises the reason into the row
+                rho, psi = second_eigenpair(P, phi, ctx.I_l, tol=ctx.tol)
             l1_psi = psi.l1_distance(ctx.half_diff)
         elif ctx.with_second:
             warnings.append("leading eigenvalue not simple; second pair skipped")

@@ -188,7 +188,8 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
             errors.append(f"branches: {exc}")
 
     eps_list = data.get("eps_list", list(DEFAULT_EPS_LIST))
-    if not (isinstance(eps_list, list) and all(isinstance(e, (int, float)) for e in eps_list)):
+    if not (isinstance(eps_list, list)
+            and all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps_list)):
         errors.append("eps_list: expected a list of numbers")
         eps_list = list(DEFAULT_EPS_LIST)
     elif any(e <= 0 for e in eps_list):

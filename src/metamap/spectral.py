@@ -11,18 +11,21 @@ two-block aggregation for the invariant density (the mass of the blocks
 [0,k) and [k,n) is rescaled to the stationary weight of the 2x2 chain
 between them, so nearly decomposable matrices converge at the within-block
 rate instead of at rho_eps -> 1), plain mass renormalization
-(``power_fixed_density``) for the eps=0 ergodic densities and
-closed-system hole measures, deflation against the invariant density for
-the second eigenpair, and a hole mask with mean-1 renormalization for
-escape rates.  A dense eigensolve (LAPACK, via numpy.linalg.eig) doubles as
-cross-check oracle and as the second eigenpair's fallback when the
-iteration stalls.
+(``power_fixed_density``, and the invariant density's retry when the
+aggregated run stalls) for the eps=0 ergodic densities and closed-system
+hole measures, deflation against the invariant density for the second
+eigenpair, and a hole mask with mean-1 renormalization for escape rates.
+``invariant_density`` runs the density kernel once and then the deflated
+one: a second eigenvalue within 10*tol of 1 means eigenvalue 1 is not
+simple, and otherwise the pair is kept on the result.  A dense eigensolve
+(LAPACK, via numpy.linalg.eig) doubles as cross-check oracle and as the
+second eigenpair's fallback when the iteration stalls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -125,11 +128,14 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
 
 @dataclass(frozen=True)
 class InvariantDensityResult:
-    """Fixed density, simplicity verdict and solver record.
+    """Fixed density, simplicity verdict, second eigenpair and solver record.
 
-    ``p_lr`` / ``p_rl`` are the exit probabilities of the two-state chain
-    between the blocks [0,k) and [k,n), evaluated at ``phi`` (nan for a
-    block without mass); None when the probe start defines no blocks.
+    ``rho`` / ``psi`` are the deflated second eigenpair that decided the
+    verdict; None when the second eigenvalue is not real or the leading
+    eigenvalue is not simple.  ``probe_phi`` is then a second fixed density,
+    at mean-L1 distance ``probe_distance`` from ``phi``.  ``p_lr`` / ``p_rl`` are the exit
+    probabilities of the two-state chain between the blocks [0,k) and
+    [k,n), evaluated at ``phi`` (nan for a block without mass).
     """
 
     phi: DensityGrid
@@ -140,6 +146,8 @@ class InvariantDensityResult:
     probe_distance: float = 0.0
     p_lr: Optional[float] = None
     p_rl: Optional[float] = None
+    rho: Optional[float] = None
+    psi: Optional[DensityGrid] = None
 
 
 def _mass_step(P: UlamMatrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -155,14 +163,6 @@ def power_fixed_density(P: UlamMatrix, start: np.ndarray, tol: float,
     """Iterate the transfer matrix from a nonnegative start until the iterate
     is within ~tol (L1) of the fixed density, renormalizing mass each step."""
     return _iterate(_mass_step(P), start / np.mean(start), tol, max_iter)
-
-
-def _leading_block(start: np.ndarray) -> Optional[int]:
-    """k when ``start`` is supported exactly on a leading run [0,k), 0<k<n."""
-    k = int(np.count_nonzero(start))
-    if 0 < k < start.size and np.all(start[:k] != 0):
-        return k
-    return None
 
 
 def _block_rates(x: np.ndarray, out: np.ndarray, k: int) -> tuple[float, float, float, float]:
@@ -187,7 +187,9 @@ def _aggregation_step(P: UlamMatrix, k: int,
     step) until the coarse weight settles, i.e. the first step whose change
     in w is smaller than the previous one, and stays on from then on
     wherever w exists.  Applied from the start, a block whose first mass
-    sits in cells without exit would get w = 0 and be wiped out; toggled
+    sits in cells without exit would get w = 0 and be wiped out, and at
+    eps=0 the rounding-level exit probabilities (~1e-16) would give an
+    arbitrary w that moves all mass into one block; toggled
     per step, the step change oscillates and trips the stall rule.
     """
     n = P.n
@@ -228,42 +230,57 @@ def _clip_negative(phi: np.ndarray) -> np.ndarray:
 def invariant_density(P: UlamMatrix, tol: float = 1e-10,
                       max_iter: Optional[int] = None,
                       probe_start: Optional[DensityGrid] = None) -> InvariantDensityResult:
-    """Fixed density of the Ulam matrix with a simplicity probe.
+    """Fixed density of the Ulam matrix, the simplicity of its eigenvalue 1
+    and the second eigenpair that decides it.
 
-    Runs the kernel twice: from the uniform density and from an independent
-    start (by default the left half-interval indicator).  If the two limits
-    disagree by more than 10*tol in L1 the leading eigenvalue is reported as
-    non-simple and both limits are returned.  When the probe start is
-    supported on a leading run of cells [0,k), 0<k<n, both runs use the
-    two-block aggregation step on [0,k) and [k,n); otherwise plain power
-    iteration.
+    ``probe_start`` names the left block: it must be supported on a leading
+    run of cells [0,k), 0<k<n (default: the left half-interval indicator).
+    The kernel runs once, from the uniform density, with the two-block
+    aggregation step on [0,k) and [k,n); if that run raises SolverError it
+    is repeated once with the plain mass step, and ``iterations`` counts the
+    run that produced phi.  ``second_eigenpair`` with I_l = [0, k/n) then
+    decides simplicity: a second eigenvalue rho with |1 - rho| <= 10*tol
+    means eigenvalue 1 is not simple, and phi + c*psi with no mass on
+    [k,n) (on [0,k) if phi has none on [k,n)) is reported as a second
+    fixed density.  A second eigenvalue that
+    is not real (DegenerateSpectrumError) leaves eigenvalue 1 simple with no
+    pair; a SolverError of the second eigenpair propagates.
     """
     n = P.n
     if probe_start is None:
         probe_start = DensityGrid.indicator(Interval(0.0, 0.5), n, normalize=True)
-    k = _leading_block(probe_start.values)
-    if k is not None:
-        # row i's probability of leaving its block
-        out = np.asarray(P.matrix[:, :k].sum(axis=1)).ravel()
-        out[:k] = 1.0 - out[:k]
+    k = int(np.count_nonzero(probe_start.values))
+    if not (0 < k < n and np.all(probe_start.values[:k] != 0)):
+        raise ValueError("probe_start must be supported on a leading run of cells "
+                         "[0,k) with 0 < k < n")
+    # row i's probability of leaving its block
+    out = np.asarray(P.matrix[:, :k].sum(axis=1)).ravel()
+    out[:k] = 1.0 - out[:k]
 
-    def run(start):
-        step = _mass_step(P) if k is None else _aggregation_step(P, k, out)
-        return _iterate(step, start / np.mean(start), tol, max_iter)
-
-    phi1, it1 = run(np.ones(n))
-    phi2, it2 = run(probe_start.values)
-    phi1, phi2 = _clip_negative(phi1), _clip_negative(phi2)
-    dist = float(np.mean(np.abs(phi1 - phi2)))
-    simple = dist <= 10.0 * tol
-    residual = float(np.mean(np.abs(P.apply(phi1) - phi1)))
-    p_lr = p_rl = None
-    if k is not None:
-        p_lr, p_rl, _, _ = _block_rates(phi1, out, k)
-    return InvariantDensityResult(
-        phi=DensityGrid(n, phi1), leading_simple=simple, residual=residual,
-        iterations=it1 + it2, probe_phi=None if simple else DensityGrid(n, phi2),
-        probe_distance=0.0 if simple else dist, p_lr=p_lr, p_rl=p_rl)
+    uniform = np.ones(n)
+    try:
+        phi, steps = _iterate(_aggregation_step(P, k, out), uniform, tol, max_iter)
+    except SolverError:
+        # the aggregation step can stall where plain power iteration converges
+        phi, steps = _iterate(_mass_step(P), uniform, tol, max_iter)
+    phi = _clip_negative(phi)
+    residual = float(np.mean(np.abs(P.apply(phi) - phi)))
+    p_lr, p_rl, _, _ = _block_rates(phi, out, k)
+    res = InvariantDensityResult(phi=DensityGrid(n, phi), leading_simple=True,
+                                 residual=residual, iterations=steps, p_lr=p_lr, p_rl=p_rl)
+    try:
+        rho, psi = second_eigenpair(P, res.phi, Interval(0.0, k / n), tol, max_iter)
+    except DegenerateSpectrumError:
+        return res
+    if abs(1.0 - rho) > 10.0 * tol:
+        return replace(res, rho=rho, psi=psi)
+    # every phi + c*psi is fixed: report the one without mass on [k,n), or
+    # without mass on [0,k) when phi itself has none on [k,n)
+    phi_r, psi_r = float(phi[k:].sum()) / n, float(psi.values[k:].sum()) / n
+    target = phi_r if phi_r > 10.0 * tol else phi_r - 1.0
+    c = -target / psi_r if abs(psi_r) > 10.0 * tol else 1.0
+    return replace(res, leading_simple=False, probe_phi=DensityGrid(n, phi + c * psi.values),
+                   probe_distance=abs(c) * psi.l1_norm())
 
 
 def dense_top_eigenpairs(P: UlamMatrix, k: int = 2) -> list[tuple[complex, np.ndarray]]:

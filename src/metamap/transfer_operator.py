@@ -105,9 +105,6 @@ class DensityGrid:
         lo, hi = max(i - 1, 0), min(i + 2, self.n)
         return float(np.mean(self.values[lo:hi]))
 
-    def scaled(self, factor: float) -> "DensityGrid":
-        return DensityGrid(self.n, self.values * factor)
-
 
 @dataclass(frozen=True)
 class UlamMatrix:

@@ -217,6 +217,25 @@ def test_sweep_rows_carry_failures_not_exceptions(fam_a):
     assert ok_row.error is None and ok_art is not None
 
 
+def test_row_without_second_pair_still_decides_simplicity(fam_a):
+    # the deflated solve inside invariant_density gives the verdict; the row
+    # reports no pair
+    ctx = prepare_sweep(fam_a, [0.01], 768, with_second=False, with_escape=False)
+    row, art = run_sweep_row(ctx, 0.01)
+    assert row.error is None
+    assert row.leading_simple is True
+    assert row.rho is None and row.l1_psi_vs_half_diff is None
+    assert art.psi is None
+
+
+def test_row_takes_the_pair_from_the_density_solve(fam_a, left_indicator):
+    ctx = prepare_sweep(fam_a, [0.01], 768, with_escape=False)
+    row, art = run_sweep_row(ctx, 0.01)
+    inv = invariant_density(art.P, tol=ctx.tol, probe_start=left_indicator(768))
+    assert row.rho == inv.rho
+    assert np.array_equal(art.psi.values, inv.psi.values)
+
+
 def test_family_b_rows_carry_boundary_warning(fam_b):
     rows = convergence_study(fam_b, [0.01], 768, with_second=False,
                              with_escape=False)

@@ -225,3 +225,22 @@ def test_run_writes_well_formed_svg_for_markup_in_scenario_name(tmp_path):
     for name in ("densities.svg", "l1_vs_eps.svg", "rho_vs_eps.svg"):
         title = minidom.parse(str(out / name)).getElementsByTagName("text")[0]
         assert title.firstChild.data.startswith("A&B <test>: "), name
+
+
+@pytest.mark.parametrize("grid", ["0", "-6"])
+def test_cli_grid_below_two_rejected_before_writing(tmp_path, capsys, grid):
+    # 0 used to fall back to the scenario's own grid, and -6 wrote
+    # hypotheses.txt before the assembly failed
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "builtin:family_a", "--eps", "0.02",
+                 "--grid", grid, "--out", str(out)])
+    assert code == 1
+    assert f"--grid: expected an integer >= 2, got {grid}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eps_list_of_booleans_rejected(tmp_path):
+    # JSON true is a Python bool, which is an int
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write_scenario(tmp_path, dict(FAMILY_A_JSON, eps_list=[True])))
+    assert "eps_list: expected a list of numbers" in str(err.value)

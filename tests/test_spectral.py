@@ -187,19 +187,50 @@ def test_complex_second_eigenvalue_detected():
     with pytest.raises(DegenerateSpectrumError):
         second_eigenpair(P, res.phi, Interval(0.0, 1 / 3), tol=1e-12)
 
+def test_complex_second_eigenvalue_leaves_leading_simple():
+    # the deflated solve raises for the complex pair; eigenvalue 1 is simple
+    theta = 0.9
+    P = UlamMatrix.from_matrix(np.array([[1 - theta, theta, 0],
+                                         [0, 1 - theta, theta],
+                                         [theta, 0, 1 - theta]]))
+    res = invariant_density(P, tol=1e-12,
+                            probe_start=DensityGrid(3, np.array([3.0, 0.0, 0.0])))
+    assert res.leading_simple
+    assert res.rho is None and res.psi is None
+    assert np.max(np.abs(res.phi.values - 1.0)) <= 1e-10
+
+
 def test_aggregation_steps_flat_in_eps(fam_a, left_indicator):
-    # plain power iteration needs ~1/eps steps here (263 ... 8358)
+    # plain power iteration needs ~1/eps steps here (263 ... 8358); one
+    # aggregated run takes 26-30
     n = 1536
     for eps in (0.05, 0.02, 0.005, 0.002):
         res = invariant_density(build_ulam(fam_a.instantiate(eps), n), tol=1e-10,
                                 probe_start=left_indicator(n))
         assert res.leading_simple
-        assert res.iterations <= 100, (eps, res.iterations)
+        assert res.iterations <= 50, (eps, res.iterations)
+
+
+def test_density_solve_keeps_the_second_eigenpair(ulam_a_768, left_indicator):
+    # the pair that decides simplicity is the one second_eigenpair returns
+    res = invariant_density(ulam_a_768, tol=1e-10, probe_start=left_indicator(768))
+    rho, psi = second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5), tol=1e-10)
+    assert res.rho == rho
+    assert np.array_equal(res.psi.values, psi.values)
+
+
+def test_probe_start_must_name_a_leading_block(ulam_a_768):
+    probe = np.zeros(768)
+    probe[100:200] = 7.68
+    with pytest.raises(ValueError, match="leading run"):
+        invariant_density(ulam_a_768, probe_start=DensityGrid(768, probe))
 
 
 def test_aggregation_waits_for_settled_weight(fam_a):
-    # the probe's first right-block mass sits in cells without exit, so the
-    # first coarse weights are 0; correcting with them wipes out the left block
+    # a run from the probe start, whose first right-block mass sits in cells
+    # without exit, got coarse weights 0 at first, and correcting with them
+    # wiped out the left block; from the uniform start the wait shows at
+    # eps=0 (test_eps_zero_degenerate_top_eigenvalue)
     res = invariant_density(build_ulam(fam_a.instantiate(0.02), 768), tol=1e-10)
     assert res.leading_simple
     assert res.residual <= 1e-9
@@ -302,3 +333,58 @@ def test_aggregation_converges_where_power_iteration_does(seed, n, split, log_co
     res = invariant_density(P, tol=tol, probe_start=DensityGrid(n, probe))
     assert res.residual <= 10 * tol
     assert res.leading_simple == simple
+
+
+def _two_class_chain(seed):
+    """Row-stochastic chain on 9-29 states with two closed classes, each
+    state's class drawn at random, so both classes straddle the blocks."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(9, 30)
+    lab = rng.integers(0, 2, n)
+    A = np.zeros((n, n))
+    for c in (0, 1):
+        idx = np.flatnonzero(lab == c)
+        s = idx.size
+        for i in idx:
+            m = rng.random(s) * (rng.random(s) < 0.5)
+            m[rng.integers(s)] += 0.1
+            A[i, idx] = m / m.sum()
+    return UlamMatrix.from_matrix(A)
+
+
+@pytest.mark.parametrize("seed", [2082, 1807])
+def test_two_closed_classes_across_the_blocks_not_simple(seed):
+    # aggregated runs from the uniform and the probe start reached the same
+    # limit here, and the two-run probe called eigenvalue 1 simple
+    P = _two_class_chain(seed)
+    ones = np.abs(np.array([lam for lam, _ in dense_top_eigenpairs(P, k=3)]) - 1.0)
+    assert np.sum(ones <= 1e-12) == 2
+    res = invariant_density(P)
+    assert not res.leading_simple
+    assert res.rho is None and res.psi is None
+    assert res.probe_distance > 10 * 1e-10
+    q = res.probe_phi.values
+    assert np.mean(q) == pytest.approx(1.0, abs=1e-12)
+    assert np.mean(np.abs(P.apply(q) - q)) <= 1e-9
+    assert res.probe_phi.l1_distance(res.phi) == pytest.approx(res.probe_distance, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [178, 196])
+def test_aggregation_stall_falls_back_to_plain_step(seed):
+    # shuffled weakly coupled blocks: the aggregation step on the probe's
+    # blocks stalled ("stalled at step 536" for seed 178), plain power
+    # iteration converges
+    rng = np.random.default_rng(seed)
+    n = rng.integers(9, 30)
+    k = n // 2
+    coupling = 10.0 ** rng.uniform(-4, -2)
+    A = rng.random((n, n)) * (rng.random((n, n)) < 0.5) + np.diag(rng.random(n))
+    A[:k, k:] *= coupling
+    A[k:, :k] *= coupling
+    perm = rng.permutation(n)
+    A = A[np.ix_(perm, perm)]
+    P = UlamMatrix.from_matrix(A / A.sum(axis=1, keepdims=True))
+    tol = 1e-10
+    res = invariant_density(P, tol=tol)
+    assert res.leading_simple
+    assert res.residual <= 10 * tol
