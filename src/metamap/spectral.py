@@ -335,12 +335,14 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
         nonlocal rho
         v = P.apply(w)
         v = v - np.mean(v) * phi_v
-        rho = float(np.dot(v, w)) / float(np.dot(w, w))
+        # einsum, not np.dot: a 1-D dot goes through BLAS threading, which
+        # stalls for milliseconds per call in some processes at n >= 15360
+        rho = float(np.einsum("i,i->", v, w)) / float(np.einsum("i,i->", w, w))
         nrm = np.mean(np.abs(v))
         if nrm <= 1e-300:
             raise DegenerateSpectrumError("iterate collapsed; no second eigenvalue found")
         v /= nrm
-        if np.dot(v, w) < 0:
+        if np.einsum("i,i->", v, w) < 0:
             v = -v
         return v
 
