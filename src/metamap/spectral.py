@@ -132,10 +132,11 @@ class InvariantDensityResult:
 
     ``rho`` / ``psi`` are the deflated second eigenpair that decided the
     verdict; None when the second eigenvalue is not real or the leading
-    eigenvalue is not simple.  ``probe_phi`` is then a second fixed density,
-    at mean-L1 distance ``probe_distance`` from ``phi``.  ``p_lr`` / ``p_rl`` are the exit
-    probabilities of the two-state chain between the blocks [0,k) and
-    [k,n), evaluated at ``phi`` (nan for a block without mass).
+    eigenvalue is not simple.  In the latter case ``probe_phi`` is a second
+    fixed density, at mean-L1 distance ``probe_distance`` from ``phi``.
+    ``p_lr`` / ``p_rl`` are the exit probabilities of the two-state chain
+    between the blocks [0,k) and [k,n), evaluated at ``phi`` (nan for a
+    block without mass).
     """
 
     phi: DensityGrid
@@ -242,9 +243,9 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     decides simplicity: a second eigenvalue rho with |1 - rho| <= 10*tol
     means eigenvalue 1 is not simple, and phi + c*psi with no mass on
     [k,n) (on [0,k) if phi has none on [k,n)) is reported as a second
-    fixed density.  A second eigenvalue that
-    is not real (DegenerateSpectrumError) leaves eigenvalue 1 simple with no
-    pair; a SolverError of the second eigenpair propagates.
+    fixed density.  A second eigenvalue that is not real
+    (DegenerateSpectrumError) leaves eigenvalue 1 simple with no pair; a
+    SolverError of the second eigenpair propagates.
     """
     n = P.n
     if probe_start is None:
@@ -275,7 +276,8 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     if abs(1.0 - rho) > 10.0 * tol:
         return replace(res, rho=rho, psi=psi)
     # every phi + c*psi is fixed: report the one without mass on [k,n), or
-    # without mass on [0,k) when phi itself has none on [k,n)
+    # without mass on [0,k) when phi itself has none on [k,n).  A psi with
+    # no mass on either block separates no block; phi + psi is reported then
     phi_r, psi_r = float(phi[k:].sum()) / n, float(psi.values[k:].sum()) / n
     target = phi_r if phi_r > 10.0 * tol else phi_r - 1.0
     c = -target / psi_r if abs(psi_r) > 10.0 * tol else 1.0
