@@ -14,20 +14,17 @@ rate rho - metastability in one picture.
 import numpy as np
 
 from metamap.families import family_a
-from metamap.map_model import Interval
 from metamap.spectral import invariant_density
 from metamap.transfer_operator import DensityGrid, build_ulam
 
 fam = family_a()
 n = 1920
-I_l = Interval(0.0, 0.5)
 ref = DensityGrid(n, np.where(np.arange(n) < n // 2, 1.0, -1.0))
 
 print(f"{'eps':>8} {'rho':>10} {'1-rho':>10} {'(1-rho)/eps':>12} {'|psi - ref|_L1':>15}")
 for eps in (0.02, 0.01, 0.005, 0.0025):
     P = build_ulam(fam.instantiate(eps), n)
-    res = invariant_density(P, tol=1e-10,
-                            probe_start=DensityGrid.indicator(I_l, n, normalize=True))
+    res = invariant_density(P, tol=1e-10)
     rho, psi = res.rho, res.psi      # the pair that decided simplicity
     print(f"{eps:8.4f} {rho:10.6f} {1 - rho:10.6f} {(1 - rho) / eps:12.3f} "
           f"{psi.l1_distance(ref):15.5f}")
@@ -39,7 +36,6 @@ print("\n(1 - rho)/eps settles near 8/3: the left hole leaks mass at rate "
 # eigenvalue is 1, and phi plus a multiple of its eigenvector is a second
 # fixed density (here the left half's, at L1 distance 1 from the uniform one)
 P0 = build_ulam(fam.base, n)
-res0 = invariant_density(P0, tol=1e-10,
-                         probe_start=DensityGrid.indicator(I_l, n, normalize=True))
+res0 = invariant_density(P0, tol=1e-10)
 print(f"\neps=0: leading eigenvalue simple? {res0.leading_simple} "
       f"(a second fixed density lies {res0.probe_distance:.3f} away in L1)")

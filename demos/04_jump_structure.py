@@ -16,19 +16,15 @@ apart.
 from metamap.bv_analysis import (jump_decay_profile, postcritical_hierarchy,
                                  saltus_decompose)
 from metamap.families import family_a
-from metamap.map_model import Interval
 from metamap.spectral import invariant_density
-from metamap.transfer_operator import (DensityGrid, build_ulam,
-                                       lasota_yorke_constants)
+from metamap.transfer_operator import build_ulam, lasota_yorke_constants
 
 fam = family_a()
 eps, n = 0.01, 3900
 T = fam.instantiate(eps)
 
 P = build_ulam(T, n)
-phi = invariant_density(P, tol=1e-10,
-                        probe_start=DensityGrid.indicator(Interval(0, 0.5), n,
-                                                          normalize=True)).phi
+phi = invariant_density(P, tol=1e-10).phi
 ly = lasota_yorke_constants(T, base=fam.base)
 print(f"variation inequality constants: lam={ly.lam}, C={ly.C_eps:.1f}, "
       f"beta={ly.beta:.3f}, C_LY={ly.C_LY:.1f}")

@@ -13,11 +13,11 @@ thrown straight back - the right half never really loses anything.
 """
 
 from metamap.families import family_b
-from metamap.map_model import Interval, validate_hypotheses
+from metamap.map_model import validate_hypotheses
 from metamap.metastability import (compute_holes, ergodic_densities,
                                    hole_measures, predict_mixture)
 from metamap.spectral import invariant_density
-from metamap.transfer_operator import DensityGrid, build_ulam
+from metamap.transfer_operator import build_ulam
 
 fam = family_b()
 report = validate_hypotheses(fam, depth=8)
@@ -34,9 +34,7 @@ for eps in (0.02, 0.01, 0.005):
     T = fam.instantiate(eps)
     holes = hole_measures(compute_holes(T, 0.5), phi_l, phi_r)
     P = build_ulam(T, n)
-    phi = invariant_density(P, tol=1e-10,
-                            probe_start=DensityGrid.indicator(Interval(0, 0.5), n,
-                                                              normalize=True)).phi
+    phi = invariant_density(P, tol=1e-10).phi
     _, mixture = predict_mixture(holes.ratio, phi_l, phi_r)
     print(f"{eps:8.4f} {holes.ratio:11.4f} {phi.l1_distance(mixture):10.4f} "
           f"{phi.l1_distance(phi_r):12.4f} {phi.integrate(0, 0.5):9.4f}")

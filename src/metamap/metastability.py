@@ -19,8 +19,8 @@ import numpy as np
 
 from .map_model import Interval, MapModelError, PerturbationFamily, PiecewiseMap
 from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,
-                       invariant_density, power_fixed_density, restrict_invariant,
-                       second_eigenpair)
+                       invariant_density, power_fixed_density, restrict_invariant)
+from .spectral import second_eigenpair  # noqa: F401  (unused; perfbench/tracer.py patches it here)
 from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam,
                                 cells_with_center_in)
 
@@ -257,7 +257,6 @@ class SweepContext:
     family: PerturbationFamily
     n: int
     tol: float
-    with_second: bool
     with_escape: bool
     I_l: Interval
     I_r: Interval
@@ -285,8 +284,7 @@ class EpsArtifacts:
 
 
 def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
-                  tol: float = 1e-10, with_second: bool = True,
-                  with_escape: bool = True) -> SweepContext:
+                  tol: float = 1e-10, with_escape: bool = True) -> SweepContext:
     """Build the eps=0 context and fix the predicted mixture weight.
 
     The mixture weight comes from the declared first-order hole coefficients
@@ -306,9 +304,8 @@ def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
                               phi_l, phi_r)
         lhr = holes.ratio
     alpha, mixture = predict_mixture(lhr, phi_l, phi_r)
-    return SweepContext(family=family, n=n, tol=tol, with_second=with_second,
-                        with_escape=with_escape, I_l=I_l, I_r=I_r, P0=P0,
-                        phi_l=phi_l, phi_r=phi_r, half_diff=half_diff,
+    return SweepContext(family=family, n=n, tol=tol, with_escape=with_escape,
+                        I_l=I_l, I_r=I_r, P0=P0, phi_l=phi_l, phi_r=phi_r, half_diff=half_diff,
                         alpha_pred=alpha, mixture=mixture)
 
 
@@ -321,19 +318,12 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
         holes = hole_measures(compute_holes(map_eps, ctx.family.boundary_b),
                               ctx.phi_l, ctx.phi_r)
         warnings.extend(holes.warnings)
-        inv = invariant_density(
-            P, tol=ctx.tol,
-            probe_start=DensityGrid.indicator(ctx.I_l, ctx.n, normalize=True))
-        phi = inv.phi
-        rho = psi = l1_psi = None
-        if ctx.with_second and inv.leading_simple:
-            rho, psi = inv.rho, inv.psi
-            if psi is None:
-                # the density solve found no real second eigenvalue; this
-                # raises the reason into the row
-                rho, psi = second_eigenpair(P, phi, ctx.I_l, tol=ctx.tol)
+        inv = invariant_density(P, tol=ctx.tol, I_l=ctx.I_l)
+        phi, rho, psi = inv.phi, inv.rho, inv.psi
+        l1_psi = None
+        if inv.leading_simple:
             l1_psi = psi.l1_distance(ctx.half_diff)
-        elif ctx.with_second:
+        else:
             warnings.append("leading eigenvalue not simple; second pair skipped")
         esc_l = esc_r = None
         if ctx.with_escape:
@@ -373,8 +363,7 @@ def _escape_side(ctx: SweepContext, pieces, half: Interval,
 
 
 def convergence_study(family: PerturbationFamily, eps_list, n: int,
-                      tol: float = 1e-10, with_second: bool = True,
-                      with_escape: bool = True) -> list[SweepRow]:
+                      tol: float = 1e-10, with_escape: bool = True) -> list[SweepRow]:
     """Sweep decreasing eps values through the full pipeline.
 
     Rows are ordered like eps_list; a failed eps carries an error string
@@ -387,6 +376,5 @@ def convergence_study(family: PerturbationFamily, eps_list, n: int,
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    ctx = prepare_sweep(family, eps_list, n, tol=tol,
-                        with_second=with_second, with_escape=with_escape)
+    ctx = prepare_sweep(family, eps_list, n, tol=tol, with_escape=with_escape)
     return [run_sweep_row(ctx, eps)[0] for eps in eps_list]

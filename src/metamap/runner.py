@@ -113,7 +113,6 @@ def _run_family(scn: Scenario, log) -> int:
         f"P2={report.passes_P2} (details in {hyp_path})")
 
     ctx = prepare_sweep(fam, scn.eps_list, scn.grid_n,
-                        with_second=scn.run_second_eigenpair,
                         with_escape=scn.run_escape_rates)
     log(f"alpha_pred = {ctx.alpha_pred!r} on n = {scn.grid_n}")
 

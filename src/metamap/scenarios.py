@@ -37,7 +37,6 @@ class Scenario:
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
     grid_n: int = DEFAULT_GRID_N
     hypothesis_depth: int = 8
-    run_second_eigenpair: bool = True
     run_escape_rates: bool = True
     run_saltus: bool = True
     out_dir: str = "out"
@@ -217,7 +216,6 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
                    eps_list=tuple(float(e) for e in eps_list),
                    grid_n=grid_n,
                    hypothesis_depth=int(data.get("hypothesis_depth", 8)),
-                   run_second_eigenpair=bool(run_cfg.get("second_eigenpair", True)),
                    run_escape_rates=bool(run_cfg.get("escape_rates", True)),
                    run_saltus=bool(run_cfg.get("saltus", True)),
                    out_dir=str(data.get("out_dir", "out")))

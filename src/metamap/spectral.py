@@ -16,8 +16,9 @@ aggregated run stalls) for the eps=0 ergodic densities and closed-system
 hole measures, deflation against the invariant density for the second
 eigenpair, and a hole mask with mean-1 renormalization for escape rates.
 ``invariant_density`` runs the density kernel once and then the deflated
-one: a second eigenvalue within 10*tol of 1 means eigenvalue 1 is not
-simple, and otherwise the pair is kept on the result.  A dense eigensolve
+one, and is the one owner of the second pair: a second eigenvalue within
+10*tol of 1 means eigenvalue 1 is not simple, and otherwise the pair is
+kept on the result; a second eigenvalue that is not real raises.  A dense eigensolve
 (LAPACK, via numpy.linalg.eig) doubles as cross-check oracle and as the
 second eigenpair's fallback when the iteration stalls.
 """
@@ -131,9 +132,9 @@ class InvariantDensityResult:
     """Fixed density, simplicity verdict, second eigenpair and solver record.
 
     ``rho`` / ``psi`` are the deflated second eigenpair that decided the
-    verdict; None when the second eigenvalue is not real or the leading
-    eigenvalue is not simple.  In the latter case ``probe_phi`` is a second
-    fixed density, at mean-L1 distance ``probe_distance`` from ``phi``.
+    verdict; None only when the leading eigenvalue is not simple.  Then
+    ``probe_phi`` is a second fixed density, at mean-L1 distance
+    ``probe_distance`` from ``phi``.
     ``p_lr`` / ``p_rl`` are the exit probabilities of the two-state chain
     between the blocks [0,k) and [k,n), evaluated at ``phi`` (nan for a
     block without mass).
@@ -230,30 +231,29 @@ def _clip_negative(phi: np.ndarray) -> np.ndarray:
 
 def invariant_density(P: UlamMatrix, tol: float = 1e-10,
                       max_iter: Optional[int] = None,
-                      probe_start: Optional[DensityGrid] = None) -> InvariantDensityResult:
+                      I_l: Interval = Interval(0.0, 0.5)) -> InvariantDensityResult:
     """Fixed density of the Ulam matrix, the simplicity of its eigenvalue 1
     and the second eigenpair that decides it.
 
-    ``probe_start`` names the left block: it must be supported on a leading
-    run of cells [0,k), 0<k<n (default: the left half-interval indicator).
-    The kernel runs once, from the uniform density, with the two-block
-    aggregation step on [0,k) and [k,n); if that run raises SolverError it
-    is repeated once with the plain mass step, and ``iterations`` counts the
-    run that produced phi.  ``second_eigenpair`` with I_l = [0, k/n) then
-    decides simplicity: a second eigenvalue rho with |1 - rho| <= 10*tol
-    means eigenvalue 1 is not simple, and phi + c*psi with no mass on
-    [k,n) (on [0,k) if phi has none on [k,n)) is reported as a second
-    fixed density.  A second eigenvalue that is not real
-    (DegenerateSpectrumError) leaves eigenvalue 1 simple with no pair; a
-    SolverError of the second eigenpair propagates.
+    ``I_l`` = [0,b) names the left block: the k cells it overlaps, which
+    must leave 0 < k < n.  The kernel runs once, from the uniform density,
+    with the two-block aggregation step on [0,k) and [k,n); if that run
+    raises SolverError it is repeated once with the plain mass step, and
+    ``iterations`` counts the run that produced phi.  ``second_eigenpair``
+    with I_l = [0, k/n) then decides simplicity: a second eigenvalue rho
+    with |1 - rho| <= 10*tol means eigenvalue 1 is not simple, and
+    phi + c*psi with no mass on [k,n) (on [0,k) if phi has none on [k,n))
+    is reported as a second fixed density; otherwise (rho, psi) is kept on
+    the result.  The second eigenpair's errors propagate: a second
+    eigenvalue that is not real raises DegenerateSpectrumError, one that
+    does not settle past the dense fallback cap SolverError.
     """
     n = P.n
-    if probe_start is None:
-        probe_start = DensityGrid.indicator(Interval(0.0, 0.5), n, normalize=True)
-    k = int(np.count_nonzero(probe_start.values))
-    if not (0 < k < n and np.all(probe_start.values[:k] != 0)):
-        raise ValueError("probe_start must be supported on a leading run of cells "
-                         "[0,k) with 0 < k < n")
+    # the cells [0,b) overlaps, as in DensityGrid.indicator(I_l, n)
+    k = int(np.count_nonzero(np.arange(n) / n < I_l.hi))
+    if not (I_l.lo == 0.0 and 0 < k < n):
+        raise ValueError(f"I_l = [{I_l.lo}, {I_l.hi}) must be [0,b) covering k cells "
+                         f"with 0 < k < n = {n} (k = {k})")
     # row i's probability of leaving its block
     out = np.asarray(P.matrix[:, :k].sum(axis=1)).ravel()
     out[:k] = 1.0 - out[:k]
@@ -269,10 +269,7 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     p_lr, p_rl, _, _ = _block_rates(phi, out, k)
     res = InvariantDensityResult(phi=DensityGrid(n, phi), leading_simple=True,
                                  residual=residual, iterations=steps, p_lr=p_lr, p_rl=p_rl)
-    try:
-        rho, psi = second_eigenpair(P, res.phi, Interval(0.0, k / n), tol, max_iter)
-    except DegenerateSpectrumError:
-        return res
+    rho, psi = second_eigenpair(P, res.phi, Interval(0.0, k / n), tol, max_iter)
     if abs(1.0 - rho) > 10.0 * tol:
         return replace(res, rho=rho, psi=psi)
     # every phi + c*psi is fixed: report the one without mass on [k,n), or

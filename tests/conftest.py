@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from metamap import DensityGrid, Interval, build_ulam
+from metamap import build_ulam
 from metamap.families import family_a, family_b
 from metamap.metastability import prepare_sweep, run_sweep_row
 
@@ -40,10 +40,3 @@ def ulam_a_768():
     """Family A eps=0.01 on the dense-oracle grid."""
     fam = family_a()
     return build_ulam(fam.instantiate(0.01), 768)
-
-
-@pytest.fixture()
-def left_indicator():
-    def make(n, b=0.5):
-        return DensityGrid.indicator(Interval(0.0, b), n, normalize=True)
-    return make

@@ -62,10 +62,7 @@ def test_criterion_3_spectral_gap_behavior(sweep_a):
     assert all(0.0 < r < 1.0 for r in rhos)
     assert 1.0 - rhos[-1] < 0.05
     P0 = sweep_a["ctx"].P0
-    res0 = invariant_density(
-        P0, tol=1e-10,
-        probe_start=DensityGrid.indicator(Interval(0, 0.5), sweep_a["n"],
-                                          normalize=True))
+    res0 = invariant_density(P0, tol=1e-10)
     assert not res0.leading_simple
     report("criterion-3",
            f"rho {['%.5f' % r for r in rhos]} increasing, gap {1 - rhos[-1]:.4f} "
@@ -107,9 +104,7 @@ def test_criterion_7_boundary_violation_family():
     fam = family_b()
     n, eps = 3840, 0.01
     P = build_ulam(fam.instantiate(eps), n)
-    phi = invariant_density(
-        P, tol=1e-10,
-        probe_start=DensityGrid.indicator(Interval(0, 0.5), n, normalize=True)).phi
+    phi = invariant_density(P, tol=1e-10).phi
     phi_l, phi_r = ergodic_densities(fam, n)
     d_right = phi.l1_distance(phi_r)
     _, mixture = predict_mixture(1 / 3, phi_l, phi_r)
@@ -132,9 +127,7 @@ def test_criterion_8_jump_decay():
     eps, n = 0.01, 3900
     T = fam.instantiate(eps)
     P = build_ulam(T, n)
-    phi = invariant_density(
-        P, tol=1e-10,
-        probe_start=DensityGrid.indicator(Interval(0, 0.5), n, normalize=True)).phi
+    phi = invariant_density(P, tol=1e-10).phi
     ly = lasota_yorke_constants(T, base=fam.base)
     hier = postcritical_hierarchy(T, 6)
     dec = saltus_decompose(phi, hier, lip_bound=ly.C_LY)
@@ -175,17 +168,12 @@ def test_criterion_10_refinement_and_dense_oracle(sweep_a, ulam_a_768):
     the dense eigensolve at n = 768."""
     fam = sweep_a["ctx"].family
     P_coarse = build_ulam(fam.instantiate(0.01), 1920)
-    phi_coarse = invariant_density(
-        P_coarse, tol=1e-10,
-        probe_start=DensityGrid.indicator(Interval(0, 0.5), 1920,
-                                          normalize=True)).phi
+    phi_coarse = invariant_density(P_coarse, tol=1e-10).phi
     phi_fine = sweep_a["arts"][0.01].phi
     refine = float(np.mean(np.abs(np.repeat(phi_coarse.values, 2) - phi_fine.values)))
     assert refine < 0.02
 
-    res = invariant_density(
-        ulam_a_768, tol=1e-10,
-        probe_start=DensityGrid.indicator(Interval(0, 0.5), 768, normalize=True))
+    res = invariant_density(ulam_a_768, tol=1e-10)
     rho_it, psi_it = second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5),
                                       tol=1e-10)
     lam2, vec = dense_top_eigenpairs(ulam_a_768, k=2)[1]

@@ -3,7 +3,7 @@ import pytest
 
 from metamap.bv_analysis import (jump_decay_profile, postcritical_hierarchy,
                                  saltus_decompose)
-from metamap.map_model import Interval, MapModelError, evaluate
+from metamap.map_model import MapModelError, evaluate
 from metamap.spectral import invariant_density
 from metamap.transfer_operator import (DensityGrid, build_ulam,
                                        lasota_yorke_constants)
@@ -104,10 +104,7 @@ def aligned_decomposition():
     eps = 0.01
     T = fam.instantiate(eps)
     P = build_ulam(T, ALIGNED_N)
-    phi = invariant_density(
-        P, tol=1e-10,
-        probe_start=DensityGrid.indicator(Interval(0, 0.5), ALIGNED_N,
-                                          normalize=True)).phi
+    phi = invariant_density(P, tol=1e-10).phi
     ly = lasota_yorke_constants(T, base=fam.base)
     hier = postcritical_hierarchy(T, 6)
     dec = saltus_decompose(phi, hier, lip_bound=ly.C_LY)

@@ -209,7 +209,7 @@ def test_convergence_study_eps_validation(fam_a):
 
 def test_sweep_rows_carry_failures_not_exceptions(fam_a):
     # eps = 0.2 pushes the perturbed branch image outside [0,1]
-    ctx = prepare_sweep(fam_a, [0.01], 384, with_second=False, with_escape=False)
+    ctx = prepare_sweep(fam_a, [0.01], 384, with_escape=False)
     row, art = run_sweep_row(ctx, 0.2)
     assert art is None
     assert row.error is not None
@@ -217,28 +217,16 @@ def test_sweep_rows_carry_failures_not_exceptions(fam_a):
     assert ok_row.error is None and ok_art is not None
 
 
-def test_row_without_second_pair_still_decides_simplicity(fam_a):
-    # the deflated solve inside invariant_density gives the verdict; the row
-    # reports no pair
-    ctx = prepare_sweep(fam_a, [0.01], 768, with_second=False, with_escape=False)
-    row, art = run_sweep_row(ctx, 0.01)
-    assert row.error is None
-    assert row.leading_simple is True
-    assert row.rho is None and row.l1_psi_vs_half_diff is None
-    assert art.psi is None
-
-
-def test_row_takes_the_pair_from_the_density_solve(fam_a, left_indicator):
+def test_row_takes_the_pair_from_the_density_solve(fam_a):
     ctx = prepare_sweep(fam_a, [0.01], 768, with_escape=False)
     row, art = run_sweep_row(ctx, 0.01)
-    inv = invariant_density(art.P, tol=ctx.tol, probe_start=left_indicator(768))
+    inv = invariant_density(art.P, tol=ctx.tol)
     assert row.rho == inv.rho
     assert np.array_equal(art.psi.values, inv.psi.values)
 
 
 def test_family_b_rows_carry_boundary_warning(fam_b):
-    rows = convergence_study(fam_b, [0.01], 768, with_second=False,
-                             with_escape=False)
+    rows = convergence_study(fam_b, [0.01], 768, with_escape=False)
     assert any("touches the boundary" in w for w in rows[0].warnings)
 
 
@@ -257,14 +245,14 @@ def test_left_mass_converges_to_alpha_monotonically(sweep_a):
     assert gaps[-1] < 0.002
 
 
-def test_two_block_chain_matches_weight_and_rho(sweep_a, left_indicator):
+def test_two_block_chain_matches_weight_and_rho(sweep_a):
     # the 2x2 chain of the aggregation solver is the paper's two-state
     # analog: its stationary weight is mu(I_l), and p_LR + p_RL approaches
     # the switching rate 1 - rho as eps shrinks
     gaps = []
     for row in sweep_a["rows"]:
         P = sweep_a["arts"][row.eps].P
-        inv = invariant_density(P, tol=1e-10, probe_start=left_indicator(P.n))
+        inv = invariant_density(P, tol=1e-10)
         alpha, _ = markov_stationary(inv.p_lr, inv.p_rl)
         assert alpha == pytest.approx(row.mu_Il, abs=1e-9)
         gaps.append(abs(inv.p_lr + inv.p_rl - (1.0 - row.rho)) / (1.0 - row.rho))

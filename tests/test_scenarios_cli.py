@@ -44,7 +44,7 @@ def test_builtin_family_a_defaults():
     assert scn.kind == "family"
     assert scn.grid_n == 3840
     assert scn.eps_list == DEFAULT_EPS_LIST
-    assert scn.run_second_eigenpair and scn.run_escape_rates and scn.run_saltus
+    assert scn.run_escape_rates and scn.run_saltus
     assert scn.family.lebesgue_halves
 
 
@@ -244,3 +244,14 @@ def test_eps_list_of_booleans_rejected(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(write_scenario(tmp_path, dict(FAMILY_A_JSON, eps_list=[True])))
     assert "eps_list: expected a list of numbers" in str(err.value)
+
+
+def test_run_second_eigenpair_key_is_ignored(tmp_path):
+    # every row computes the second pair to decide simplicity, so a file
+    # that still turns it off gets it reported like any other
+    run = {"second_eigenpair": False, "escape_rates": False, "saltus": False}
+    path = write_scenario(tmp_path, dict(FAMILY_A_JSON, run=run))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert all(0.0 < r["rho"] < 1.0 and r["leading_simple"] for r in rows)

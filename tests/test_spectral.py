@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metamap.map_model import Interval
 from metamap.spectral import (DegenerateSpectrumError, SolverError,
@@ -49,8 +49,8 @@ def test_eps_zero_degenerate_top_eigenvalue(fam_a):
     assert np.max(np.abs(left.values[:384] - 2.0)) <= 1e-9
     assert np.max(np.abs(left.values[384:])) <= 1e-9
 
-def test_invariant_density_unique_for_positive_eps(ulam_a_768, left_indicator):
-    res = invariant_density(ulam_a_768, tol=1e-10, probe_start=left_indicator(768))
+def test_invariant_density_unique_for_positive_eps(ulam_a_768):
+    res = invariant_density(ulam_a_768, tol=1e-10)
     assert res.leading_simple
     phi = res.phi
     assert phi.values.min() >= 0.0
@@ -61,8 +61,8 @@ def test_invariant_density_max_iter_exceeded(ulam_a_768):
     with pytest.raises(SolverError):
         invariant_density(ulam_a_768, tol=1e-10, max_iter=3)
 
-def test_second_eigenpair_matches_dense_oracle(ulam_a_768, left_indicator):
-    res = invariant_density(ulam_a_768, tol=1e-10, probe_start=left_indicator(768))
+def test_second_eigenpair_matches_dense_oracle(ulam_a_768):
+    res = invariant_density(ulam_a_768, tol=1e-10)
     rho_it, psi_it = second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5), tol=1e-10)
 
     pairs = dense_top_eigenpairs(ulam_a_768, k=2)
@@ -78,8 +78,8 @@ def test_second_eigenpair_matches_dense_oracle(ulam_a_768, left_indicator):
     dense_psi = DensityGrid(768, dense_psi.values / dense_psi.l1_norm())
     assert psi_it.l1_distance(dense_psi) <= 1e-4
 
-def test_psi_normalization_invariants(ulam_a_768, left_indicator):
-    res = invariant_density(ulam_a_768, tol=1e-10, probe_start=left_indicator(768))
+def test_psi_normalization_invariants(ulam_a_768):
+    res = invariant_density(ulam_a_768, tol=1e-10)
     rho, psi = second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5), tol=1e-10)
     assert 0.0 < rho < 1.0
     assert abs(psi.mass()) <= 1e-8
@@ -177,53 +177,44 @@ def test_escape_rate_default_hole_measure(fam_a):
     assert rep.hole_measure == pytest.approx(2 * len(hole) / n, rel=1e-6)
 
 def test_complex_second_eigenvalue_detected():
-    # three-state cyclic chain: eigenvalues 1 and a complex pair
+    # three-state cyclic chain: eigenvalues 1 and a complex pair.  The
+    # density solve raises rather than return a verdict, and so does the
+    # second eigenpair on the plain power-iteration limit
     theta = 0.9
     P = UlamMatrix.from_matrix(np.array([[1 - theta, theta, 0],
                                          [0, 1 - theta, theta],
                                          [theta, 0, 1 - theta]]))
-    res = invariant_density(P, tol=1e-12,
-                            probe_start=DensityGrid(3, np.array([3.0, 0.0, 0.0])))
-    with pytest.raises(DegenerateSpectrumError):
-        second_eigenpair(P, res.phi, Interval(0.0, 1 / 3), tol=1e-12)
-
-def test_complex_second_eigenvalue_leaves_leading_simple():
-    # the deflated solve raises for the complex pair; eigenvalue 1 is simple
-    theta = 0.9
-    P = UlamMatrix.from_matrix(np.array([[1 - theta, theta, 0],
-                                         [0, 1 - theta, theta],
-                                         [theta, 0, 1 - theta]]))
-    res = invariant_density(P, tol=1e-12,
-                            probe_start=DensityGrid(3, np.array([3.0, 0.0, 0.0])))
-    assert res.leading_simple
-    assert res.rho is None and res.psi is None
-    assert np.max(np.abs(res.phi.values - 1.0)) <= 1e-10
+    with pytest.raises(DegenerateSpectrumError, match="complex"):
+        invariant_density(P, tol=1e-12, I_l=Interval(0.0, 1 / 3))
+    phi, _ = power_fixed_density(P, np.array([3.0, 0.0, 0.0]), 1e-12)
+    assert np.max(np.abs(phi - 1.0)) <= 1e-10
+    with pytest.raises(DegenerateSpectrumError, match="complex"):
+        second_eigenpair(P, DensityGrid(3, phi), Interval(0.0, 1 / 3), tol=1e-12)
 
 
-def test_aggregation_steps_flat_in_eps(fam_a, left_indicator):
+def test_aggregation_steps_flat_in_eps(fam_a):
     # plain power iteration needs ~1/eps steps here (263 ... 8358); one
     # aggregated run takes 26-30
     n = 1536
     for eps in (0.05, 0.02, 0.005, 0.002):
-        res = invariant_density(build_ulam(fam_a.instantiate(eps), n), tol=1e-10,
-                                probe_start=left_indicator(n))
+        res = invariant_density(build_ulam(fam_a.instantiate(eps), n), tol=1e-10)
         assert res.leading_simple
         assert res.iterations <= 50, (eps, res.iterations)
 
 
-def test_density_solve_keeps_the_second_eigenpair(ulam_a_768, left_indicator):
+def test_density_solve_keeps_the_second_eigenpair(ulam_a_768):
     # the pair that decides simplicity is the one second_eigenpair returns
-    res = invariant_density(ulam_a_768, tol=1e-10, probe_start=left_indicator(768))
+    res = invariant_density(ulam_a_768, tol=1e-10)
     rho, psi = second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5), tol=1e-10)
     assert res.rho == rho
     assert np.array_equal(res.psi.values, psi.values)
 
 
-def test_probe_start_must_name_a_leading_block(ulam_a_768):
-    probe = np.zeros(768)
-    probe[100:200] = 7.68
-    with pytest.raises(ValueError, match="leading run"):
-        invariant_density(ulam_a_768, probe_start=DensityGrid(768, probe))
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_left_block_must_leave_cells_on_both_sides(ulam_a_768, b):
+    # [0,0) covers k = 0 cells and [0,1) all n: no second block to aggregate
+    with pytest.raises(ValueError, match="0 < k < n"):
+        invariant_density(ulam_a_768, I_l=Interval(0.0, b))
 
 
 def test_aggregation_waits_for_settled_weight(fam_a):
@@ -246,22 +237,20 @@ def test_aggregation_converges_on_boundary_violating_family(fam_b):
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.01, 0.005])
-def test_jump_steps_flat_in_eps_on_boundary_violating_family(fam_b, left_indicator, eps):
+def test_jump_steps_flat_in_eps_on_boundary_violating_family(fam_b, eps):
     # the slow mode is a drain into a strip that returns at once, not a block
     # exchange, so aggregation alone needs ~1/eps steps here (266 / 559 / 1162)
     n = 1536
-    res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10,
-                            probe_start=left_indicator(n))
+    res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10)
     assert res.leading_simple
     assert res.iterations <= 150, res.iterations
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.01, 0.005])
-def test_invariant_density_nonnegative_after_jumps(fam_b, left_indicator, eps):
+def test_invariant_density_nonnegative_after_jumps(fam_b, eps):
     # the jumps overshoot to ~-5e-13 in cells where the density vanishes
     n = 1536
-    res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10,
-                            probe_start=left_indicator(n))
+    res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10)
     assert res.phi.values.min() >= 0.0
     assert res.phi.mass() == pytest.approx(1.0, abs=1e-12)
 
@@ -276,9 +265,7 @@ def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
     A = np.diag(np.full(m - 1, p), 1) + np.diag(np.full(m - 1, q), -1)
     A += np.diag(1.0 - A.sum(axis=1))
     P = UlamMatrix.from_matrix(A)
-    probe = np.zeros(m)
-    probe[0] = m
-    res = invariant_density(P, tol=1e-10, probe_start=DensityGrid(m, probe))
+    res = invariant_density(P, tol=1e-10, I_l=Interval(0.0, 1 / m))
     assert res.leading_simple
     assert res.residual <= 1e-9
 
@@ -308,6 +295,7 @@ def _plain_verdict(P, probe, tol, max_iter):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 80),
        split=st.floats(0.05, 0.95), log_coupling=st.floats(-6.0, math.log10(0.3)),
        fill=st.floats(0.1, 1.0), shuffle=st.booleans())
+@example(seed=13, n=28, split=0.125, log_coupling=-1.0, fill=0.5, shuffle=False)
 def test_aggregation_converges_where_power_iteration_does(seed, n, split, log_coupling,
                                                           fill, shuffle):
     # shuffled, the weakly coupled blocks interleave, so the probe's block
@@ -330,7 +318,13 @@ def test_aggregation_converges_where_power_iteration_does(seed, n, split, log_co
         simple = _plain_verdict(P, probe, tol, max_iter=3000)
     except SolverError:
         return
-    res = invariant_density(P, tol=tol, probe_start=DensityGrid(n, probe))
+    try:
+        res = invariant_density(P, tol=tol, I_l=Interval(0.0, k / n))
+    except DegenerateSpectrumError:
+        # no verdict, rightly: the second eigenvalue is complex
+        lam2 = dense_top_eigenpairs(P, k=2)[1][0]
+        assert abs(lam2.imag) > 1e-8 * abs(lam2)
+        return
     assert res.residual <= 10 * tol
     assert res.leading_simple == simple
 
