@@ -43,9 +43,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -388,13 +385,6 @@ class HypothesisReport:
     passes_I4a: bool
     passes_P2: bool
     diagnostics: list[str] = field(default_factory=list)
-
-    @property
-    def all_checked_pass(self) -> bool:
-        checked = [self.passes_I2, self.passes_I4a, self.passes_P2]
-        if self.passes_I3 is not None:
-            checked.append(self.passes_I3)
-        return all(checked)
 
 
 def validate_hypotheses(family: PerturbationFamily, depth: int = 8,

@@ -69,10 +69,6 @@ class DensityGrid:
             vals = vals / m
         return cls(n, vals)
 
-    @property
-    def cell_width(self) -> float:
-        return 1.0 / self.n
-
     def l1_norm(self) -> float:
         return float(np.mean(np.abs(self.values)))
 
@@ -81,9 +77,6 @@ class DensityGrid:
 
     def total_variation(self) -> float:
         return float(np.sum(np.abs(np.diff(self.values))))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def l1_distance(self, other: "DensityGrid") -> float:
         if other.n != self.n:
@@ -147,16 +140,6 @@ class UlamMatrix:
     def restrict(self, idx: np.ndarray) -> "UlamMatrix":
         """Submatrix on the given cell indices (rows and columns)."""
         return UlamMatrix(n=len(idx), matrix=self.matrix[:, idx][idx, :])
-
-    def dump_csv(self, path) -> None:
-        """Write nonzero entries as 'row,col,value' triplets."""
-        coo = self.matrix.tocoo()
-        rows, cols, vals = coo.row, coo.col, coo.data
-        order = np.lexsort((cols, rows))
-        with open(path, "w", newline="") as fh:
-            fh.write("row,col,value\n")
-            for k in order:
-                fh.write(f"{int(rows[k])},{int(cols[k])},{float(vals[k])!r}\n")
 
 
 def _branch_cut_points(br: Branch, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ def test_sup_bounded_by_l1_plus_tv():
     rng = np.random.default_rng(17)
     for _ in range(200):
         d = DensityGrid(50, rng.standard_normal(50) * rng.uniform(0.1, 10))
-        assert d.sup_norm() <= d.l1_norm() + d.total_variation() + 1e-12
+        assert np.max(np.abs(d.values)) <= d.l1_norm() + d.total_variation() + 1e-12
 
 
 def test_hierarchy_family_a_base(fam_a):

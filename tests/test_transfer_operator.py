@@ -181,7 +181,6 @@ def test_density_grid_norms():
     assert d.l1_norm() == pytest.approx(1.5)
     assert d.mass() == pytest.approx(0.0)
     assert d.total_variation() == pytest.approx(4 + 5 + 2)
-    assert d.sup_norm() == 3.0
 
 
 def test_density_grid_integrate_partial_cells():
@@ -203,19 +202,6 @@ def test_cells_within_and_center_selectors():
     centers = (np.arange(8) + 0.5) / 8
     expected = [i for i, c in enumerate(centers) if 0.24 <= c <= 0.52]
     assert list(got) == expected
-
-
-def test_matrix_csv_dump_round_trip(fam_a, tmp_path):
-    P = build_ulam(fam_a.base, 12)
-    path = tmp_path / "ulam.csv"
-    P.dump_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "row,col,value"
-    dense = np.zeros((12, 12))
-    for line in rows[1:]:
-        i, j, v = line.split(",")
-        dense[int(i), int(j)] = float(v)
-    assert np.allclose(dense, P.to_dense(), atol=1e-15)
 
 
 def test_from_matrix_validates_row_sums():
