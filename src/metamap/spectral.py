@@ -16,11 +16,12 @@ aggregated run stalls) for the eps=0 ergodic densities and closed-system
 hole measures, deflation against the invariant density for the second
 eigenpair, and a hole mask with mean-1 renormalization for escape rates.
 ``invariant_density`` runs the density kernel once and then the deflated
-one, and is the one owner of the second pair: a second eigenvalue within
-10*tol of 1 means eigenvalue 1 is not simple, and otherwise the pair is
-kept on the result; a second eigenvalue that is not real raises.  A dense eigensolve
-(LAPACK, via numpy.linalg.eig) doubles as cross-check oracle and as the
-second eigenpair's fallback when the iteration stalls.
+one, from a start with a seeded generic component, and is the one owner of
+the second pair: a second eigenvalue within 10*tol of 1 means eigenvalue 1
+is not simple, and otherwise the pair is kept on the result; a second
+eigenvalue that is not real, or is -1, raises.  A dense eigensolve (LAPACK,
+via numpy.linalg.eig) doubles as cross-check oracle and as the second
+eigenpair's fallback when the iteration stalls.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .map_model import Interval
 from .transfer_operator import DensityGrid, UlamMatrix, cells_within
 
-RESTART_SEED = 0x5EED
+START_SEED = 0x5EED
 DENSE_FALLBACK_CAP = 4096
 STALL_WINDOW = 200
 JUMP_FIT = 0.1   # one-mode fit tolerance of a jump, relative to 1 - r
@@ -246,7 +247,9 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     is reported as a second fixed density; otherwise (rho, psi) is kept on
     the result.  The second eigenpair's errors propagate: a second
     eigenvalue that is not real raises DegenerateSpectrumError, one that
-    does not settle past the dense fallback cap SolverError.
+    does not settle past the dense fallback cap SolverError.  A second
+    eigenvalue within 10*tol of -1 raises DegenerateSpectrumError as well:
+    it ties in modulus with a second eigenvalue 1, so it decides nothing.
     """
     n = P.n
     # the cells [0,b) overlaps, as in DensityGrid.indicator(I_l, n)
@@ -270,6 +273,10 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     res = InvariantDensityResult(phi=DensityGrid(n, phi), leading_simple=True,
                                  residual=residual, iterations=steps, p_lr=p_lr, p_rl=p_rl)
     rho, psi = second_eigenpair(P, res.phi, Interval(0.0, k / n), tol, max_iter)
+    if abs(1.0 + rho) <= 10.0 * tol:
+        raise DegenerateSpectrumError(
+            f"second eigenvalue {rho!r} is -1, which ties in modulus with a second "
+            "eigenvalue 1: simplicity of eigenvalue 1 cannot be decided")
     if abs(1.0 - rho) > 10.0 * tol:
         return replace(res, rho=rho, psi=psi)
     # every phi + c*psi is fixed: report the one without mass on [k,n), or
@@ -310,7 +317,8 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
 
     Deflated power iteration: each step projects out the invariant-density
     direction, so iterates stay in the mass-zero subspace where the second
-    eigenvalue dominates.  The eigenvector is L1-normalized with positive
+    eigenvalue dominates.  The start is 1 on I_l, -1 right of it, plus 1e-6
+    times a normal draw seeded with START_SEED.  The eigenvector is L1-normalized with positive
     integral over I_l; its own integral vanishes by construction.
 
     Falls back to a dense eigensolve (n <= 4096) when the iteration stalls
@@ -321,11 +329,10 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
     phi_v = phi.values / phi.mass()
 
     w = DensityGrid.indicator(I_l, n).values - DensityGrid.indicator(Interval(I_l.hi, 1.0), n).values
+    # any fixed start misses the eigenvectors it has no component along; a
+    # seeded generic component shrinks those to a null set
+    w = w + 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
     w = w - np.mean(w) * phi_v
-    if np.mean(np.abs(w)) < 1e-14:
-        rng = np.random.default_rng(RESTART_SEED)
-        w = rng.standard_normal(n)
-        w = w - np.mean(w) * phi_v
     w /= np.mean(np.abs(w))
 
     rho = 0.0

@@ -90,8 +90,8 @@ def test_psi_normalization_invariants(ulam_a_768):
 
 def test_deflation_restarts_from_seeded_noise():
     # symmetric doubly stochastic chain: stationary density is uniform, so an
-    # I_l spanning everything makes the default start project to zero and the
-    # iteration must restart from seeded noise
+    # I_l spanning everything makes the indicator part of the start project
+    # to zero and the iteration runs on its seeded noise
     P = UlamMatrix.from_matrix(np.array([[0.6, 0.2, 0.2],
                                          [0.2, 0.6, 0.2],
                                          [0.2, 0.2, 0.6]]))
@@ -346,10 +346,13 @@ def _two_class_chain(seed):
     return UlamMatrix.from_matrix(A)
 
 
-@pytest.mark.parametrize("seed", [2082, 1807])
+@pytest.mark.parametrize("seed", [62, 357, 622, 641, 789, 791, 1330, 1585, 1706,
+                                  1887, 1994, 2121, 2347, 2082, 1807])
 def test_two_closed_classes_across_the_blocks_not_simple(seed):
-    # aggregated runs from the uniform and the probe start reached the same
-    # limit here, and the two-run probe called eigenvalue 1 simple
+    # the first 13: each class has as many cells in [0,k) as in [k,n), so the
+    # start 1_[0,k) - 1_[k,n) alone has no component along the second fixed
+    # density, and the deflated run settled on the third eigenvalue.  The
+    # last 2: the former two-run probe called eigenvalue 1 simple
     P = _two_class_chain(seed)
     ones = np.abs(np.array([lam for lam, _ in dense_top_eigenpairs(P, k=3)]) - 1.0)
     assert np.sum(ones <= 1e-12) == 2
@@ -361,6 +364,14 @@ def test_two_closed_classes_across_the_blocks_not_simple(seed):
     assert np.mean(q) == pytest.approx(1.0, abs=1e-12)
     assert np.mean(np.abs(P.apply(q) - q)) <= 1e-9
     assert res.probe_phi.l1_distance(res.phi) == pytest.approx(res.probe_distance, rel=1e-9)
+
+
+def test_second_eigenvalue_minus_one_gives_no_verdict():
+    # a class of period 2 gives eigenvalue -1, as large in modulus as the
+    # second eigenvalue 1 of the two closed classes: the deflated solve
+    # returns rho = -1, and no verdict can be read from it
+    with pytest.raises(DegenerateSpectrumError, match="-1"):
+        invariant_density(_two_class_chain(688))
 
 
 @pytest.mark.parametrize("seed", [178, 196])
