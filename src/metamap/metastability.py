@@ -18,9 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .map_model import Interval, MapModelError, PerturbationFamily, PiecewiseMap
-from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,
-                       invariant_density, power_fixed_density, restrict_invariant)
-from .spectral import second_eigenpair  # noqa: F401  (unused; perfbench/tracer.py patches it here)
+# second_eigenpair is not called here: perfbench/tracer.py patches it under this name
+from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,  # noqa: F401
+                       invariant_density, power_fixed_density, restrict_invariant,
+                       second_eigenpair)
 from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam,
                                 cells_with_center_in)
 
@@ -305,8 +306,8 @@ def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
         lhr = holes.ratio
     alpha, mixture = predict_mixture(lhr, phi_l, phi_r)
     return SweepContext(family=family, n=n, tol=tol, with_escape=with_escape,
-                        I_l=I_l, I_r=I_r, P0=P0, phi_l=phi_l, phi_r=phi_r, half_diff=half_diff,
-                        alpha_pred=alpha, mixture=mixture)
+                        I_l=I_l, I_r=I_r, P0=P0, phi_l=phi_l, phi_r=phi_r,
+                        half_diff=half_diff, alpha_pred=alpha, mixture=mixture)
 
 
 def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[EpsArtifacts]]:

@@ -252,7 +252,7 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     it ties in modulus with a second eigenvalue 1, so it decides nothing.
     """
     n = P.n
-    # the cells [0,b) overlaps, as in DensityGrid.indicator(I_l, n)
+    # the cells that [0,b) overlaps, as DensityGrid.indicator(I_l, n) counts them
     k = int(np.count_nonzero(np.arange(n) / n < I_l.hi))
     if not (I_l.lo == 0.0 and 0 < k < n):
         raise ValueError(f"I_l = [{I_l.lo}, {I_l.hi}) must be [0,b) covering k cells "
@@ -318,8 +318,9 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
     Deflated power iteration: each step projects out the invariant-density
     direction, so iterates stay in the mass-zero subspace where the second
     eigenvalue dominates.  The start is 1 on I_l, -1 right of it, plus 1e-6
-    times a normal draw seeded with START_SEED.  The eigenvector is L1-normalized with positive
-    integral over I_l; its own integral vanishes by construction.
+    times a normal draw seeded with START_SEED.  The eigenvector is
+    L1-normalized with positive integral over I_l; its own integral vanishes
+    by construction.
 
     Falls back to a dense eigensolve (n <= 4096) when the iteration stalls
     or runs out of steps, and raises if the second eigenvalue turns out to

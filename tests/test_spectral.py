@@ -210,11 +210,12 @@ def test_density_solve_keeps_the_second_eigenpair(ulam_a_768):
     assert np.array_equal(res.psi.values, psi.values)
 
 
-@pytest.mark.parametrize("b", [0.0, 1.0])
-def test_left_block_must_leave_cells_on_both_sides(ulam_a_768, b):
-    # [0,0) covers k = 0 cells and [0,1) all n: no second block to aggregate
-    with pytest.raises(ValueError, match="0 < k < n"):
-        invariant_density(ulam_a_768, I_l=Interval(0.0, b))
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (0.0, 1.0), (0.125, 0.25)])
+def test_left_block_must_be_a_proper_leading_block(ulam_a_768, lo, hi):
+    # [0,0) covers k = 0 cells and [0,1) all n, so one block is empty; the
+    # blocks are [0,k) and [k,n), so I_l must start at 0
+    with pytest.raises(ValueError, match=r"must be \[0,b\) covering k cells"):
+        invariant_density(ulam_a_768, I_l=Interval(lo, hi))
 
 
 def test_aggregation_waits_for_settled_weight(fam_a):
