@@ -191,6 +191,24 @@ def test_complex_second_eigenvalue_detected():
     with pytest.raises(DegenerateSpectrumError, match="complex"):
         second_eigenpair(P, DensityGrid(3, phi), Interval(0.0, 1 / 3), tol=1e-12)
 
+def test_complex_second_eigenvalue_leaves_leading_simple():
+    # the complex pair of the three-state cycle lies inside the unit circle,
+    # so eigenvalue 1 stays simple: every nonnegative start settles on the
+    # uniform density.  The density solve refuses a verdict for the pair
+    # rather than report eigenvalue 1 as not simple
+    theta = 0.9
+    P = UlamMatrix.from_matrix(np.array([[1 - theta, theta, 0],
+                                         [0, 1 - theta, theta],
+                                         [theta, 0, 1 - theta]]))
+    (lam1, _), (lam2, _) = dense_top_eigenpairs(P, k=2)
+    assert abs(lam1 - 1.0) <= 1e-12
+    assert abs(lam2.imag) > 0.1 and abs(lam2) < 1.0 - 0.1
+    for start in ([3.0, 0.0, 0.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]):
+        phi, _ = power_fixed_density(P, np.array(start), 1e-12)
+        assert np.max(np.abs(phi - 1.0)) <= 1e-10, start
+    with pytest.raises(DegenerateSpectrumError, match="complex"):
+        invariant_density(P, tol=1e-12, I_l=Interval(0.0, 2 / 3))
+
 
 def test_aggregation_steps_flat_in_eps(fam_a):
     # plain power iteration needs ~1/eps steps here (263 ... 8358); one
