@@ -1,10 +1,15 @@
 """Ulam discretization of the transfer (Perron-Frobenius) operator.
 
 The unit interval is split into n equal cells A_0..A_{n-1}.  The Ulam matrix
-has entries P[i,j] = Leb(A_i intersect T^{-1} A_j) / Leb(A_i), assembled from
-closed-form preimage intervals for affine branches (exact up to rounding) and
-bracketed preimages for smooth branches.  Densities are piecewise constant on
-the same grid and evolve by left multiplication, (Ld)_j = sum_i d_i P[i,j].
+has entries P[i,j] = Leb(A_i intersect T^{-1} A_j) / Leb(A_i).  It is
+assembled in cell coordinates X = n*x, where every cell boundary is an
+integer: each branch domain is cut at the integers and at the preimages of
+the integers of n*T (closed form for affine branches, bracketed root finding
+for smooth ones), and each piece's entry is its length in X.  The entries of
+a row are then exact differences of points in [i, i+1], so every row sums to
+1 up to a few ulps at any n, and cut points that coincide with a cell
+boundary leave no sliver entries.  Densities are piecewise constant on the
+same grid and evolve by left multiplication, (Ld)_j = sum_i d_i P[i,j].
 
 ``UlamMatrix`` stores P once, in CSC, whatever n is.  A density step
 d -> P^T d runs through ``matrix.T``, a CSR view that shares P's arrays, so
@@ -13,6 +18,7 @@ each output cell gathers from one column of P and no transpose is copied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +28,9 @@ from scipy import sparse
 from .map_model import Branch, Interval, MapModelError, PiecewiseMap, min_expansion, distortion
 
 ROW_SUM_TOL = 1e-12
+# a cut point n*x within SNAP_ULPS * n * machine epsilon of an integer is
+# taken to lie on that cell boundary: that is the rounding of n*x from float data
+SNAP_ULPS = 8
 
 
 class UnsupportedRegimeError(ValueError):
@@ -142,70 +151,97 @@ class UlamMatrix:
         return UlamMatrix(n=len(idx), matrix=self.matrix[:, idx][idx, :])
 
 
-def _branch_cut_points(br: Branch, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a branch domain at the preimages of all cell boundaries.
+def _snap(X: np.ndarray, tol: float) -> np.ndarray:
+    """X with every value within tol of an integer moved onto that integer."""
+    r = np.rint(X)
+    return np.where(np.abs(X - r) <= tol, r, X)
 
-    Returns (cuts, coverage) where cuts are ascending x values from domain.lo
-    to domain.hi and every subinterval [cuts[k], cuts[k+1]] maps inside a
-    single cell.
+
+def _column_cuts(br: Branch, n: int, X0: float, X1: float,
+                 tol: float) -> tuple[int, int, np.ndarray]:
+    """Where the branch's pieces of [X0, X1] change column, in cell coordinates.
+
+    X = n*x and Y = n*T(x), so cell boundaries are the integers of both.
+    Returns (c0, step, cuts): the column that the left end of [X0, X1] maps
+    into, +1 or -1 as the column moves with X, and the preimages of the
+    integers strictly inside the image, ascending in X.  Affine branches give
+    the preimage of j in closed form, (j - n*t)/s; smooth branches by
+    bracketed root finding.  Images and preimages within rounding of an
+    integer are snapped onto it, so a cut that coincides with a cell boundary
+    leaves no sliver.
     """
-    d0, d1 = br.domain.lo, br.domain.hi
-    ylo, yhi = br.image()
-    j_lo = int(np.floor(ylo * n)) + 1
-    j_hi = int(np.ceil(yhi * n)) - 1
-    ys = np.arange(j_lo, j_hi + 1) / n
-    ys = ys[(ys > ylo) & (ys < yhi)]
     if br.is_affine:
-        xs = (ys - br.intercept) / br.slope
+        s, nt = br.slope, n * br.intercept
+        y0, y1 = s * X0 + nt, s * X1 + nt
+        ytol = tol * (1.0 + abs(s))
     else:
-        xs = np.array([br.preimage(y) for y in ys], dtype=float)
-    xs = np.concatenate(([d0, d1], xs))
-    xs = np.clip(np.sort(xs), d0, d1)
-    return xs
+        y0, y1 = n * br(br.domain.lo), n * br(br.domain.hi)
+        ytol = tol
+    y0, y1 = (min(max(float(_snap(y, ytol)), 0.0), float(n)) for y in (y0, y1))
+    if br.orientation > 0:
+        c0, step = min(math.floor(y0), n - 1), 1
+        js = np.arange(math.floor(y0) + 1, math.ceil(y1))
+    else:
+        c0, step = max(math.ceil(y0) - 1, 0), -1
+        js = np.arange(math.ceil(y0) - 1, math.floor(y1), -1)
+    if br.is_affine:
+        cuts = (js - nt) / s
+    else:
+        cuts = n * np.array([br.preimage(j / n) for j in js], dtype=float)
+    return c0, step, np.clip(_snap(cuts, tol), X0, X1)
 
 
 def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     """Assemble the Ulam matrix of a piecewise expanding map on n cells.
 
-    Affine branches yield entries from exact interval intersections; smooth
-    branches locate preimage cut points by bracketed root finding first.
+    The work is done in cell coordinates X = n*x, where row i is [i, i+1].
+    Each branch domain [X0, X1] is cut at the integers (row changes) and at
+    the preimages of the integers of Y = n*T(x) (column changes).  A piece's
+    row is the number of integers up to its left end, its column moves one
+    step from the branch's first column for every column cut before it, and
+    its entry is its length in X.  The cuts of one row lie in [i, i+1], so
+    for i >= 1 the entries are exact differences and the row sums to exactly
+    1 in any order.  The breakpoints n*c_k are computed once and shared by
+    both adjacent branches; a (row, column) pair that two branches reach,
+    when a breakpoint lies inside a cell, is stored once with the summed
+    entry.  Raises MapModelError if a row still misses 1 by more than
+    ROW_SUM_TOL, naming the worst row.
     """
     if n < len(map_.branches):
         raise MapModelError(f"n={n} too coarse for {len(map_.branches)} branches")
-    bounds = np.arange(n + 1) / n
+    tol = SNAP_ULPS * n * np.finfo(float).eps
+    D = _snap(n * np.asarray(map_.critical_set), tol)
+    D[0], D[-1] = 0.0, float(n)     # the critical set spans [0,1] to ENDPOINT_TOL
     rows_all, cols_all, vals_all = [], [], []
-    for br in map_.branches:
-        cuts = _branch_cut_points(br, n)
-        lefts, rights = cuts[:-1], cuts[1:]
-        keep = rights > lefts
-        lefts, rights = lefts[keep], rights[keep]
-        if lefts.size == 0:
-            continue
-        mids = 0.5 * (lefts + rights)
-        imgs = np.array([br(m) for m in mids]) if not br.is_affine \
-            else br.slope * mids + br.intercept
-        cols = np.clip(np.searchsorted(bounds, imgs, side="right") - 1, 0, n - 1)
-        row0 = np.clip(np.searchsorted(bounds, lefts, side="right") - 1, 0, n - 1)
-        split = bounds[np.minimum(row0 + 1, n)]
-        part1 = np.minimum(rights, split) - lefts
-        part2 = np.clip(rights - np.maximum(lefts, split), 0.0, None)
-        rows_all.append(row0)
-        cols_all.append(cols)
-        vals_all.append(part1 * n)
-        has2 = part2 > 0
-        if np.any(has2):
-            rows_all.append(np.minimum(row0[has2] + 1, n - 1))
-            cols_all.append(cols[has2])
-            vals_all.append(part2[has2] * n)
+    for br, X0, X1 in zip(map_.branches, D[:-1], D[1:]):
+        c0, step, ccuts = _column_cuts(br, n, X0, X1, tol)
+        r0 = math.floor(X0)
+        rcuts = np.arange(r0 + 1, math.ceil(X1), dtype=float)
+        # both cut sets are sorted, so the stable sort is a merge
+        edges = np.concatenate(([X0], np.sort(np.concatenate((rcuts, ccuts)), kind="stable"), [X1]))
+        lengths = np.diff(edges)
+        p = np.flatnonzero(lengths > 0)     # coincident cuts leave empty pieces
+        # piece p has p cuts before it, floor(left end) - r0 of them row cuts
+        rows = edges[p].astype(np.intp)
+        rows_all.append(rows)
+        cols_all.append(c0 + step * (p - (rows - r0)))
+        vals_all.append(lengths[p])
     rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
+    # rows never decrease along the pieces, so the pieces are P's CSR arrays
+    # as they come; the CSC transpose is a stable counting sort by column,
+    # which keeps each column's rows ascending and puts the (row, column)
+    # pairs that two branches reach side by side, to be summed
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     vals = np.concatenate(vals_all)
-    out = UlamMatrix(n=n, matrix=sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc())
-    bad = np.max(np.abs(out.row_sums() - 1.0))
-    if bad > ROW_SUM_TOL:
+    P = sparse.csr_matrix((vals, np.concatenate(cols_all), indptr), shape=(n, n)).tocsc()
+    P.sum_duplicates()
+    out = UlamMatrix(n=n, matrix=P)
+    dev = np.bincount(rows, weights=vals, minlength=n) - 1.0
+    worst = int(np.argmax(np.abs(dev)))
+    if abs(dev[worst]) > ROW_SUM_TOL:
         raise MapModelError(
-            f"Ulam rows do not sum to 1 (max deviation {bad:.3g}); "
-            "a branch image likely escapes [0,1]")
+            f"Ulam row {worst} of {n} misses row sum 1 by {dev[worst]:+.3g} "
+            f"(ROW_SUM_TOL = {ROW_SUM_TOL:g})")
     return out
 
 

@@ -196,6 +196,15 @@ def test_convergence_study_small_grid(fam_a):
         assert r.flux_gap <= 1e-9
 
 
+def test_convergence_study_reaches_small_eps_on_fine_grid(fam_a):
+    # the grid rule n >= 12/eps asks for n = 122880 at eps = 1e-4; the paper's
+    # mixture limit shows as an L1 distance that keeps shrinking with eps
+    rows = convergence_study(fam_a, [8e-4, 4e-4, 2e-4, 1e-4], 122880)
+    assert [r.error for r in rows] == [None] * 4
+    l1 = [r.l1_phi_vs_mixture for r in rows]
+    assert all(b < a for a, b in zip(l1, l1[1:])), l1
+
+
 def test_convergence_study_empty(fam_a):
     assert convergence_study(fam_a, [], 768) == []
 

@@ -182,6 +182,13 @@ def test_cli_run_failed_rows_exit_2(tmp_path):
     assert "escapes" in sweep[1]
 
 
+def test_cli_run_on_grid_beyond_former_assembly_limit(tmp_path):
+    # n = 30720 used to fail with "Ulam rows do not sum to 1"
+    code = main(["run", "--scenario", "builtin:family_a", "--grid", "30720",
+                 "--eps", "0.002", "--out", str(tmp_path / "fine")])
+    assert code == 0
+
+
 def test_cli_run_unwritable_out_dir(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")

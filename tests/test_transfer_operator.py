@@ -1,8 +1,12 @@
+import math
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from metamap.families import doubling_map
+from metamap.families import doubling_map, family_a, family_b
 from metamap.map_model import Branch, Interval, MapModelError, PiecewiseMap
 from metamap.spectral import power_fixed_density
 from metamap.transfer_operator import (DensityGrid, UlamMatrix,
@@ -34,6 +38,120 @@ def test_rows_sum_to_one(fam_a, eps, n):
     assert np.max(np.abs(P.row_sums() - 1.0)) <= 1e-12
     dense = P.to_dense()
     assert dense.min() >= 0.0 and dense.max() <= 1.0 + 1e-15
+
+
+def _exact_ulam(spec, n):
+    """Reference Ulam entries {(i, j): Fraction} of the affine map given by
+    exact (lo, hi, slope, intercept) rows: P[i,j] = n * Leb(A_i and T^-1 A_j)."""
+    P = {}
+    for lo, hi, s, t in spec:
+        for i in range(math.floor(lo * n), math.ceil(hi * n)):
+            a, b = max(lo, F(i, n)), min(hi, F(i + 1, n))
+            if b <= a:
+                continue
+            ya, yb = sorted((s * a + t, s * b + t))
+            for j in range(math.floor(ya * n), math.ceil(yb * n)):
+                c, d = max(ya, F(j, n)), min(yb, F(j + 1, n))
+                if d > c:
+                    P[i, j] = P.get((i, j), 0) + (d - c) / abs(s) * n
+    return P
+
+
+def _affine_from_spec(spec):
+    return PiecewiseMap([Branch.affine(float(lo), float(hi), float(s), float(t))
+                         for lo, hi, s, t in spec])
+
+
+FAMILY_A_BASE = [(F(0), F(1, 6), F(3), F(0)), (F(1, 6), F(1, 3), F(3), F(-1, 2)),
+                 (F(1, 3), F(1, 2), F(-3), F(3, 2)), (F(1, 2), F(2, 3), F(-3), F(5, 2)),
+                 (F(2, 3), F(5, 6), F(3), F(-3, 2)), (F(5, 6), F(1), F(3), F(-2))]
+
+
+@st.composite
+def rational_affine_maps(draw):
+    """(spec, n): exact rows (lo, hi, slope, intercept) of an admissible affine
+    map with breakpoints, slopes and intercepts of denominator <= 12, and a
+    grid size n that is often not a multiple of the breakpoint denominator."""
+    q = draw(st.integers(2, 12))
+    k = draw(st.integers(2, min(5, q)))
+    inner = sorted(draw(st.sets(st.integers(1, q - 1), min_size=k - 1, max_size=k - 1)))
+    cuts = [F(0)] + [F(c, q) for c in inner] + [F(1)]
+    spec = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        w = hi - lo
+        den_min = max(1, math.ceil(w / (1 - w)))     # leaves room for 1 < |s| <= 1/w
+        den = draw(st.integers(den_min, max(4, den_min)))
+        s = F(draw(st.integers(den + 1, math.floor(den / w))), den)
+        room = 1 - s * w                              # the image has length s*w
+        d2 = draw(st.integers(1, 12))
+        y0 = F(draw(st.integers(0, math.floor(room * d2))), d2)
+        if draw(st.booleans()):
+            spec.append((lo, hi, s, y0 - s * lo))
+        else:
+            spec.append((lo, hi, -s, y0 + s * w + s * lo))
+    n = draw(st.integers(k, 40))
+    return spec, n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=rational_affine_maps())
+@example(case=(FAMILY_A_BASE, 20))
+@example(case=(FAMILY_A_BASE, 7))
+def test_assembly_matches_exact_rational_reference(case):
+    spec, n = case
+    P = build_ulam(_affine_from_spec(spec), n)
+    exact = _exact_ulam(spec, n)
+    E = np.zeros((n, n))
+    for (i, j), v in exact.items():
+        E[i, j] = float(v)
+    # each entry is a difference of two cut points in X = n*x, whose spacing
+    # is about 2.2e-16*n: compared as lengths in x, P/n, the entries agree to
+    # 1e-15 at every n, and P itself does at the smallest grids
+    err = np.max(np.abs(P.to_dense() - E))
+    assert err / n <= 1e-15
+    if n <= 4:
+        assert err <= 1e-15
+    # no slivers: an entry is stored exactly where the exact one is nonzero,
+    # and once
+    m = P.matrix.tocoo()
+    stored = list(zip(m.row.tolist(), m.col.tolist()))
+    assert len(set(stored)) == len(stored)
+    assert set(stored) == {ij for ij, v in exact.items() if v != 0}
+    # a branch covering a length L of a row meets at most ceil(|s| L) + 1 columns
+    per_row = np.bincount(m.row, minlength=n)
+    for i in range(n):
+        bound = 0
+        for lo, hi, s, _ in spec:
+            L = (min(hi, F(i + 1, n)) - max(lo, F(i, n))) * n
+            if L > 0:
+                bound += math.ceil(abs(s) * L) + 1
+        assert per_row[i] <= bound
+    assert np.max(np.abs(P.row_sums() - 1.0)) <= 1e-15
+
+
+def test_pair_reached_by_two_branches_is_summed(fam_a):
+    # n = 20 is not a multiple of 6: the breakpoint 1/3 lies inside cell 6,
+    # X in [6, 7] with the break at 20/3.  Branch 2 maps [6, 20/3] onto Y in
+    # [8, 10] and branch 3 maps [20/3, 7] onto [9, 10]: both reach column 9,
+    # each with length 1/3
+    P = build_ulam(fam_a.base, 20)
+    row = P.matrix.getrow(6).tocoo()
+    assert sorted(row.col.tolist()) == [8, 9]
+    assert P.to_dense()[6, 8] == pytest.approx(1 / 3, abs=1e-15)
+    assert P.to_dense()[6, 9] == pytest.approx(2 / 3, abs=1e-15)
+    assert P.matrix.has_canonical_format
+
+
+@pytest.mark.parametrize("n", [17280, 61440, 122880])
+@pytest.mark.parametrize("family", [family_a, family_b], ids=["family_a", "family_b"])
+def test_rows_sum_to_one_on_fine_grids(family, n):
+    # the grid rule n >= 12/eps reaches these grids below eps = 7e-4; cell
+    # bounds i/n used to put rounding slivers into the wrong row from n = 17280 on
+    fam = family()
+    for eps in (0.0, 0.002, 1e-4):
+        P = build_ulam(fam.instantiate(eps), n)
+        assert np.max(np.abs(P.row_sums() - 1.0)) <= 1e-15
+        assert P.matrix.data.min() > 1e-9
 
 
 def test_smooth_branch_representation_matches_affine(fam_a):
