@@ -307,6 +307,21 @@ def test_density_grid_integrate_partial_cells():
     assert d.integrate(0.0, 1.0) == pytest.approx(d.mass())
 
 
+def test_integrate_matches_full_grid_weighting():
+    # reference: the exact overlap of [lo, hi] with every cell, summed over
+    # all n cells; integrate sums only the cells it overlaps, in another order
+    rng = np.random.default_rng(8)
+    n = 997
+    d = DensityGrid(n, rng.uniform(0.0, 3.0, n))
+    bounds = np.arange(n + 1) / n
+    for lo, hi in [(0.0, 1.0), (0.0, 0.5), (0.25, 0.25), (0.7, 0.3), (-0.1, 1.2),
+                   (1 / 3, 2 / 3)] + [tuple(rng.uniform(0, 1, 2)) for _ in range(200)]:
+        a, b = min(lo, hi), max(lo, hi)
+        over = np.clip(np.minimum(bounds[1:], b) - np.maximum(bounds[:-1], a), 0.0, None)
+        ref = float(np.sum(over * d.values))
+        assert d.integrate(lo, hi) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+
 def test_indicator_normalization():
     g = DensityGrid.indicator(Interval(0.0, 0.5), 6, normalize=True)
     assert g.mass() == pytest.approx(1.0, abs=1e-15)
