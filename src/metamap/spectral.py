@@ -42,7 +42,14 @@ JUMP_FIT = 0.1   # one-mode fit tolerance of a jump, relative to 1 - r
 
 
 class SolverError(RuntimeError):
-    """Iteration stalled or did not converge within the allowed number of steps."""
+    """Iteration stalled or did not converge within the allowed number of steps.
+
+    ``iterate`` is the last iterate when ``_iterate`` raised, else None.
+    """
+
+    def __init__(self, message: str, iterate: Optional[np.ndarray] = None):
+        super().__init__(message)
+        self.iterate = iterate
 
 
 class DegenerateSpectrumError(ValueError):
@@ -113,7 +120,7 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
         if k >= 2 * STALL_WINDOW and diff >= window[slot]:
             raise SolverError(
                 f"power iteration stalled at step {k} (step change {diff:.3g}, "
-                f"{window[slot]:.3g} {STALL_WINDOW} steps earlier)")
+                f"{window[slot]:.3g} {STALL_WINDOW} steps earlier)", w)
         window[slot] = diff
         if (0.5 <= r < 1.0 and abs(r - prev_r) <= JUMP_FIT * (1.0 - r)
                 and float(np.mean(np.abs(d - r * prev_d))) <= JUMP_FIT * (1.0 - r) * diff):
@@ -125,7 +132,7 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
         prev_diff, prev_d, prev_r = diff, d, r
     raise SolverError(
         f"power iteration did not converge in {max_iter} steps "
-        f"(last step change {diff:.3g})")
+        f"(last step change {diff:.3g})", w)
 
 
 @dataclass(frozen=True)
@@ -241,7 +248,10 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     must leave 0 < k < n.  The kernel runs once, from the uniform density,
     with the two-block aggregation step on [0,k) and [k,n); if that run
     raises SolverError it is repeated once with the plain mass step, and
-    ``iterations`` counts the run that produced phi.  ``second_eigenpair``
+    ``iterations`` counts the run that produced phi.  If the retry fails
+    too, and two mass steps return its last iterate while one does not, a
+    closed class has period 2 (eigenvalue -1) and DegenerateSpectrumError
+    says so; otherwise the retry's SolverError propagates.  ``second_eigenpair``
     with I_l = [0, k/n) then decides simplicity: a second eigenvalue rho
     with |1 - rho| <= 10*tol means eigenvalue 1 is not simple, and
     phi + c*psi with no mass on [k,n) (on [0,k) if phi has none on [k,n))
@@ -267,7 +277,16 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
         phi, steps = _iterate(_aggregation_step(P, k, out), uniform, tol, max_iter)
     except SolverError:
         # the aggregation step can stall where plain power iteration converges
-        phi, steps = _iterate(_mass_step(P), uniform, tol, max_iter)
+        step = _mass_step(P)
+        try:
+            phi, steps = _iterate(step, uniform, tol, max_iter)
+        except SolverError as exc:
+            w = exc.iterate
+            if np.mean(np.abs(step(step(w)) - w)) <= 10.0 * tol < np.mean(np.abs(step(w) - w)):
+                raise DegenerateSpectrumError(
+                    "eigenvalue -1: the density iterates return after two steps but "
+                    "not after one, so a closed class has period 2") from exc
+            raise
     phi = _clip_negative(phi)
     residual = float(np.mean(np.abs(P.apply(phi) - phi)))
     p_lr, p_rl, _, _ = _block_rates(phi, out, k)

@@ -393,6 +393,17 @@ def test_second_eigenvalue_minus_one_gives_no_verdict():
         invariant_density(_two_class_chain(688))
 
 
+@pytest.mark.parametrize("seed", [57, 1197, 1864])
+def test_period_two_class_named_when_the_density_run_oscillates(seed):
+    # dense spectra {1, -1, 1}: from the uniform start both density runs
+    # alternate with the eigenvalue -1 and stall, and that is what is reported
+    P = _two_class_chain(seed)
+    top = np.array([lam for lam, _ in dense_top_eigenpairs(P, k=3)])
+    assert np.sum(np.abs(top + 1.0) <= 1e-12) == 1
+    with pytest.raises(DegenerateSpectrumError, match="-1.*period 2"):
+        invariant_density(P)
+
+
 @pytest.mark.parametrize("seed", [178, 196])
 def test_aggregation_stall_falls_back_to_plain_step(seed):
     # shuffled weakly coupled blocks: the aggregation step on the probe's
