@@ -182,6 +182,7 @@ def _column_cuts(br: Branch, n: int, X0: float, X1: float,
     else:
         y0, y1 = n * br(br.domain.lo), n * br(br.domain.hi)
         ytol = tol
+    # clamped to [0, n]: Branch admits images that leave [0,1] by rounding
     y0, y1 = (min(max(float(_snap(y, ytol)), 0.0), float(n)) for y in (y0, y1))
     if br.orientation > 0:
         c0, step = min(math.floor(y0), n - 1), 1
@@ -238,16 +239,15 @@ def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     # pairs that two branches reach side by side, to be summed
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     vals = np.concatenate(vals_all)
-    P = sparse.csr_matrix((vals, np.concatenate(cols_all), indptr), shape=(n, n)).tocsc()
-    P.sum_duplicates()
-    out = UlamMatrix(n=n, matrix=P)
     dev = np.bincount(rows, weights=vals, minlength=n) - 1.0
     worst = int(np.argmax(np.abs(dev)))
     if abs(dev[worst]) > ROW_SUM_TOL:
         raise MapModelError(
             f"Ulam row {worst} of {n} misses row sum 1 by {dev[worst]:+.3g} "
             f"(ROW_SUM_TOL = {ROW_SUM_TOL:g})")
-    return out
+    P = sparse.csr_matrix((vals, np.concatenate(cols_all), indptr), shape=(n, n)).tocsc()
+    P.sum_duplicates()
+    return UlamMatrix(n=n, matrix=P)
 
 
 def variation_inflation_constant(lam: float, dist: float, min_branch_width: float) -> float:
