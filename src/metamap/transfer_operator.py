@@ -101,8 +101,7 @@ class DensityGrid:
         b = min(max(math.ceil(hi * self.n) + 1, a), self.n)
         bounds = np.arange(a, b + 1) / self.n
         over = np.clip(np.minimum(bounds[1:], hi) - np.maximum(bounds[:-1], lo), 0.0, None)
-        # einsum, not np.dot: a 1-D dot goes through BLAS threading, which
-        # stalls for milliseconds per call in some processes at n >= 15360
+        # einsum, not np.dot: see the deflated step in spectral.second_eigenpair
         return float(np.einsum("i,i->", over, self.values[a:b]))
 
     def value_near(self, x: float) -> float:
