@@ -202,9 +202,9 @@ def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     The work is done in cell coordinates X = n*x, where row i is [i, i+1].
     Each branch domain [X0, X1] is cut at the integers (row changes) and at
     the preimages of the integers of Y = n*T(x) (column changes).  A piece's
-    row is the number of integers up to its left end, its column moves one
-    step from the branch's first column for every column cut before it, and
-    its entry is its length in X.  The cuts of one row lie in [i, i+1], so
+    row is the integer part of its left end, its column moves one step from
+    the branch's first column for every column cut before it, and its entry
+    is its length in X.  The cuts of one row lie in [i, i+1], so
     for i >= 1 the entries are exact differences and the row sums to exactly
     1 in any order.  The breakpoints n*c_k are computed once and shared by
     both adjacent branches; a (row, column) pair that two branches reach,
