@@ -182,9 +182,8 @@ def _block_rates(x: np.ndarray, out: np.ndarray, k: int) -> tuple[float, float, 
     probability is its mass-weighted mean, nan for a block without mass.
     """
     m_l, m_r = float(x[:k].sum()), float(x[k:].sum())
-    # einsum, not @: see the deflated step in second_eigenpair
-    p_lr = float(np.einsum("i,i->", x[:k], out[:k])) / m_l if m_l > 0 else math.nan
-    p_rl = float(np.einsum("i,i->", x[k:], out[k:])) / m_r if m_r > 0 else math.nan
+    p_lr = float(x[:k] @ out[:k]) / m_l if m_l > 0 else math.nan
+    p_rl = float(x[k:] @ out[k:]) / m_r if m_r > 0 else math.nan
     return p_lr, p_rl, m_l, m_r
 
 
