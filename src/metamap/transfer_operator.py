@@ -7,9 +7,10 @@ integer: each branch domain is cut at the integers and at the preimages of
 the integers of n*T (closed form for affine branches, bracketed root finding
 for smooth ones), and each piece's entry is its length in X.  The entries of
 a row are then exact differences of points in [i, i+1], so every row sums to
-1 up to a few ulps at any n, and cut points that coincide with a cell
-boundary leave no sliver entries.  Densities are piecewise constant on the
-same grid and evolve by left multiplication, (Ld)_j = sum_i d_i P[i,j].
+1 up to a few ulps at any n.  On affine branches, cut points that coincide
+with a cell boundary leave no sliver entries.  Densities are piecewise
+constant on the same grid and evolve by left multiplication,
+(Ld)_j = sum_i d_i P[i,j].
 
 ``UlamMatrix`` stores P once, in CSC, whatever n is.  A density step
 d -> P^T d runs through ``matrix.T``, a CSR view that shares P's arrays, so
@@ -96,7 +97,8 @@ class DensityGrid:
         """Integral over [lo, hi] with exact partial-cell weighting."""
         if hi < lo:
             lo, hi = hi, lo
-        # the cells [lo, hi] overlaps, and one more on each side for rounding
+        # only the cells [lo, hi] overlaps, and one more on each side for
+        # rounding: weighting all n cells took 3.5-5% of a sweep row
         a = min(max(math.floor(lo * self.n) - 1, 0), self.n)
         b = min(max(math.ceil(hi * self.n) + 1, a), self.n)
         bounds = np.arange(a, b + 1) / self.n
@@ -171,8 +173,9 @@ def _column_cuts(br: Branch, n: int, X0: float, X1: float,
     integers strictly inside the image, ascending in X.  Affine branches give
     the preimage of j in closed form, (j - n*t)/s; smooth branches by
     bracketed root finding.  Images and preimages within rounding of an
-    integer are snapped onto it, so a cut that coincides with a cell boundary
-    leaves no sliver.
+    integer are snapped onto it, so on an affine branch a cut that coincides
+    with a cell boundary leaves no sliver.  A smooth branch's cuts carry the
+    root finder's error, up to n*PREIMAGE_XTOL in X, which no snap covers.
     """
     if br.is_affine:
         s, nt = br.slope, n * br.intercept

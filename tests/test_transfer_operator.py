@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from metamap.families import doubling_map, family_a, family_b
-from metamap.map_model import Branch, Interval, MapModelError, PiecewiseMap
+from metamap.map_model import (PREIMAGE_XTOL, Branch, Interval, MapModelError,
+                                PiecewiseMap)
 from metamap.spectral import power_fixed_density
 from metamap.transfer_operator import (DensityGrid, UlamMatrix,
                                        UnsupportedRegimeError, build_ulam,
@@ -167,6 +169,52 @@ def test_smooth_branch_representation_matches_affine(fam_a):
     Pa = build_ulam(fam_a.base, n).to_dense()
     Ps = build_ulam(smooth_map, n).to_dense()
     assert np.max(np.abs(Pa - Ps)) <= 1e-12
+
+
+def _exact_ulam_monotone(branches, n):
+    """Reference Ulam matrix of monotone branches given as (lo, hi, inverse):
+    ``inverse(y)`` is the preimage of y in 40-digit Decimal, lo and hi exact
+    Fractions.  The preimages of the column bounds j/n cut each branch into
+    its columns, and each cut piece is intersected with the row cells."""
+    E = np.zeros((n, n))
+    for lo, hi, inverse in branches:
+        xs = [F(inverse(Decimal(j) / n)) for j in range(n + 1)]
+        for j in range(n):
+            a, b = sorted((xs[j], xs[j + 1]))
+            a, b = max(a, lo), min(b, hi)
+            for i in range(max(math.floor(a * n), 0), min(math.ceil(b * n), n)):
+                w = min(b, F(i + 1, n)) - max(a, F(i, n))
+                if w > 0:
+                    E[i, j] += float(w * n)
+    return E
+
+
+@pytest.mark.parametrize("n", [7, 50, 97, 200])
+def test_nonlinear_smooth_branches_match_high_precision_reference(n):
+    # an increasing and a decreasing branch, both quadratic, meeting at the
+    # irrational a = sqrt(2) - 1: every column cut comes from brentq
+    a = math.sqrt(2) - 1
+    up = Branch.smooth(0.0, a, lambda x: x * x + 2 * x, lambda x: 2 * x + 2, lambda x: 2.0)
+    w = 1 - a
+    down = Branch.smooth(a, 1.0, lambda x: 1 - (((x - a) / w) ** 2 + 2 * (x - a) / w) / 3,
+                         lambda x: -(2 * (x - a) / w + 2) / (3 * w),
+                         lambda x: -2 / (3 * w * w))
+    P = build_ulam(PiecewiseMap([up, down]), n)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        da = Decimal(a)
+        E = _exact_ulam_monotone(
+            [(F(0), F(a), lambda y: (1 + y).sqrt() - 1),
+             (F(a), F(1), lambda y: da + (1 - da) * ((4 - 3 * y).sqrt() - 1))], n)
+    assert np.max(np.abs(P.row_sums() - 1.0)) <= 1e-15
+    m = P.matrix.tocoo()
+    assert m.col.min() >= 0 and m.col.max() < n
+    # each cut is a brentq root, off by at most PREIMAGE_XTOL in x, so n times
+    # that in X; a stored pair the reference lacks is such a rounding sliver
+    tol = 2.5 * n * PREIMAGE_XTOL
+    assert np.max(np.abs(P.to_dense() - E)) <= tol
+    stored = set(zip(m.row.tolist(), m.col.tolist()))
+    assert {(int(i), int(j)) for i, j in zip(*np.nonzero(E > tol))} <= stored
 
 
 def test_too_coarse_grid_rejected(fam_a):
