@@ -13,9 +13,9 @@ projection smears each deeper jump into satellite sub-jumps one image-width
 apart.
 """
 
-from metamap.bv_analysis import (jump_decay_profile, postcritical_hierarchy,
-                                 saltus_decompose)
+from metamap.bv_analysis import jump_decay_profile, saltus_decompose
 from metamap.families import family_a
+from metamap.map_model import postcritical_hierarchy
 from metamap.spectral import invariant_density
 from metamap.transfer_operator import build_ulam, lasota_yorke_constants
 
@@ -31,7 +31,8 @@ print(f"variation inequality constants: lam={ly.lam}, C={ly.C_eps:.1f}, "
 print(f"TV(phi) = {phi.total_variation():.6f} (bound {ly.C_LY:.0f})")
 
 hier = postcritical_hierarchy(T, 6)
-print(f"\npostcritical points to depth 6: {len(hier.points)}")
+distinct = {round(p, 12) for pts in hier.values() for p in pts}
+print(f"\npostcritical points to depth 6: {len(distinct)}")
 dec = saltus_decompose(phi, hier, lip_bound=ly.C_LY)
 print(f"detected jumps ({len(dec.jumps)}):")
 for j in dec.jumps:
@@ -40,7 +41,7 @@ print(f"regular part Lipschitz estimate: {dec.lipschitz_estimate:.2e} "
       "(the density is exactly a step function here)")
 
 print(f"\n{'m':>3} {'tail sum':>10} {'lam^-m C_LY':>12} {'ok':>4}")
-for row in jump_decay_profile(dec, hier, ly, 4):
+for row in jump_decay_profile(dec, ly, 4):
     print(f"{row.m:3d} {row.tail:10.4f} {row.bound:12.3f} {str(row.passed):>4}")
 
 # approximate continuity near the infinitesimal holes at 1/3 and 2/3:

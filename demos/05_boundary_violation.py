@@ -28,7 +28,7 @@ for d in report.diagnostics:
         print(f"  {d}")
 
 n = 3840
-phi_l, phi_r = ergodic_densities(fam, n)
+phi_l, phi_r = ergodic_densities(fam, build_ulam(fam.base, n))
 print(f"\n{'eps':>8} {'hole ratio':>11} {'|phi-mix|':>10} {'|phi-phi_r|':>12} {'mu(I_l)':>9}")
 for eps in (0.02, 0.01, 0.005):
     T = fam.instantiate(eps)

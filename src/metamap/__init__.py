@@ -12,6 +12,7 @@ from .map_model import (
     evaluate,
     infinitesimal_holes,
     min_expansion,
+    postcritical_hierarchy,
     validate_hypotheses,
 )
 from .transfer_operator import (
@@ -28,10 +29,8 @@ from .spectral import (
     second_eigenpair,
 )
 from .bv_analysis import (
-    PostcriticalHierarchy,
     SaltusDecomposition,
     jump_decay_profile,
-    postcritical_hierarchy,
     saltus_decompose,
 )
 from .metastability import (
@@ -49,12 +48,11 @@ from .metastability import (
 __all__ = [
     "Branch", "HypothesisReport", "Interval", "PerturbationFamily", "PiecewiseMap",
     "branch_preimages", "distortion", "evaluate", "infinitesimal_holes",
-    "min_expansion", "validate_hypotheses",
+    "min_expansion", "postcritical_hierarchy", "validate_hypotheses",
     "DensityGrid", "LasotaYorkeConstants", "UlamMatrix",
     "build_ulam", "lasota_yorke_constants",
     "EscapeReport", "escape_rate", "invariant_density", "second_eigenpair",
-    "PostcriticalHierarchy", "SaltusDecomposition", "jump_decay_profile",
-    "postcritical_hierarchy", "saltus_decompose",
+    "SaltusDecomposition", "jump_decay_profile", "saltus_decompose",
     "HoleReport", "SweepRow", "analytic_lhr", "compute_holes",
     "convergence_study", "flux_balance", "hole_measures", "markov_stationary",
     "predict_mixture",

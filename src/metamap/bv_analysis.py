@@ -3,103 +3,22 @@
 Invariant densities of piecewise expanding maps are BV functions whose
 discontinuities sit on the forward orbit of the critical set, with jump sizes
 decaying geometrically in the orbit depth.  This module extracts the jump
-structure from a grid density (saltus/regular split), builds the postcritical
-point hierarchy, and checks the geometric decay of the jump tail sums.
+structure from a grid density (saltus/regular split), matches each jump to
+its depth in the postcritical hierarchy of :mod:`map_model`, and checks the
+geometric decay of the jump tail sums.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .map_model import MapModelError, PiecewiseMap, evaluate
 from .transfer_operator import DensityGrid, LasotaYorkeConstants
 
 JUMP_THRESHOLD_KAPPA = 5.0
 DECAY_SLACK = 1.1
-
-
-@dataclass(frozen=True)
-class PostcriticalPoint:
-    u: float
-    depth: int
-    generator: float   # the critical point whose orbit first reaches u
-
-
-@dataclass(frozen=True)
-class PostcriticalHierarchy:
-    """Forward images of the critical set, each with its minimal depth."""
-
-    map: PiecewiseMap
-    max_depth: int
-    points: tuple[PostcriticalPoint, ...]
-
-    def positions(self) -> np.ndarray:
-        return np.array([p.u for p in self.points])
-
-    def depth_near(self, x: float, tol: float) -> Optional[int]:
-        """Minimal depth among hierarchy points within tol of x, or None."""
-        best = None
-        for p in self.points:
-            if abs(p.u - x) <= tol and (best is None or p.depth < best):
-                best = p.depth
-        return best
-
-    def verify(self, tol: float = 1e-9) -> bool:
-        """Recompute each point as a forward image of its generator."""
-        for p in self.points:
-            reachable = {p.generator}
-            ok = False
-            for _ in range(p.depth):
-                nxt = set()
-                for x in reachable:
-                    nxt.update(evaluate(self.map, x))
-                reachable = nxt
-            ok = any(abs(v - p.u) <= tol for v in reachable)
-            if not ok:
-                return False
-        return True
-
-
-def postcritical_hierarchy(map_: PiecewiseMap, depth: int) -> PostcriticalHierarchy:
-    """Breadth-first forward images of all one-sided critical values.
-
-    Duplicates keep the minimal depth; enumeration stops early if the
-    postcritical set closes up.
-    """
-    if depth < 1:
-        raise MapModelError("depth must be >= 1")
-    tol = 1e-12
-    seen_pos: list[float] = []      # sorted positions for tolerance dedup
-    records: list[PostcriticalPoint] = []
-
-    def known(x: float) -> bool:
-        i = bisect.bisect_left(seen_pos, x)
-        for j in (i - 1, i):
-            if 0 <= j < len(seen_pos) and abs(seen_pos[j] - x) <= tol:
-                return True
-        return False
-
-    def remember(x: float, k: int, gen: float):
-        bisect.insort(seen_pos, x)
-        records.append(PostcriticalPoint(u=x, depth=k, generator=gen))
-
-    frontier = [(c, c) for c in map_.critical_set]
-    for k in range(1, depth + 1):
-        nxt: list[tuple[float, float]] = []
-        for x, gen in frontier:
-            for v in evaluate(map_, x):
-                if not known(v):
-                    remember(v, k, gen)
-                    nxt.append((v, gen))
-        if not nxt:
-            break
-        frontier = nxt
-    records.sort(key=lambda p: p.u)
-    return PostcriticalHierarchy(map=map_, max_depth=depth, points=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -144,7 +63,7 @@ class SaltusDecomposition:
                 fh.write(f"{j.location!r},{j.size!r},{depth}\n")
 
 
-def saltus_decompose(d: DensityGrid, hierarchy: PostcriticalHierarchy,
+def saltus_decompose(d: DensityGrid, hierarchy: dict[int, list[float]],
                      lip_bound: float,
                      kappa: float = JUMP_THRESHOLD_KAPPA) -> SaltusDecomposition:
     """Detect jumps of a grid density and split off the regular part.
@@ -153,8 +72,10 @@ def saltus_decompose(d: DensityGrid, hierarchy: PostcriticalHierarchy,
     exceeds kappa * lip_bound / n (a Lipschitz regular part only produces
     O(lip/n) differences).  Adjacent above-threshold boundaries are merged:
     the Ulam projection smears a step across the cell containing it, so the
-    two partial differences are summed and located at the larger one.  Jump
-    locations are then matched against hierarchy points within half a cell.
+    two partial differences are summed and located at the larger one.  The
+    depth of a jump is the first layer of ``hierarchy`` (see
+    :func:`map_model.postcritical_hierarchy`) with a point within half a cell
+    of it, or None when no layer has one.
     """
     if lip_bound <= 0:
         raise ValueError("lip_bound must be positive")
@@ -183,17 +104,19 @@ def saltus_decompose(d: DensityGrid, hierarchy: PostcriticalHierarchy,
     flush()
 
     half_cell = 0.5 / n
-    jumps = tuple(Jump(location=u, size=s,
-                       depth=hierarchy.depth_near(u, half_cell))
-                  for u, s in jumps_raw)
 
-    # Saltus part with the step kernel vanishing at the right endpoint: walk
-    # from the last cell leftward, absorbing exactly the above-threshold
-    # boundary differences, so regular + saltus reproduces the input and the
-    # regular part keeps only sub-threshold steps.
+    def depth(u: float) -> Optional[int]:
+        return next((k for k, pts in hierarchy.items()
+                     if any(abs(p - u) <= half_cell for p in pts)), None)
+
+    jumps = tuple(Jump(location=u, size=s, depth=depth(u)) for u, s in jumps_raw)
+
+    # Saltus part with the step kernel vanishing at the right endpoint: a sum
+    # from the last cell leftward of exactly the above-threshold boundary
+    # differences, so regular + saltus reproduces the input and the regular
+    # part keeps only sub-threshold steps.
     sal = np.zeros(n)
-    for i in range(n - 2, -1, -1):
-        sal[i] = sal[i + 1] - (diffs[i] if above[i] else 0.0)
+    sal[:-1] = -np.cumsum(np.where(above, diffs, 0.0)[::-1])[::-1]
     regular_vals = v - sal
     reg_diffs = np.abs(np.diff(regular_vals))
     lip_est = float(np.max(reg_diffs) * n) if n > 1 else 0.0
@@ -211,24 +134,17 @@ class DecayRow:
     passed: bool
 
 
-def jump_decay_profile(dec: SaltusDecomposition, hierarchy: PostcriticalHierarchy,
-                       ly: LasotaYorkeConstants, m_max: int,
-                       slack: float = DECAY_SLACK) -> list[DecayRow]:
+def jump_decay_profile(dec: SaltusDecomposition, ly: LasotaYorkeConstants,
+                       m_max: int, slack: float = DECAY_SLACK) -> list[DecayRow]:
     """Tail sums of jump sizes beyond each depth m against lam^-m * C_LY.
 
-    Depths recorded in the decomposition are used as-is; jumps still
-    unmatched after a second look at the hierarchy have no certified depth
-    and are counted in every tail, so misattribution can only make the check
-    harder to pass.
+    Unmatched jumps have no certified depth and are counted in every tail, so
+    misattribution can only make the check harder to pass.
     """
-    half_cell = 0.5 / dec.regular.n
-    depths = [j.depth if j.depth is not None
-              else hierarchy.depth_near(j.location, half_cell)
-              for j in dec.jumps]
     rows = []
     for m in range(m_max + 1):
-        tail = sum(abs(j.size) for j, dep in zip(dec.jumps, depths)
-                   if dep is None or dep > m)
+        tail = sum(abs(j.size) for j in dec.jumps
+                   if j.depth is None or j.depth > m)
         bound = ly.lam ** (-m) * ly.C_LY
         rows.append(DecayRow(m=m, tail=tail, bound=bound,
                              passed=tail <= slack * bound))

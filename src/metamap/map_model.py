@@ -97,11 +97,6 @@ class Branch:
             return self.slope * x + self.intercept
         return self.f(x)
 
-    def derivative(self, x: float) -> float:
-        if self.is_affine:
-            return self.slope
-        return self.df(x)
-
     @property
     def orientation(self) -> int:
         """+1 for increasing branches, -1 for decreasing."""
@@ -289,10 +284,12 @@ def _dedup(points: list[float], tol: float = ENDPOINT_TOL) -> list[float]:
     return out
 
 
-def postcritical_points(map_: PiecewiseMap, depth: int) -> dict[int, list[float]]:
+def postcritical_hierarchy(map_: PiecewiseMap, depth: int) -> dict[int, list[float]]:
     """Forward images of the critical set, keyed by iteration count 1..depth.
 
-    Bi-valued points contribute both one-sided images at every step.
+    Bi-valued points contribute both one-sided images at every step.  Each
+    layer is sorted and deduplicated to 1e-12 on its own, so a point's orbit
+    depth is the first layer that holds it.
     """
     if depth < 1:
         raise MapModelError("depth must be >= 1")
@@ -418,7 +415,7 @@ def validate_hypotheses(family: PerturbationFamily, depth: int = 8,
         diags.append(f"setup fails: {exc}")
 
     passes_i2 = True
-    layers = postcritical_points(T0, depth)
+    layers = postcritical_hierarchy(T0, depth)
     for k, pts in layers.items():
         for p in pts:
             d = min((abs(p - h) for h in holes), default=math.inf)

@@ -36,8 +36,6 @@ class HoleReport:
 
     H_l: tuple[Interval, ...]
     H_r: tuple[Interval, ...]
-    leb_l: float
-    leb_r: float
     warnings: tuple[str, ...] = ()
     mu_l_Hl: Optional[float] = None
     mu_r_Hr: Optional[float] = None
@@ -100,8 +98,6 @@ def compute_holes(map_eps: PiecewiseMap, b: float) -> HoleReport:
     _check_hole_geometry(map_eps, b, H_l, H_r)
     return HoleReport(H_l=tuple(sorted(H_l, key=lambda iv: iv.lo)),
                       H_r=tuple(sorted(H_r, key=lambda iv: iv.lo)),
-                      leb_l=sum(iv.length for iv in H_l),
-                      leb_r=sum(iv.length for iv in H_r),
                       warnings=tuple(warnings))
 
 
@@ -204,21 +200,21 @@ def flux_balance(phi_eps: DensityGrid, report: HoleReport) -> float:
     return abs(mu_l - mu_r)
 
 
-def ergodic_densities(family: PerturbationFamily, n: int,
+def ergodic_densities(family: PerturbationFamily, P0: UlamMatrix,
                       tol: float = 1e-10) -> tuple[DensityGrid, DensityGrid]:
-    """The eps=0 ergodic densities phi_l, phi_r on the full grid.
+    """The eps=0 ergodic densities phi_l, phi_r on the grid of ``P0``.
 
-    Families declaring Lebesgue halves get the exact normalized restrictions;
-    otherwise each density is the power-iteration limit of the base Ulam
-    matrix started from the half indicator (the half is invariant, so the
-    iterates stay supported there).
+    ``P0`` is the Ulam matrix of ``family.base``.  Families declaring
+    Lebesgue halves get the exact normalized restrictions; otherwise each
+    density is the power-iteration limit of ``P0`` started from the half
+    indicator (the half is invariant, so the iterates stay supported there).
     """
+    n = P0.n
     b = family.boundary_b
     Il, Ir = Interval(0.0, b), Interval(b, 1.0)
     if family.lebesgue_halves:
         return (DensityGrid.indicator(Il, n, normalize=True),
                 DensityGrid.indicator(Ir, n, normalize=True))
-    P0 = build_ulam(family.base, n)
     out = []
     for half in (Il, Ir):
         start = DensityGrid.indicator(half, n, normalize=True).values
@@ -295,7 +291,7 @@ def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
     b = family.boundary_b
     I_l, I_r = Interval(0.0, b), Interval(b, 1.0)
     P0 = build_ulam(family.base, n)
-    phi_l, phi_r = ergodic_densities(family, n, tol)
+    phi_l, phi_r = ergodic_densities(family, P0, tol)
     half_diff = DensityGrid(n, 0.5 * (phi_l.values - phi_r.values))
     if family.hole_coefficients:
         lhr = analytic_lhr(family, phi_l, phi_r)

@@ -21,9 +21,8 @@ import os
 
 import numpy as np
 
-from .bv_analysis import (jump_decay_profile, postcritical_hierarchy,
-                          saltus_decompose)
-from .map_model import validate_hypotheses
+from .bv_analysis import jump_decay_profile, saltus_decompose
+from .map_model import postcritical_hierarchy, validate_hypotheses
 from .metastability import (SweepRow, markov_stationary, prepare_sweep,
                             run_sweep_row)
 from .numfmt import format_unique
@@ -118,31 +117,26 @@ def _run_family(scn: Scenario, log) -> int:
 
     results = [run_sweep_row(ctx, e) for e in scn.eps_list]
     rows = [r for r, _ in results]
+    arts = [art for _, art in results if art is not None]
 
     saltus_rows = {}
     if scn.run_saltus:
-        try:
-            ly0 = lasota_yorke_constants(fam.base)
-        except UnsupportedRegimeError as exc:
-            log(f"saltus analysis skipped: {exc}")
-            ly0 = None
-        if ly0 is not None:
-            for row, art in results:
-                if art is None:
-                    continue
+        for art in arts:
+            try:
                 ly = lasota_yorke_constants(art.map_eps, base=fam.base)
-                hier = postcritical_hierarchy(art.map_eps, 6)
-                dec = saltus_decompose(art.phi, hier, lip_bound=ly.C_LY)
-                dec.write_csv(os.path.join(scn.out_dir, f"saltus_{art.eps:g}.csv"))
-                saltus_rows[art.eps] = {
-                    "jumps": len(dec.jumps),
-                    "unmatched": len(dec.unmatched()),
-                    "lipschitz_estimate": dec.lipschitz_estimate,
-                    "decay": [dataclasses.asdict(r) for r in
-                              jump_decay_profile(dec, hier, ly, 4)],
-                }
+            except UnsupportedRegimeError as exc:
+                log(f"saltus analysis skipped at eps={art.eps:g}: {exc}")
+                continue
+            dec = saltus_decompose(art.phi, postcritical_hierarchy(art.map_eps, 6),
+                                   lip_bound=ly.C_LY)
+            dec.write_csv(os.path.join(scn.out_dir, f"saltus_{art.eps:g}.csv"))
+            saltus_rows[art.eps] = {
+                "jumps": len(dec.jumps),
+                "unmatched": len(dec.unmatched()),
+                "lipschitz_estimate": dec.lipschitz_estimate,
+                "decay": [dataclasses.asdict(r) for r in jump_decay_profile(dec, ly, 4)],
+            }
 
-    arts = [art for _, art in results if art is not None]
     if arts:
         x_col = format_unique(_cell_centers(ctx.mixture.n), repr)
         mixture_col = format_unique(ctx.mixture.values, repr)

@@ -294,13 +294,16 @@ def lasota_yorke_constants(map_: PiecewiseMap,
 
     When ``base`` is given (a perturbation family's unperturbed map), the
     iterated constant C_LY is anchored to the base map's one-step constant so
-    the same bound serves the whole family.
+    the same bound serves the whole family; the base map must then have min
+    expansion > 2 too.
     """
     lam = min_expansion(map_)
-    if lam <= 2.0:
-        raise UnsupportedRegimeError(
-            f"min expansion {lam} <= 2: uniform variation bounds would need the "
-            "no-periodic-critical-points analysis, which is not implemented")
+    base_lam = lam if base is None else min_expansion(base)
+    for label, value in (("min expansion", lam), ("base map's min expansion", base_lam)):
+        if value <= 2.0:
+            raise UnsupportedRegimeError(
+                f"{label} {value} <= 2: uniform variation bounds would need the "
+                "no-periodic-critical-points analysis, which is not implemented")
     dist = distortion(map_)
     widths = [b.domain.hi - b.domain.lo for b in map_.branches]
     c_eps = variation_inflation_constant(lam, dist, min(widths))
@@ -308,7 +311,6 @@ def lasota_yorke_constants(map_: PiecewiseMap,
     if base is None:
         c0 = c_eps
     else:
-        base_lam = min_expansion(base)
         base_widths = [b.domain.hi - b.domain.lo for b in base.branches]
         c0 = variation_inflation_constant(base_lam, distortion(base), min(base_widths))
     return LasotaYorkeConstants(lam=lam, distortion=dist, C_eps=c_eps,

@@ -8,10 +8,9 @@ once in a session fixture and shared across criteria.
 import numpy as np
 import pytest
 
-from metamap.bv_analysis import (jump_decay_profile, postcritical_hierarchy,
-                                 saltus_decompose)
+from metamap.bv_analysis import jump_decay_profile, saltus_decompose
 from metamap.families import family_a, family_b
-from metamap.map_model import Interval
+from metamap.map_model import Interval, postcritical_hierarchy
 from metamap.metastability import (compute_holes, hole_measures,
                                    markov_stationary, predict_mixture,
                                    ergodic_densities)
@@ -105,7 +104,7 @@ def test_criterion_7_boundary_violation_family():
     n, eps = 3840, 0.01
     P = build_ulam(fam.instantiate(eps), n)
     phi = invariant_density(P, tol=1e-10).phi
-    phi_l, phi_r = ergodic_densities(fam, n)
+    phi_l, phi_r = ergodic_densities(fam, build_ulam(fam.base, n))
     d_right = phi.l1_distance(phi_r)
     _, mixture = predict_mixture(1 / 3, phi_l, phi_r)
     d_mix = phi.l1_distance(mixture)
@@ -133,7 +132,7 @@ def test_criterion_8_jump_decay():
     dec = saltus_decompose(phi, hier, lip_bound=ly.C_LY)
     assert dec.jumps and not dec.unmatched()
     assert all(j.depth <= 6 for j in dec.jumps)
-    rows = jump_decay_profile(dec, hier, ly, 4)
+    rows = jump_decay_profile(dec, ly, 4)
     for r in rows:
         assert r.tail <= 1.1 * 3.0 ** (-r.m) * 72.0, (r.m, r.tail)
     report("criterion-8",

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from metamap.bv_analysis import (jump_decay_profile, postcritical_hierarchy,
-                                 saltus_decompose)
-from metamap.map_model import MapModelError, evaluate
+from metamap.bv_analysis import jump_decay_profile, saltus_decompose
+from metamap.map_model import MapModelError, evaluate, postcritical_hierarchy
 from metamap.spectral import invariant_density
 from metamap.transfer_operator import (DensityGrid, build_ulam,
                                        lasota_yorke_constants)
@@ -33,17 +32,25 @@ def test_sup_bounded_by_l1_plus_tv():
         assert np.max(np.abs(d.values)) <= d.l1_norm() + d.total_variation() + 1e-12
 
 
+def first_depths(hier, digits):
+    """Each rounded point of a layered hierarchy with the first layer holding it."""
+    out = {}
+    for k, pts in hier.items():
+        for p in pts:
+            out.setdefault(round(p, digits), k)
+    return out
+
+
 def test_hierarchy_family_a_base(fam_a):
     hier = postcritical_hierarchy(fam_a.base, 5)
-    got = {round(p.u, 12): p.depth for p in hier.points}
-    assert got == {0.0: 1, 0.5: 1, 1.0: 1}
+    assert first_depths(hier, 12) == {0.0: 1, 0.5: 1, 1.0: 1}
 
 
 def test_hierarchy_family_a_perturbed_membership(fam_a):
     eps = 0.01
     T = fam_a.instantiate(eps)
     hier = postcritical_hierarchy(T, 3)
-    pos = {round(p.u, 9): p.depth for p in hier.points}
+    pos = first_depths(hier, 9)
     assert pos[round(3 * eps, 9)] == 1            # branch-2 bottom value
     assert pos[round(0.5 + 3 * eps, 9)] == 1      # branch-2 top value
     assert pos[round(0.5 - eps, 9)] == 1          # branch-5 bottom value
@@ -59,9 +66,14 @@ def test_hierarchy_depth_below_one_rejected(fam_a):
 
 def test_hierarchy_forward_recomputation(fam_a, fam_b):
     for fam in (fam_a, fam_b):
-        hier = postcritical_hierarchy(fam.instantiate(0.01), 6)
-        assert hier.verify(tol=1e-9)
-        assert all(p.depth >= 1 for p in hier.points)
+        T = fam.instantiate(0.01)
+        hier = postcritical_hierarchy(T, 6)
+        assert list(hier) == [1, 2, 3, 4, 5, 6]
+        prev = T.critical_set
+        for pts in hier.values():
+            images = [v for x in prev for v in evaluate(T, x)]
+            assert all(min(abs(v - p) for v in images) <= 1e-9 for p in pts)
+            prev = pts
 
 
 def test_pure_step_decomposition(fam_a):
@@ -116,9 +128,10 @@ def test_family_a_jumps_sit_on_postcritical_points(aligned_decomposition):
     assert len(dec.jumps) >= 5
     assert not dec.unmatched()
     half_cell = 0.5 / ALIGNED_N
-    positions = hier.positions()
     for j in dec.jumps:
-        assert np.min(np.abs(positions - j.location)) <= half_cell
+        assert np.min(np.abs(np.array(hier[j.depth]) - j.location)) <= half_cell
+        assert all(np.min(np.abs(np.array(hier[k]) - j.location)) > half_cell
+                   for k in range(1, j.depth))
 
 
 def test_family_a_step_levels_are_exact(aligned_decomposition):
@@ -155,7 +168,7 @@ def test_tv_split_inequality(aligned_decomposition):
 
 def test_jump_decay_profile_family_a(aligned_decomposition):
     _, _, _, ly, hier, dec = aligned_decomposition
-    rows = jump_decay_profile(dec, hier, ly, 4)
+    rows = jump_decay_profile(dec, ly, 4)
     assert [r.m for r in rows] == [0, 1, 2, 3, 4]
     for r in rows:
         assert r.bound == pytest.approx(3.0 ** (-r.m) * 72.0, rel=1e-9)
@@ -167,7 +180,7 @@ def test_decay_profile_no_jumps(fam_a):
     hier = postcritical_hierarchy(fam_a.base, 3)
     ly = lasota_yorke_constants(fam_a.base)
     dec = saltus_decompose(DensityGrid.uniform(48), hier, lip_bound=1.0)
-    rows = jump_decay_profile(dec, hier, ly, 3)
+    rows = jump_decay_profile(dec, ly, 3)
     assert all(r.tail == 0.0 and r.passed for r in rows)
 
 

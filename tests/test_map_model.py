@@ -7,7 +7,7 @@ from metamap.map_model import (Branch, HypothesisViolation, MapModelError,
                                PerturbationFamily, PiecewiseMap,
                                branch_preimages, distortion, evaluate,
                                infinitesimal_holes, min_expansion,
-                               postcritical_points, validate_hypotheses)
+                               postcritical_hierarchy, validate_hypotheses)
 from metamap.transfer_operator import DensityGrid
 from metamap.families import doubling_map
 
@@ -170,7 +170,7 @@ def test_validate_family_a_passes(fam_a):
     report = validate_hypotheses(fam_a, depth=8)
     assert report.passes_I2 and report.passes_I4a and report.passes_P2
     assert report.min_expansion == 3.0 and report.distortion == 0.0
-    layers = postcritical_points(fam_a.base, 8)
+    layers = postcritical_hierarchy(fam_a.base, 8)
     every = sorted({p for pts in layers.values() for p in pts})
     assert np.allclose(every, [0.0, 0.5, 1.0], atol=1e-12)
 

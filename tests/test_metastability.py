@@ -10,7 +10,7 @@ from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
                                    markov_stationary, predict_mixture,
                                    prepare_sweep, run_sweep_row)
 from metamap.spectral import invariant_density
-from metamap.transfer_operator import DensityGrid
+from metamap.transfer_operator import DensityGrid, build_ulam
 
 
 def lebesgue_halves(n):
@@ -28,8 +28,8 @@ def test_holes_family_a_closed_form(fam_a):
     assert hl.hi == pytest.approx(1 / 3, abs=1e-12)
     assert hr.lo == pytest.approx(2 / 3, abs=1e-12)
     assert hr.hi == pytest.approx(2 / 3 + eps / 3, abs=1e-12)
-    assert rep.leb_l == pytest.approx(eps, abs=1e-12)
-    assert rep.leb_r == pytest.approx(eps / 3, abs=1e-12)
+    assert sum(iv.length for iv in rep.H_l) == pytest.approx(eps, abs=1e-12)
+    assert sum(iv.length for iv in rep.H_r) == pytest.approx(eps / 3, abs=1e-12)
     assert rep.warnings == ()
 
 
@@ -37,15 +37,14 @@ def test_holes_empty_at_eps_zero(fam_a, fam_b):
     for fam in (fam_a, fam_b):
         rep = compute_holes(fam.base, 0.5)
         assert rep.H_l == () and rep.H_r == ()
-        assert rep.leb_l == 0.0 and rep.leb_r == 0.0
 
 
 def test_holes_family_b_three_pieces_each_side(fam_b):
     eps = 0.01
     rep = compute_holes(fam_b.instantiate(eps), 0.5)
     assert len(rep.H_l) == 3 and len(rep.H_r) == 3
-    assert rep.leb_l == pytest.approx(0.03, abs=1e-12)
-    assert rep.leb_r == pytest.approx(0.01, abs=1e-12)
+    assert sum(iv.length for iv in rep.H_l) == pytest.approx(0.03, abs=1e-12)
+    assert sum(iv.length for iv in rep.H_r) == pytest.approx(0.01, abs=1e-12)
     assert any("touches the boundary" in w for w in rep.warnings)
 
 
@@ -78,8 +77,7 @@ def test_hole_measures_family_a(fam_a):
 
 
 def test_hole_measures_symmetric_ratio_one():
-    rep = HoleReport(H_l=(Interval(0.2, 0.21),), H_r=(Interval(0.79, 0.8),),
-                     leb_l=0.01, leb_r=0.01)
+    rep = HoleReport(H_l=(Interval(0.2, 0.21),), H_r=(Interval(0.79, 0.8),))
     phi_l, phi_r = lebesgue_halves(400)
     done = hole_measures(rep, phi_l, phi_r)
     assert done.ratio == pytest.approx(1.0, abs=1e-9)
@@ -87,11 +85,10 @@ def test_hole_measures_symmetric_ratio_one():
 
 def test_hole_measures_degenerate_errors():
     phi_l, phi_r = lebesgue_halves(100)
-    empty = HoleReport(H_l=(), H_r=(), leb_l=0.0, leb_r=0.0)
+    empty = HoleReport(H_l=(), H_r=())
     with pytest.raises(MapModelError):
         hole_measures(empty, phi_l, phi_r)
-    right_only = HoleReport(H_l=(), H_r=(Interval(0.7, 0.72),),
-                            leb_l=0.0, leb_r=0.02)
+    right_only = HoleReport(H_l=(), H_r=(Interval(0.7, 0.72),))
     with pytest.raises(MapModelError):
         hole_measures(right_only, phi_l, phi_r)
 
@@ -175,12 +172,29 @@ def test_flux_balance_zero_for_empty_holes(fam_a):
 def test_ergodic_densities_closed_form_matches_computed(fam_a):
     import dataclasses
     n = 768
-    phi_l_exact, phi_r_exact = ergodic_densities(fam_a, n)
+    P0 = build_ulam(fam_a.base, n)
+    phi_l_exact, phi_r_exact = ergodic_densities(fam_a, P0)
     computed_fam = dataclasses.replace(fam_a, lebesgue_halves=False)
-    phi_l_num, phi_r_num = ergodic_densities(computed_fam, n)
+    phi_l_num, phi_r_num = ergodic_densities(computed_fam, P0)
     assert phi_l_exact.l1_distance(phi_l_num) <= 1e-8
     assert phi_r_exact.l1_distance(phi_r_num) <= 1e-8
     assert phi_l_num.integrate(0, 0.5) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_prepare_sweep_assembles_base_matrix_once(fam_a, monkeypatch):
+    import dataclasses
+    import metamap.metastability as ms
+    sizes = []
+
+    def counting_build_ulam(map_, n):
+        sizes.append(n)
+        return build_ulam(map_, n)
+
+    monkeypatch.setattr(ms, "build_ulam", counting_build_ulam)
+    computed_fam = dataclasses.replace(fam_a, lebesgue_halves=False)
+    ctx = prepare_sweep(computed_fam, [0.01], 384)
+    assert sizes == [384]
+    assert ctx.phi_l.integrate(0, 0.5) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_convergence_study_small_grid(fam_a):

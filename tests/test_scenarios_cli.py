@@ -9,6 +9,7 @@ import pytest
 import metamap
 from metamap.cli import main
 from metamap.families import DEFAULT_EPS_LIST
+from metamap.metastability import markov_stationary
 from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
                                load_scenario, suggested_grid_n)
 
@@ -142,6 +143,37 @@ def test_cli_validate_family_b(capsys):
     out = capsys.readouterr().out
     assert "P2: FAIL" in out
     assert "I4a: pass" in out
+
+
+def test_cli_validate_markov_scenario(capsys):
+    assert main(["validate", "--scenario", "builtin:markov2"]) == 0
+    assert "markov scenarios have no map hypotheses to validate" in capsys.readouterr().out
+
+
+def test_cli_run_markov_scenario(tmp_path):
+    out = tmp_path / "markov"
+    assert main(["run", "--scenario", "builtin:markov2", "--out", str(out)]) == 0
+    alpha, rho = markov_stationary(0.01, 0.03)
+    assert (out / "markov.csv").read_text().splitlines() == [
+        "eps_lr,eps_rl,alpha,rho", f"0.01,0.03,{alpha!r},{rho!r}"]
+
+
+def test_cli_run_skips_saltus_only_at_eps_below_expansion_two(tmp_path, capsys):
+    # the first branch's slope 3 - 60 eps is 1.8 at eps = 0.02 and 2.4 at
+    # 0.01: the variation bounds exist at 0.01 only, and both rows succeed
+    branches = [dict(b) for b in FAMILY_A_JSON["branches"]]
+    branches[0]["slope_eps"] = -60
+    path = write_scenario(tmp_path, dict(FAMILY_A_JSON, branches=branches,
+                                         eps_list=[0.02, 0.01], grid_n=1200))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+    assert "saltus analysis skipped at eps=0.02: min expansion 1.8" in capsys.readouterr().out
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+    payload = json.loads((out / "sweep.json").read_text())
+    assert [r["error"] for r in payload["rows"]] == [None, None]
+    assert list(payload["saltus"]) == ["0.01"]
+    assert (out / "saltus_0.01.csv").exists()
+    assert not (out / "saltus_0.02.csv").exists()
 
 
 def test_cli_run_small_scenario_and_determinism(tmp_path, capsys):

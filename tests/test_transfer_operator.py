@@ -287,9 +287,11 @@ def test_ly_constant_independent_of_lambda_for_affine():
             == variation_inflation_constant(7.0, 0.0, 0.25))
 
 
-def test_ly_rejects_min_expansion_two():
+def test_ly_rejects_min_expansion_two(fam_a):
     with pytest.raises(UnsupportedRegimeError):
         lasota_yorke_constants(doubling_map())
+    with pytest.raises(UnsupportedRegimeError, match="base map"):
+        lasota_yorke_constants(fam_a.base, base=doubling_map())
 
 
 def test_ly_base_anchoring(fam_a):
