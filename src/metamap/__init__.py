@@ -23,7 +23,6 @@ from .transfer_operator import (
     lasota_yorke_constants,
 )
 from .spectral import (
-    EscapeReport,
     escape_rate,
     invariant_density,
     second_eigenpair,
@@ -51,7 +50,7 @@ __all__ = [
     "min_expansion", "postcritical_hierarchy", "validate_hypotheses",
     "DensityGrid", "LasotaYorkeConstants", "UlamMatrix",
     "build_ulam", "lasota_yorke_constants",
-    "EscapeReport", "escape_rate", "invariant_density", "second_eigenpair",
+    "escape_rate", "invariant_density", "second_eigenpair",
     "SaltusDecomposition", "jump_decay_profile", "saltus_decompose",
     "HoleReport", "SweepRow", "analytic_lhr", "compute_holes",
     "convergence_study", "flux_balance", "hole_measures", "markov_stationary",

@@ -49,9 +49,6 @@ class SaltusDecomposition:
     def jump_mass_in(self, lo: float, hi: float) -> float:
         return sum(abs(j.size) for j in self.jumps if lo <= j.location <= hi)
 
-    def total_jump_mass(self) -> float:
-        return sum(abs(j.size) for j in self.jumps)
-
     def unmatched(self) -> tuple[Jump, ...]:
         return tuple(j for j in self.jumps if not j.matched)
 

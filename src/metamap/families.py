@@ -70,11 +70,6 @@ def family_b() -> PerturbationFamily:
     )
 
 
-def doubling_map() -> PiecewiseMap:
-    """2x mod 1; minimum expansion exactly 2 (outside the lam > 2 regime)."""
-    return _affine_map([("0", "1/2", 2, "0"), ("1/2", "1", 2, "-1")])
-
-
 def get_family(name: str) -> PerturbationFamily:
     if name == "family_a":
         return family_a()

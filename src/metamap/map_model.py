@@ -393,7 +393,8 @@ def validate_hypotheses(family: PerturbationFamily, depth: int = 8,
       at distance > tol from the infinitesimal holes;
     * expansion: min |T'| > 2;
     * boundary: either the boundary point is critical with a genuine one-sided
-      gap across it, or it is a fixed point of every instantiation;
+      gap across it, or it is a fixed point of every instantiation (probed at
+      eps = 0.01 and 0.001, skipping a probe whose map is not admissible);
     * hole positivity (only when phi_l/phi_r grids are supplied): the ergodic
       densities are positive at the infinitesimal holes.
 
@@ -452,12 +453,22 @@ def validate_hypotheses(family: PerturbationFamily, depth: int = 8,
         vals0 = evaluate(T0, b)
         passes_p2 = len(vals0) == 1 and abs(vals0[0] - b) <= tol
         if passes_p2:
+            probed = False
             for eps in (1e-2, 1e-3):
-                veps = evaluate(family.instantiate(eps), b)
+                # a probe eps beyond the family's admissible range says
+                # nothing about the eps a scenario runs at
+                try:
+                    map_eps = family.instantiate(eps)
+                except MapModelError as exc:
+                    diags.append(f"(P2a) not checked at eps={eps}: {exc}")
+                    continue
+                probed = True
+                veps = evaluate(map_eps, b)
                 if len(veps) != 1 or abs(veps[0] - b) > tol:
                     passes_p2 = False
                     diags.append(f"(P2a) fails: T_eps(b) != b at eps={eps}")
                     break
+            passes_p2 = passes_p2 and probed
         else:
             diags.append(f"(P2a) fails: T0(b)={vals0} but b={b} is not critical")
 

@@ -254,7 +254,6 @@ class SweepContext:
     family: PerturbationFamily
     n: int
     tol: float
-    with_escape: bool
     I_l: Interval
     I_r: Interval
     P0: UlamMatrix
@@ -277,11 +276,10 @@ class EpsArtifacts:
     P: UlamMatrix
     phi: DensityGrid
     psi: Optional[DensityGrid]
-    holes: HoleReport
 
 
 def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
-                  tol: float = 1e-10, with_escape: bool = True) -> SweepContext:
+                  tol: float = 1e-10) -> SweepContext:
     """Build the eps=0 context and fix the predicted mixture weight.
 
     The mixture weight comes from the declared first-order hole coefficients
@@ -301,7 +299,7 @@ def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
                               phi_l, phi_r)
         lhr = holes.ratio
     alpha, mixture = predict_mixture(lhr, phi_l, phi_r)
-    return SweepContext(family=family, n=n, tol=tol, with_escape=with_escape,
+    return SweepContext(family=family, n=n, tol=tol,
                         I_l=I_l, I_r=I_r, P0=P0, phi_l=phi_l, phi_r=phi_r,
                         half_diff=half_diff, alpha_pred=alpha, mixture=mixture)
 
@@ -322,10 +320,8 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
             l1_psi = psi.l1_distance(ctx.half_diff)
         else:
             warnings.append("leading eigenvalue not simple; second pair skipped")
-        esc_l = esc_r = None
-        if ctx.with_escape:
-            esc_l = _escape_side(ctx, holes.H_l, ctx.I_l, holes.mu_l_Hl, warnings)
-            esc_r = _escape_side(ctx, holes.H_r, ctx.I_r, holes.mu_r_Hr, warnings)
+        esc_l = _escape_side(ctx, holes.H_l, ctx.I_l, holes.mu_l_Hl, warnings)
+        esc_r = _escape_side(ctx, holes.H_r, ctx.I_r, holes.mu_r_Hr, warnings)
         row = SweepRow(eps=eps,
                        lhr_emp=holes.ratio,
                        alpha_pred=ctx.alpha_pred,
@@ -338,8 +334,7 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
                        mu_Il=phi.integrate(0.0, ctx.family.boundary_b),
                        leading_simple=inv.leading_simple,
                        warnings=tuple(warnings))
-        return row, EpsArtifacts(eps=eps, map_eps=map_eps, P=P, phi=phi,
-                                 psi=psi, holes=holes)
+        return row, EpsArtifacts(eps=eps, map_eps=map_eps, P=P, phi=phi, psi=psi)
     except (MapModelError, SolverError, DegenerateSpectrumError, ValueError) as exc:
         return SweepRow(eps=eps, warnings=tuple(warnings), error=str(exc)), None
 
@@ -355,12 +350,12 @@ def _escape_side(ctx: SweepContext, pieces, half: Interval,
         ctx.halves[half] = restrict_invariant(ctx.P0, half)
     sub, Q = ctx.halves[half]
     # a half's cells are consecutive, so Q's cell i is cell sub[0] + i
-    rep = escape_rate(Q, cells - sub[0], Interval(0.0, 1.0), hole_measure=mu_star)
-    return rep.ratio
+    rate = escape_rate(Q, cells - sub[0])
+    return mu_star / rate if rate > 0.0 else math.inf
 
 
 def convergence_study(family: PerturbationFamily, eps_list, n: int,
-                      tol: float = 1e-10, with_escape: bool = True) -> list[SweepRow]:
+                      tol: float = 1e-10) -> list[SweepRow]:
     """Sweep decreasing eps values through the full pipeline.
 
     Rows are ordered like eps_list; a failed eps carries an error string
@@ -373,5 +368,5 @@ def convergence_study(family: PerturbationFamily, eps_list, n: int,
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    ctx = prepare_sweep(family, eps_list, n, tol=tol, with_escape=with_escape)
+    ctx = prepare_sweep(family, eps_list, n, tol=tol)
     return [run_sweep_row(ctx, eps)[0] for eps in eps_list]

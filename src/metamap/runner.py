@@ -111,8 +111,7 @@ def _run_family(scn: Scenario, log) -> int:
     log(f"hypotheses: I2={report.passes_I2} I4a={report.passes_I4a} "
         f"P2={report.passes_P2} (details in {hyp_path})")
 
-    ctx = prepare_sweep(fam, scn.eps_list, scn.grid_n,
-                        with_escape=scn.run_escape_rates)
+    ctx = prepare_sweep(fam, scn.eps_list, scn.grid_n)
     log(f"alpha_pred = {ctx.alpha_pred!r} on n = {scn.grid_n}")
 
     results = [run_sweep_row(ctx, e) for e in scn.eps_list]
@@ -120,22 +119,21 @@ def _run_family(scn: Scenario, log) -> int:
     arts = [art for _, art in results if art is not None]
 
     saltus_rows = {}
-    if scn.run_saltus:
-        for art in arts:
-            try:
-                ly = lasota_yorke_constants(art.map_eps, base=fam.base)
-            except UnsupportedRegimeError as exc:
-                log(f"saltus analysis skipped at eps={art.eps:g}: {exc}")
-                continue
-            dec = saltus_decompose(art.phi, postcritical_hierarchy(art.map_eps, 6),
-                                   lip_bound=ly.C_LY)
-            dec.write_csv(os.path.join(scn.out_dir, f"saltus_{art.eps:g}.csv"))
-            saltus_rows[art.eps] = {
-                "jumps": len(dec.jumps),
-                "unmatched": len(dec.unmatched()),
-                "lipschitz_estimate": dec.lipschitz_estimate,
-                "decay": [dataclasses.asdict(r) for r in jump_decay_profile(dec, ly, 4)],
-            }
+    for art in arts:
+        try:
+            ly = lasota_yorke_constants(art.map_eps, base=fam.base)
+        except UnsupportedRegimeError as exc:
+            log(f"saltus analysis skipped at eps={art.eps:g}: {exc}")
+            continue
+        dec = saltus_decompose(art.phi, postcritical_hierarchy(art.map_eps, 6),
+                               lip_bound=ly.C_LY)
+        dec.write_csv(os.path.join(scn.out_dir, f"saltus_{art.eps:g}.csv"))
+        saltus_rows[art.eps] = {
+            "jumps": len(dec.jumps),
+            "unmatched": len(dec.unmatched()),
+            "lipschitz_estimate": dec.lipschitz_estimate,
+            "decay": [dataclasses.asdict(r) for r in jump_decay_profile(dec, ly, 4)],
+        }
 
     if arts:
         x_col = format_unique(_cell_centers(ctx.mixture.n), repr)

@@ -1,7 +1,7 @@
 """Declarative scenario files and built-in scenarios.
 
 A scenario bundles a perturbation family with the sweep parameters (eps list,
-grid size, toggles, output directory).  Files are JSON; geometry fields are
+grid size, output directory).  Files are JSON; geometry fields are
 exact rationals written as strings ("1/6", "0.25") or numbers, converted to
 floats on load.  Builtins are referenced as "builtin:family_a",
 "builtin:family_b" or "builtin:markov2".
@@ -37,8 +37,6 @@ class Scenario:
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
     grid_n: int = DEFAULT_GRID_N
     hypothesis_depth: int = 8
-    run_escape_rates: bool = True
-    run_saltus: bool = True
     out_dir: str = "out"
     warnings: list[str] = field(default_factory=list)
 
@@ -198,10 +196,6 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
             eps_list = normalize_eps(eps_list)
         except ScenarioError as exc:
             errors.extend(exc.errors)
-    run_cfg = data.get("run", {})
-    if not isinstance(run_cfg, dict):
-        errors.append("run: expected an object of toggles")
-        run_cfg = {}
 
     if errors or family is None:
         if family is None and not errors:
@@ -216,8 +210,6 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
                    eps_list=tuple(float(e) for e in eps_list),
                    grid_n=grid_n,
                    hypothesis_depth=int(data.get("hypothesis_depth", 8)),
-                   run_escape_rates=bool(run_cfg.get("escape_rates", True)),
-                   run_saltus=bool(run_cfg.get("saltus", True)),
                    out_dir=str(data.get("out_dir", "out")))
     check_grid(scn)
     return scn

@@ -12,9 +12,9 @@ two-block aggregation for the invariant density (the mass of the blocks
 between them, so nearly decomposable matrices converge at the within-block
 rate instead of at rho_eps -> 1), plain mass renormalization
 (``power_fixed_density``, and the invariant density's retry when the
-aggregated run stalls) for the eps=0 ergodic densities and closed-system
-hole measures, deflation against the invariant density for the second
-eigenpair, and a hole mask with mean-1 renormalization for escape rates.
+aggregated run stalls) for the eps=0 ergodic densities, deflation against
+the invariant density for the second eigenpair, and a hole mask with
+mean-1 renormalization for escape rates.
 ``invariant_density`` runs the density kernel once and then the deflated
 one, from a start with a seeded generic component, and is the one owner of
 the second pair: a second eigenvalue within 10*tol of 1 means eigenvalue 1
@@ -397,73 +397,43 @@ def _second_eigenpair_dense(P: UlamMatrix, phi_v: np.ndarray,
     return lam2.real, psi
 
 
-@dataclass(frozen=True)
-class EscapeReport:
-    """Escape rate of an open system next to the measure of its hole."""
-
-    rate: float
-    hole_measure: float
-    ratio: float
-    eigenvalue: float
-
-
 def restrict_invariant(P: UlamMatrix, sub_domain: Interval) -> tuple[np.ndarray, UlamMatrix]:
     """The cells of ``sub_domain`` and P restricted to them.
 
     Raises ValueError unless the restriction is closed (its rows still sum
-    to 1).  A sub_domain covering every cell returns P itself, so a
-    restriction can be passed on as a closed system of its own.
+    to 1).
     """
     sub = cells_within(sub_domain, P.n)
     if sub.size == 0:
         raise ValueError("sub_domain contains no whole cells")
-    if sub.size == P.n:
-        return sub, P
     Q = P.restrict(sub)
     if np.max(np.abs(Q.row_sums() - 1.0)) > 1e-9:
         raise ValueError("sub_domain is not invariant under the map")
     return sub, Q
 
 
-def escape_rate(P: UlamMatrix, hole_cells, sub_domain: Interval,
-                hole_measure: Optional[float] = None,
-                tol: float = 1e-12,
-                max_iter: Optional[int] = None) -> EscapeReport:
-    """Exponential escape rate through a hole in an invariant subinterval.
+def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12,
+                max_iter: Optional[int] = None) -> float:
+    """Exponential escape rate -log(lambda) of the closed system Q through a hole.
 
-    Rows and columns are restricted to the cells of ``sub_domain`` (which must
-    be invariant: restricted rows must still sum to 1), the hole columns are
-    zeroed, and the leading eigenvalue of the resulting substochastic matrix
-    is found by power iteration on nonnegative vectors renormalized to mean
-    1.  rate = -log(lambda).
-
-    ``hole_measure`` should be the invariant measure of the true hole; when
-    omitted it is approximated by the closed-system stationary measure of the
-    hole cells.  A caller with many holes in one subinterval can restrict
-    once with ``restrict_invariant`` and pass the restriction, its own hole
-    cells and the whole interval [0, 1].
+    ``hole_cells`` index cells of Q; their columns are zeroed, and the
+    leading eigenvalue lambda of the resulting substochastic matrix is found
+    by power iteration on nonnegative vectors renormalized to mean 1.  A
+    closed system on part of a grid comes from ``restrict_invariant``.  An
+    empty hole gives 0.0.
     """
-    sub, Q = restrict_invariant(P, sub_domain)
-    hole_cells = np.unique(np.asarray(hole_cells, dtype=int))
-    hole_pos = np.searchsorted(sub, hole_cells)
-    inside = sub[np.minimum(hole_pos, sub.size - 1)] == hole_cells
-    if not np.all(inside):
-        missing = hole_cells[~inside]
-        raise ValueError(f"hole cells {missing[:4].tolist()}... outside the sub-domain")
-
-    m = sub.size
-    if hole_measure is None:
-        pi, _ = power_fixed_density(Q, np.ones(m), 1e-12, max_iter)
-        hole_measure = float(np.sum(pi[hole_pos]) / m)
-
-    if hole_pos.size == 0:
-        return EscapeReport(rate=0.0, hole_measure=hole_measure,
-                            ratio=math.nan, eigenvalue=1.0)
-    if hole_pos.size == m:
-        raise ValueError("hole covers the whole sub-domain; escape rate undefined")
+    m = Q.n
+    hole = np.unique(np.asarray(hole_cells, dtype=int))
+    outside = hole[(hole < 0) | (hole >= m)]
+    if outside.size:
+        raise ValueError(f"hole cells {outside[:4].tolist()}... outside 0..{m - 1}")
+    if hole.size == 0:
+        return 0.0
+    if hole.size == m:
+        raise ValueError("hole covers the whole system; escape rate undefined")
 
     keep = np.ones(m)
-    keep[hole_pos] = 0.0
+    keep[hole] = 0.0
     lam = 1.0
 
     def step(w):
@@ -477,6 +447,4 @@ def escape_rate(P: UlamMatrix, hole_cells, sub_domain: Interval,
         return v / lam
 
     _iterate(step, keep / np.mean(keep), tol, max_iter)
-    return EscapeReport(rate=-math.log(lam), hole_measure=hole_measure,
-                        ratio=hole_measure / -math.log(lam) if lam < 1.0 else math.inf,
-                        eigenvalue=lam)
+    return -math.log(lam)

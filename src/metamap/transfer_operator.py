@@ -58,14 +58,6 @@ class DensityGrid:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def uniform(cls, n: int) -> "DensityGrid":
-        return cls(n, np.ones(n))
-
-    @classmethod
-    def zeros(cls, n: int) -> "DensityGrid":
-        return cls(n, np.zeros(n))
-
-    @classmethod
     def indicator(cls, interval: Interval, n: int, normalize: bool = False) -> "DensityGrid":
         """Cell averages of 1_interval, optionally rescaled to mass 1."""
         bounds = np.arange(n + 1) / n

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from metamap import build_ulam
+from metamap import Branch, PiecewiseMap, build_ulam
 from metamap.families import family_a, family_b
 from metamap.metastability import prepare_sweep, run_sweep_row
 
@@ -18,6 +18,13 @@ def fam_a():
 @pytest.fixture()
 def fam_b():
     return family_b()
+
+
+@pytest.fixture()
+def doubling_map():
+    """2x mod 1; minimum expansion exactly 2 (outside the lam > 2 regime)."""
+    return PiecewiseMap([Branch.affine(0.0, 0.5, 2.0, 0.0),
+                         Branch.affine(0.5, 1.0, 2.0, -1.0)])
 
 
 @pytest.fixture(scope="session")

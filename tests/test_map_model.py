@@ -9,7 +9,6 @@ from metamap.map_model import (Branch, HypothesisViolation, MapModelError,
                                infinitesimal_holes, min_expansion,
                                postcritical_hierarchy, validate_hypotheses)
 from metamap.transfer_operator import DensityGrid
-from metamap.families import doubling_map
 
 
 def test_evaluate_branch_interior(fam_a):
@@ -53,8 +52,8 @@ def test_min_expansion_family_a(fam_a):
     assert min_expansion(fam_a.base) == 3.0
 
 
-def test_min_expansion_doubling():
-    assert min_expansion(doubling_map()) == 2.0
+def test_min_expansion_doubling(doubling_map):
+    assert min_expansion(doubling_map) == 2.0
 
 
 def test_min_expansion_mixed_slopes():
@@ -194,8 +193,8 @@ def test_validate_family_b_boundary_failure(fam_b):
     assert not report.passes_I2
 
 
-def test_validate_doubling_fails_I4a():
-    fam = PerturbationFamily(base=doubling_map(), boundary_b=0.5)
+def test_validate_doubling_fails_I4a(doubling_map):
+    fam = PerturbationFamily(base=doubling_map, boundary_b=0.5)
     report = validate_hypotheses(fam, depth=4)
     assert not report.passes_I4a
     assert any("(I4a)" in d for d in report.diagnostics)

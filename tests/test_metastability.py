@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from metamap.map_model import Interval, MapModelError, PerturbationFamily
+from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFamily,
+                               PiecewiseMap)
 from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
                                    convergence_study, ergodic_densities,
                                    flux_balance, hole_measures,
@@ -166,7 +167,7 @@ def test_markov_stationary_domain_errors():
 
 def test_flux_balance_zero_for_empty_holes(fam_a):
     rep = compute_holes(fam_a.base, 0.5)
-    assert flux_balance(DensityGrid.uniform(48), rep) == 0.0
+    assert flux_balance(DensityGrid(48, np.ones(48)), rep) == 0.0
 
 
 def test_ergodic_densities_closed_form_matches_computed(fam_a):
@@ -232,7 +233,7 @@ def test_convergence_study_eps_validation(fam_a):
 
 def test_sweep_rows_carry_failures_not_exceptions(fam_a):
     # eps = 0.2 pushes the perturbed branch image outside [0,1]
-    ctx = prepare_sweep(fam_a, [0.01], 384, with_escape=False)
+    ctx = prepare_sweep(fam_a, [0.01], 384)
     row, art = run_sweep_row(ctx, 0.2)
     assert art is None
     assert row.error is not None
@@ -241,7 +242,7 @@ def test_sweep_rows_carry_failures_not_exceptions(fam_a):
 
 
 def test_row_takes_the_pair_from_the_density_solve(fam_a):
-    ctx = prepare_sweep(fam_a, [0.01], 768, with_escape=False)
+    ctx = prepare_sweep(fam_a, [0.01], 768)
     row, art = run_sweep_row(ctx, 0.01)
     inv = invariant_density(art.P, tol=ctx.tol)
     assert row.rho == inv.rho
@@ -249,7 +250,7 @@ def test_row_takes_the_pair_from_the_density_solve(fam_a):
 
 
 def test_family_b_rows_carry_boundary_warning(fam_b):
-    rows = convergence_study(fam_b, [0.01], 768, with_escape=False)
+    rows = convergence_study(fam_b, [0.01], 768)
     assert any("touches the boundary" in w for w in rows[0].warnings)
 
 
@@ -280,3 +281,49 @@ def test_two_block_chain_matches_weight_and_rho(sweep_a):
         assert alpha == pytest.approx(row.mu_Il, abs=1e-9)
         gaps.append(abs(inv.p_lr + inv.p_rl - (1.0 - row.rho)) / (1.0 - row.rho))
     assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+
+
+def random_two_half_family(rng):
+    """Each half carries m full branches of slope +-m onto itself (so both
+    halves are invariant with Lebesgue densities); one left branch is lifted
+    and one right branch lowered, each opening a hole into the other half."""
+    m = int(rng.integers(3, 6))
+    branches, slope_eps, intercept_eps = [], [], []
+    for half_lo in (0.0, 0.5):
+        lift = int(rng.integers(m))
+        for k in range(m):
+            lo = half_lo + k / (2 * m)
+            hi = half_lo + (k + 1) / (2 * m)
+            if rng.integers(2):
+                branches.append(Branch.affine(lo, hi, m, half_lo - m * lo))
+            else:
+                branches.append(Branch.affine(lo, hi, -m, half_lo + 0.5 + m * lo))
+            slope_eps.append(0.0)
+            if k != lift:
+                intercept_eps.append(0.0)
+            elif half_lo == 0.0:
+                intercept_eps.append(float(rng.uniform(0.5, 3.0)))
+            else:
+                intercept_eps.append(float(rng.uniform(-3.0, -0.5)))
+    fam = PerturbationFamily(base=PiecewiseMap(branches), slope_eps=tuple(slope_eps),
+                             intercept_eps=tuple(intercept_eps), boundary_b=0.5,
+                             lebesgue_halves=True)
+    return fam, m
+
+
+def test_sweep_rows_hold_fixed_point_properties_on_random_families():
+    # properties of any correct fixed point: mass balance across the holes
+    # at solver level, a fixed density, a second eigenvector of zero mass,
+    # and open systems that lose mass through both holes
+    for seed in range(40):
+        fam, m = random_two_half_family(np.random.default_rng(seed))
+        ctx = prepare_sweep(fam, [0.02, 0.01], 240 * m)
+        for eps in (0.02, 0.01):
+            row, art = run_sweep_row(ctx, eps)
+            assert row.error is None, (seed, eps, row.error)
+            assert row.flux_gap <= 10 * ctx.tol, (seed, eps)
+            residual = np.mean(np.abs(art.P.apply(art.phi.values) - art.phi.values))
+            assert residual <= 10 * ctx.tol, (seed, eps)
+            assert abs(np.mean(art.psi.values)) <= 1e-12, (seed, eps)
+            for ratio in (row.escape_ratio_l, row.escape_ratio_r):
+                assert 0.0 < ratio < math.inf, (seed, eps)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import metamap
 from metamap.cli import main
 from metamap.families import DEFAULT_EPS_LIST
+from metamap.map_model import validate_hypotheses
 from metamap.metastability import markov_stationary
 from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
                                load_scenario, suggested_grid_n)
@@ -45,7 +47,6 @@ def test_builtin_family_a_defaults():
     assert scn.kind == "family"
     assert scn.grid_n == 3840
     assert scn.eps_list == DEFAULT_EPS_LIST
-    assert scn.run_escape_rates and scn.run_saltus
     assert scn.family.lebesgue_halves
 
 
@@ -143,6 +144,50 @@ def test_cli_validate_family_b(capsys):
     out = capsys.readouterr().out
     assert "P2: FAIL" in out
     assert "I4a: pass" in out
+
+
+def p2a_scenario(lift_outer=True, **middle):
+    """Seven slope-4 branches with b = 1/2 an interior fixed point of the
+    middle branch [3/8, 5/8]; ``lift_outer`` opens the holes with
+    intercept_eps 60 on [1/4, 3/8] and -20 on [5/8, 3/4], which push the
+    image of [1/4, 3/8] out of [0, 1] at eps = 0.01."""
+    cuts = ["0", "1/8", "1/4", "3/8", "5/8", "3/4", "7/8", "1"]
+    branches = [{"domain": [lo, hi], "slope": 4, "intercept": -k / 2}
+                for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+    if lift_outer:
+        branches[2]["intercept_eps"] = 60
+        branches[4]["intercept_eps"] = -20
+    branches[3].update(middle)
+    return {"name": "p2a", "boundary": "1/2", "branches": branches,
+            "eps_list": [0.002, 0.001], "grid_n": 12000}
+
+
+def test_cli_p2a_probe_outside_admissible_range_is_skipped(tmp_path, capsys):
+    # the (P2a) probe at eps = 0.01 used to abort both commands with
+    # "fatal: branch image [0.6, 1.1] escapes [0,1]", though the scenario's
+    # own eps values are admissible
+    path = write_scenario(tmp_path, p2a_scenario())
+    skipped = "(P2a) not checked at eps=0.01: branch image [0.6, 1.1] escapes [0,1]"
+    assert main(["validate", "--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert "P2: pass" in out and skipped in out
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert payload["hypotheses"]["P2"] is True
+    assert skipped in payload["hypotheses"]["diagnostics"]
+    assert [r["error"] for r in payload["rows"]] == [None, None]
+
+
+@pytest.mark.parametrize("lift_outer, eps", [(False, 0.01), (True, 0.001)])
+def test_validate_p2a_fails_when_perturbation_moves_b(tmp_path, lift_outer, eps):
+    # T_eps(1/2) = 1/2 - eps/4 on the middle branch
+    scn = load_scenario(write_scenario(
+        tmp_path, p2a_scenario(lift_outer, slope_eps=-4, intercept_eps=1.75)))
+    report = validate_hypotheses(scn.family)
+    assert not report.passes_P2
+    assert f"(P2a) fails: T_eps(b) != b at eps={eps}" in report.diagnostics
+    assert ("(P2a) not checked at eps=0.01: branch image [0.6, 1.1] escapes [0,1]"
+            in report.diagnostics) == lift_outer
 
 
 def test_cli_validate_markov_scenario(capsys):
@@ -278,6 +323,19 @@ def test_cli_grid_below_two_rejected_before_writing(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps, message", [
+    ("0.01,abc", "--eps: cannot parse '0.01,abc'"),
+    ("0.01,-0.001", "--eps: values must be positive, got '0.01,-0.001'"),
+])
+def test_cli_eps_rejected_before_writing(tmp_path, capsys, eps, message):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "builtin:family_a", "--eps", eps,
+                 "--grid", "192", "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eps_list_of_booleans_rejected(tmp_path):
     # JSON true is a Python bool, which is an int
     with pytest.raises(ScenarioError) as err:
@@ -286,11 +344,18 @@ def test_eps_list_of_booleans_rejected(tmp_path):
 
 
 def test_run_second_eigenpair_key_is_ignored(tmp_path):
-    # every row computes the second pair to decide simplicity, so a file
-    # that still turns it off gets it reported like any other
+    # every run computes the second pair, the escape ratios and the saltus
+    # analysis, so a file whose run block still turns them off gets them
+    # reported like any other
     run = {"second_eigenpair": False, "escape_rates": False, "saltus": False}
     path = write_scenario(tmp_path, dict(FAMILY_A_JSON, run=run))
     out = tmp_path / "out"
     assert main(["run", "--scenario", path, "--out", str(out)]) == 0
-    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    payload = json.loads((out / "sweep.json").read_text())
+    rows = payload["rows"]
     assert all(0.0 < r["rho"] < 1.0 and r["leading_simple"] for r in rows)
+    for r in rows:
+        for side in ("escape_ratio_l", "escape_ratio_r"):
+            assert 0.0 < r[side] < math.inf, (r["eps"], side)
+    assert list(payload["saltus"]) == ["0.01", "0.02"]
+    assert (out / "saltus_0.02.csv").exists() and (out / "saltus_0.01.csv").exists()

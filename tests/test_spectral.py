@@ -8,7 +8,7 @@ from metamap.map_model import Interval
 from metamap.spectral import (DegenerateSpectrumError, SolverError,
                               dense_top_eigenpairs, escape_rate,
                               invariant_density, power_fixed_density,
-                              second_eigenpair)
+                              restrict_invariant, second_eigenpair)
 from metamap.transfer_operator import (DensityGrid, UlamMatrix, build_ulam,
                                        cells_with_center_in, cells_within)
 
@@ -118,63 +118,56 @@ def test_slow_contraction_converges_without_stalling():
     assert steps > 400
     assert np.max(np.abs(phi - 1.0)) <= 1e-9
 
+def left_system(P):
+    """P restricted to the invariant left half [0, 1/2]."""
+    return restrict_invariant(P, Interval(0.0, 0.5))[1]
+
 def test_escape_rate_empty_hole_is_zero(fam_a):
-    P = build_ulam(fam_a.base, 768)
-    rep = escape_rate(P, [], Interval(0.0, 0.5))
-    assert rep.rate == 0.0
-    assert rep.eigenvalue == 1.0
+    Q = left_system(build_ulam(fam_a.base, 768))
+    assert escape_rate(Q, []) == 0.0
 
 def test_escape_rate_full_hole_rejected(fam_a):
-    P = build_ulam(fam_a.base, 48)
-    sub = list(range(24))
+    Q = left_system(build_ulam(fam_a.base, 48))
     with pytest.raises(ValueError):
-        escape_rate(P, sub, Interval(0.0, 0.5))
+        escape_rate(Q, list(range(24)))
 
 def test_escape_rate_hole_outside_subdomain_rejected(fam_a):
-    P = build_ulam(fam_a.base, 48)
-    with pytest.raises(ValueError):
-        escape_rate(P, [30], Interval(0.0, 0.5))
+    # without the range check a negative index would silently wrap
+    Q = left_system(build_ulam(fam_a.base, 48))
+    for cell in (-1, Q.n, 30):
+        with pytest.raises(ValueError):
+            escape_rate(Q, [3, cell])
 
-def test_escape_rate_noninvariant_subdomain_rejected(fam_a):
+def test_restrict_invariant_noninvariant_subdomain_rejected(fam_a):
     P = build_ulam(fam_a.base, 48)
     with pytest.raises(ValueError):
-        escape_rate(P, [20], Interval(0.3, 0.7))
+        restrict_invariant(P, Interval(0.3, 0.7))
 
 def test_escape_monotone_in_hole(fam_a):
-    P = build_ulam(fam_a.base, 768)
-    small = escape_rate(P, range(250, 254), Interval(0.0, 0.5))
-    large = escape_rate(P, range(250, 258), Interval(0.0, 0.5))
-    nested = escape_rate(P, list(range(250, 258)) + [100], Interval(0.0, 0.5))
-    assert small.rate <= large.rate <= nested.rate
-    assert small.rate > 0
+    Q = left_system(build_ulam(fam_a.base, 768))
+    small = escape_rate(Q, range(250, 254))
+    large = escape_rate(Q, range(250, 258))
+    nested = escape_rate(Q, list(range(250, 258)) + [100])
+    assert small <= large <= nested
+    assert small > 0
 
 def test_escape_eigenvalue_matches_dense_oracle(fam_a):
     n = 768
     P0 = build_ulam(fam_a.base, n)
     hole = list(range(250, 254))
-    rep = escape_rate(P0, hole, Interval(0.0, 0.5))
+    rate = escape_rate(left_system(P0), hole)
     sub = cells_within(Interval(0.0, 0.5), n)
     Q = P0.to_dense()[np.ix_(sub, sub)]
     Q[:, hole] = 0.0
     lam = np.max(np.abs(np.linalg.eigvals(Q)))
-    assert abs(rep.eigenvalue - lam) <= 1e-13 * lam
+    assert abs(math.exp(-rate) - lam) <= 1e-13 * lam
 
 def test_escape_rate_tracks_hole_measure(fam_a):
     # left system with the hole opened by eps = 0.02 at 1/3
     n, eps = 768, 0.02
-    P0 = build_ulam(fam_a.base, n)
+    Q = left_system(build_ulam(fam_a.base, n))
     hole = cells_with_center_in([Interval(1 / 3 - eps, 1 / 3)], n)
-    rep = escape_rate(P0, hole, Interval(0.0, 0.5), hole_measure=2 * eps)
-    assert 0.85 <= rep.ratio <= 1.15
-
-def test_escape_rate_default_hole_measure(fam_a):
-    # when the measure is not supplied it comes from the closed-system
-    # stationary density restricted to the hole cells
-    n = 768
-    P0 = build_ulam(fam_a.base, n)
-    hole = list(range(240, 256))
-    rep = escape_rate(P0, hole, Interval(0.0, 0.5))
-    assert rep.hole_measure == pytest.approx(2 * len(hole) / n, rel=1e-6)
+    assert 0.85 <= 2 * eps / escape_rate(Q, hole) <= 1.15
 
 def test_complex_second_eigenvalue_detected():
     # three-state cyclic chain: eigenvalues 1 and a complex pair.  The

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from metamap.families import doubling_map, family_a, family_b
+from metamap.families import family_a, family_b
 from metamap.map_model import (PREIMAGE_XTOL, Branch, Interval, MapModelError,
                                 PiecewiseMap)
 from metamap.spectral import power_fixed_density
@@ -28,8 +28,8 @@ def test_ulam_family_a_n6_exact(fam_a):
     assert np.allclose(P, third, atol=1e-14)
 
 
-def test_ulam_doubling_n2_exact():
-    P = build_ulam(doubling_map(), 2).to_dense()
+def test_ulam_doubling_n2_exact(doubling_map):
+    P = build_ulam(doubling_map, 2).to_dense()
     assert np.allclose(P, 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
@@ -224,14 +224,14 @@ def test_too_coarse_grid_rejected(fam_a):
 
 def test_apply_preserves_uniform_density(fam_a):
     P = build_ulam(fam_a.base, 384)
-    d = DensityGrid.uniform(384)
+    d = DensityGrid(384, np.ones(384))
     out = DensityGrid(384, P.apply(d.values))
     assert out.l1_distance(d) <= 1e-13
 
 
 def test_apply_zero_density(fam_a):
     P = build_ulam(fam_a.base, 48)
-    out = P.apply(DensityGrid.zeros(48).values)
+    out = P.apply(np.zeros(48))
     assert np.all(out == 0.0)
 
 
@@ -247,7 +247,7 @@ def test_apply_single_cell_mass_preserved(fam_a):
 def test_apply_dimension_mismatch(fam_a):
     P = build_ulam(fam_a.base, 48)
     with pytest.raises(ValueError):
-        P.apply(DensityGrid.uniform(96).values)
+        P.apply(np.ones(96))
 
 
 def test_mass_conservation_random_grids(fam_a):
@@ -287,11 +287,11 @@ def test_ly_constant_independent_of_lambda_for_affine():
             == variation_inflation_constant(7.0, 0.0, 0.25))
 
 
-def test_ly_rejects_min_expansion_two(fam_a):
+def test_ly_rejects_min_expansion_two(fam_a, doubling_map):
     with pytest.raises(UnsupportedRegimeError):
-        lasota_yorke_constants(doubling_map())
+        lasota_yorke_constants(doubling_map)
     with pytest.raises(UnsupportedRegimeError, match="base map"):
-        lasota_yorke_constants(fam_a.base, base=doubling_map())
+        lasota_yorke_constants(fam_a.base, base=doubling_map)
 
 
 def test_ly_base_anchoring(fam_a):
