@@ -20,7 +20,7 @@ from metamap.spectral import invariant_density
 from metamap.transfer_operator import build_ulam
 
 fam = family_b()
-report = validate_hypotheses(fam, depth=8)
+report = validate_hypotheses(fam, [0.02, 0.01, 0.005], depth=8)
 print("hypothesis check:")
 print(f"  boundary condition P2: {report.passes_P2}")
 for d in report.diagnostics:

@@ -384,17 +384,18 @@ class HypothesisReport:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def validate_hypotheses(family: PerturbationFamily, depth: int = 8,
+def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
                         phi_l=None, phi_r=None,
                         tol: float = 1e-9) -> HypothesisReport:
-    """Check the finite-horizon structural hypotheses of a family.
+    """Check the finite-horizon structural hypotheses of a family at the
+    perturbation sizes ``eps_list``.
 
     * no-return: forward images of the critical set up to ``depth`` steps stay
       at distance > tol from the infinitesimal holes;
     * expansion: min |T'| > 2;
     * boundary: either the boundary point is critical with a genuine one-sided
       gap across it, or it is a fixed point of every instantiation (probed at
-      eps = 0.01 and 0.001, skipping a probe whose map is not admissible);
+      each eps of ``eps_list``, skipping one whose map is not admissible);
     * hole positivity (only when phi_l/phi_r grids are supplied): the ergodic
       densities are positive at the infinitesimal holes.
 
@@ -454,9 +455,9 @@ def validate_hypotheses(family: PerturbationFamily, depth: int = 8,
         passes_p2 = len(vals0) == 1 and abs(vals0[0] - b) <= tol
         if passes_p2:
             probed = False
-            for eps in (1e-2, 1e-3):
-                # a probe eps beyond the family's admissible range says
-                # nothing about the eps a scenario runs at
+            for eps in eps_list:
+                # an eps beyond the family's admissible range has no map
+                # to probe; its sweep row reports the same error
                 try:
                     map_eps = family.instantiate(eps)
                 except MapModelError as exc:

@@ -67,9 +67,9 @@ def write_density_csv(path, x: list[str], mixture: list[str], phi,
     if not len(x) == len(phi_col) == len(mixture) == len(psi_col):
         raise ValueError(f"density columns differ in length: x {len(x)}, "
                          f"phi {len(phi_col)}, mixture {len(mixture)}, psi {len(psi_col)}")
+    lines = ["x,phi,mixture,psi", *map(",".join, zip(x, phi_col, mixture, psi_col))]
     with open(path, "w", newline="") as fh:
-        fh.write("x,phi,mixture,psi\n")
-        fh.writelines(map("{},{},{},{}\n".format, x, phi_col, mixture, psi_col))
+        fh.write("\n".join(lines) + "\n")
 
 
 def run_scenario(scn: Scenario, log=print) -> int:
@@ -96,7 +96,7 @@ def _run_family(scn: Scenario, log) -> int:
     for w in scn.warnings:
         log(f"warning: {w}")
 
-    report = validate_hypotheses(fam, depth=scn.hypothesis_depth)
+    report = validate_hypotheses(fam, scn.eps_list, depth=scn.hypothesis_depth)
     hyp_path = os.path.join(scn.out_dir, "hypotheses.txt")
     with open(hyp_path, "w") as fh:
         fh.write(f"scenario: {scn.name}\n")

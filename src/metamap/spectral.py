@@ -22,6 +22,15 @@ is not simple, and otherwise the pair is kept on the result; a second
 eigenvalue that is not real, or is -1, raises.  A dense eigensolve (LAPACK,
 via numpy.linalg.eig) doubles as cross-check oracle and as the second
 eigenpair's fallback when the iteration stalls.
+
+A step costs one sparse matvec and a few passes over the vector, and at
+the grid sizes used the passes and their Python calls cost as much as the
+matvec.  So the steps work in place on the matvec's fresh result, |d| and
+|v| go into one scratch buffer per call, means are ``np.add.reduce`` over
+the length (``np.mean`` without its wrapper: the same bits), and what is
+read only at the end, the deflated step's Rayleigh quotient, is computed
+once from the last step.  Dot products use ``np.einsum`` (see the
+deflated step), except for the exit probabilities in ``_block_rates``.
 """
 
 from __future__ import annotations
@@ -101,9 +110,11 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
     2*STALL_WINDOW on, is no smaller than it was STALL_WINDOW steps earlier:
     a contracting iteration shrinks over any such window, however slowly.
     """
+    n = w.size
     if max_iter is None:
-        max_iter = _default_max_iter(w.size)
+        max_iter = _default_max_iter(n)
     window = np.full(STALL_WINDOW, math.inf)   # step changes of the last window
+    buf = np.empty_like(w)                     # |d|, overwritten every step
     diff = prev_diff = math.inf
     prev_d = None
     prev_r = math.nan
@@ -111,7 +122,8 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
     for k in range(1, max_iter + 1):
         nxt = step(w)
         d = nxt - w
-        diff = float(np.mean(np.abs(d)))
+        # add.reduce / n is np.mean without its Python wrapper: same bits
+        diff = float(np.add.reduce(np.abs(d, out=buf))) / n
         w = nxt
         r = diff / prev_diff if prev_diff > 0.0 else math.inf
         if diff <= tol and _err_estimate(diff, max(r, r_slow)) <= tol:
@@ -123,7 +135,8 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
                 f"{window[slot]:.3g} {STALL_WINDOW} steps earlier)", w)
         window[slot] = diff
         if (0.5 <= r < 1.0 and abs(r - prev_r) <= JUMP_FIT * (1.0 - r)
-                and float(np.mean(np.abs(d - r * prev_d))) <= JUMP_FIT * (1.0 - r) * diff):
+                and float(np.add.reduce(np.abs(d - r * prev_d, out=buf))) / n
+                <= JUMP_FIT * (1.0 - r) * diff):
             jump = w + (r / (1.0 - r)) * d
             if np.all((jump >= -tol) | (w < 0.0)):
                 w, r_slow = jump, max(r_slow, r)
@@ -161,9 +174,11 @@ class InvariantDensityResult:
 
 
 def _mass_step(P: UlamMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    n = P.n
+
     def step(d):
         nxt = P.apply(d)
-        nxt /= np.mean(nxt)
+        nxt /= np.add.reduce(nxt) / n
         return nxt
     return step
 
@@ -181,7 +196,7 @@ def _block_rates(x: np.ndarray, out: np.ndarray, k: int) -> tuple[float, float, 
     ``out[i]`` is row i's probability of leaving its block; a block's exit
     probability is its mass-weighted mean, nan for a block without mass.
     """
-    m_l, m_r = float(x[:k].sum()), float(x[k:].sum())
+    m_l, m_r = float(np.add.reduce(x[:k])), float(np.add.reduce(x[k:]))
     p_lr = float(x[:k] @ out[:k]) / m_l if m_l > 0 else math.nan
     p_rl = float(x[k:] @ out[k:]) / m_r if m_r > 0 else math.nan
     return p_lr, p_rl, m_l, m_r
@@ -215,7 +230,7 @@ def _aggregation_step(P: UlamMatrix, k: int,
             on = abs(w - w1) < abs(w1 - w2)     # False while any w is nan
             w1, w2 = w, w1
         if not (on and math.isfinite(w)):
-            nxt /= np.mean(nxt)
+            nxt /= np.add.reduce(nxt) / n
             return nxt
         nxt[:k] *= w * n / m_l
         nxt[k:] *= (1.0 - w) * n / m_r
@@ -267,8 +282,10 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     if not (I_l.lo == 0.0 and 0 < k < n):
         raise ValueError(f"I_l = [{I_l.lo}, {I_l.hi}) must be [0,b) covering k cells "
                          f"with 0 < k < n = {n} (k = {k})")
-    # row i's probability of leaving its block
-    out = np.asarray(P.matrix[:, :k].sum(axis=1)).ravel()
+    # row i's probability of leaving its block: the entries of P's first k
+    # columns summed per row, in storage order as P[:, :k].sum(axis=1) does
+    m = P.matrix
+    out = np.bincount(m.indices[:m.indptr[k]], weights=m.data[:m.indptr[k]], minlength=n)
     out[:k] = 1.0 - out[:k]
 
     uniform = np.ones(n)
@@ -337,9 +354,10 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
     Deflated power iteration: each step projects out the invariant-density
     direction, so iterates stay in the mass-zero subspace where the second
     eigenvalue dominates.  The start is 1 on I_l, -1 right of it, plus 1e-6
-    times a normal draw seeded with START_SEED.  The eigenvector is
-    L1-normalized with positive integral over I_l; its own integral vanishes
-    by construction.
+    times a normal draw seeded with START_SEED.  The eigenvalue is the
+    Rayleigh quotient <v, w>/<w, w> of the last step's input w and its
+    projected image v.  The eigenvector is L1-normalized with positive
+    integral over I_l; its own integral vanishes by construction.
 
     Falls back to a dense eigensolve (n <= 4096) when the iteration stalls
     or runs out of steps, and raises if the second eigenvalue turns out to
@@ -355,27 +373,31 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
     w = w - np.mean(w) * phi_v
     w /= np.mean(np.abs(w))
 
-    rho = 0.0
+    buf = np.empty(n)                          # |v|, overwritten every step
+    last = None                                # the last step's (v, w)
 
     def step(w):
-        nonlocal rho
+        nonlocal last
         v = P.apply(w)
-        v = v - np.mean(v) * phi_v
-        # einsum, not np.dot: a 1-D dot goes through BLAS threading, which
-        # stalls for milliseconds per call in some processes at n >= 15360
-        rho = float(np.einsum("i,i->", v, w)) / float(np.einsum("i,i->", w, w))
-        nrm = np.mean(np.abs(v))
+        v -= (np.add.reduce(v) / n) * phi_v
+        nrm = np.add.reduce(np.abs(v, out=buf)) / n
         if nrm <= 1e-300:
             raise DegenerateSpectrumError("iterate collapsed; no second eigenvalue found")
-        v /= nrm
-        if np.einsum("i,i->", v, w) < 0:
-            v = -v
-        return v
+        # v stays as projected, for the Rayleigh quotient of the last step
+        last = (v, w)
+        u = v / nrm
+        # einsum, not np.dot: a 1-D dot goes through BLAS threading, which
+        # stalls for milliseconds per call in some processes at n >= 15360
+        if np.einsum("i,i->", u, w) < 0:
+            np.negative(u, out=u)
+        return u
 
     try:
         w, _ = _iterate(step, w, tol, max_iter)
     except SolverError:
         return _second_eigenpair_dense(P, phi_v, I_l)
+    v, w_in = last
+    rho = float(np.einsum("i,i->", v, w_in)) / float(np.einsum("i,i->", w_in, w_in))
     return rho, _finalize_psi(w, I_l.hi, n)
 
 
@@ -440,11 +462,13 @@ def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12,
         # Mean-1 iterates keep the mean-L1 step change on the scale of the
         # iterate; sum-1 iterates shrink it by 1/m and stop too early.
         nonlocal lam
-        v = Q.apply(w) * keep
-        lam = float(np.mean(v))
+        v = Q.apply(w)
+        v *= keep
+        lam = float(np.add.reduce(v)) / m
         if lam <= 0.0:
             raise DegenerateSpectrumError("all mass escapes in one step")
-        return v / lam
+        v /= lam
+        return v
 
     _iterate(step, keep / np.mean(keep), tol, max_iter)
     return -math.log(lam)

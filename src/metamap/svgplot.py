@@ -148,8 +148,8 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     start = 0
     for k, (x, y, label) in enumerate(clean):
         stop = start + len(x)
-        coords = " ".join(map("{},{}".format, x_strs[start:stop],
-                              format_unique(ty(y), _PX)))
+        coords = " ".join(map(",".join, zip(x_strs[start:stop],
+                                            format_unique(ty(y), _PX))))
         start = stop
         color = PALETTE[k % len(PALETTE)]
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '

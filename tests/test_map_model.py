@@ -8,6 +8,7 @@ from metamap.map_model import (Branch, HypothesisViolation, MapModelError,
                                branch_preimages, distortion, evaluate,
                                infinitesimal_holes, min_expansion,
                                postcritical_hierarchy, validate_hypotheses)
+from metamap.families import DEFAULT_EPS_LIST
 from metamap.transfer_operator import DensityGrid
 
 
@@ -61,7 +62,7 @@ def test_min_expansion_mixed_slopes():
                       Branch.affine(0.5, 1, 1.6, -0.8)])
     assert min_expansion(m) == 1.5
     fam = PerturbationFamily(base=m, boundary_b=0.75)
-    report = validate_hypotheses(fam, depth=2)
+    report = validate_hypotheses(fam, DEFAULT_EPS_LIST, depth=2)
     assert not report.passes_I4a
 
 
@@ -166,7 +167,7 @@ def test_interior_preimage_of_b_is_a_violation():
 
 
 def test_validate_family_a_passes(fam_a):
-    report = validate_hypotheses(fam_a, depth=8)
+    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8)
     assert report.passes_I2 and report.passes_I4a and report.passes_P2
     assert report.min_expansion == 3.0 and report.distortion == 0.0
     layers = postcritical_hierarchy(fam_a.base, 8)
@@ -179,14 +180,14 @@ def test_validate_family_a_with_densities_checks_I3(fam_a):
     from metamap.map_model import Interval
     phi_l = DensityGrid.indicator(Interval(0, 0.5), n, normalize=True)
     phi_r = DensityGrid.indicator(Interval(0.5, 1), n, normalize=True)
-    report = validate_hypotheses(fam_a, depth=8, phi_l=phi_l, phi_r=phi_r)
+    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8, phi_l=phi_l, phi_r=phi_r)
     assert report.passes_I3 is True
-    report = validate_hypotheses(fam_a, depth=8)
+    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8)
     assert report.passes_I3 is None
 
 
 def test_validate_family_b_boundary_failure(fam_b):
-    report = validate_hypotheses(fam_b, depth=8)
+    report = validate_hypotheses(fam_b, DEFAULT_EPS_LIST, depth=8)
     assert not report.passes_P2
     assert any("T0(b-)" in d for d in report.diagnostics)
     # the endpoint hole at 1 is also hit by the critical orbit
@@ -195,13 +196,13 @@ def test_validate_family_b_boundary_failure(fam_b):
 
 def test_validate_doubling_fails_I4a(doubling_map):
     fam = PerturbationFamily(base=doubling_map, boundary_b=0.5)
-    report = validate_hypotheses(fam, depth=4)
+    report = validate_hypotheses(fam, DEFAULT_EPS_LIST, depth=4)
     assert not report.passes_I4a
     assert any("(I4a)" in d for d in report.diagnostics)
 
 
 def test_failed_predicates_have_diagnostics(fam_b):
-    report = validate_hypotheses(fam_b, depth=8)
+    report = validate_hypotheses(fam_b, DEFAULT_EPS_LIST, depth=8)
     if not report.passes_I2:
         assert any("(I2)" in d for d in report.diagnostics)
     if not report.passes_P2:

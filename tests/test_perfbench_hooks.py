@@ -4,6 +4,8 @@ from pathlib import Path
 import metamap.metastability
 import metamap.spectral
 from metamap.cli import main
+from metamap.metastability import prepare_sweep, run_sweep_row
+from metamap.scenarios import load_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +39,21 @@ def test_builtin_runs_pass_the_benchmark_correctness_gate(monkeypatch, tmp_path)
         assert main(["run", "--scenario", f"builtin:{scenario}", "--out", str(out)]) == 0
         got = run.read_outputs(scenario, str(out))
         assert run.check_outputs(scenario, got, reference[scenario]) == [], scenario
+
+
+def test_fine_ladder_rows_pass_the_benchmark_row_check(monkeypatch):
+    # the sweep workloads check every row with child.check_row at n = 15360
+    # (fixed-point and psi residuals, psi mass, flux gap, monotone L1 for
+    # family A); the same check here covers one pass of each family
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import child
+    import run
+
+    for family in run.FAMILIES.values():
+        ctx = prepare_sweep(load_scenario(f"builtin:{family}").family, run.FINE_LADDER,
+                            run.FINE_N, tol=child.SOLVER_TOL)
+        prev_l1 = None
+        for eps in run.FINE_LADDER:
+            row, art = run_sweep_row(ctx, eps)
+            assert child.check_row(row, art, prev_l1, family == "family_a") == [], (family, eps)
+            prev_l1 = row.l1_phi_vs_mixture

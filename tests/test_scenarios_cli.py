@@ -163,27 +163,43 @@ def p2a_scenario(lift_outer=True, **middle):
 
 
 def test_cli_p2a_probe_outside_admissible_range_is_skipped(tmp_path, capsys):
-    # the (P2a) probe at eps = 0.01 used to abort both commands with
-    # "fatal: branch image [0.6, 1.1] escapes [0,1]", though the scenario's
-    # own eps values are admissible
-    path = write_scenario(tmp_path, p2a_scenario())
+    # (P2a) is probed at the scenario's eps; the map at eps = 0.01 raises
+    # "branch image [0.6, 1.1] escapes [0,1]", which used to abort both
+    # commands.  Now the probe is skipped and only that eps's row fails.
+    data = p2a_scenario()
+    data["eps_list"] = [0.01, 0.002, 0.001]
+    path = write_scenario(tmp_path, data)
     skipped = "(P2a) not checked at eps=0.01: branch image [0.6, 1.1] escapes [0,1]"
     assert main(["validate", "--scenario", path]) == 0
     out = capsys.readouterr().out
     assert "P2: pass" in out and skipped in out
-    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     payload = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert payload["hypotheses"]["P2"] is True
     assert skipped in payload["hypotheses"]["diagnostics"]
-    assert [r["error"] for r in payload["rows"]] == [None, None]
+    errors = [r["error"] for r in payload["rows"]]
+    assert errors == ["branch image [0.6, 1.1] escapes [0,1]", None, None]
+
+
+def test_cli_p2a_probes_the_scenario_eps(tmp_path, capsys):
+    # admissible only for eps <= 1/1200: probes fixed at eps 0.01 and 0.001
+    # were both skipped, and P2 read FAIL with no failure diagnostic
+    data = p2a_scenario()
+    data["branches"][2]["intercept_eps"] = 600
+    data["branches"][4]["intercept_eps"] = -200
+    data.update(eps_list=[0.0002, 0.0001], grid_n=120000)
+    assert main(["validate", "--scenario", write_scenario(tmp_path, data)]) == 0
+    out = capsys.readouterr().out
+    assert "P2: pass" in out and "(P2a)" not in out
 
 
 @pytest.mark.parametrize("lift_outer, eps", [(False, 0.01), (True, 0.001)])
 def test_validate_p2a_fails_when_perturbation_moves_b(tmp_path, lift_outer, eps):
     # T_eps(1/2) = 1/2 - eps/4 on the middle branch
-    scn = load_scenario(write_scenario(
-        tmp_path, p2a_scenario(lift_outer, slope_eps=-4, intercept_eps=1.75)))
-    report = validate_hypotheses(scn.family)
+    data = p2a_scenario(lift_outer, slope_eps=-4, intercept_eps=1.75)
+    data["eps_list"] = [0.01, 0.001]
+    scn = load_scenario(write_scenario(tmp_path, data))
+    report = validate_hypotheses(scn.family, scn.eps_list)
     assert not report.passes_P2
     assert f"(P2a) fails: T_eps(b) != b at eps={eps}" in report.diagnostics
     assert ("(P2a) not checked at eps=0.01: branch image [0.6, 1.1] escapes [0,1]"

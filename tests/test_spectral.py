@@ -169,6 +169,36 @@ def test_escape_rate_tracks_hole_measure(fam_a):
     hole = cells_with_center_in([Interval(1 / 3 - eps, 1 / 3)], n)
     assert 0.85 <= 2 * eps / escape_rate(Q, hole) <= 1.15
 
+@pytest.mark.parametrize("family", ["fam_a", "fam_b"])
+def test_solvers_are_reentrant(request, family):
+    # the steps work in place on their own vectors and keep references
+    # between steps: a second call on the same inputs must repeat every bit
+    # and leave the inputs as they were (family B's density run jumps)
+    fam = request.getfixturevalue(family)
+    n = 1200
+    P = build_ulam(fam.instantiate(0.01), n)
+    Q = left_system(build_ulam(fam.base, n))
+    hole = cells_with_center_in([Interval(1 / 3 - 0.01, 1 / 3)], n)
+    inputs = [a.copy() for a in (P.matrix.data, Q.matrix.data, hole)]
+
+    def solve():
+        res = invariant_density(P)
+        rho, psi = second_eigenpair(P, res.phi, Interval(0.0, 0.5))
+        return res, rho, psi, escape_rate(Q, hole)
+
+    def bits(out):
+        res, rho, psi, rate = out
+        return (res.phi.values.tobytes(), res.psi.values.tobytes(), res.rho,
+                res.residual, res.iterations, res.p_lr, res.p_rl,
+                rho, psi.values.tobytes(), rate)
+
+    first = solve()
+    snapshot = bits(first)
+    # the first call's arrays must not be overwritten by the second call
+    assert bits(solve()) == snapshot == bits(first)
+    for before, after in zip(inputs, (P.matrix.data, Q.matrix.data, hole)):
+        assert before.tobytes() == after.tobytes()
+
 def test_complex_second_eigenvalue_detected():
     # three-state cyclic chain: eigenvalues 1 and a complex pair.  The
     # density solve raises rather than return a verdict, and so does the
