@@ -19,9 +19,9 @@ mean-1 renormalization for escape rates.
 one, from a start with a seeded generic component, and is the one owner of
 the second pair: a second eigenvalue within 10*tol of 1 means eigenvalue 1
 is not simple, and otherwise the pair is kept on the result; a second
-eigenvalue that is not real, or is -1, raises.  A dense eigensolve (LAPACK,
-via numpy.linalg.eig) doubles as cross-check oracle and as the second
-eigenpair's fallback when the iteration stalls.
+eigenvalue that is not real, or is -1, raises.  A deflated run that
+stalls is named by a Rayleigh-Ritz check on its last iterate (three
+vectors, six matvecs), so every outcome costs O(nnz) at any n.
 
 A step costs one sparse matvec and a few passes over the vector, and at
 the grid sizes used the passes and their Python calls cost as much as the
@@ -45,7 +45,6 @@ from .map_model import Interval
 from .transfer_operator import DensityGrid, UlamMatrix, cells_within
 
 START_SEED = 0x5EED
-DENSE_FALLBACK_CAP = 4096
 STALL_WINDOW = 200
 JUMP_FIT = 0.1   # one-mode fit tolerance of a jump, relative to 1 - r
 
@@ -101,9 +100,11 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
     runs only once the ratios settle.  A jump that would take an entry >= 0
     below -tol is not made: density iterates never leave the nonnegative
     cone, so it overshoots (and can leave an aggregation block with negative
-    mass).  A jump keeps mean(w) whenever the step does (d has mean 0).  It
-    is not a step: it enters neither the step count nor the stall window,
-    and the next jump needs fresh ratios.
+    mass).  A jump keeps mean(w) whenever the step does (d has mean 0), but
+    not mean|w|, so the next step's renormalization shows in its step
+    change.  A jump is not a step: it enters neither the step count nor the
+    stall window, the step after it is not tested for a stall, and the next
+    jump needs fresh ratios.
 
     Raises SolverError after ``max_iter`` steps (default
     ``_default_max_iter(w.size)``), or as soon as the step change, from step
@@ -140,6 +141,8 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
             jump = w + (r / (1.0 - r)) * d
             if np.all((jump >= -tol) | (w < 0.0)):
                 w, r_slow = jump, max(r_slow, r)
+                # mean|w| moved, so the next step's change is no stall evidence
+                window[(k + 1) % STALL_WINDOW] = math.inf
                 prev_diff, prev_d, prev_r = math.inf, None, math.nan
                 continue
         prev_diff, prev_d, prev_r = diff, d, r
@@ -271,8 +274,8 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     phi + c*psi with no mass on [k,n) (on [0,k) if phi has none on [k,n))
     is reported as a second fixed density; otherwise (rho, psi) is kept on
     the result.  The second eigenpair's errors propagate: a second
-    eigenvalue that is not real raises DegenerateSpectrumError, one that
-    does not settle past the dense fallback cap SolverError.  A second
+    eigenvalue that is not real raises DegenerateSpectrumError, a stalled
+    run that its Ritz check cannot name SolverError.  A second
     eigenvalue within 10*tol of -1 raises DegenerateSpectrumError as well:
     it ties in modulus with a second eigenvalue 1, so it decides nothing.
     """
@@ -325,16 +328,6 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
                    probe_distance=abs(c) * psi.l1_norm())
 
 
-def dense_top_eigenpairs(P: UlamMatrix, k: int = 2) -> list[tuple[complex, np.ndarray]]:
-    """Top-k left eigenpairs by modulus from a dense eigensolve (oracle path)."""
-    vals, vecs = np.linalg.eig(P.to_dense().T)
-    order = np.argsort(-np.abs(vals))
-    out = []
-    for idx in order[:k]:
-        out.append((complex(vals[idx]), vecs[:, idx]))
-    return out
-
-
 def _finalize_psi(values: np.ndarray, b_left: float, n: int) -> DensityGrid:
     """Apply the sign convention (positive integral over [0, b]) and L1-normalize."""
     g = DensityGrid(n, values)
@@ -359,9 +352,13 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
     projected image v.  The eigenvector is L1-normalized with positive
     integral over I_l; its own integral vanishes by construction.
 
-    Falls back to a dense eigensolve (n <= 4096) when the iteration stalls
-    or runs out of steps, and raises if the second eigenvalue turns out to
-    be complex.
+    When the iteration stalls or runs out of steps, its last iterate w is
+    checked by Rayleigh-Ritz on span{w, Aw, A^2 w}, A the deflated step
+    without its normalization: six matvecs at any n.  A Ritz value within
+    10*tol of 1 whose vector has residual <= 10*tol gives (1.0, that
+    vector), a second fixed density; a top-modulus Ritz value that is not
+    real raises DegenerateSpectrumError; anything else raises SolverError
+    naming the top Ritz value.
     """
     n = P.n
     phi_v = phi.values / phi.mass()
@@ -376,10 +373,14 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
     buf = np.empty(n)                          # |v|, overwritten every step
     last = None                                # the last step's (v, w)
 
+    def deflated(x):
+        v = P.apply(x)
+        v -= (np.add.reduce(v) / n) * phi_v
+        return v
+
     def step(w):
         nonlocal last
-        v = P.apply(w)
-        v -= (np.add.reduce(v) / n) * phi_v
+        v = deflated(w)
         nrm = np.add.reduce(np.abs(v, out=buf)) / n
         if nrm <= 1e-300:
             raise DegenerateSpectrumError("iterate collapsed; no second eigenvalue found")
@@ -394,29 +395,29 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
 
     try:
         w, _ = _iterate(step, w, tol, max_iter)
-    except SolverError:
-        return _second_eigenpair_dense(P, phi_v, I_l)
+    except SolverError as exc:
+        # a run stalls when two eigenvalues share the top modulus (a
+        # rotating complex pair, or 1 and -1); the last iterate spans them
+        w = exc.iterate
+        aw = deflated(w)
+        q, _ = np.linalg.qr(np.column_stack([w, aw, deflated(aw)]))
+        theta, y = np.linalg.eig(q.T @ np.column_stack([deflated(c) for c in q.T]))
+        for t, yt in zip(theta, y.T):
+            if abs(t - 1.0) <= 10.0 * tol:
+                x = q @ yt.real
+                x /= np.mean(np.abs(x))
+                if np.mean(np.abs(deflated(x) - t.real * x)) <= 10.0 * tol:
+                    return 1.0, _finalize_psi(x, I_l.hi, n)
+        top = theta[np.argmax(np.abs(theta))]
+        if abs(top.imag) > 1e-8 * max(1.0, abs(top)):
+            raise DegenerateSpectrumError(
+                f"second eigenvalue {complex(top):.6g} is complex; outside the "
+                "metastable regime") from exc
+        raise SolverError(f"second eigenpair: {exc}; the top Ritz value of the last "
+                          f"iterate is {top.real:.6g}", w) from exc
     v, w_in = last
     rho = float(np.einsum("i,i->", v, w_in)) / float(np.einsum("i,i->", w_in, w_in))
     return rho, _finalize_psi(w, I_l.hi, n)
-
-
-def _second_eigenpair_dense(P: UlamMatrix, phi_v: np.ndarray,
-                            I_l: Interval) -> tuple[float, DensityGrid]:
-    n = P.n
-    if n > DENSE_FALLBACK_CAP:
-        raise SolverError(
-            f"second eigenpair iteration did not settle and n={n} exceeds the dense "
-            f"fallback cap {DENSE_FALLBACK_CAP}")
-    pairs = dense_top_eigenpairs(P, k=2)
-    lam2, vec = pairs[1]
-    if abs(lam2.imag) > 1e-8 * max(1.0, abs(lam2)):
-        raise DegenerateSpectrumError(
-            f"second eigenvalue {lam2} is complex; outside the metastable regime")
-    vals = np.real(vec)
-    vals = vals - np.mean(vals) * phi_v
-    psi = _finalize_psi(vals, I_l.hi, n)
-    return lam2.real, psi
 
 
 def restrict_invariant(P: UlamMatrix, sub_domain: Interval) -> tuple[np.ndarray, UlamMatrix]:

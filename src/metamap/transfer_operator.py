@@ -137,9 +137,6 @@ class UlamMatrix:
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """One transfer step of cell values: P^T values."""
         return self._left @ values

@@ -1,10 +1,13 @@
 import time
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from metamap import Branch, PiecewiseMap, build_ulam
 from metamap.families import family_a, family_b
 from metamap.metastability import prepare_sweep, run_sweep_row
+from metamap.transfer_operator import UlamMatrix
 
 ACCEPTANCE_EPS = (0.02, 0.01, 0.005, 0.0025)
 ACCEPTANCE_N = 3840
@@ -47,3 +50,27 @@ def ulam_a_768():
     """Family A eps=0.01 on the dense-oracle grid."""
     fam = family_a()
     return build_ulam(fam.instantiate(0.01), 768)
+
+
+def dense_top_eigenpairs(P, k=2):
+    """Top-k left eigenpairs of the Ulam matrix P by modulus, from a dense
+    LAPACK eigensolve: the tests' reference oracle."""
+    vals, vecs = np.linalg.eig(P.matrix.toarray().T)
+    order = np.argsort(-np.abs(vals))
+    return [(complex(vals[idx]), vecs[:, idx]) for idx in order[:k]]
+
+
+def three_block_cycle(n, seed=0):
+    """Sparse chain on three blocks of n/3 states in a cycle: each state
+    stays with probability 0.1 and sends 0.9 evenly to 8 seeded-random
+    states of the next block.  Its block chain is exact, so the second
+    eigenvalues are 0.1 + 0.9 exp(+-2 pi i/3) = -0.35 +- 0.779i."""
+    rng = np.random.default_rng(seed)
+    b = n // 3
+    cols = np.empty((n, 9), dtype=np.int64)
+    cols[:, 0] = np.arange(n)
+    for i in range(n):
+        cols[i, 1:] = (i // b + 1) % 3 * b + rng.choice(b, 8, replace=False)
+    vals = np.tile(np.r_[0.1, np.full(8, 0.9 / 8)], n)
+    m = sparse.csc_matrix((vals, (np.repeat(np.arange(n), 9), cols.ravel())), shape=(n, n))
+    return UlamMatrix.from_matrix(m)

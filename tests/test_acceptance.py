@@ -8,14 +8,15 @@ once in a session fixture and shared across criteria.
 import numpy as np
 import pytest
 
+from conftest import dense_top_eigenpairs
+
 from metamap.bv_analysis import jump_decay_profile, saltus_decompose
 from metamap.families import family_a, family_b
 from metamap.map_model import Interval, postcritical_hierarchy
 from metamap.metastability import (compute_holes, hole_measures,
                                    markov_stationary, predict_mixture,
                                    ergodic_densities)
-from metamap.spectral import (dense_top_eigenpairs, invariant_density,
-                              second_eigenpair)
+from metamap.spectral import invariant_density, second_eigenpair
 from metamap.transfer_operator import (DensityGrid, build_ulam,
                                        lasota_yorke_constants)
 

@@ -7,9 +7,12 @@ from xml.dom import minidom
 
 import pytest
 
+from conftest import three_block_cycle
+
 import metamap
+from metamap import metastability
 from metamap.cli import main
-from metamap.families import DEFAULT_EPS_LIST
+from metamap.families import DEFAULT_EPS_LIST, family_a
 from metamap.map_model import validate_hypotheses
 from metamap.metastability import markov_stationary
 from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
@@ -273,6 +276,28 @@ def test_cli_run_failed_rows_exit_2(tmp_path):
     assert code == 2
     sweep = (tmp_path / "bad" / "sweep.csv").read_text().splitlines()
     assert "escapes" in sweep[1]
+
+
+def test_cli_run_row_with_complex_second_eigenvalue_fails_alone(tmp_path, monkeypatch):
+    # a sweep row whose matrix has a complex second pair, at a grid size no
+    # dense eigensolve reaches: that row names the pair, and the other row
+    # and its artifacts are intact
+    n = 12288
+    bad_map = family_a().instantiate(0.005)
+    build = metastability.build_ulam
+    monkeypatch.setattr(metastability, "build_ulam",
+                        lambda m, n: three_block_cycle(n) if m == bad_map else build(m, n))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "builtin:family_a", "--grid", str(n),
+                 "--eps", "0.01,0.005", "--out", str(out)])
+    assert code == 2
+    payload = json.loads((out / "sweep.json").read_text())
+    assert [r["eps"] for r in payload["rows"]] == [0.01, 0.005]
+    assert payload["rows"][0]["error"] is None
+    assert (out / "density_0.01.csv").exists()
+    assert not (out / "density_0.005.csv").exists()
+    sweep = (out / "sweep.csv").read_text().splitlines()
+    assert "complex" in sweep[2] and "complex" not in sweep[1]
 
 
 def test_cli_run_on_grid_beyond_former_assembly_limit(tmp_path):

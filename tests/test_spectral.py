@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import dense_top_eigenpairs, three_block_cycle
+
 from metamap.map_model import Interval
 from metamap.spectral import (DegenerateSpectrumError, SolverError,
-                              dense_top_eigenpairs, escape_rate,
-                              invariant_density, power_fixed_density,
-                              restrict_invariant, second_eigenpair)
+                              escape_rate, invariant_density,
+                              power_fixed_density, restrict_invariant,
+                              second_eigenpair)
 from metamap.transfer_operator import (DensityGrid, UlamMatrix, build_ulam,
                                        cells_with_center_in, cells_within)
 
@@ -60,6 +62,14 @@ def test_invariant_density_unique_for_positive_eps(ulam_a_768):
 def test_invariant_density_max_iter_exceeded(ulam_a_768):
     with pytest.raises(SolverError):
         invariant_density(ulam_a_768, tol=1e-10, max_iter=3)
+
+def test_second_eigenpair_out_of_steps_names_top_ritz_value(ulam_a_768):
+    # rho = 0.97074: its Ritz value is real and not 1, so the run that ran
+    # out of steps is reported with it rather than returned
+    res = invariant_density(ulam_a_768, tol=1e-10)
+    with pytest.raises(SolverError, match=r"did not converge in 3 steps.*top Ritz "
+                                          r"value of the last iterate is 0\.97"):
+        second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5), tol=1e-10, max_iter=3)
 
 def test_second_eigenpair_matches_dense_oracle(ulam_a_768):
     res = invariant_density(ulam_a_768, tol=1e-10)
@@ -157,7 +167,7 @@ def test_escape_eigenvalue_matches_dense_oracle(fam_a):
     hole = list(range(250, 254))
     rate = escape_rate(left_system(P0), hole)
     sub = cells_within(Interval(0.0, 0.5), n)
-    Q = P0.to_dense()[np.ix_(sub, sub)]
+    Q = P0.matrix.toarray()[np.ix_(sub, sub)]
     Q[:, hole] = 0.0
     lam = np.max(np.abs(np.linalg.eigvals(Q)))
     assert abs(math.exp(-rate) - lam) <= 1e-13 * lam
@@ -231,6 +241,18 @@ def test_complex_second_eigenvalue_leaves_leading_simple():
         assert np.max(np.abs(phi - 1.0)) <= 1e-10, start
     with pytest.raises(DegenerateSpectrumError, match="complex"):
         invariant_density(P, tol=1e-12, I_l=Interval(0.0, 2 / 3))
+
+
+def test_complex_second_eigenvalue_named_at_large_n():
+    # the deflated run stalls on the rotating pair -0.35 +- 0.779i, and the
+    # Ritz check on its last iterate names the pair at a size no dense
+    # eigensolve reaches
+    P = three_block_cycle(12288)
+    with pytest.raises(DegenerateSpectrumError, match="complex"):
+        invariant_density(P, I_l=Interval(0.0, 1 / 3))
+    phi, _ = power_fixed_density(P, np.ones(P.n), 1e-10)
+    with pytest.raises(DegenerateSpectrumError, match="complex"):
+        second_eigenpair(P, DensityGrid(P.n, phi), Interval(0.0, 1 / 3))
 
 
 def test_aggregation_steps_flat_in_eps(fam_a):
@@ -310,6 +332,9 @@ def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
     res = invariant_density(P, tol=1e-10, I_l=Interval(0.0, 1 / m))
     assert res.leading_simple
     assert res.residual <= 1e-9
+    # the deflated run jumps at step 1248; the next step's change, grown by
+    # the renormalization, must not read as a stall
+    assert abs(res.rho - dense_top_eigenpairs(P, k=2)[1][0].real) <= 1e-10
 
 
 def _plain_limit(P, start, tol, max_iter):
@@ -408,12 +433,30 @@ def test_two_closed_classes_across_the_blocks_not_simple(seed):
     assert res.probe_phi.l1_distance(res.phi) == pytest.approx(res.probe_distance, rel=1e-9)
 
 
+def test_eigenvalues_one_and_minus_one_read_as_not_simple():
+    # dense spectrum {1, -1, 1}: the deflated run alternates between the
+    # two and stalls, and the Ritz check on its last iterate finds the
+    # second fixed density behind the -1
+    P = _two_class_chain(688)
+    res = invariant_density(P)
+    assert not res.leading_simple
+    q = res.probe_phi.values
+    assert np.mean(np.abs(P.apply(q) - q)) <= 1e-9
+    assert res.probe_distance > 1e-9
+
+
 def test_second_eigenvalue_minus_one_gives_no_verdict():
-    # a class of period 2 gives eigenvalue -1, as large in modulus as the
-    # second eigenvalue 1 of the two closed classes: the deflated solve
-    # returns rho = -1, and no verdict can be read from it
+    # an irreducible chain of period 2 between the halves: eigenvalue 1 is
+    # simple and -1 is second, so the deflated run settles on -1, which ties
+    # in modulus with a second eigenvalue 1 and decides nothing
+    rng = np.random.default_rng(0)
+    n, h = 40, 20
+    A = np.zeros((n, n))
+    for i in range(n):
+        A[i, (h if i < h else 0) + rng.choice(h, 4, replace=False)] = rng.random(4)
+    P = UlamMatrix.from_matrix(A / A.sum(axis=1, keepdims=True))
     with pytest.raises(DegenerateSpectrumError, match="-1"):
-        invariant_density(_two_class_chain(688))
+        invariant_density(P)
 
 
 @pytest.mark.parametrize("seed", [57, 1197, 1864])

@@ -21,7 +21,7 @@ from metamap.transfer_operator import (DensityGrid, UlamMatrix,
 def test_ulam_family_a_n6_exact(fam_a):
     # each width-1/6 branch maps its cell onto a half, so each half-block row
     # spreads 1/3 over three cells
-    P = build_ulam(fam_a.base, 6).to_dense()
+    P = build_ulam(fam_a.base, 6).matrix.toarray()
     third = np.zeros((6, 6))
     third[:3, :3] = 1 / 3
     third[3:, 3:] = 1 / 3
@@ -29,7 +29,7 @@ def test_ulam_family_a_n6_exact(fam_a):
 
 
 def test_ulam_doubling_n2_exact(doubling_map):
-    P = build_ulam(doubling_map, 2).to_dense()
+    P = build_ulam(doubling_map, 2).matrix.toarray()
     assert np.allclose(P, 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
@@ -38,7 +38,7 @@ def test_ulam_doubling_n2_exact(doubling_map):
 def test_rows_sum_to_one(fam_a, eps, n):
     P = build_ulam(fam_a.instantiate(eps), n)
     assert np.max(np.abs(P.row_sums() - 1.0)) <= 1e-12
-    dense = P.to_dense()
+    dense = P.matrix.toarray()
     assert dense.min() >= 0.0 and dense.max() <= 1.0 + 1e-15
 
 
@@ -107,7 +107,7 @@ def test_assembly_matches_exact_rational_reference(case):
     # each entry is a difference of two cut points in X = n*x, whose spacing
     # is about 2.2e-16*n: compared as lengths in x, P/n, the entries agree to
     # 1e-15 at every n, and P itself does at the smallest grids
-    err = np.max(np.abs(P.to_dense() - E))
+    err = np.max(np.abs(P.matrix.toarray() - E))
     assert err / n <= 1e-15
     if n <= 4:
         assert err <= 1e-15
@@ -137,8 +137,8 @@ def test_pair_reached_by_two_branches_is_summed(fam_a):
     P = build_ulam(fam_a.base, 20)
     row = P.matrix.getrow(6).tocoo()
     assert sorted(row.col.tolist()) == [8, 9]
-    assert P.to_dense()[6, 8] == pytest.approx(1 / 3, abs=1e-15)
-    assert P.to_dense()[6, 9] == pytest.approx(2 / 3, abs=1e-15)
+    assert P.matrix.toarray()[6, 8] == pytest.approx(1 / 3, abs=1e-15)
+    assert P.matrix.toarray()[6, 9] == pytest.approx(2 / 3, abs=1e-15)
     assert P.matrix.has_canonical_format
 
 
@@ -166,8 +166,8 @@ def test_smooth_branch_representation_matches_affine(fam_a):
             lambda x: 0.0))
     smooth_map = PiecewiseMap(smooth_branches)
     n = 96
-    Pa = build_ulam(fam_a.base, n).to_dense()
-    Ps = build_ulam(smooth_map, n).to_dense()
+    Pa = build_ulam(fam_a.base, n).matrix.toarray()
+    Ps = build_ulam(smooth_map, n).matrix.toarray()
     assert np.max(np.abs(Pa - Ps)) <= 1e-12
 
 
@@ -212,7 +212,7 @@ def test_nonlinear_smooth_branches_match_high_precision_reference(n):
     # each cut is a brentq root, off by at most PREIMAGE_XTOL in x, so n times
     # that in X; a stored pair the reference lacks is such a rounding sliver
     tol = 2.5 * n * PREIMAGE_XTOL
-    assert np.max(np.abs(P.to_dense() - E)) <= tol
+    assert np.max(np.abs(P.matrix.toarray() - E)) <= tol
     stored = set(zip(m.row.tolist(), m.col.tolist()))
     assert {(int(i), int(j)) for i, j in zip(*np.nonzero(E > tol))} <= stored
 
