@@ -72,8 +72,7 @@ def main(argv=None) -> int:
             if scn.kind == "markov":
                 print("markov scenarios have no map hypotheses to validate")
                 return 0
-            report = validate_hypotheses(scn.family, scn.eps_list,
-                                         depth=scn.hypothesis_depth)
+            report = validate_hypotheses(scn.family, scn.eps_list)
             print(f"min_expansion = {report.min_expansion!r}")
             print(f"distortion = {report.distortion!r}")
             print(f"I2 (depth {report.checked_depth}): {'pass' if report.passes_I2 else 'FAIL'}")

@@ -47,9 +47,6 @@ def family_a() -> PerturbationFamily:
         base=base,
         intercept_eps=(0.0, 3.0, 0.0, 0.0, -1.0, 0.0),
         boundary_b=0.5,
-        hole_coefficients=((float(F("1/3")), 1.0, 0.0),
-                           (float(F("2/3")), 0.0, 1.0 / 3.0)),
-        lebesgue_halves=True,
     )
 
 
@@ -66,7 +63,6 @@ def family_b() -> PerturbationFamily:
         base=base,
         intercept_eps=(3.0, 3.0, 3.0, -1.0, -1.0, -1.0),
         boundary_b=0.5,
-        lebesgue_halves=True,
     )
 
 

@@ -309,11 +309,10 @@ class PerturbationFamily:
     """eps -> PiecewiseMap with branch coefficients linear in eps.
 
     ``slope_eps`` / ``intercept_eps`` perturb affine branches additively;
-    smooth branches may carry an additive term ``g(x, eps)`` with derivatives.
-    Branch domains (hence the critical set) do not move with eps.
-
-    ``hole_coefficients`` optionally records, per infinitesimal hole h, the
-    first-order growth (a, b) of the hole (h - a*eps + o(eps), h + b*eps + o(eps)).
+    smooth branches may carry an additive term ``eps * g(x)`` with
+    derivatives.  Branch domains (hence the critical set) do not move with
+    eps.  A family declares only its map: the holes the perturbation opens
+    follow from it (:meth:`first_order_holes`).
     """
 
     base: PiecewiseMap
@@ -321,8 +320,6 @@ class PerturbationFamily:
     intercept_eps: tuple[float, ...] = ()
     smooth_eps: tuple[Optional[tuple], ...] = ()   # per branch: (g, dg, d2g) or None
     boundary_b: float = 0.5
-    hole_coefficients: tuple[tuple[float, float, float], ...] = ()  # (h, a, b)
-    lebesgue_halves: bool = False   # ergodic densities at eps=0 are 2*1_half
 
     def __post_init__(self):
         nb = len(self.base.branches)
@@ -330,9 +327,6 @@ class PerturbationFamily:
             arr = getattr(self, name)
             if arr and len(arr) != nb:
                 raise MapModelError(f"{name} must have one entry per branch")
-        for h, a, b in self.hole_coefficients:
-            if a < 0 or b < 0:
-                raise MapModelError("hole growth coefficients must be >= 0")
         if not (0.0 < self.boundary_b < 1.0):
             raise MapModelError("boundary point must be interior")
 
@@ -363,6 +357,35 @@ class PerturbationFamily:
 
     def infinitesimal_holes(self) -> list[float]:
         return infinitesimal_holes(self.base, self.boundary_b)
+
+    def first_order_holes(self) -> list[tuple[float, int, float, bool]]:
+        """The holes T_eps opens at first order, as (c, side, rate, left).
+
+        Each is a branch end c with T0(c) = b whose eps-derivative
+        ``delta`` pushes the image of the points just inside the branch
+        (side -1 below c, +1 above) across b.  The hole is those points up
+        to distance ``rate * eps`` from c, with rate = |delta / T0'(c)|;
+        ``left`` says whether it lies in the left half.  T_eps is linear in
+        eps, so the rate is exact at first order.
+        """
+        b = self.boundary_b
+        out = []
+        for i, br in enumerate(self.base.branches):
+            for c, side in ((br.domain.lo, 1), (br.domain.hi, -1)):
+                if abs(br(c) - b) > ENDPOINT_TOL:
+                    continue
+                if br.is_affine:
+                    slope = br.slope
+                    delta = ((self.slope_eps[i] if self.slope_eps else 0.0) * c
+                             + (self.intercept_eps[i] if self.intercept_eps else 0.0))
+                else:
+                    g = self.smooth_eps[i] if self.smooth_eps else None
+                    slope, delta = br.df(c), g[0](c) if g else 0.0
+                # points at distance t inside map to b + slope*side*t + eps*delta
+                if slope * side * delta < 0:
+                    # at c = b itself the side decides the half
+                    out.append((c, side, abs(delta / slope), c + side * ENDPOINT_TOL < b))
+        return out
 
 
 @dataclass

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .map_model import Interval, MapModelError, PerturbationFamily, PiecewiseMap
+from .map_model import (ENDPOINT_TOL, Interval, MapModelError, PerturbationFamily,
+                        PiecewiseMap)
 # second_eigenpair is not called here: perfbench/tracer.py patches it under this name
 from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,  # noqa: F401
                        invariant_density, power_fixed_density, restrict_invariant,
@@ -137,24 +138,22 @@ def hole_measures(report: HoleReport, phi_l: DensityGrid,
 
 def analytic_lhr(family: PerturbationFamily, phi_l: DensityGrid,
                  phi_r: DensityGrid) -> float:
-    """First-order limiting hole ratio from declared hole growth coefficients.
+    """The limit of mu_r(H_r)/mu_l(H_l) as eps -> 0, from first order.
 
-    Each infinitesimal hole h with growth (a, b) contributes
-    phi(h) * (a + b) to its side; the ratio is right-sum over left-sum.
-    Density values at the holes are containing-cell values averaged with
-    their neighbors (the densities are continuous there).
+    Each hole of ``family.first_order_holes()`` adds its width rate times
+    its half's density in the cell just inside the branch end.  The value
+    is one-sided: a density may jump at the end, as phi_l does at 1/2.
     """
-    if not family.hole_coefficients:
-        raise MapModelError("family declares no hole growth coefficients")
     num = den = 0.0
-    for h, a, b_coef in family.hole_coefficients:
-        weight = a + b_coef
-        if weight == 0.0:
-            continue
-        if h < family.boundary_b:
-            den += phi_l.value_near(h) * weight
+    for c, side, rate, left in family.first_order_holes():
+        phi = phi_l if left else phi_r
+        # the cell holding c nudged into the branch, so a c on a cell boundary
+        # (up to rounding) reads the cell on the hole's side
+        v = rate * float(phi.values[math.floor((c + side * ENDPOINT_TOL) * phi.n)])
+        if left:
+            den += v
         else:
-            num += phi_r.value_near(h) * weight
+            num += v
     if den == 0.0:
         raise MapModelError(
             "no first-order hole opens on the left; the limiting ratio is undefined")
@@ -204,22 +203,17 @@ def ergodic_densities(family: PerturbationFamily, P0: UlamMatrix,
                       tol: float = 1e-10) -> tuple[DensityGrid, DensityGrid]:
     """The eps=0 ergodic densities phi_l, phi_r on the grid of ``P0``.
 
-    ``P0`` is the Ulam matrix of ``family.base``.  Families declaring
-    Lebesgue halves get the exact normalized restrictions; otherwise each
-    density is the power-iteration limit of ``P0`` started from the half
+    ``P0`` is the Ulam matrix of ``family.base``.  Each density is the
+    power-iteration limit of ``P0`` started from the normalized half
     indicator (the half is invariant, so the iterates stay supported there).
+    Where the density is Lebesgue on its half, as on the builtins, that
+    start is already fixed and the run stops after one step.
     """
-    n = P0.n
-    b = family.boundary_b
-    Il, Ir = Interval(0.0, b), Interval(b, 1.0)
-    if family.lebesgue_halves:
-        return (DensityGrid.indicator(Il, n, normalize=True),
-                DensityGrid.indicator(Ir, n, normalize=True))
+    n, b = P0.n, family.boundary_b
     out = []
-    for half in (Il, Ir):
+    for half in (Interval(0.0, b), Interval(b, 1.0)):
         start = DensityGrid.indicator(half, n, normalize=True).values
-        vals, _ = power_fixed_density(P0, start, tol)
-        out.append(DensityGrid(n, vals))
+        out.append(DensityGrid(n, power_fixed_density(P0, start, tol)[0]))
     return out[0], out[1]
 
 
@@ -280,25 +274,22 @@ class EpsArtifacts:
 
 def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
                   tol: float = 1e-10) -> SweepContext:
-    """Build the eps=0 context and fix the predicted mixture weight.
+    """Check the sweep's eps ladder and build its eps=0 context.
 
-    The mixture weight comes from the declared first-order hole coefficients
-    when present (the limit object); otherwise from the empirical hole-measure
-    ratio at the smallest eps of the sweep.
+    ``eps_list`` must be positive and strictly decreasing; it may be empty.
+    The predicted mixture weight comes from :func:`analytic_lhr` on the
+    eps=0 ergodic densities.
     """
+    if any(e <= 0 for e in eps_list):
+        raise ValueError("eps values must be positive")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
     b = family.boundary_b
     I_l, I_r = Interval(0.0, b), Interval(b, 1.0)
     P0 = build_ulam(family.base, n)
     phi_l, phi_r = ergodic_densities(family, P0, tol)
     half_diff = DensityGrid(n, 0.5 * (phi_l.values - phi_r.values))
-    if family.hole_coefficients:
-        lhr = analytic_lhr(family, phi_l, phi_r)
-    else:
-        eps_min = min(eps_list)
-        holes = hole_measures(compute_holes(family.instantiate(eps_min), b),
-                              phi_l, phi_r)
-        lhr = holes.ratio
-    alpha, mixture = predict_mixture(lhr, phi_l, phi_r)
+    alpha, mixture = predict_mixture(analytic_lhr(family, phi_l, phi_r), phi_l, phi_r)
     return SweepContext(family=family, n=n, tol=tol,
                         I_l=I_l, I_r=I_r, P0=P0, phi_l=phi_l, phi_r=phi_r,
                         half_diff=half_diff, alpha_pred=alpha, mixture=mixture)
@@ -362,11 +353,5 @@ def convergence_study(family: PerturbationFamily, eps_list, n: int,
     instead of aborting the rest of the sweep.
     """
     eps_list = list(eps_list)
-    if not eps_list:
-        return []
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
     ctx = prepare_sweep(family, eps_list, n, tol=tol)
     return [run_sweep_row(ctx, eps)[0] for eps in eps_list]

@@ -96,7 +96,7 @@ def _run_family(scn: Scenario, log) -> int:
     for w in scn.warnings:
         log(f"warning: {w}")
 
-    report = validate_hypotheses(fam, scn.eps_list, depth=scn.hypothesis_depth)
+    report = validate_hypotheses(fam, scn.eps_list)
     hyp_path = os.path.join(scn.out_dir, "hypotheses.txt")
     with open(hyp_path, "w") as fh:
         fh.write(f"scenario: {scn.name}\n")

@@ -36,7 +36,6 @@ class Scenario:
     markov_pairs: tuple[tuple[float, float], ...] = ()
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
     grid_n: int = DEFAULT_GRID_N
-    hypothesis_depth: int = 8
     out_dir: str = "out"
     warnings: list[str] = field(default_factory=list)
 
@@ -141,26 +140,6 @@ def _parse_branches(raw, errors) -> tuple[list[Branch], list[float], list[float]
     return branches, slope_eps, intercept_eps
 
 
-def _parse_holes(raw, errors):
-    coeffs = []
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        errors.append("holes: expected a list")
-        return ()
-    for i, item in enumerate(raw):
-        path = f"holes[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: expected an object")
-            continue
-        h = _rational(item.get("location"), f"{path}.location", errors)
-        a = _rational(item.get("a", 0), f"{path}.a", errors)
-        b = _rational(item.get("b", 0), f"{path}.b", errors)
-        if not any(math.isnan(x) for x in (h, a, b)):
-            coeffs.append((h, a, b))
-    return tuple(coeffs)
-
-
 def _scenario_from_dict(data: dict, source: str) -> Scenario:
     errors: list[str] = []
     name = data.get("name")
@@ -178,8 +157,6 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
                 slope_eps=tuple(slope_eps),
                 intercept_eps=tuple(intercept_eps),
                 boundary_b=b,
-                hole_coefficients=_parse_holes(data.get("holes"), errors),
-                lebesgue_halves=bool(data.get("lebesgue_halves", False)),
             )
         except MapModelError as exc:
             errors.append(f"branches: {exc}")
@@ -209,7 +186,6 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
     scn = Scenario(name=name, kind="family", family=family,
                    eps_list=tuple(float(e) for e in eps_list),
                    grid_n=grid_n,
-                   hypothesis_depth=int(data.get("hypothesis_depth", 8)),
                    out_dir=str(data.get("out_dir", "out")))
     check_grid(scn)
     return scn

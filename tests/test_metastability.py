@@ -101,26 +101,23 @@ def test_analytic_lhr_family_a(fam_a):
 
 
 def test_analytic_lhr_one_sided_and_symmetric(fam_a):
+    # family A's map: lifting branch 2 opens 1/3-, lowering branch 5 opens 2/3+
     phi_l, phi_r = lebesgue_halves(600)
     no_right = PerturbationFamily(base=fam_a.base,
-                                  intercept_eps=fam_a.intercept_eps,
-                                  boundary_b=0.5,
-                                  hole_coefficients=((1 / 3, 1.0, 0.0),))
+                                  intercept_eps=(0.0, 3.0, 0.0, 0.0, 0.0, 0.0),
+                                  boundary_b=0.5)
     assert analytic_lhr(no_right, phi_l, phi_r) == 0.0
     balanced = PerturbationFamily(base=fam_a.base,
-                                  intercept_eps=fam_a.intercept_eps,
-                                  boundary_b=0.5,
-                                  hole_coefficients=((1 / 3, 1.0, 0.0),
-                                                     (2 / 3, 0.0, 1.0)))
+                                  intercept_eps=(0.0, 3.0, 0.0, 0.0, -3.0, 0.0),
+                                  boundary_b=0.5)
     assert analytic_lhr(balanced, phi_l, phi_r) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_analytic_lhr_requires_left_hole(fam_a):
     phi_l, phi_r = lebesgue_halves(600)
     right_only = PerturbationFamily(base=fam_a.base,
-                                    intercept_eps=fam_a.intercept_eps,
-                                    boundary_b=0.5,
-                                    hole_coefficients=((2 / 3, 0.0, 1.0),))
+                                    intercept_eps=(0.0, 0.0, 0.0, 0.0, -1.0, 0.0),
+                                    boundary_b=0.5)
     with pytest.raises(MapModelError):
         analytic_lhr(right_only, phi_l, phi_r)
     bare = PerturbationFamily(base=fam_a.base, boundary_b=0.5)
@@ -171,19 +168,16 @@ def test_flux_balance_zero_for_empty_holes(fam_a):
 
 
 def test_ergodic_densities_closed_form_matches_computed(fam_a):
-    import dataclasses
     n = 768
     P0 = build_ulam(fam_a.base, n)
-    phi_l_exact, phi_r_exact = ergodic_densities(fam_a, P0)
-    computed_fam = dataclasses.replace(fam_a, lebesgue_halves=False)
-    phi_l_num, phi_r_num = ergodic_densities(computed_fam, P0)
+    phi_l_exact, phi_r_exact = lebesgue_halves(n)
+    phi_l_num, phi_r_num = ergodic_densities(fam_a, P0)
     assert phi_l_exact.l1_distance(phi_l_num) <= 1e-8
     assert phi_r_exact.l1_distance(phi_r_num) <= 1e-8
     assert phi_l_num.integrate(0, 0.5) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_prepare_sweep_assembles_base_matrix_once(fam_a, monkeypatch):
-    import dataclasses
     import metamap.metastability as ms
     sizes = []
 
@@ -192,8 +186,7 @@ def test_prepare_sweep_assembles_base_matrix_once(fam_a, monkeypatch):
         return build_ulam(map_, n)
 
     monkeypatch.setattr(ms, "build_ulam", counting_build_ulam)
-    computed_fam = dataclasses.replace(fam_a, lebesgue_halves=False)
-    ctx = prepare_sweep(computed_fam, [0.01], 384)
+    ctx = prepare_sweep(fam_a, [0.01], 384)
     assert sizes == [384]
     assert ctx.phi_l.integrate(0, 0.5) == pytest.approx(1.0, abs=1e-9)
 
@@ -306,8 +299,7 @@ def random_two_half_family(rng):
             else:
                 intercept_eps.append(float(rng.uniform(-3.0, -0.5)))
     fam = PerturbationFamily(base=PiecewiseMap(branches), slope_eps=tuple(slope_eps),
-                             intercept_eps=tuple(intercept_eps), boundary_b=0.5,
-                             lebesgue_halves=True)
+                             intercept_eps=tuple(intercept_eps), boundary_b=0.5)
     return fam, m
 
 
@@ -327,3 +319,56 @@ def test_sweep_rows_hold_fixed_point_properties_on_random_families():
             assert abs(np.mean(art.psi.values)) <= 1e-12, (seed, eps)
             for ratio in (row.escape_ratio_l, row.escape_ratio_r):
                 assert 0.0 < ratio < math.inf, (seed, eps)
+
+
+def test_analytic_lhr_matches_measured_hole_ratio(fam_a, fam_b):
+    # with eps-free slopes an affine hole is exactly rate*eps wide, and these
+    # densities are constant across it, so the first-order ratio is the
+    # ratio measured at a finite eps
+    cases = [(fam_a, 1), (fam_b, 1)]
+    cases += [random_two_half_family(np.random.default_rng(seed)) for seed in range(40)]
+    for k, (fam, m) in enumerate(cases):
+        phi_l, phi_r = ergodic_densities(fam, build_ulam(fam.base, 240 * m))
+        measured = hole_measures(compute_holes(fam.instantiate(0.01), 0.5), phi_l, phi_r)
+        assert analytic_lhr(fam, phi_l, phi_r) == pytest.approx(measured.ratio, rel=1e-12), k
+
+
+def test_first_order_hole_rate_of_smooth_branch():
+    # left half: f(x) = 1.5x + 2x^2 maps [0, 1/4] onto [0, 1/2] and is pushed
+    # up by eps*x; right half: the end 1- of a decreasing branch is pushed down
+    f = (lambda x: 1.5 * x + 2 * x * x, lambda x: 1.5 + 4 * x, lambda x: 4.0)
+    g = (lambda x: x, lambda x: 1.0, lambda x: 0.0)
+    base = PiecewiseMap([Branch.smooth(0.0, 0.25, *f),
+                         Branch.affine(0.25, 0.5, 2.0, -0.5),
+                         Branch.affine(0.5, 0.75, 2.0, -0.5),
+                         Branch.affine(0.75, 1.0, -2.0, 2.5)])
+    fam = PerturbationFamily(base=base, intercept_eps=(0.0, 0.0, 0.0, -1.0),
+                             smooth_eps=(g, None, None, None), boundary_b=0.5)
+    holes = fam.first_order_holes()
+    assert [(c, side, left) for c, side, _, left in holes] == [(0.25, -1, True),
+                                                               (1.0, -1, False)]
+    # g(1/4) / f'(1/4) and 1 / |-2|
+    assert [rate for _, _, rate, _ in holes] == pytest.approx([0.1, 0.5], rel=1e-12)
+    eps = 1e-5
+    rep = compute_holes(fam.instantiate(eps), 0.5)
+    assert rep.H_l[0].length / eps == pytest.approx(0.1, rel=1e-4)
+    assert rep.H_r[0].length / eps == pytest.approx(0.5, rel=1e-9)
+
+
+def test_ergodic_density_of_a_half_that_is_not_lebesgue():
+    # the second left branch covers only [0, 3/8], so Lebesgue on [0, 1/2]
+    # is not invariant and phi_l has to be computed
+    base = PiecewiseMap([Branch.affine(0.0, 0.25, 2.0, 0.0),
+                         Branch.affine(0.25, 0.5, 1.5, -0.375),
+                         Branch.affine(0.5, 0.75, 2.0, -0.5),
+                         Branch.affine(0.75, 1.0, -2.0, 2.5)])
+    fam = PerturbationFamily(base=base, boundary_b=0.5)
+    n = 768
+    P0 = build_ulam(base, n)
+    phi_l, phi_r = ergodic_densities(fam, P0)
+    lebesgue_l, lebesgue_r = lebesgue_halves(n)
+    for phi in (phi_l, phi_r):
+        assert np.mean(np.abs(P0.apply(phi.values) - phi.values)) <= 1e-9
+    assert phi_l.integrate(0.0, 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert phi_l.l1_distance(lebesgue_l) > 0.05
+    assert phi_r.l1_distance(lebesgue_r) <= 1e-9

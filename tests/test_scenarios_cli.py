@@ -21,7 +21,6 @@ from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
 FAMILY_A_JSON = {
     "name": "family-a-from-file",
     "boundary": "1/2",
-    "lebesgue_halves": True,
     "branches": [
         {"domain": ["0", "1/6"], "slope": 3, "intercept": 0},
         {"domain": ["1/6", "1/3"], "slope": 3, "intercept": "-1/2", "intercept_eps": 3},
@@ -29,10 +28,6 @@ FAMILY_A_JSON = {
         {"domain": ["1/2", "2/3"], "slope": -3, "intercept": "5/2"},
         {"domain": ["2/3", "5/6"], "slope": 3, "intercept": "-3/2", "intercept_eps": -1},
         {"domain": ["5/6", "1"], "slope": 3, "intercept": -2},
-    ],
-    "holes": [
-        {"location": "1/3", "a": 1, "b": 0},
-        {"location": "2/3", "a": 0, "b": "1/3"},
     ],
     "eps_list": [0.02, 0.01],
     "grid_n": 384,
@@ -50,7 +45,8 @@ def test_builtin_family_a_defaults():
     assert scn.kind == "family"
     assert scn.grid_n == 3840
     assert scn.eps_list == DEFAULT_EPS_LIST
-    assert scn.family.lebesgue_halves
+    assert scn.family.first_order_holes() == pytest.approx(
+        [(1 / 3, -1, 1.0, True), (2 / 3, 1, 1 / 3, False)])
 
 
 def test_builtin_markov_routes_to_markov_kind():
@@ -71,9 +67,22 @@ def test_load_scenario_file_round_trip(tmp_path):
     assert len(fam.base.branches) == 6
     assert fam.base.branches[1].intercept == pytest.approx(-0.5)
     assert fam.intercept_eps == (0, 3, 0, 0, -1, 0)
-    assert fam.hole_coefficients[1][2] == pytest.approx(1 / 3)
+    # (c, side, width rate, left): 1/3- at rate 1 and 2/3+ at rate 1/3
+    assert fam.first_order_holes() == pytest.approx(
+        [(1 / 3, -1, 1.0, True), (2 / 3, 1, 1 / 3, False)])
     assert scn.eps_list == (0.02, 0.01)
     assert scn.grid_n == 384
+
+
+def test_dropped_scenario_keys_are_ignored(tmp_path):
+    # hole coefficients, Lebesgue halves and the (I2) depth are derived or
+    # fixed now; a file that still sets them loads as one that does not
+    old = dict(FAMILY_A_JSON, lebesgue_halves=True, hypothesis_depth=3,
+               holes=[{"location": "1/3", "a": 5, "b": 0}])
+    got = load_scenario(write_scenario(tmp_path, old, "old.json"))
+    want = load_scenario(write_scenario(tmp_path, FAMILY_A_JSON))
+    assert got.family == want.family
+    assert (got.eps_list, got.grid_n) == (want.eps_list, want.grid_n)
 
 
 def test_grid_rule_warnings(tmp_path):

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The determinism contract in one command: run the three builtin scenarios
-# with the sources of <base-rev> and with those of this working tree, and
-# compare every file they write.
+# and demos/scenario_family_a.json with the sources of <base-rev> and with
+# those of this working tree, each side reading the scenario file from its
+# own checkout, and compare every file they write.
 #
 #   tools/same_bytes.sh <base-rev>
 #
@@ -23,12 +24,13 @@ cleanup() {
 trap cleanup EXIT
 git -C "$root" worktree add --quiet --detach "$tmp/base" "$1" || exit 2
 for side in base tree; do
-    if [ "$side" = base ]; then src=$tmp/base/src; else src=$root/src; fi
-    for s in family_a family_b markov2; do
+    if [ "$side" = base ]; then top=$tmp/base; else top=$root; fi
+    for s in builtin:family_a builtin:family_b builtin:markov2 \
+             "$top/demos/scenario_family_a.json"; do
         # a run that fails leaves its files missing or different, which
         # diff reports below
-        PYTHONPATH=$src python3 -m metamap.cli run --scenario "builtin:$s" \
-            --out "$tmp/out/$side/$s" > /dev/null
+        PYTHONPATH=$top/src python3 -m metamap.cli run --scenario "$s" \
+            --out "$tmp/out/$side/$(basename "${s#builtin:}" .json)" > /dev/null
     done
 done
 diff -r "$tmp/out/base" "$tmp/out/tree"
