@@ -5,22 +5,20 @@ repeats ``w <- step(w)`` and stops when the mean-L1 step change and the
 extrapolated distance to the limit are both below the tolerance.  When the
 steps shrink by a settled ratio r and each step is r times the previous
 one, the kernel jumps to the sum of their geometric tail, so one isolated
-slow eigenvalue (family B's drain, 1 - rho ~ 6 eps) costs a few dozen
-steps instead of ~1/(1 - rho).  The callers differ only in their step:
-two-block aggregation for the invariant density (the mass of the blocks
-[0,k) and [k,n) is rescaled to the stationary weight of the 2x2 chain
-between them, so nearly decomposable matrices converge at the within-block
-rate instead of at rho_eps -> 1), plain mass renormalization
-(``power_fixed_density``, and the invariant density's retry when the
-aggregated run stalls) for the eps=0 ergodic densities, deflation against
-the invariant density for the second eigenpair, and a hole mask with
-mean-1 renormalization for escape rates.
-``invariant_density`` runs the density kernel once and then the deflated
-one, from a start with a seeded generic component, and is the one owner of
-the second pair: a second eigenvalue within 10*tol of 1 means eigenvalue 1
-is not simple, and otherwise the pair is kept on the result; a second
-eigenvalue that is not real, or is -1, raises.  A deflated run that
-stalls is named by a Rayleigh-Ritz check on its last iterate (three
+slow eigenvalue costs a few dozen steps instead of ~1/(1 - rho).  The
+callers differ only in their step: the deflated step for the second
+eigenpair (P^T with the mean removed), the psi-corrected mass step for the
+invariant density (each step removes the second eigenvector's component
+at its rate rho, so the run contracts at the third eigenvalue's rate
+instead of at rho_eps ~ 1 - c*eps), plain mass renormalization for
+``power_fixed_density`` and for a density whose eigenvalue 1 is not
+simple, and a hole mask with mean-1 renormalization for escape rates.
+``invariant_density`` runs the deflated kernel first, from a start with a
+seeded generic component, and then the density kernel once; it is the one
+owner of the second pair: a second eigenvalue within 10*tol of 1 means
+eigenvalue 1 is not simple, and otherwise the pair is kept on the result;
+a second eigenvalue that is not real, or is -1, raises.  A deflated run
+that stalls is named by a Rayleigh-Ritz check on its last iterate (three
 vectors, six matvecs), so every outcome costs O(nnz) at any n.
 
 A step costs one sparse matvec and a few passes over the vector, and at
@@ -30,7 +28,7 @@ matvec.  So the steps work in place on the matvec's fresh result, |d| and
 the length (``np.mean`` without its wrapper: the same bits), and what is
 read only at the end, the deflated step's Rayleigh quotient, is computed
 once from the last step.  Dot products use ``np.einsum`` (see the
-deflated step), except for the exit probabilities in ``_block_rates``.
+deflated step), so no result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -98,11 +96,10 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
     geometric tail, ``w + r/(1-r) * d``.  The vector check keeps a rotating
     complex pair, whose norm ratio can settle by chance, from jumping; it
     runs only once the ratios settle.  A jump that would take an entry >= 0
-    below -tol is not made: density iterates never leave the nonnegative
-    cone, so it overshoots (and can leave an aggregation block with negative
-    mass).  A jump keeps mean(w) whenever the step does (d has mean 0), but
-    not mean|w|, so the next step's renormalization shows in its step
-    change.  A jump is not a step: it enters neither the step count nor the
+    below -tol is not made: plain density iterates never leave the
+    nonnegative cone, so it overshoots.  A jump keeps mean(w) whenever the
+    step does (d has mean 0), but not mean|w|, so the next step's
+    renormalization shows in its step change.  A jump is not a step: it enters neither the step count nor the
     stall window, the step after it is not tested for a stall, and the next
     jump needs fresh ratios.
 
@@ -193,61 +190,53 @@ def power_fixed_density(P: UlamMatrix, start: np.ndarray, tol: float,
     return _iterate(_mass_step(P), start / np.mean(start), tol, max_iter)
 
 
-def _block_rates(x: np.ndarray, out: np.ndarray, k: int) -> tuple[float, float, float, float]:
-    """(p_LR, p_RL, mass_L, mass_R) of the density x on the blocks [0,k), [k,n).
+def _block_rates(P: UlamMatrix, x: np.ndarray, k: int) -> tuple[float, float]:
+    """(p_LR, p_RL) of the density x on the blocks [0,k), [k,n).
 
-    ``out[i]`` is row i's probability of leaving its block; a block's exit
-    probability is its mass-weighted mean, nan for a block without mass.
+    A block's exit probability is the mass-weighted mean of its rows'
+    probabilities of leaving it, nan for a block without mass.
     """
+    m = P.matrix
+    # row i's probability of leaving its block: the entries of P's first k
+    # columns summed per row, in storage order as P[:, :k].sum(axis=1) does
+    out = np.bincount(m.indices[:m.indptr[k]], weights=m.data[:m.indptr[k]], minlength=P.n)
+    out[:k] = 1.0 - out[:k]
     m_l, m_r = float(np.add.reduce(x[:k])), float(np.add.reduce(x[k:]))
-    p_lr = float(x[:k] @ out[:k]) / m_l if m_l > 0 else math.nan
-    p_rl = float(x[k:] @ out[k:]) / m_r if m_r > 0 else math.nan
-    return p_lr, p_rl, m_l, m_r
+    p_lr = float(np.einsum("i,i->", x[:k], out[:k])) / m_l if m_l > 0 else math.nan
+    p_rl = float(np.einsum("i,i->", x[k:], out[k:])) / m_r if m_r > 0 else math.nan
+    return p_lr, p_rl
 
 
-def _aggregation_step(P: UlamMatrix, k: int,
-                      out: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Two-block aggregation-disaggregation step (Koury-McAllister-Stewart).
+def _corrected_step(P: UlamMatrix, rho: float,
+                    psi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Mass step that removes the psi component at its exact rate rho.
 
-    One matvec, then the 2x2 chain between the blocks: each block's mass is
-    rescaled to that chain's stationary weight w = p_RL/(p_LR+p_RL), which
-    replaces the mean renormalization.  The correction is off (plain mass
-    step) until the coarse weight settles, i.e. the first step whose change
-    in w is smaller than the previous one, and stays on from then on
-    wherever w exists.  Applied from the start, a block whose first mass
-    sits in cells without exit would get w = 0 and be wiped out, and at
-    eps=0 the rounding-level exit probabilities (~1e-16) would give an
-    arbitrary w that moves all mass into one block; toggled
-    per step, the step change oscillates and trips the stall rule.
+    An iterate is x = phi + s*psi + fast, so y = P^T x carries s*rho*psi and
+    <psi, y - x> = s*(rho - 1)*<psi, psi> up to the fast modes' share; y
+    loses s*rho*psi and is rescaled to mean 1.  The run then contracts at
+    the third eigenvalue's rate, not at rho ~ 1 - c*eps.
     """
     n = P.n
-    on = False
-    w1 = w2 = math.nan          # w of the previous two steps
+    scale = rho / ((rho - 1.0) * float(np.einsum("i,i->", psi, psi)))
+    buf = np.empty(n)           # y - x, then the correction, every step
 
-    def step(d):
-        nonlocal on, w1, w2
-        nxt = P.apply(d)
-        p_lr, p_rl, m_l, m_r = _block_rates(nxt, out, k)
-        w = p_rl / (p_lr + p_rl) if p_lr + p_rl > 0 else math.nan
-        if not on:
-            on = abs(w - w1) < abs(w1 - w2)     # False while any w is nan
-            w1, w2 = w, w1
-        if not (on and math.isfinite(w)):
-            nxt /= np.add.reduce(nxt) / n
-            return nxt
-        nxt[:k] *= w * n / m_l
-        nxt[k:] *= (1.0 - w) * n / m_r
-        return nxt
-
+    def step(x):
+        y = P.apply(x)
+        # <psi, y - x>, not <psi, y> - <psi, x>: near the limit the two dots
+        # cancel to their rounding, which 1/(1 - rho) then magnifies
+        s = float(np.einsum("i,i->", psi, np.subtract(y, x, out=buf)))
+        y -= np.multiply(psi, s * scale, out=buf)
+        y /= np.add.reduce(y) / n
+        return y
     return step
 
 
 def _clip_negative(phi: np.ndarray) -> np.ndarray:
     """phi clipped at 0 and rescaled to mean 1.
 
-    A jump can leave values of ~-1e-13 in cells where the density vanishes.
-    A limit without negative cells is returned as it is: rescaling it would
-    only move its last bits.
+    The psi correction and the jumps leave values of ~-1e-10 in cells where
+    the density vanishes.  A limit without negative cells is returned as it
+    is: rescaling it would only move its last bits.
     """
     if phi.min() >= 0.0:
         return phi
@@ -262,22 +251,23 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     and the second eigenpair that decides it.
 
     ``I_l`` = [0,b) names the left block: the k cells it overlaps, which
-    must leave 0 < k < n.  The kernel runs once, from the uniform density,
-    with the two-block aggregation step on [0,k) and [k,n); if that run
-    raises SolverError it is repeated once with the plain mass step, and
-    ``iterations`` counts the run that produced phi.  If the retry fails
-    too, and two mass steps return its last iterate while one does not, a
-    closed class has period 2 (eigenvalue -1) and DegenerateSpectrumError
-    says so; otherwise the retry's SolverError propagates.  ``second_eigenpair``
-    with I_l = [0, k/n) then decides simplicity: a second eigenvalue rho
-    with |1 - rho| <= 10*tol means eigenvalue 1 is not simple, and
-    phi + c*psi with no mass on [k,n) (on [0,k) if phi has none on [k,n))
-    is reported as a second fixed density; otherwise (rho, psi) is kept on
-    the result.  The second eigenpair's errors propagate: a second
-    eigenvalue that is not real raises DegenerateSpectrumError, a stalled
-    run that its Ritz check cannot name SolverError.  A second
-    eigenvalue within 10*tol of -1 raises DegenerateSpectrumError as well:
-    it ties in modulus with a second eigenvalue 1, so it decides nothing.
+    must leave 0 < k < n.  ``second_eigenpair`` with I_l = [0, k/n) runs
+    first.  A second eigenvalue that is not real raises
+    DegenerateSpectrumError, a stalled run that its Ritz check cannot name
+    SolverError.  A second eigenvalue within 10*tol of -1 raises
+    DegenerateSpectrumError as well: it ties in modulus with a second
+    eigenvalue 1, so it decides nothing.  A second eigenvalue rho with
+    |1 - rho| <= 10*tol means eigenvalue 1 is not simple.
+
+    The density kernel then runs once, from the uniform density: with the
+    psi-corrected step (``_corrected_step``) when eigenvalue 1 is simple,
+    with the plain mass step when it is not.  If that run raises
+    SolverError, and two steps return its last iterate while one does not,
+    a closed class has period 2 (eigenvalue -1) and DegenerateSpectrumError
+    says so; otherwise the SolverError propagates.  When eigenvalue 1 is
+    simple, (rho, psi) is kept on the result.  Otherwise phi + c*psi with
+    no mass on [k,n) (on [0,k) if phi has none on [k,n)) is reported as a
+    second fixed density.
     """
     n = P.n
     # the cells that [0,b) overlaps, as DensityGrid.indicator(I_l, n) counts them
@@ -285,38 +275,28 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     if not (I_l.lo == 0.0 and 0 < k < n):
         raise ValueError(f"I_l = [{I_l.lo}, {I_l.hi}) must be [0,b) covering k cells "
                          f"with 0 < k < n = {n} (k = {k})")
-    # row i's probability of leaving its block: the entries of P's first k
-    # columns summed per row, in storage order as P[:, :k].sum(axis=1) does
-    m = P.matrix
-    out = np.bincount(m.indices[:m.indptr[k]], weights=m.data[:m.indptr[k]], minlength=n)
-    out[:k] = 1.0 - out[:k]
-
-    uniform = np.ones(n)
-    try:
-        phi, steps = _iterate(_aggregation_step(P, k, out), uniform, tol, max_iter)
-    except SolverError:
-        # the aggregation step can stall where plain power iteration converges
-        step = _mass_step(P)
-        try:
-            phi, steps = _iterate(step, uniform, tol, max_iter)
-        except SolverError as exc:
-            w = exc.iterate
-            if np.mean(np.abs(step(step(w)) - w)) <= 10.0 * tol < np.mean(np.abs(step(w) - w)):
-                raise DegenerateSpectrumError(
-                    "eigenvalue -1: the density iterates return after two steps but "
-                    "not after one, so a closed class has period 2") from exc
-            raise
-    phi = _clip_negative(phi)
-    residual = float(np.mean(np.abs(P.apply(phi) - phi)))
-    p_lr, p_rl, _, _ = _block_rates(phi, out, k)
-    res = InvariantDensityResult(phi=DensityGrid(n, phi), leading_simple=True,
-                                 residual=residual, iterations=steps, p_lr=p_lr, p_rl=p_rl)
-    rho, psi = second_eigenpair(P, res.phi, Interval(0.0, k / n), tol, max_iter)
+    rho, psi = second_eigenpair(P, None, Interval(0.0, k / n), tol, max_iter)
     if abs(1.0 + rho) <= 10.0 * tol:
         raise DegenerateSpectrumError(
             f"second eigenvalue {rho!r} is -1, which ties in modulus with a second "
             "eigenvalue 1: simplicity of eigenvalue 1 cannot be decided")
-    if abs(1.0 - rho) > 10.0 * tol:
+    simple = abs(1.0 - rho) > 10.0 * tol
+    step = _corrected_step(P, rho, psi.values) if simple else _mass_step(P)
+    try:
+        phi, steps = _iterate(step, np.ones(n), tol, max_iter)
+    except SolverError as exc:
+        w = exc.iterate
+        if np.mean(np.abs(step(step(w)) - w)) <= 10.0 * tol < np.mean(np.abs(step(w) - w)):
+            raise DegenerateSpectrumError(
+                "eigenvalue -1: the density iterates return after two steps but "
+                "not after one, so a closed class has period 2") from exc
+        raise
+    phi = _clip_negative(phi)
+    residual = float(np.mean(np.abs(P.apply(phi) - phi)))
+    p_lr, p_rl = _block_rates(P, phi, k)
+    res = InvariantDensityResult(phi=DensityGrid(n, phi), leading_simple=simple,
+                                 residual=residual, iterations=steps, p_lr=p_lr, p_rl=p_rl)
+    if simple:
         return replace(res, rho=rho, psi=psi)
     # every phi + c*psi is fixed: report the one without mass on [k,n), or
     # without mass on [0,k) when phi itself has none on [k,n).  A psi with
@@ -324,7 +304,7 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     phi_r, psi_r = float(phi[k:].sum()) / n, float(psi.values[k:].sum()) / n
     target = phi_r if phi_r > 10.0 * tol else phi_r - 1.0
     c = -target / psi_r if abs(psi_r) > 10.0 * tol else 1.0
-    return replace(res, leading_simple=False, probe_phi=DensityGrid(n, phi + c * psi.values),
+    return replace(res, probe_phi=DensityGrid(n, phi + c * psi.values),
                    probe_distance=abs(c) * psi.l1_norm())
 
 
@@ -339,35 +319,38 @@ def _finalize_psi(values: np.ndarray, b_left: float, n: int) -> DensityGrid:
     return DensityGrid(n, g.values / norm)
 
 
-def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
+def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
                      tol: float = 1e-10,
                      max_iter: Optional[int] = None) -> tuple[float, DensityGrid]:
     """Second eigenvalue and eigenvector of the Ulam matrix.
 
-    Deflated power iteration: each step projects out the invariant-density
-    direction, so iterates stay in the mass-zero subspace where the second
-    eigenvalue dominates.  The start is 1 on I_l, -1 right of it, plus 1e-6
-    times a normal draw seeded with START_SEED.  The eigenvalue is the
-    Rayleigh quotient <v, w>/<w, w> of the last step's input w and its
-    projected image v.  The eigenvector is L1-normalized with positive
-    integral over I_l; its own integral vanishes by construction.
+    Deflated power iteration on the mass-zero subspace, where the second
+    eigenvalue dominates.  ``phi`` is not read: P's rows sum to 1, so P^T
+    keeps the mass of every vector, and on mass-zero vectors the operator
+    deflated against phi is P^T itself.  Each step therefore only removes
+    the mean of P^T w, which holds no more than rounding drift, so the
+    result does not depend on the density passed, and ``invariant_density``
+    runs this before it has one.  The start is 1 on I_l, -1 right of it,
+    plus 1e-6 times a normal draw seeded with START_SEED, less its mean.
+    The eigenvalue is the Rayleigh quotient <v, w>/<w, w> of the last
+    step's input w and its projected image v.  The eigenvector is
+    L1-normalized with positive integral over I_l; its own integral
+    vanishes by construction.
 
     When the iteration stalls or runs out of steps, its last iterate w is
     checked by Rayleigh-Ritz on span{w, Aw, A^2 w}, A the deflated step
     without its normalization: six matvecs at any n.  A Ritz value within
     10*tol of 1 whose vector has residual <= 10*tol gives (1.0, that
-    vector), a second fixed density; a top-modulus Ritz value that is not
-    real raises DegenerateSpectrumError; anything else raises SolverError
-    naming the top Ritz value.
+    vector), the difference of two fixed densities; a top-modulus Ritz
+    value that is not real raises DegenerateSpectrumError; anything else
+    raises SolverError naming the top Ritz value.
     """
     n = P.n
-    phi_v = phi.values / phi.mass()
-
     w = DensityGrid.indicator(I_l, n).values - DensityGrid.indicator(Interval(I_l.hi, 1.0), n).values
     # any fixed start misses the eigenvectors it has no component along; a
     # seeded generic component shrinks those to a null set
     w = w + 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
-    w = w - np.mean(w) * phi_v
+    w = w - np.mean(w)
     w /= np.mean(np.abs(w))
 
     buf = np.empty(n)                          # |v|, overwritten every step
@@ -375,7 +358,7 @@ def second_eigenpair(P: UlamMatrix, phi: DensityGrid, I_l: Interval,
 
     def deflated(x):
         v = P.apply(x)
-        v -= (np.add.reduce(v) / n) * phi_v
+        v -= np.add.reduce(v) / n
         return v
 
     def step(w):

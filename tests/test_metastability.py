@@ -263,9 +263,10 @@ def test_left_mass_converges_to_alpha_monotonically(sweep_a):
 
 
 def test_two_block_chain_matches_weight_and_rho(sweep_a):
-    # the 2x2 chain of the aggregation solver is the paper's two-state
-    # analog: its stationary weight is mu(I_l), and p_LR + p_RL approaches
-    # the switching rate 1 - rho as eps shrinks
+    # the 2x2 chain between the blocks, evaluated at the density the
+    # psi-corrected run returns, is the paper's two-state analog: its
+    # stationary weight is mu(I_l), and p_LR + p_RL approaches the
+    # switching rate 1 - rho as eps shrinks
     gaps = []
     for row in sweep_a["rows"]:
         P = sweep_a["arts"][row.eps].P

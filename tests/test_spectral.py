@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import dense_top_eigenpairs, three_block_cycle
 
+import metamap
 from metamap.map_model import Interval
 from metamap.spectral import (DegenerateSpectrumError, SolverError,
                               escape_rate, invariant_density,
@@ -182,8 +186,10 @@ def test_escape_rate_tracks_hole_measure(fam_a):
 @pytest.mark.parametrize("family", ["fam_a", "fam_b"])
 def test_solvers_are_reentrant(request, family):
     # the steps work in place on their own vectors and keep references
-    # between steps: a second call on the same inputs must repeat every bit
-    # and leave the inputs as they were (family B's density run jumps)
+    # between steps (the corrected density step keeps a scratch buffer): a
+    # second call on the same inputs must repeat every bit and leave the
+    # inputs as they were (family B's density iterates pass through
+    # negative cells)
     fam = request.getfixturevalue(family)
     n = 1200
     P = build_ulam(fam.instantiate(0.01), n)
@@ -256,8 +262,8 @@ def test_complex_second_eigenvalue_named_at_large_n():
 
 
 def test_aggregation_steps_flat_in_eps(fam_a):
-    # plain power iteration needs ~1/eps steps here (263 ... 8358); one
-    # aggregated run takes 26-30
+    # plain power iteration needs ~1/eps steps here (263 ... 8358); the
+    # psi-corrected run takes 21-23, as the second pair's run does
     n = 1536
     for eps in (0.05, 0.02, 0.005, 0.002):
         res = invariant_density(build_ulam(fam_a.instantiate(eps), n), tol=1e-10)
@@ -282,18 +288,20 @@ def test_left_block_must_be_a_proper_leading_block(ulam_a_768, lo, hi):
 
 
 def test_aggregation_waits_for_settled_weight(fam_a):
-    # a run from the probe start, whose first right-block mass sits in cells
-    # without exit, got coarse weights 0 at first, and correcting with them
-    # wiped out the left block; from the uniform start the wait shows at
-    # eps=0 (test_eps_zero_degenerate_top_eigenvalue)
+    # a block-weight correction applied from a start whose first mass sat
+    # in cells without exit once wiped out the left block.  The psi
+    # correction needs no wait: it removes only the psi component, which
+    # the second pair's run has already settled, and at eps=0 (where rho is
+    # 1) the plain mass step runs (test_eps_zero_degenerate_top_eigenvalue)
     res = invariant_density(build_ulam(fam_a.instantiate(0.02), 768), tol=1e-10)
     assert res.leading_simple
     assert res.residual <= 1e-9
 
 
 def test_aggregation_converges_on_boundary_violating_family(fam_b):
-    # once on, the correction stays on; toggled per step, the step change
-    # oscillates and the stall rule fires
+    # the slow mode drains the left half, and the correction removes it at
+    # its rate rho from the first step: 20 steps, where the two-block
+    # aggregation step took 80 with 10 jumps
     n = 3840
     res = invariant_density(build_ulam(fam_b.instantiate(2e-4), n), tol=1e-10)
     assert res.leading_simple
@@ -303,7 +311,9 @@ def test_aggregation_converges_on_boundary_violating_family(fam_b):
 @pytest.mark.parametrize("eps", [0.02, 0.01, 0.005])
 def test_jump_steps_flat_in_eps_on_boundary_violating_family(fam_b, eps):
     # the slow mode is a drain into a strip that returns at once, not a block
-    # exchange, so aggregation alone needs ~1/eps steps here (266 / 559 / 1162)
+    # exchange: a two-block aggregation step alone needed ~1/eps steps here
+    # (266 / 559 / 1162), and with jumps 34 / 43 / 52.  The psi correction
+    # takes 22-24 and makes no jump
     n = 1536
     res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10)
     assert res.leading_simple
@@ -312,7 +322,9 @@ def test_jump_steps_flat_in_eps_on_boundary_violating_family(fam_b, eps):
 
 @pytest.mark.parametrize("eps", [0.02, 0.01, 0.005])
 def test_invariant_density_nonnegative_after_jumps(fam_b, eps):
-    # the jumps overshoot to ~-5e-13 in cells where the density vanishes
+    # the psi correction drives iterates to -0.08 in cells where the density
+    # vanishes, and the limit keeps values down to ~-3e-11 there, which the
+    # clip removes
     n = 1536
     res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10)
     assert res.phi.values.min() >= 0.0
@@ -321,10 +333,12 @@ def test_invariant_density_nonnegative_after_jumps(fam_b, eps):
 
 def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
     # lazy walk on 12 cells drifting right: the density grows from ~0.003 in
-    # cell 0 to ~6 in cell 11.  From the probe in cell 0, a jump at step 839
-    # drove cells 0-1 to -7e-4, so the left block's mass went negative, the
-    # aggregation correction switched off and back on, and the stall rule
-    # fired at step 1274
+    # cell 0 to ~6 in cell 11, and rho = 0.9973 is no isolated slow mode
+    # (the third eigenvalue is 0.9945).  The density run refuses the jumps
+    # of steps 461-624, which would take cells down to -0.024, and makes
+    # six after them: 3,034 steps.  Unguarded, such a jump once left a
+    # two-block aggregation step with a negative block mass, and the stall
+    # rule fired
     m, p, q = 12, 0.02, 0.01
     A = np.diag(np.full(m - 1, p), 1) + np.diag(np.full(m - 1, q), -1)
     A += np.diag(1.0 - A.sum(axis=1))
@@ -337,8 +351,69 @@ def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
     assert abs(res.rho - dense_top_eigenpairs(P, k=2)[1][0].real) <= 1e-10
 
 
+@pytest.mark.parametrize("eps", [1e-4, 12 / 122880])
+def test_density_steps_flat_in_eps_at_large_n(fam_b, eps):
+    # 24 and 25 steps; the two-block aggregation step took 3,753 at eps=1e-4
+    # and 101 at 12/n
+    res = invariant_density(build_ulam(fam_b.instantiate(eps), 122880), tol=1e-10)
+    assert res.leading_simple
+    assert res.iterations <= 40, res.iterations
+    assert res.residual <= 10 * 1e-10
+
+
+@pytest.mark.parametrize("family", ["fam_a", "fam_b"])
+def test_density_steps_on_the_fine_ladder(request, family):
+    # the rows of the sweep_*_fine benchmark: 22-25 steps on both families,
+    # where the aggregation step took 25-29 (A) and 46-67 (B)
+    fam = request.getfixturevalue(family)
+    for eps in (0.0064, 0.0032, 0.0016, 0.0008):
+        res = invariant_density(build_ulam(fam.instantiate(eps), 15360), tol=1e-10)
+        assert res.iterations <= 35, (eps, res.iterations)
+
+
+def test_density_solve_independent_of_blas_threads():
+    # every dot product is an einsum, so the BLAS thread count moves no bit.
+    # While the exit probabilities used @ and steered the aggregation step,
+    # this run took 224 steps on one thread and 985 on two
+    code = (
+        "import hashlib, numpy as np\n"
+        "from metamap.families import family_b\n"
+        "from metamap.spectral import invariant_density\n"
+        "from metamap.transfer_operator import build_ulam\n"
+        "res = invariant_density(build_ulam(family_b().instantiate(2e-4), 61440))\n"
+        "h = hashlib.sha256(res.phi.values.tobytes() + res.psi.values.tobytes()\n"
+        "                   + np.array([res.rho, res.p_lr, res.p_rl]).tobytes())\n"
+        "print(res.iterations, h.hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(metamap.__file__))
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("family, n, eps", [("fam_a", 15360, 0.0064), ("fam_a", 15360, 0.0008),
+                                            ("fam_b", 15360, 0.0064), ("fam_b", 15360, 0.0008),
+                                            ("fam_b", 122880, 1e-4)])
+def test_density_and_rho_match_arpack_beyond_the_dense_oracle(request, family, n, eps):
+    # ARPACK's Arnoldi iteration is independent of the power-iteration
+    # kernel and reaches grid sizes where no dense eigensolve does; the
+    # worst distances are 2.9e-11 (phi) and 4.5e-12 (rho)
+    from scipy.sparse.linalg import eigs
+
+    P = build_ulam(request.getfixturevalue(family).instantiate(eps), n)
+    res = invariant_density(P, tol=1e-10)
+    vals, vecs = eigs(P.matrix.T, k=2, which="LM", v0=np.random.default_rng(0).random(n))
+    top, second = np.argsort(-np.abs(vals))
+    assert abs(vals[top] - 1.0) <= 1e-12 and abs(vals[second].imag) <= 1e-12
+    phi = vecs[:, top].real
+    assert np.mean(np.abs(phi / np.mean(phi) - res.phi.values)) <= 2e-10
+    assert abs(vals[second].real - res.rho) <= 1e-11
+
+
 def _plain_limit(P, start, tol, max_iter):
-    """Power iteration without aggregation or jumps, stopped by the kernel's
+    """Power iteration without correction or jumps, stopped by the kernel's
     rule for a jump-free run; the reference for the accelerated solvers."""
     w, prev = start / np.mean(start), math.inf
     for _ in range(max_iter):
@@ -365,8 +440,8 @@ def _plain_verdict(P, probe, tol, max_iter):
 @example(seed=13, n=28, split=0.125, log_coupling=-1.0, fill=0.5, shuffle=False)
 def test_aggregation_converges_where_power_iteration_does(seed, n, split, log_coupling,
                                                           fill, shuffle):
-    # shuffled, the weakly coupled blocks interleave, so the probe's block
-    # [0,k) is not one of them and the slow mode is left to the jumps
+    # shuffled, the weakly coupled blocks interleave, so [0,k) is not one
+    # of them; the psi correction removes the slow mode wherever it lives
     rng = np.random.default_rng(seed)
     k = min(max(int(split * n), 1), n - 1)
     A = rng.random((n, n)) * (rng.random((n, n)) < fill) + np.diag(rng.random(n))
@@ -436,7 +511,8 @@ def test_two_closed_classes_across_the_blocks_not_simple(seed):
 def test_eigenvalues_one_and_minus_one_read_as_not_simple():
     # dense spectrum {1, -1, 1}: the deflated run alternates between the
     # two and stalls, and the Ritz check on its last iterate finds the
-    # second fixed density behind the -1
+    # second fixed density behind the -1.  The plain mass step from the
+    # uniform start then converges in 23 steps
     P = _two_class_chain(688)
     res = invariant_density(P)
     assert not res.leading_simple
@@ -461,8 +537,9 @@ def test_second_eigenvalue_minus_one_gives_no_verdict():
 
 @pytest.mark.parametrize("seed", [57, 1197, 1864])
 def test_period_two_class_named_when_the_density_run_oscillates(seed):
-    # dense spectra {1, -1, 1}: from the uniform start both density runs
-    # alternate with the eigenvalue -1 and stall, and that is what is reported
+    # dense spectra {1, -1, 1}: the Ritz check reads eigenvalue 1 as not
+    # simple, then the plain mass step from the uniform start alternates
+    # with the eigenvalue -1 and stalls, and that is what is reported
     P = _two_class_chain(seed)
     top = np.array([lam for lam, _ in dense_top_eigenpairs(P, k=3)])
     assert np.sum(np.abs(top + 1.0) <= 1e-12) == 1
@@ -472,9 +549,10 @@ def test_period_two_class_named_when_the_density_run_oscillates(seed):
 
 @pytest.mark.parametrize("seed", [178, 196])
 def test_aggregation_stall_falls_back_to_plain_step(seed):
-    # shuffled weakly coupled blocks: the aggregation step on the probe's
-    # blocks stalled ("stalled at step 536" for seed 178), plain power
-    # iteration converges
+    # shuffled weakly coupled blocks: a two-block aggregation step on
+    # [0,k) and [k,n) stalled here ("stalled at step 536" for seed 178) and
+    # needed a plain-step retry.  The psi correction does not depend on the
+    # blocks and converges in 47 and 49 steps
     rng = np.random.default_rng(seed)
     n = rng.integers(9, 30)
     k = n // 2

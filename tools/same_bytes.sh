@@ -7,8 +7,12 @@
 #   tools/same_bytes.sh <base-rev>
 #
 # <base-rev> is checked out into a temporary detached worktree, removed
-# again on exit.  The exit status is that of `diff -r`: 0 for the same
-# bytes, 1 when a file differs, 2 on trouble.
+# again on exit.  When a file differs, the diff is followed by one line per
+# column (CSV) or key (JSON, list positions written []) of each differing
+# CSV and JSON file: the largest relative move |a-b|/max(|a|,|b|) over its
+# numeric values, the largest absolute move, and how many values differ.
+# The exit status is that of `diff -r`: 0 for the same bytes, 1 when a file
+# differs, 2 on trouble.
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: $0 <base-rev>" >&2
@@ -34,3 +38,73 @@ for side in base tree; do
     done
 done
 diff -r "$tmp/out/base" "$tmp/out/tree"
+status=$?
+[ "$status" -eq 1 ] || exit "$status"
+python3 - "$tmp/out/base" "$tmp/out/tree" <<'EOF'
+import csv, filecmp, json, math, os, sys
+
+base, tree = sys.argv[1:]
+
+
+def columns(path):
+    """{column or key: [values in file order]} of a CSV or JSON file."""
+    if path.endswith(".csv"):
+        with open(path, newline="") as fh:
+            head, *rows = list(csv.reader(fh))
+        return {h: [r[i] for r in rows if i < len(r)] for i, h in enumerate(head)}
+    out = {}
+
+    def walk(v, key):
+        if isinstance(v, dict):
+            for k, x in v.items():
+                walk(x, f"{key}.{k}" if key else k)
+        elif isinstance(v, list):
+            for x in v:
+                walk(x, key + "[]")
+        else:
+            out.setdefault(key, []).append(v)
+    with open(path) as fh:
+        walk(json.load(fh), "")
+    return out
+
+
+def number(v):
+    if isinstance(v, bool) or v is None:
+        return None
+    try:
+        return float(v)
+    except ValueError:
+        return None
+
+
+print("largest move per column or key: relative, absolute, values that differ")
+for top, _, files in sorted(os.walk(base)):
+    for name in sorted(files):
+        a = os.path.join(top, name)
+        b = os.path.join(tree, os.path.relpath(a, base))
+        if (not name.endswith((".csv", ".json")) or not os.path.exists(b)
+                or filecmp.cmp(a, b, shallow=False)):
+            continue
+        ca, cb = columns(a), columns(b)
+        for key in sorted(set(ca) | set(cb)):
+            va, vb = ca.get(key, []), cb.get(key, [])
+            differ = sum(x != y for x, y in zip(va, vb)) + abs(len(va) - len(vb))
+            if not differ:
+                continue
+            rel = ab = 0.0
+            note = ""
+            for x, y in zip(va, vb):
+                if x == y:
+                    continue
+                fx, fy = number(x), number(y)
+                if fx is None or fy is None or not math.isfinite(fx - fy):
+                    note = ", non-numeric or non-finite values differ"
+                elif fx != fy:
+                    d = abs(fx - fy)
+                    rel, ab = max(rel, d / max(abs(fx), abs(fy))), max(ab, d)
+            if len(va) != len(vb):
+                note += f", {len(va)} values against {len(vb)}"
+            print(f"  {os.path.relpath(a, base)} {key}: {rel:.2g}, {ab:.2g}, "
+                  f"{differ} of {max(len(va), len(vb))}{note}")
+EOF
+exit "$status"
