@@ -50,12 +50,16 @@ JUMP_FIT = 0.1   # one-mode fit tolerance of a jump, relative to 1 - r
 class SolverError(RuntimeError):
     """Iteration stalled or did not converge within the allowed number of steps.
 
-    ``iterate`` is the last iterate when ``_iterate`` raised, else None.
+    ``iterate`` is the last iterate when ``_iterate`` raised, else None;
+    ``stalled`` is True when the step change stopped shrinking, False when
+    the steps ran out.
     """
 
-    def __init__(self, message: str, iterate: Optional[np.ndarray] = None):
+    def __init__(self, message: str, iterate: Optional[np.ndarray] = None,
+                 stalled: bool = False):
         super().__init__(message)
         self.iterate = iterate
+        self.stalled = stalled
 
 
 class DegenerateSpectrumError(ValueError):
@@ -130,7 +134,7 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
         if k >= 2 * STALL_WINDOW and diff >= window[slot]:
             raise SolverError(
                 f"power iteration stalled at step {k} (step change {diff:.3g}, "
-                f"{window[slot]:.3g} {STALL_WINDOW} steps earlier)", w)
+                f"{window[slot]:.3g} {STALL_WINDOW} steps earlier)", w, stalled=True)
         window[slot] = diff
         if (0.5 <= r < 1.0 and abs(r - prev_r) <= JUMP_FIT * (1.0 - r)
                 and float(np.add.reduce(np.abs(d - r * prev_d, out=buf))) / n
@@ -261,10 +265,12 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
 
     The density kernel then runs once, from the uniform density: with the
     psi-corrected step (``_corrected_step``) when eigenvalue 1 is simple,
-    with the plain mass step when it is not.  If that run raises
-    SolverError, and two steps return its last iterate while one does not,
-    a closed class has period 2 (eigenvalue -1) and DegenerateSpectrumError
-    says so; otherwise the SolverError propagates.  When eigenvalue 1 is
+    with the plain mass step when it is not.  If that run stalls, and two
+    steps return its last iterate while one does not, a closed class has
+    period 2 (eigenvalue -1) and DegenerateSpectrumError says so; otherwise
+    the SolverError propagates.  A run that only ran out of steps is not
+    checked: one that contracts slowly through an eigenvalue near -1 also
+    nearly returns after two steps.  When eigenvalue 1 is
     simple, (rho, psi) is kept on the result.  Otherwise phi + c*psi with
     no mass on [k,n) (on [0,k) if phi has none on [k,n)) is reported as a
     second fixed density.
@@ -286,7 +292,8 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
         phi, steps = _iterate(step, np.ones(n), tol, max_iter)
     except SolverError as exc:
         w = exc.iterate
-        if np.mean(np.abs(step(step(w)) - w)) <= 10.0 * tol < np.mean(np.abs(step(w) - w)):
+        if (exc.stalled and np.mean(np.abs(step(step(w)) - w)) <= 10.0 * tol
+                < np.mean(np.abs(step(w) - w))):
             raise DegenerateSpectrumError(
                 "eigenvalue -1: the density iterates return after two steps but "
                 "not after one, so a closed class has period 2") from exc
@@ -412,7 +419,8 @@ def restrict_invariant(P: UlamMatrix, sub_domain: Interval) -> tuple[np.ndarray,
     sub = cells_within(sub_domain, P.n)
     if sub.size == 0:
         raise ValueError("sub_domain contains no whole cells")
-    Q = P.restrict(sub)
+    # the cells within an interval are consecutive
+    Q = P.restrict(int(sub[0]), int(sub[-1]) + 1)
     if np.max(np.abs(Q.row_sums() - 1.0)) > 1e-9:
         raise ValueError("sub_domain is not invariant under the map")
     return sub, Q

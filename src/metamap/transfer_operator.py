@@ -12,19 +12,27 @@ with a cell boundary leave no sliver entries.  Densities are piecewise
 constant on the same grid and evolve by left multiplication,
 (Ld)_j = sum_i d_i P[i,j].
 
-``UlamMatrix`` stores P once, in CSC, whatever n is.  A density step
-d -> P^T d runs through ``matrix.T``, a CSR view that shares P's arrays, so
-each output cell gathers from one column of P and no transpose is copied.
+``UlamMatrix`` stores P once, as its CSC arrays, whatever n is.  They are
+also the CSR arrays of P^T, so a density step d -> P^T d is scipy's
+compiled ``csr_matvec`` on them: each output cell gathers from one column
+of P and no transpose is copied.  That kernel, and the two that
+``build_ulam`` uses to build the arrays, are the only part of scipy the
+package uses besides ``brentq``.  ``_load_sparsetools`` loads them on
+their own: importing scipy's sparse package costs about 0.2 s and 21 MB
+per process.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .map_model import Branch, Interval, MapModelError, PiecewiseMap, min_expansion, distortion
 
@@ -36,6 +44,30 @@ SNAP_ULPS = 8
 
 class UnsupportedRegimeError(ValueError):
     """The map falls outside the analysis regime this library implements."""
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, without importing ``scipy.sparse``.
+
+    The extension is loaded from scipy's install under its own name,
+    ``scipy.sparse._sparsetools``, and registered in ``sys.modules``, so a
+    later ``import scipy.sparse`` reuses this module; one already imported
+    is reused here.  Finding scipy's directory does not import scipy.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    found = importlib.machinery.PathFinder.find_spec(
+        "_sparsetools", [os.path.join(scipy_dir, "sparse")])
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 @dataclass(frozen=True)
@@ -107,43 +139,85 @@ class DensityGrid:
 
 
 @dataclass(frozen=True)
+class CSCArrays:
+    """P's compressed sparse column arrays, read-only: column j holds the
+    entries ``data[indptr[j]:indptr[j+1]]`` in the rows ``indices[...]``
+    (ascending, as ``build_ulam`` stores them).  Read as CSR, the same
+    arrays are P^T."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.indptr, self.indices, self.data):
+            a.setflags(write=False)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+@dataclass(frozen=True)
 class UlamMatrix:
     """Row-stochastic n x n discretization of the transfer operator.
 
-    ``matrix`` is P in CSC; densities act from the left through its CSR
-    transpose view, which shares P's arrays.
+    ``matrix`` holds P's CSC arrays; densities act from the left through
+    the same arrays read as the CSR arrays of P^T.
     """
 
     n: int
-    matrix: sparse.csc_matrix
-
-    def __post_init__(self):
-        # Made once: building the view scans P's index arrays, about a
-        # quarter of a step's time at n = 15360 if redone per step.
-        object.__setattr__(self, "_left", self.matrix.T)
+    matrix: CSCArrays
 
     @classmethod
     def from_matrix(cls, m) -> "UlamMatrix":
-        m = sparse.csc_matrix(m, dtype=float)
+        """P from a dense array, or from anything with ``.tocsc()``, such as
+        scipy's sparse matrices."""
+        if hasattr(m, "tocsc"):
+            m = m.tocsc()
+            indptr, indices, data = m.indptr, m.indices, m.data
+        else:
+            m = np.asarray(m, dtype=float)
+            # the nonzeros of m.T in C order are m's in column order, rows ascending
+            cols, indices = np.nonzero(m.T)
+            indptr = np.searchsorted(cols, np.arange(m.shape[1] + 1))
+            data = m.T[cols, indices]
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError("matrix must be square")
-        out = cls(n=n, matrix=m)
+        # astype copies, so the caller's arrays stay writable
+        arrays = CSCArrays(indptr.astype(np.int32), indices.astype(np.int32),
+                           data.astype(float))
+        out = cls(n=n, matrix=arrays)
         bad = np.max(np.abs(out.row_sums() - 1.0))
         if bad > ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 (max deviation {bad:.3g})")
         return out
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        return np.bincount(self.matrix.indices, weights=self.matrix.data, minlength=self.n)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """One transfer step of cell values: P^T values."""
-        return self._left @ values
+        # the kernel checks no lengths: a short vector would be read past its end
+        if np.shape(values) != (self.n,):
+            raise ValueError(f"expected {self.n} cell values, got shape {np.shape(values)}")
+        m = self.matrix
+        out = np.zeros(self.n)
+        _sparsetools.csr_matvec(self.n, self.n, m.indptr, m.indices, m.data, values, out)
+        return out
 
-    def restrict(self, idx: np.ndarray) -> "UlamMatrix":
-        """Submatrix on the given cell indices (rows and columns)."""
-        return UlamMatrix(n=len(idx), matrix=self.matrix[:, idx][idx, :])
+    def restrict(self, lo: int, hi: int) -> "UlamMatrix":
+        """Submatrix on the cells lo..hi-1 (rows and columns)."""
+        m = self.matrix
+        start, stop = m.indptr[lo], m.indptr[hi]
+        rows = m.indices[start:stop]
+        keep = (rows >= lo) & (rows < hi)
+        # the kept entries before each of the columns' starts
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return UlamMatrix(n=hi - lo, matrix=CSCArrays(
+            kept[m.indptr[lo:hi + 1] - start].astype(np.int32),
+            rows[keep] - np.int32(lo), m.data[start:stop][keep]))
 
 
 def _snap(X: np.ndarray, tol: float) -> np.ndarray:
@@ -188,6 +262,25 @@ def _column_cuts(br: Branch, n: int, X0: float, X1: float,
     return c0, step, np.clip(_snap(cuts, tol), X0, X1)
 
 
+def _branch_pieces(map_: PiecewiseMap, n: int):
+    """(rows, columns, entries) of each branch's pieces, rows nondecreasing;
+    see ``build_ulam``."""
+    tol = SNAP_ULPS * n * np.finfo(float).eps
+    D = _snap(n * np.asarray(map_.critical_set), tol)
+    D[0], D[-1] = 0.0, float(n)     # the critical set spans [0,1] to ENDPOINT_TOL
+    for br, X0, X1 in zip(map_.branches, D[:-1], D[1:]):
+        c0, step, ccuts = _column_cuts(br, n, X0, X1, tol)
+        r0 = math.floor(X0)
+        rcuts = np.arange(r0 + 1, math.ceil(X1), dtype=float)
+        # both cut sets are sorted, so the stable sort is a merge
+        edges = np.concatenate(([X0], np.sort(np.concatenate((rcuts, ccuts)), kind="stable"), [X1]))
+        lengths = np.diff(edges)
+        p = np.flatnonzero(lengths > 0)     # coincident cuts leave empty pieces
+        # piece p has p cuts before it, floor(left end) - r0 of them row cuts
+        rows = edges[p].astype(np.int32)
+        yield rows, (c0 + step * (p - (rows - r0))).astype(np.int32), lengths[p]
+
+
 def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     """Assemble the Ulam matrix of a piecewise expanding map on n cells.
 
@@ -206,39 +299,29 @@ def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     """
     if n < len(map_.branches):
         raise MapModelError(f"n={n} too coarse for {len(map_.branches)} branches")
-    tol = SNAP_ULPS * n * np.finfo(float).eps
-    D = _snap(n * np.asarray(map_.critical_set), tol)
-    D[0], D[-1] = 0.0, float(n)     # the critical set spans [0,1] to ENDPOINT_TOL
-    rows_all, cols_all, vals_all = [], [], []
-    for br, X0, X1 in zip(map_.branches, D[:-1], D[1:]):
-        c0, step, ccuts = _column_cuts(br, n, X0, X1, tol)
-        r0 = math.floor(X0)
-        rcuts = np.arange(r0 + 1, math.ceil(X1), dtype=float)
-        # both cut sets are sorted, so the stable sort is a merge
-        edges = np.concatenate(([X0], np.sort(np.concatenate((rcuts, ccuts)), kind="stable"), [X1]))
-        lengths = np.diff(edges)
-        p = np.flatnonzero(lengths > 0)     # coincident cuts leave empty pieces
-        # piece p has p cuts before it, floor(left end) - r0 of them row cuts
-        rows = edges[p].astype(np.intp)
-        rows_all.append(rows)
-        cols_all.append(c0 + step * (p - (rows - r0)))
-        vals_all.append(lengths[p])
-    rows = np.concatenate(rows_all)
-    # rows never decrease along the pieces, so the pieces are P's CSR arrays
-    # as they come; the CSC transpose is a stable counting sort by column,
-    # which keeps each column's rows ascending and puts the (row, column)
-    # pairs that two branches reach side by side, to be summed
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    vals = np.concatenate(vals_all)
+    # int32 indices, as scipy chooses at these sizes; the per-branch arrays
+    # are freed once joined
+    rows, cols, vals = map(np.concatenate, zip(*_branch_pieces(map_, n)))
     dev = np.bincount(rows, weights=vals, minlength=n) - 1.0
     worst = int(np.argmax(np.abs(dev)))
     if abs(dev[worst]) > ROW_SUM_TOL:
         raise MapModelError(
             f"Ulam row {worst} of {n} misses row sum 1 by {dev[worst]:+.3g} "
             f"(ROW_SUM_TOL = {ROW_SUM_TOL:g})")
-    P = sparse.csr_matrix((vals, np.concatenate(cols_all), indptr), shape=(n, n)).tocsc()
-    P.sum_duplicates()
-    return UlamMatrix(n=n, matrix=P)
+    # Rows never decrease along the pieces, so the pieces are P's CSR arrays
+    # as they come.  P's CSC arrays (the CSR arrays of P^T) come from
+    # scipy's compiled transpose, a stable counting sort by column that
+    # keeps each column's rows ascending and puts the (row, column) pairs
+    # that two branches reach side by side, and its duplicate sum, which
+    # adds them in that order: the kernels behind csr_matrix(...).tocsc()
+    # and sum_duplicates(), so the arrays are theirs bit for bit.
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))).astype(np.int32)
+    colptr = np.empty(n + 1, dtype=np.int32)
+    indices, data = np.empty(vals.size, dtype=np.int32), np.empty(vals.size)
+    _sparsetools.csr_tocsc(n, n, indptr, cols, vals, colptr, indices, data)
+    _sparsetools.csr_sum_duplicates(n, n, colptr, indices, data)
+    nnz = colptr[-1]
+    return UlamMatrix(n=n, matrix=CSCArrays(colptr, indices[:nnz], data[:nnz]))
 
 
 def variation_inflation_constant(lam: float, dist: float, min_branch_width: float) -> float:

@@ -52,10 +52,16 @@ def ulam_a_768():
     return build_ulam(fam.instantiate(0.01), 768)
 
 
+def scipy_csc(P):
+    """The Ulam matrix P as a scipy CSC matrix on P's own arrays."""
+    m = P.matrix
+    return sparse.csc_matrix((m.data, m.indices, m.indptr), shape=(P.n, P.n))
+
+
 def dense_top_eigenpairs(P, k=2):
     """Top-k left eigenpairs of the Ulam matrix P by modulus, from a dense
     LAPACK eigensolve: the tests' reference oracle."""
-    vals, vecs = np.linalg.eig(P.matrix.toarray().T)
+    vals, vecs = np.linalg.eig(scipy_csc(P).toarray().T)
     order = np.argsort(-np.abs(vals))
     return [(complex(vals[idx]), vecs[:, idx]) for idx in order[:k]]
 

@@ -338,6 +338,35 @@ def test_cli_import_skips_scipy_optimize():
     assert proc.returncode == 0
 
 
+def test_cli_loads_only_the_sparse_kernel(tmp_path):
+    # importing scipy.sparse costs about 0.2 s per process; the CLI loads only
+    # the module of its compiled kernels, which a later import of the package
+    # reuses.  A fresh process: this test session has imported scipy.sparse
+    src = os.path.dirname(os.path.dirname(metamap.__file__))
+    code = (
+        "import importlib, sys\n"
+        "import numpy as np\n"
+        "import metamap.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert scipy_modules() == ['scipy.sparse._sparsetools'], scipy_modules()\n"
+        f"assert metamap.cli.main(['run', '--scenario', 'builtin:family_a', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert scipy_modules() == ['scipy.sparse._sparsetools'], scipy_modules()\n"
+        "kernel = sys.modules['scipy.sparse._sparsetools']\n"
+        "from scipy import sparse\n"
+        "assert importlib.import_module('scipy.sparse._sparsetools') is kernel\n"
+        "from metamap.families import family_a\n"
+        "from metamap.transfer_operator import build_ulam\n"
+        "P = build_ulam(family_a().instantiate(0.01), 768)\n"
+        "m = P.matrix\n"
+        "x = np.random.default_rng(3).standard_normal(P.n)\n"
+        "y = sparse.csc_matrix((m.data, m.indices, m.indptr), shape=(P.n, P.n)).T @ x\n"
+        "assert y.tobytes() == P.apply(x).tobytes()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_eps_values_sharing_a_file_label_rejected(tmp_path, capsys):
     # 0.02000001 and 0.02000002 both label their files "0.02"
     data = dict(FAMILY_A_JSON, eps_list=[0.02000001, 0.01, 0.02000002])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_top_eigenpairs, three_block_cycle
+from conftest import dense_top_eigenpairs, scipy_csc, three_block_cycle
 
 import metamap
 from metamap.map_model import Interval
@@ -171,7 +171,7 @@ def test_escape_eigenvalue_matches_dense_oracle(fam_a):
     hole = list(range(250, 254))
     rate = escape_rate(left_system(P0), hole)
     sub = cells_within(Interval(0.0, 0.5), n)
-    Q = P0.matrix.toarray()[np.ix_(sub, sub)]
+    Q = scipy_csc(P0).toarray()[np.ix_(sub, sub)]
     Q[:, hole] = 0.0
     lam = np.max(np.abs(np.linalg.eigvals(Q)))
     assert abs(math.exp(-rate) - lam) <= 1e-13 * lam
@@ -399,17 +399,23 @@ def test_density_solve_independent_of_blas_threads():
 def test_density_and_rho_match_arpack_beyond_the_dense_oracle(request, family, n, eps):
     # ARPACK's Arnoldi iteration is independent of the power-iteration
     # kernel and reaches grid sizes where no dense eigensolve does; the
-    # worst distances are 2.9e-11 (phi) and 4.5e-12 (rho)
+    # worst distances are 2.9e-11 (phi), 4.5e-12 (rho) and 2.2e-11 (psi)
     from scipy.sparse.linalg import eigs
 
     P = build_ulam(request.getfixturevalue(family).instantiate(eps), n)
     res = invariant_density(P, tol=1e-10)
-    vals, vecs = eigs(P.matrix.T, k=2, which="LM", v0=np.random.default_rng(0).random(n))
+    vals, vecs = eigs(scipy_csc(P).T, k=2, which="LM", v0=np.random.default_rng(0).random(n))
     top, second = np.argsort(-np.abs(vals))
     assert abs(vals[top] - 1.0) <= 1e-12 and abs(vals[second].imag) <= 1e-12
     phi = vecs[:, top].real
     assert np.mean(np.abs(phi / np.mean(phi) - res.phi.values)) <= 2e-10
     assert abs(vals[second].real - res.rho) <= 1e-11
+    # psi's convention: L1-normalized, positive integral over I_l = [0, 1/2)
+    psi = vecs[:, second].real
+    psi = psi / np.mean(np.abs(psi))
+    if DensityGrid(n, psi).integrate(0.0, 0.5) < 0.0:
+        psi = -psi
+    assert np.mean(np.abs(psi - res.psi.values)) <= 1e-10
 
 
 def _plain_limit(P, start, tol, max_iter):
@@ -544,6 +550,20 @@ def test_period_two_class_named_when_the_density_run_oscillates(seed):
     top = np.array([lam for lam, _ in dense_top_eigenpairs(P, k=3)])
     assert np.sum(np.abs(top + 1.0) <= 1e-12) == 1
     with pytest.raises(DegenerateSpectrumError, match="-1.*period 2"):
+        invariant_density(P)
+
+
+def test_slow_density_run_near_minus_one_is_not_called_period_two():
+    # dense spectrum {1, 1, -0.99979}: eigenvalue 1 reads as not simple, and
+    # the plain mass step from the uniform start contracts at 0.99979, so it
+    # runs out of its 20,000 steps without stalling.  Two steps return its
+    # last iterate to 1.2e-10 while one moves it by 5.6e-7, but no eigenvalue
+    # is -1: the error is the step budget, not a period-2 class
+    P = _two_class_chain(1284)
+    top = np.array([lam for lam, _ in dense_top_eigenpairs(P, k=3)])
+    assert np.sum(np.abs(top - 1.0) <= 1e-12) == 2
+    assert np.min(np.abs(top + 1.0)) > 1e-4
+    with pytest.raises(SolverError, match="did not converge"):
         invariant_density(P)
 
 

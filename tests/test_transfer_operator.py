@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
+from conftest import scipy_csc
+
 from metamap.families import family_a, family_b
 from metamap.map_model import (PREIMAGE_XTOL, Branch, Interval, MapModelError,
                                 PiecewiseMap)
@@ -21,7 +23,7 @@ from metamap.transfer_operator import (DensityGrid, UlamMatrix,
 def test_ulam_family_a_n6_exact(fam_a):
     # each width-1/6 branch maps its cell onto a half, so each half-block row
     # spreads 1/3 over three cells
-    P = build_ulam(fam_a.base, 6).matrix.toarray()
+    P = scipy_csc(build_ulam(fam_a.base, 6)).toarray()
     third = np.zeros((6, 6))
     third[:3, :3] = 1 / 3
     third[3:, 3:] = 1 / 3
@@ -29,7 +31,7 @@ def test_ulam_family_a_n6_exact(fam_a):
 
 
 def test_ulam_doubling_n2_exact(doubling_map):
-    P = build_ulam(doubling_map, 2).matrix.toarray()
+    P = scipy_csc(build_ulam(doubling_map, 2)).toarray()
     assert np.allclose(P, 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
@@ -38,7 +40,7 @@ def test_ulam_doubling_n2_exact(doubling_map):
 def test_rows_sum_to_one(fam_a, eps, n):
     P = build_ulam(fam_a.instantiate(eps), n)
     assert np.max(np.abs(P.row_sums() - 1.0)) <= 1e-12
-    dense = P.matrix.toarray()
+    dense = scipy_csc(P).toarray()
     assert dense.min() >= 0.0 and dense.max() <= 1.0 + 1e-15
 
 
@@ -107,13 +109,13 @@ def test_assembly_matches_exact_rational_reference(case):
     # each entry is a difference of two cut points in X = n*x, whose spacing
     # is about 2.2e-16*n: compared as lengths in x, P/n, the entries agree to
     # 1e-15 at every n, and P itself does at the smallest grids
-    err = np.max(np.abs(P.matrix.toarray() - E))
+    err = np.max(np.abs(scipy_csc(P).toarray() - E))
     assert err / n <= 1e-15
     if n <= 4:
         assert err <= 1e-15
     # no slivers: an entry is stored exactly where the exact one is nonzero,
     # and once
-    m = P.matrix.tocoo()
+    m = scipy_csc(P).tocoo()
     stored = list(zip(m.row.tolist(), m.col.tolist()))
     assert len(set(stored)) == len(stored)
     assert set(stored) == {ij for ij, v in exact.items() if v != 0}
@@ -135,11 +137,15 @@ def test_pair_reached_by_two_branches_is_summed(fam_a):
     # [8, 10] and branch 3 maps [20/3, 7] onto [9, 10]: both reach column 9,
     # each with length 1/3
     P = build_ulam(fam_a.base, 20)
-    row = P.matrix.getrow(6).tocoo()
+    row = scipy_csc(P).getrow(6).tocoo()
     assert sorted(row.col.tolist()) == [8, 9]
-    assert P.matrix.toarray()[6, 8] == pytest.approx(1 / 3, abs=1e-15)
-    assert P.matrix.toarray()[6, 9] == pytest.approx(2 / 3, abs=1e-15)
-    assert P.matrix.has_canonical_format
+    assert scipy_csc(P).toarray()[6, 8] == pytest.approx(1 / 3, abs=1e-15)
+    assert scipy_csc(P).toarray()[6, 9] == pytest.approx(2 / 3, abs=1e-15)
+    # rows strictly ascending within each column: sorted, and the pair that
+    # both branches reach is stored once
+    m = P.matrix
+    for j in range(P.n):
+        assert np.all(np.diff(m.indices[m.indptr[j]:m.indptr[j + 1]]) > 0)
 
 
 @pytest.mark.parametrize("n", [17280, 61440, 122880])
@@ -166,8 +172,8 @@ def test_smooth_branch_representation_matches_affine(fam_a):
             lambda x: 0.0))
     smooth_map = PiecewiseMap(smooth_branches)
     n = 96
-    Pa = build_ulam(fam_a.base, n).matrix.toarray()
-    Ps = build_ulam(smooth_map, n).matrix.toarray()
+    Pa = scipy_csc(build_ulam(fam_a.base, n)).toarray()
+    Ps = scipy_csc(build_ulam(smooth_map, n)).toarray()
     assert np.max(np.abs(Pa - Ps)) <= 1e-12
 
 
@@ -207,12 +213,12 @@ def test_nonlinear_smooth_branches_match_high_precision_reference(n):
             [(F(0), F(a), lambda y: (1 + y).sqrt() - 1),
              (F(a), F(1), lambda y: da + (1 - da) * ((4 - 3 * y).sqrt() - 1))], n)
     assert np.max(np.abs(P.row_sums() - 1.0)) <= 1e-15
-    m = P.matrix.tocoo()
+    m = scipy_csc(P).tocoo()
     assert m.col.min() >= 0 and m.col.max() < n
     # each cut is a brentq root, off by at most PREIMAGE_XTOL in x, so n times
     # that in X; a stored pair the reference lacks is such a rounding sliver
     tol = 2.5 * n * PREIMAGE_XTOL
-    assert np.max(np.abs(P.matrix.toarray() - E)) <= tol
+    assert np.max(np.abs(scipy_csc(P).toarray() - E)) <= tol
     stored = set(zip(m.row.tolist(), m.col.tolist()))
     assert {(int(i), int(j)) for i, j in zip(*np.nonzero(E > tol))} <= stored
 
@@ -245,9 +251,13 @@ def test_apply_single_cell_mass_preserved(fam_a):
 
 
 def test_apply_dimension_mismatch(fam_a):
+    # the compiled kernel checks no lengths: a short vector must be refused
+    # before it is read past its end
     P = build_ulam(fam_a.base, 48)
     with pytest.raises(ValueError):
         P.apply(np.ones(96))
+    with pytest.raises(ValueError):
+        P.apply(np.ones(24))
 
 
 def test_mass_conservation_random_grids(fam_a):
