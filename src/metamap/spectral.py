@@ -2,10 +2,7 @@
 
 Every solver here is power iteration through one kernel, ``_iterate``: it
 repeats ``w <- step(w)`` and stops when the mean-L1 step change and the
-extrapolated distance to the limit are both below the tolerance.  When the
-steps shrink by a settled ratio r and each step is r times the previous
-one, the kernel jumps to the sum of their geometric tail, so one isolated
-slow eigenvalue costs a few dozen steps instead of ~1/(1 - rho).  The
+extrapolated distance to the limit are both below the tolerance.  The
 callers differ only in their step: the deflated step for the second
 eigenpair (P^T with the mean removed), the psi-corrected mass step for the
 invariant density (each step removes the second eigenvector's component
@@ -44,7 +41,6 @@ from .transfer_operator import DensityGrid, UlamMatrix, cells_within
 
 START_SEED = 0x5EED
 STALL_WINDOW = 200
-JUMP_FIT = 0.1   # one-mode fit tolerance of a jump, relative to 1 - r
 
 
 class SolverError(RuntimeError):
@@ -89,23 +85,7 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
     """Repeat ``w <- step(w)`` until it settles; return the limit and the step count.
 
     With d = w_k - w_{k-1}, diff = mean|d| and r = diff_k / diff_{k-1}, the
-    loop stops once diff <= tol and ``_err_estimate(diff, max(r, r_slow))``
-    <= tol.  r_slow is the largest rate a jump was made at: a jump shrinks
-    the slow mode but does not remove it, and the faster modes that dominate
-    the next steps would understate the distance still to go along it.
-
-    Jump (one-mode extrapolation): when 1/2 <= r < 1, r is within
-    JUMP_FIT*(1-r) of the previous ratio, and d matches r times the previous
-    step to JUMP_FIT*(1-r)*diff in mean, the iterate moves to the sum of the
-    geometric tail, ``w + r/(1-r) * d``.  The vector check keeps a rotating
-    complex pair, whose norm ratio can settle by chance, from jumping; it
-    runs only once the ratios settle.  A jump that would take an entry >= 0
-    below -tol is not made: plain density iterates never leave the
-    nonnegative cone, so it overshoots.  A jump keeps mean(w) whenever the
-    step does (d has mean 0), but not mean|w|, so the next step's
-    renormalization shows in its step change.  A jump is not a step: it enters neither the step count nor the
-    stall window, the step after it is not tested for a stall, and the next
-    jump needs fresh ratios.
+    loop stops once diff <= tol and ``_err_estimate(diff, r)`` <= tol.
 
     Raises SolverError after ``max_iter`` steps (default
     ``_default_max_iter(w.size)``), or as soon as the step change, from step
@@ -118,17 +98,13 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
     window = np.full(STALL_WINDOW, math.inf)   # step changes of the last window
     buf = np.empty_like(w)                     # |d|, overwritten every step
     diff = prev_diff = math.inf
-    prev_d = None
-    prev_r = math.nan
-    r_slow = 0.0
     for k in range(1, max_iter + 1):
         nxt = step(w)
-        d = nxt - w
         # add.reduce / n is np.mean without its Python wrapper: same bits
-        diff = float(np.add.reduce(np.abs(d, out=buf))) / n
+        diff = float(np.add.reduce(np.abs(np.subtract(nxt, w, out=buf), out=buf))) / n
         w = nxt
         r = diff / prev_diff if prev_diff > 0.0 else math.inf
-        if diff <= tol and _err_estimate(diff, max(r, r_slow)) <= tol:
+        if diff <= tol and _err_estimate(diff, r) <= tol:
             return w, k
         slot = k % STALL_WINDOW
         if k >= 2 * STALL_WINDOW and diff >= window[slot]:
@@ -136,17 +112,7 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float
                 f"power iteration stalled at step {k} (step change {diff:.3g}, "
                 f"{window[slot]:.3g} {STALL_WINDOW} steps earlier)", w, stalled=True)
         window[slot] = diff
-        if (0.5 <= r < 1.0 and abs(r - prev_r) <= JUMP_FIT * (1.0 - r)
-                and float(np.add.reduce(np.abs(d - r * prev_d, out=buf))) / n
-                <= JUMP_FIT * (1.0 - r) * diff):
-            jump = w + (r / (1.0 - r)) * d
-            if np.all((jump >= -tol) | (w < 0.0)):
-                w, r_slow = jump, max(r_slow, r)
-                # mean|w| moved, so the next step's change is no stall evidence
-                window[(k + 1) % STALL_WINDOW] = math.inf
-                prev_diff, prev_d, prev_r = math.inf, None, math.nan
-                continue
-        prev_diff, prev_d, prev_r = diff, d, r
+        prev_diff = diff
     raise SolverError(
         f"power iteration did not converge in {max_iter} steps "
         f"(last step change {diff:.3g})", w)
@@ -238,9 +204,9 @@ def _corrected_step(P: UlamMatrix, rho: float,
 def _clip_negative(phi: np.ndarray) -> np.ndarray:
     """phi clipped at 0 and rescaled to mean 1.
 
-    The psi correction and the jumps leave values of ~-1e-10 in cells where
-    the density vanishes.  A limit without negative cells is returned as it
-    is: rescaling it would only move its last bits.
+    The psi correction leaves values of ~-1e-10 in cells where the density
+    vanishes.  A limit without negative cells is returned as it is:
+    rescaling it would only move its last bits.
     """
     if phi.min() >= 0.0:
         return phi

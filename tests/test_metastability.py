@@ -213,6 +213,33 @@ def test_convergence_study_reaches_small_eps_on_fine_grid(fam_a):
     assert all(b < a for a, b in zip(l1, l1[1:])), l1
 
 
+def test_mixture_claim_in_rate_form_on_two_grids(fam_a, fam_b):
+    # the paper's claim at grid sizes no dense oracle reaches, with each
+    # bound a little past the worst measured case.  Family A: phi tends to
+    # the mixture at O(eps), the L1 distance shrinking 1.87-2.09x per
+    # halving, the two grids within 5.7% of each other, and mu(I_l) above
+    # alpha_pred by 0.45-0.57 eps.  Family B, the counterexample: mu(I_l)
+    # = (1.338-1.356) eps tends to 0, so phi tends to phi_r, at L1 distance
+    # 0.5 + (1.92-1.99) eps from the mixture
+    eps_list = (0.0016, 0.0008, 0.0004)
+    l1_by_n = []
+    for n in (30720, 61440):
+        ctx_a, ctx_b = prepare_sweep(fam_a, eps_list, n), prepare_sweep(fam_b, eps_list, n)
+        rows_a = [run_sweep_row(ctx_a, eps)[0] for eps in eps_list]
+        rows_b = [run_sweep_row(ctx_b, eps)[0] for eps in eps_list]
+        assert [r.error for r in rows_a + rows_b] == [None] * 6
+        l1 = [r.l1_phi_vs_mixture for r in rows_a]
+        assert all(a >= 1.8 * b for a, b in zip(l1, l1[1:])), (n, l1)
+        for r in rows_a:
+            assert 0.0 < r.mu_Il - r.alpha_pred <= 0.6 * r.eps, (n, r.eps, r.mu_Il)
+        for r in rows_b:
+            assert 1.3 <= r.mu_Il / r.eps <= 1.4, (n, r.eps, r.mu_Il)
+            assert 1.85 <= (r.l1_phi_vs_mixture - 0.5) / r.eps <= 2.05, (n, r.eps)
+        l1_by_n.append(l1)
+    for coarse, fine in zip(*l1_by_n):
+        assert abs(coarse - fine) <= 0.07 * fine, (coarse, fine)
+
+
 def test_convergence_study_empty(fam_a):
     assert convergence_study(fam_a, [], 768) == []
 

@@ -117,13 +117,14 @@ def test_deflation_restarts_from_seeded_noise():
     assert psi.l1_norm() == pytest.approx(1.0, abs=1e-10)
 
 def test_slow_contraction_converges_without_stalling():
-    # rho = 0.998: one real slow mode, which a jump removes
+    # rho = 0.998: one real slow mode, which plain power iteration settles
+    # in 11,375 steps
     P = markov_matrix(1e-3, 1e-3)
     phi, _ = power_fixed_density(P, np.array([2.0, 0.0]), 1e-10)
     assert np.max(np.abs(phi - 1.0)) <= 1e-9
-    # a complex pair of modulus ~0.997 rotates, so no jump fits it: the step
-    # change shrinks by only ~0.55 per 200-step window, slowly but steadily,
-    # so this is convergence, not a stall
+    # a complex pair of modulus ~0.997 rotates: the step change shrinks by
+    # only ~0.55 per 200-step window, slowly but steadily, so its 7,719
+    # steps are convergence, not a stall
     theta = 2e-3
     P = UlamMatrix.from_matrix(np.array([[1 - theta, theta, 0],
                                          [0, 1 - theta, theta],
@@ -312,8 +313,8 @@ def test_aggregation_converges_on_boundary_violating_family(fam_b):
 def test_jump_steps_flat_in_eps_on_boundary_violating_family(fam_b, eps):
     # the slow mode is a drain into a strip that returns at once, not a block
     # exchange: a two-block aggregation step alone needed ~1/eps steps here
-    # (266 / 559 / 1162), and with jumps 34 / 43 / 52.  The psi correction
-    # takes 22-24 and makes no jump
+    # (266 / 559 / 1162).  The psi-corrected steps take 22-24.  The name
+    # dates from the kernel's one-mode jump, which took 34 / 43 / 52
     n = 1536
     res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10)
     assert res.leading_simple
@@ -324,7 +325,8 @@ def test_jump_steps_flat_in_eps_on_boundary_violating_family(fam_b, eps):
 def test_invariant_density_nonnegative_after_jumps(fam_b, eps):
     # the psi correction drives iterates to -0.08 in cells where the density
     # vanishes, and the limit keeps values down to ~-3e-11 there, which the
-    # clip removes
+    # clip removes.  The name dates from the kernel's one-mode jumps, which
+    # left such values too
     n = 1536
     res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10)
     assert res.phi.values.min() >= 0.0
@@ -334,11 +336,10 @@ def test_invariant_density_nonnegative_after_jumps(fam_b, eps):
 def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
     # lazy walk on 12 cells drifting right: the density grows from ~0.003 in
     # cell 0 to ~6 in cell 11, and rho = 0.9973 is no isolated slow mode
-    # (the third eigenvalue is 0.9945).  The density run refuses the jumps
-    # of steps 461-624, which would take cells down to -0.024, and makes
-    # six after them: 3,034 steps.  Unguarded, such a jump once left a
-    # two-block aggregation step with a negative block mass, and the stall
-    # rule fired
+    # (the third eigenvalue is 0.9945), so the corrected density run
+    # contracts at 0.9945: 4,035 steps, every iterate nonnegative.  The
+    # name dates from the kernel's one-mode jump, which would have taken
+    # cells down to -0.024 here
     m, p, q = 12, 0.02, 0.01
     A = np.diag(np.full(m - 1, p), 1) + np.diag(np.full(m - 1, q), -1)
     A += np.diag(1.0 - A.sum(axis=1))
@@ -346,8 +347,8 @@ def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
     res = invariant_density(P, tol=1e-10, I_l=Interval(0.0, 1 / m))
     assert res.leading_simple
     assert res.residual <= 1e-9
-    # the deflated run jumps at step 1248; the next step's change, grown by
-    # the renormalization, must not read as a stall
+    # the deflated run contracts at 0.9945/0.9973 per step for 8,166 steps;
+    # no window of it may read as a stall
     assert abs(res.rho - dense_top_eigenpairs(P, k=2)[1][0].real) <= 1e-10
 
 
@@ -419,24 +420,47 @@ def test_density_and_rho_match_arpack_beyond_the_dense_oracle(request, family, n
 
 
 def _plain_limit(P, start, tol, max_iter):
-    """Power iteration without correction or jumps, stopped by the kernel's
-    rule for a jump-free run; the reference for the accelerated solvers."""
+    """Power iteration without correction, written out on its own and
+    stopped by the kernel's rule; returns the limit and the step count.
+    The reference for the kernel and for the corrected density step."""
     w, prev = start / np.mean(start), math.inf
-    for _ in range(max_iter):
+    for k in range(1, max_iter + 1):
         nxt = P.apply(w)
         nxt /= np.mean(nxt)
         diff, w = float(np.mean(np.abs(nxt - w))), nxt
         r = diff / prev
         if diff <= tol and (diff == 0.0 or (r < 1.0 and diff * r / (1.0 - r) <= tol)):
-            return w
+            return w, k
         prev = diff
     raise SolverError("plain power iteration did not settle")
 
 
 def _plain_verdict(P, probe, tol, max_iter):
-    phi1 = _plain_limit(P, np.ones(P.n), tol, max_iter)
-    phi2 = _plain_limit(P, probe, tol, max_iter)
+    phi1, _ = _plain_limit(P, np.ones(P.n), tol, max_iter)
+    phi2, _ = _plain_limit(P, probe, tol, max_iter)
     return float(np.mean(np.abs(phi1 - phi2))) <= 10.0 * tol
+
+
+def _random_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.random((n, n))
+    return UlamMatrix.from_matrix(A / A.sum(axis=1, keepdims=True)), rng.random(n)
+
+
+@pytest.mark.parametrize("P, start", [
+    (markov_matrix(1e-3, 1e-3), np.array([2.0, 0.0])),
+    (UlamMatrix.from_matrix(np.array([[1 - 2e-3, 2e-3, 0], [0, 1 - 2e-3, 2e-3],
+                                      [2e-3, 0, 1 - 2e-3]])), np.array([3.0, 0.0, 0.0])),
+    _random_chain(40, 7),
+], ids=["two_state", "rotating_3_cycle", "random_40"])
+def test_kernel_is_plain_power_iteration(P, start):
+    # the mass-step kernel takes exactly the steps of plain power iteration
+    # and lands on the same bits: 11,375 steps on the two-state chain,
+    # 7,719 on the 3-cycle, whose complex pair rotates
+    phi, steps = power_fixed_density(P, start, 1e-10, max_iter=20000)
+    ref, ref_steps = _plain_limit(P, start, 1e-10, max_iter=20000)
+    assert steps == ref_steps
+    assert phi.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,8 +1,10 @@
 #!/bin/sh
-# The determinism contract in one command: run the three builtin scenarios
-# and demos/scenario_family_a.json with the sources of <base-rev> and with
-# those of this working tree, each side reading the scenario file from its
-# own checkout, and compare every file they write.
+# The determinism contract in one command: run the three builtin scenarios,
+# demos/scenario_family_a.json, and builtin families A and B on the
+# benchmark's fine ladder (n = 15360, eps 0.0064 ... 0.0008) with the
+# sources of <base-rev> and with those of this working tree, each side
+# reading the scenario file from its own checkout, and compare every file
+# they write.
 #
 #   tools/same_bytes.sh <base-rev>
 #
@@ -27,14 +29,25 @@ cleanup() {
 }
 trap cleanup EXIT
 git -C "$root" worktree add --quiet --detach "$tmp/base" "$1" || exit 2
+# run <out-name> <metamap run arguments...>, with the sources of $top.  A
+# run that fails leaves its files missing or different, which diff reports
+# below
+run() {
+    name=$1
+    shift
+    PYTHONPATH=$top/src python3 -m metamap.cli run "$@" \
+        --out "$tmp/out/$side/$name" > /dev/null
+}
 for side in base tree; do
     if [ "$side" = base ]; then top=$tmp/base; else top=$root; fi
     for s in builtin:family_a builtin:family_b builtin:markov2 \
              "$top/demos/scenario_family_a.json"; do
-        # a run that fails leaves its files missing or different, which
-        # diff reports below
-        PYTHONPATH=$top/src python3 -m metamap.cli run --scenario "$s" \
-            --out "$tmp/out/$side/$(basename "${s#builtin:}" .json)" > /dev/null
+        run "$(basename "${s#builtin:}" .json)" --scenario "$s"
+    done
+    # the grid and eps ladder of the sweep_*_fine benchmark workloads
+    for f in family_a family_b; do
+        run "${f}_fine" --scenario "builtin:$f" --grid 15360 \
+            --eps 0.0064,0.0032,0.0016,0.0008
     done
 done
 diff -r "$tmp/out/base" "$tmp/out/tree"
