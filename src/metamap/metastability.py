@@ -332,6 +332,12 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
 
 def _escape_side(ctx: SweepContext, pieces, half: Interval,
                  mu_star: float, warnings: list[str]) -> Optional[float]:
+    """Escape ratio mu_star / rate of one half through its hole ``pieces``.
+
+    The rate is solved on the half's closed system at the sweep's ``tol``,
+    the one tolerance of every solve in a row.  A hole thinner than one
+    cell gives None and a warning.
+    """
     cells = cells_with_center_in(pieces, ctx.n)
     if cells.size == 0:
         warnings.append(f"hole in [{half.lo}, {half.hi}] thinner than one cell; "
@@ -341,7 +347,7 @@ def _escape_side(ctx: SweepContext, pieces, half: Interval,
         ctx.halves[half] = restrict_invariant(ctx.P0, half)
     sub, Q = ctx.halves[half]
     # a half's cells are consecutive, so Q's cell i is cell sub[0] + i
-    rate = escape_rate(Q, cells - sub[0])
+    rate = escape_rate(Q, cells - sub[0], tol=ctx.tol)
     return mu_star / rate if rate > 0.0 else math.inf
 
 

@@ -30,6 +30,7 @@ deflated step), so no result depends on the BLAS thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -126,9 +127,6 @@ class InvariantDensityResult:
     verdict; None only when the leading eigenvalue is not simple.  Then
     ``probe_phi`` is a second fixed density, at mean-L1 distance
     ``probe_distance`` from ``phi``.
-    ``p_lr`` / ``p_rl`` are the exit probabilities of the two-state chain
-    between the blocks [0,k) and [k,n), evaluated at ``phi`` (nan for a
-    block without mass).
     """
 
     phi: DensityGrid
@@ -137,8 +135,6 @@ class InvariantDensityResult:
     iterations: int
     probe_phi: Optional[DensityGrid] = None
     probe_distance: float = 0.0
-    p_lr: Optional[float] = None
-    p_rl: Optional[float] = None
     rho: Optional[float] = None
     psi: Optional[DensityGrid] = None
 
@@ -158,23 +154,6 @@ def power_fixed_density(P: UlamMatrix, start: np.ndarray, tol: float,
     """Iterate the transfer matrix from a nonnegative start until the iterate
     is within ~tol (L1) of the fixed density, renormalizing mass each step."""
     return _iterate(_mass_step(P), start / np.mean(start), tol, max_iter)
-
-
-def _block_rates(P: UlamMatrix, x: np.ndarray, k: int) -> tuple[float, float]:
-    """(p_LR, p_RL) of the density x on the blocks [0,k), [k,n).
-
-    A block's exit probability is the mass-weighted mean of its rows'
-    probabilities of leaving it, nan for a block without mass.
-    """
-    m = P.matrix
-    # row i's probability of leaving its block: the entries of P's first k
-    # columns summed per row, in storage order as P[:, :k].sum(axis=1) does
-    out = np.bincount(m.indices[:m.indptr[k]], weights=m.data[:m.indptr[k]], minlength=P.n)
-    out[:k] = 1.0 - out[:k]
-    m_l, m_r = float(np.add.reduce(x[:k])), float(np.add.reduce(x[k:]))
-    p_lr = float(np.einsum("i,i->", x[:k], out[:k])) / m_l if m_l > 0 else math.nan
-    p_rl = float(np.einsum("i,i->", x[k:], out[k:])) / m_r if m_r > 0 else math.nan
-    return p_lr, p_rl
 
 
 def _corrected_step(P: UlamMatrix, rho: float,
@@ -266,9 +245,8 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
         raise
     phi = _clip_negative(phi)
     residual = float(np.mean(np.abs(P.apply(phi) - phi)))
-    p_lr, p_rl = _block_rates(P, phi, k)
     res = InvariantDensityResult(phi=DensityGrid(n, phi), leading_simple=simple,
-                                 residual=residual, iterations=steps, p_lr=p_lr, p_rl=p_rl)
+                                 residual=residual, iterations=steps)
     if simple:
         return replace(res, rho=rho, psi=psi)
     # every phi + c*psi is fixed: report the one without mass on [k,n), or
@@ -292,6 +270,22 @@ def _finalize_psi(values: np.ndarray, b_left: float, n: int) -> DensityGrid:
     return DensityGrid(n, g.values / norm)
 
 
+@functools.lru_cache(maxsize=4)
+def _deflated_start(n: int, I_l: Interval) -> np.ndarray:
+    """The deflated run's start on n cells, built once per (n, I_l).
+
+    Read-only: every caller of ``second_eigenpair`` on the grid shares it.
+    """
+    w = DensityGrid.indicator(I_l, n).values - DensityGrid.indicator(Interval(I_l.hi, 1.0), n).values
+    # any fixed start misses the eigenvectors it has no component along; a
+    # seeded generic component shrinks those to a null set
+    w = w + 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
+    w = w - np.mean(w)
+    w /= np.mean(np.abs(w))
+    w.setflags(write=False)
+    return w
+
+
 def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
                      tol: float = 1e-10,
                      max_iter: Optional[int] = None) -> tuple[float, DensityGrid]:
@@ -304,11 +298,12 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
     the mean of P^T w, which holds no more than rounding drift, so the
     result does not depend on the density passed, and ``invariant_density``
     runs this before it has one.  The start is 1 on I_l, -1 right of it,
-    plus 1e-6 times a normal draw seeded with START_SEED, less its mean.
-    The eigenvalue is the Rayleigh quotient <v, w>/<w, w> of the last
-    step's input w and its projected image v.  The eigenvector is
-    L1-normalized with positive integral over I_l; its own integral
-    vanishes by construction.
+    plus 1e-6 times a normal draw seeded with START_SEED, less its mean; it
+    depends only on (n, I_l), so it is built once per grid and read, never
+    written, by every call.  The eigenvalue is the Rayleigh quotient
+    <v, w>/<w, w> of the last step's input w and its projected image v.
+    The eigenvector is L1-normalized with positive integral over I_l; its
+    own integral vanishes by construction.
 
     When the iteration stalls or runs out of steps, its last iterate w is
     checked by Rayleigh-Ritz on span{w, Aw, A^2 w}, A the deflated step
@@ -319,13 +314,7 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
     raises SolverError naming the top Ritz value.
     """
     n = P.n
-    w = DensityGrid.indicator(I_l, n).values - DensityGrid.indicator(Interval(I_l.hi, 1.0), n).values
-    # any fixed start misses the eigenvectors it has no component along; a
-    # seeded generic component shrinks those to a null set
-    w = w + 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
-    w = w - np.mean(w)
-    w /= np.mean(np.abs(w))
-
+    w = _deflated_start(n, I_l)
     buf = np.empty(n)                          # |v|, overwritten every step
     last = None                                # the last step's (v, w)
 
@@ -403,17 +392,17 @@ def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12,
     empty hole gives 0.0.
     """
     m = Q.n
-    hole = np.unique(np.asarray(hole_cells, dtype=int))
+    # np.unique would import numpy.ma (13-18 ms) in a fresh process
+    hole = np.asarray(hole_cells, dtype=int).ravel()
     outside = hole[(hole < 0) | (hole >= m)]
     if outside.size:
-        raise ValueError(f"hole cells {outside[:4].tolist()}... outside 0..{m - 1}")
+        raise ValueError(f"hole cells {sorted(set(outside.tolist()))[:4]}... outside 0..{m - 1}")
     if hole.size == 0:
         return 0.0
-    if hole.size == m:
-        raise ValueError("hole covers the whole system; escape rate undefined")
-
     keep = np.ones(m)
     keep[hole] = 0.0
+    if not keep.any():
+        raise ValueError("hole covers the whole system; escape rate undefined")
     lam = 1.0
 
     def step(w):
@@ -421,7 +410,8 @@ def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12,
         # iterate; sum-1 iterates shrink it by 1/m and stop too early.
         nonlocal lam
         v = Q.apply(w)
-        v *= keep
+        # the iterates are nonnegative, so this zeroes what v *= keep would
+        v[hole] = 0.0
         lam = float(np.add.reduce(v)) / m
         if lam <= 0.0:
             raise DegenerateSpectrumError("all mass escapes in one step")

@@ -1,16 +1,20 @@
+import math
 import time
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from metamap import Branch, PiecewiseMap, build_ulam
+from metamap import Branch, PiecewiseMap, build_ulam, spectral
 from metamap.families import family_a, family_b
 from metamap.metastability import prepare_sweep, run_sweep_row
 from metamap.transfer_operator import UlamMatrix
 
 ACCEPTANCE_EPS = (0.02, 0.01, 0.005, 0.0025)
 ACCEPTANCE_N = 3840
+# the grid and eps ladder of the sweep_*_fine benchmark workloads
+FINE_N = 15360
+FINE_EPS = (0.0064, 0.0032, 0.0016, 0.0008)
 
 
 @pytest.fixture()
@@ -80,3 +84,38 @@ def three_block_cycle(n, seed=0):
     vals = np.tile(np.r_[0.1, np.full(8, 0.9 / 8)], n)
     m = sparse.csc_matrix((vals, (np.repeat(np.arange(n), 9), cols.ravel())), shape=(n, n))
     return UlamMatrix.from_matrix(m)
+
+
+def block_rates(P, x, k):
+    """(p_LR, p_RL) of the density x on the blocks [0,k), [k,n): the 2x2
+    chain between them.
+
+    A block's exit probability is the mass-weighted mean of its rows'
+    probabilities of leaving it, nan for a block without mass.
+    """
+    m = P.matrix
+    # row i's probability of leaving its block: the entries of P's first k
+    # columns summed per row, in storage order as P[:, :k].sum(axis=1) does
+    out = np.bincount(m.indices[:m.indptr[k]], weights=m.data[:m.indptr[k]], minlength=P.n)
+    out[:k] = 1.0 - out[:k]
+    m_l, m_r = float(np.add.reduce(x[:k])), float(np.add.reduce(x[k:]))
+    p_lr = float(np.einsum("i,i->", x[:k], out[:k])) / m_l if m_l > 0 else math.nan
+    p_rl = float(np.einsum("i,i->", x[k:], out[k:])) / m_r if m_r > 0 else math.nan
+    return p_lr, p_rl
+
+
+def record_solves(monkeypatch):
+    """Wrap ``spectral._iterate``: each run appends (solver, tol, start, steps).
+
+    The solver names the function whose step ran: ``second_eigenpair``,
+    ``_corrected_step``, ``_mass_step`` or ``escape_rate``.
+    """
+    calls = []
+    iterate = spectral._iterate
+
+    def wrapped(step, w, tol, max_iter=None):
+        out = iterate(step, w, tol, max_iter)
+        calls.append((step.__qualname__.split(".")[0], tol, w, out[1]))
+        return out
+    monkeypatch.setattr(spectral, "_iterate", wrapped)
+    return calls

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FINE_EPS, FINE_N, block_rates, record_solves
+
 from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFamily,
                                PiecewiseMap)
 from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
@@ -10,8 +12,8 @@ from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
                                    flux_balance, hole_measures,
                                    markov_stationary, predict_mixture,
                                    prepare_sweep, run_sweep_row)
-from metamap.spectral import invariant_density
-from metamap.transfer_operator import DensityGrid, build_ulam
+from metamap.spectral import escape_rate, invariant_density
+from metamap.transfer_operator import DensityGrid, build_ulam, cells_with_center_in
 
 
 def lebesgue_halves(n):
@@ -298,10 +300,44 @@ def test_two_block_chain_matches_weight_and_rho(sweep_a):
     for row in sweep_a["rows"]:
         P = sweep_a["arts"][row.eps].P
         inv = invariant_density(P, tol=1e-10)
-        alpha, _ = markov_stationary(inv.p_lr, inv.p_rl)
+        # the blocks [0,1/2) and [1/2,1) on the even grid
+        p_lr, p_rl = block_rates(P, inv.phi.values, P.n // 2)
+        alpha, _ = markov_stationary(p_lr, p_rl)
         assert alpha == pytest.approx(row.mu_Il, abs=1e-9)
-        gaps.append(abs(inv.p_lr + inv.p_rl - (1.0 - row.rho)) / (1.0 - row.rho))
+        gaps.append(abs(p_lr + p_rl - (1.0 - row.rho)) / (1.0 - row.rho))
     assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-9])
+def test_every_solve_of_a_row_runs_at_the_sweep_tol(fam_a, monkeypatch, tol):
+    # one stopping rule per row: the deflated pair, the density and both
+    # escape sides all stop at the tol the sweep was prepared with
+    ctx = prepare_sweep(fam_a, [0.01], 768, tol=tol)
+    calls = record_solves(monkeypatch)
+    row, _ = run_sweep_row(ctx, 0.01)
+    assert row.error is None, row.error
+    assert [(solver, t) for solver, t, _, _ in calls] == [
+        ("second_eigenpair", tol), ("_corrected_step", tol),
+        ("escape_rate", tol), ("escape_rate", tol)]
+
+
+@pytest.mark.parametrize("family", ["fam_a", "fam_b"])
+def test_escape_ratios_at_the_sweep_tol_match_tight_solves(request, family):
+    # a row solves each escape rate at the sweep's tol = 1e-10, not at
+    # escape_rate's default 1e-12; on the fine ladder the ratios move by at
+    # most 8.3e-11 relative
+    fam = request.getfixturevalue(family)
+    ctx = prepare_sweep(fam, FINE_EPS, FINE_N)
+    for eps in FINE_EPS:
+        row, art = run_sweep_row(ctx, eps)
+        holes = hole_measures(compute_holes(art.map_eps, fam.boundary_b),
+                              ctx.phi_l, ctx.phi_r)
+        for pieces, half, mu, ratio in ((holes.H_l, ctx.I_l, holes.mu_l_Hl, row.escape_ratio_l),
+                                        (holes.H_r, ctx.I_r, holes.mu_r_Hr, row.escape_ratio_r)):
+            sub, Q = ctx.halves[half]
+            hole = cells_with_center_in(pieces, FINE_N) - sub[0]
+            tight = mu / escape_rate(Q, hole, tol=1e-12)
+            assert abs(ratio - tight) <= 1e-9 * tight, (eps, half, ratio, tight)
 
 
 def random_two_half_family(rng):

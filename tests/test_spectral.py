@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_top_eigenpairs, scipy_csc, three_block_cycle
+from conftest import (FINE_EPS, FINE_N, block_rates, dense_top_eigenpairs, record_solves,
+                      scipy_csc, three_block_cycle)
 
 import metamap
 from metamap.map_model import Interval
-from metamap.spectral import (DegenerateSpectrumError, SolverError,
+from metamap.metastability import prepare_sweep, run_sweep_row
+from metamap.spectral import (START_SEED, DegenerateSpectrumError, SolverError,
                               escape_rate, invariant_density,
                               power_fixed_density, restrict_invariant,
                               second_eigenpair)
@@ -206,7 +208,7 @@ def test_solvers_are_reentrant(request, family):
     def bits(out):
         res, rho, psi, rate = out
         return (res.phi.values.tobytes(), res.psi.values.tobytes(), res.rho,
-                res.residual, res.iterations, res.p_lr, res.p_rl,
+                res.residual, res.iterations, *block_rates(P, res.phi.values, n // 2),
                 rho, psi.values.tobytes(), rate)
 
     first = solve()
@@ -372,23 +374,68 @@ def test_density_steps_on_the_fine_ladder(request, family):
         assert res.iterations <= 35, (eps, res.iterations)
 
 
+@pytest.mark.parametrize("family", ["fam_a", "fam_b"])
+def test_sweep_row_steps_on_the_fine_ladder(request, monkeypatch, family):
+    # every solve of a sweep_*_fine row: the second pair takes 20-23 steps,
+    # the density 22-25 and each escape side 18-23 at the sweep's tol (23-28
+    # at escape_rate's default 1e-12)
+    bounds = {"second_eigenpair": 26, "_corrected_step": 35, "escape_rate": 25}
+    ctx = prepare_sweep(request.getfixturevalue(family), FINE_EPS, FINE_N)
+    calls = record_solves(monkeypatch)
+    for eps in FINE_EPS:
+        calls.clear()
+        row, _ = run_sweep_row(ctx, eps)
+        assert row.error is None, row.error
+        steps = [(solver, k) for solver, _, _, k in calls]
+        assert [solver for solver, _ in steps] == [
+            "second_eigenpair", "_corrected_step", "escape_rate", "escape_rate"]
+        assert all(k <= bounds[solver] for solver, k in steps), (eps, steps)
+
+
+def test_deflated_start_built_once_per_grid(fam_a, monkeypatch):
+    # the start depends only on (n, I_l): each grid and each left block gets
+    # its own read-only array, with the bits of the construction it replaced
+    def inline(n, I_l):
+        w = (DensityGrid.indicator(I_l, n).values
+             - DensityGrid.indicator(Interval(I_l.hi, 1.0), n).values)
+        w = w + 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
+        w = w - np.mean(w)
+        w /= np.mean(np.abs(w))
+        return w
+
+    cases = [(768, Interval(0.0, 0.5)), (1200, Interval(0.0, 0.5)), (768, Interval(0.0, 0.25))]
+    calls = record_solves(monkeypatch)
+    for n, I_l in cases + cases:
+        second_eigenpair(build_ulam(fam_a.instantiate(0.01), n), None, I_l)
+    starts = [w for _, _, w, _ in calls]
+    for (n, I_l), first, again in zip(cases, starts, starts[len(cases):]):
+        assert again is first
+        assert not first.flags.writeable
+        assert first.tobytes() == inline(n, I_l).tobytes()
+    assert len({id(w) for w in starts}) == len(cases)
+
+
 def test_density_solve_independent_of_blas_threads():
     # every dot product is an einsum, so the BLAS thread count moves no bit.
     # While the exit probabilities used @ and steered the aggregation step,
     # this run took 224 steps on one thread and 985 on two
     code = (
         "import hashlib, numpy as np\n"
+        "from conftest import block_rates\n"
         "from metamap.families import family_b\n"
         "from metamap.spectral import invariant_density\n"
         "from metamap.transfer_operator import build_ulam\n"
-        "res = invariant_density(build_ulam(family_b().instantiate(2e-4), 61440))\n"
+        "P = build_ulam(family_b().instantiate(2e-4), 61440)\n"
+        "res = invariant_density(P)\n"
         "h = hashlib.sha256(res.phi.values.tobytes() + res.psi.values.tobytes()\n"
-        "                   + np.array([res.rho, res.p_lr, res.p_rl]).tobytes())\n"
+        "                   + np.array([res.rho, *block_rates(P, res.phi.values, P.n // 2)])\n"
+        "                   .tobytes())\n"
         "print(res.iterations, h.hexdigest())\n")
     src = os.path.dirname(os.path.dirname(metamap.__file__))
+    path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
     outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            check=True, timeout=120,
-                           env={**os.environ, "PYTHONPATH": src,
+                           env={**os.environ, "PYTHONPATH": path,
                                 "OPENBLAS_NUM_THREADS": threads}).stdout
             for threads in ("1", "2")]
     assert outs[0] == outs[1]
