@@ -11,12 +11,13 @@ Exit codes: 0 success, 1 fatal error, 2 completed with failed sweep rows.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .map_model import validate_hypotheses
 from .metastability import markov_stationary
 from .runner import run_scenario
-from .scenarios import ScenarioError, check_grid, load_scenario, normalize_eps
+from .scenarios import ScenarioError, load_scenario, normalize_eps
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,23 +41,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_overrides(scn, args) -> None:
-    if getattr(args, "eps", None):
+def _apply_overrides(scn, args):
+    """The scenario with the run command's --eps, --grid and --out applied."""
+    changes = {}
+    if args.eps:
         try:
             eps = [float(tok) for tok in args.eps.split(",")]
         except ValueError:
             raise ScenarioError([f"--eps: cannot parse {args.eps!r}"])
         if not eps or any(e <= 0 for e in eps):
             raise ScenarioError([f"--eps: values must be positive, got {args.eps!r}"])
-        scn.eps_list = tuple(normalize_eps(eps, field="--eps"))
-    if getattr(args, "grid", None) is not None:
+        changes["eps_list"] = tuple(normalize_eps(eps, field="--eps"))
+    if args.grid is not None:
         if args.grid < 2:
             raise ScenarioError([f"--grid: expected an integer >= 2, got {args.grid}"])
-        scn.grid_n = args.grid
-    if getattr(args, "out", None):
-        scn.out_dir = args.out
-    scn.warnings.clear()
-    check_grid(scn)
+        changes["grid_n"] = args.grid
+    if args.out:
+        changes["out_dir"] = args.out
+    return dataclasses.replace(scn, **changes)
 
 
 def main(argv=None) -> int:
@@ -82,8 +84,7 @@ def main(argv=None) -> int:
             for d in report.diagnostics:
                 print(f"  {d}")
             return 0
-        _apply_overrides(scn, args)
-        return run_scenario(scn)
+        return run_scenario(_apply_overrides(scn, args))
     except ScenarioError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -23,8 +23,6 @@ from fractions import Fraction as F
 
 from .map_model import Branch, PerturbationFamily, PiecewiseMap
 
-BUILTIN_NAMES = ("family_a", "family_b", "markov2")
-
 DEFAULT_EPS_LIST = (0.02, 0.01, 0.005, 0.0025)
 DEFAULT_GRID_N = 3840
 
@@ -65,10 +63,3 @@ def family_b() -> PerturbationFamily:
         boundary_b=0.5,
     )
 
-
-def get_family(name: str) -> PerturbationFamily:
-    if name == "family_a":
-        return family_a()
-    if name == "family_b":
-        return family_b()
-    raise KeyError(f"unknown builtin family {name!r}; known: {BUILTIN_NAMES}")

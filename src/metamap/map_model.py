@@ -196,20 +196,6 @@ class PiecewiseMap:
         pts.append(self.branches[-1].domain.hi)
         return tuple(pts)
 
-    def branch_at(self, x: float) -> Branch:
-        """The branch whose open domain contains x (left branch at shared
-        endpoints other than 0)."""
-        for br in self.branches:
-            if x <= br.domain.hi + ENDPOINT_TOL:
-                return br
-        return self.branches[-1]
-
-    def __call__(self, x: float) -> float:
-        """Single-valued evaluation; at interior critical points returns the
-        left limit (use :func:`evaluate` for both one-sided values)."""
-        vals = evaluate(self, x)
-        return vals[0]
-
 
 def evaluate(map_: PiecewiseMap, x: float) -> tuple[float, ...]:
     """One or both values of the (possibly bi-valued) map at x.
@@ -355,9 +341,6 @@ class PerturbationFamily:
                         lambda x, _d2f=br.d2f, _d2g=gd2f, _e=eps: _d2f(x) + _e * _d2g(x)))
         return PiecewiseMap(branches)
 
-    def infinitesimal_holes(self) -> list[float]:
-        return infinitesimal_holes(self.base, self.boundary_b)
-
     def first_order_holes(self) -> list[tuple[float, int, float, bool]]:
         """The holes T_eps opens at first order, as (c, side, rate, left).
 
@@ -433,7 +416,7 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
 
     halves_invariant = True
     try:
-        holes = family.infinitesimal_holes()
+        holes = infinitesimal_holes(T0, family.boundary_b)
     except HypothesisViolation as exc:
         halves_invariant = False
         holes = []
@@ -459,22 +442,19 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
     b = family.boundary_b
     crit = T0.critical_set
     b_critical = min(abs(b - c) for c in crit) <= ENDPOINT_TOL
+    vals0 = evaluate(T0, b)
     if not halves_invariant:
         passes_p2 = False
     elif b_critical:
         # One-sided values must straddle the boundary strictly; the boundary
         # stays critical automatically (domains do not move in this model).
-        left = T0.branch_at(b - ENDPOINT_TOL)(b)
-        idx = [i for i, br in enumerate(T0.branches)
-               if abs(br.domain.lo - b) <= ENDPOINT_TOL]
-        right = T0.branches[idx[0]](b) if idx else left
+        left, right = vals0[0], vals0[-1]
         passes_p2 = left < b - tol and right > b + tol
         if not passes_p2:
             diags.append(
                 f"(P2b) fails: need T0(b-) < b < T0(b+), got "
                 f"T0(b-)={left:.12g}, b={b:.12g}, T0(b+)={right:.12g}")
     else:
-        vals0 = evaluate(T0, b)
         passes_p2 = len(vals0) == 1 and abs(vals0[0] - b) <= tol
         if passes_p2:
             probed = False

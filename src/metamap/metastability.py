@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .map_model import (ENDPOINT_TOL, Interval, MapModelError, PerturbationFamily,
-                        PiecewiseMap)
+                        PiecewiseMap, evaluate)
 # second_eigenpair is not called here: perfbench/tracer.py patches it under this name
 from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,  # noqa: F401
                        invariant_density, power_fixed_density, restrict_invariant,
@@ -107,13 +107,13 @@ def _check_hole_geometry(map_eps, b, H_l, H_r, samples: int = 7):
     for iv in H_l:
         for q in qs:
             x = iv.lo + q * iv.length
-            if map_eps.branch_at(x)(x) < b - 1e-9:
+            if evaluate(map_eps, x)[0] < b - 1e-9:
                 raise MapModelError(
                     f"computed left hole [{iv.lo}, {iv.hi}] does not map into the right half")
     for iv in H_r:
         for q in qs:
             x = iv.lo + q * iv.length
-            if map_eps.branch_at(x)(x) > b + 1e-9:
+            if evaluate(map_eps, x)[0] > b + 1e-9:
                 raise MapModelError(
                     f"computed right hole [{iv.lo}, {iv.hi}] does not map into the left half")
 

@@ -26,11 +26,9 @@ from .map_model import postcritical_hierarchy, validate_hypotheses
 from .metastability import (SweepRow, markov_stationary, prepare_sweep,
                             run_sweep_row)
 from .numfmt import format_unique
-from .scenarios import Scenario
+from .scenarios import Scenario, grid_warnings
 from .svgplot import write_line_plot
 from .transfer_operator import lasota_yorke_constants, UnsupportedRegimeError
-
-SWEEP_COLUMNS = SweepRow.FIELDS
 
 
 def _cell(value) -> str:
@@ -45,9 +43,9 @@ def _cell(value) -> str:
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+        fh.write(",".join(SweepRow.FIELDS) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(getattr(row, c)) for c in SWEEP_COLUMNS) + "\n")
+            fh.write(",".join(_cell(getattr(row, c)) for c in SweepRow.FIELDS) + "\n")
 
 
 def _cell_centers(n: int) -> np.ndarray:
@@ -93,7 +91,8 @@ def _run_markov(scn: Scenario, log) -> int:
 
 def _run_family(scn: Scenario, log) -> int:
     fam = scn.family
-    for w in scn.warnings:
+    warnings = grid_warnings(scn)
+    for w in warnings:
         log(f"warning: {w}")
 
     report = validate_hypotheses(fam, scn.eps_list)
@@ -144,7 +143,7 @@ def _run_family(scn: Scenario, log) -> int:
                               art.psi.values if art.psi is not None else None)
 
     write_sweep_csv(os.path.join(scn.out_dir, "sweep.csv"), rows)
-    _write_sweep_json(scn, ctx.alpha_pred, rows, report, saltus_rows)
+    _write_sweep_json(scn, warnings, ctx.alpha_pred, rows, report, saltus_rows)
     _write_plots(scn, ctx, rows, arts)
 
     failed = [r for r in rows if r.error]
@@ -155,12 +154,12 @@ def _run_family(scn: Scenario, log) -> int:
     return 2 if failed else 0
 
 
-def _write_sweep_json(scn, alpha_pred, rows, report, saltus_rows) -> None:
+def _write_sweep_json(scn, warnings, alpha_pred, rows, report, saltus_rows) -> None:
     payload = {
         "scenario": scn.name,
         "grid_n": scn.grid_n,
         "alpha_pred": alpha_pred,
-        "grid_warnings": list(scn.warnings),
+        "grid_warnings": warnings,
         "hypotheses": {
             "min_expansion": report.min_expansion,
             "distortion": report.distortion,

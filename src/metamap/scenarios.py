@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .families import (BUILTIN_NAMES, DEFAULT_EPS_LIST, DEFAULT_GRID_N,
-                       get_family)
+from .families import DEFAULT_EPS_LIST, DEFAULT_GRID_N, family_a, family_b
 from .map_model import Branch, MapModelError, PerturbationFamily, PiecewiseMap
 
 
@@ -28,16 +27,22 @@ class ScenarioError(ValueError):
         super().__init__("scenario invalid:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A family sweep, or without a family the two-state chains of
+    ``markov_pairs``.  Frozen: derive variants with ``dataclasses.replace``."""
+
     name: str
-    kind: str                                   # "family" or "markov"
     family: Optional[PerturbationFamily] = None
     markov_pairs: tuple[tuple[float, float], ...] = ()
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
     grid_n: int = DEFAULT_GRID_N
     out_dir: str = "out"
-    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def kind(self) -> str:
+        """"family" or "markov"."""
+        return "markov" if self.family is None else "family"
 
 
 def _rational(value, path, errors) -> float:
@@ -89,21 +94,23 @@ def suggested_grid_n(family: PerturbationFamily, eps_list) -> int:
     return ((n0 + lcm - 1) // lcm) * lcm
 
 
-def check_grid(scn: Scenario) -> None:
-    """Record (not raise) grid-rule findings on the scenario."""
-    if scn.kind != "family":
-        return
+def grid_warnings(scn: Scenario) -> list[str]:
+    """The grid-rule findings on the scenario's grid and eps list (not raised)."""
+    if scn.family is None:
+        return []
+    out = []
     lcm = critical_denominator_lcm(scn.family.base)
     if scn.grid_n % lcm != 0:
-        scn.warnings.append(
+        out.append(
             f"grid n={scn.grid_n} is not a multiple of the critical denominator "
             f"lcm {lcm}; Ulam entries will not align with the branch endpoints")
     if scn.eps_list:
         need = 12.0 / min(scn.eps_list)
         if scn.grid_n < need:
-            scn.warnings.append(
+            out.append(
                 f"grid n={scn.grid_n} is below 12/min(eps) = {need:.0f}; the "
                 "narrowest hole spans fewer than ~4 cells")
+    return out
 
 
 def _parse_branches(raw, errors) -> tuple[list[Branch], list[float], list[float]]:
@@ -166,6 +173,8 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
             and all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps_list)):
         errors.append("eps_list: expected a list of numbers")
         eps_list = list(DEFAULT_EPS_LIST)
+    elif not eps_list:
+        errors.append("eps_list: expected at least one value")
     elif any(e <= 0 for e in eps_list):
         errors.append("eps_list: values must be positive")
     else:
@@ -183,32 +192,26 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         grid_n = suggested_grid_n(family, eps_list)
     elif not isinstance(grid_n, int) or grid_n < 2:
         raise ScenarioError(["grid_n: expected an integer >= 2"])
-    scn = Scenario(name=name, kind="family", family=family,
-                   eps_list=tuple(float(e) for e in eps_list),
-                   grid_n=grid_n,
-                   out_dir=str(data.get("out_dir", "out")))
-    check_grid(scn)
-    return scn
+    return Scenario(name=name, family=family,
+                    eps_list=tuple(float(e) for e in eps_list),
+                    grid_n=grid_n,
+                    out_dir=str(data.get("out_dir", "out")))
 
 
-def _builtin_scenario(name: str) -> Scenario:
-    if name == "markov2":
-        return Scenario(name="markov2", kind="markov",
-                        markov_pairs=((0.01, 0.03),), out_dir="out")
-    if name in ("family_a", "family_b"):
-        fam = get_family(name)
-        scn = Scenario(name=name, kind="family", family=fam,
-                       eps_list=DEFAULT_EPS_LIST, grid_n=DEFAULT_GRID_N,
-                       out_dir="out")
-        check_grid(scn)
-        return scn
-    raise ScenarioError([f"scenario: unknown builtin {name!r}; known: {BUILTIN_NAMES}"])
+BUILTINS = {scn.name: scn for scn in (
+    Scenario(name="family_a", family=family_a()),
+    Scenario(name="family_b", family=family_b()),
+    Scenario(name="markov2", markov_pairs=((0.01, 0.03),)),
+)}
 
 
 def load_scenario(source: str) -> Scenario:
     """Load a scenario from 'builtin:<name>' or a JSON file path."""
     if source.startswith("builtin:"):
-        return _builtin_scenario(source.split(":", 1)[1])
+        name = source.split(":", 1)[1]
+        if name not in BUILTINS:
+            raise ScenarioError([f"scenario: unknown builtin {name!r}; known: {tuple(BUILTINS)}"])
+        return BUILTINS[name]
     try:
         with open(source) as fh:
             data = json.load(fh)

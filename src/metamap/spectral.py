@@ -81,21 +81,20 @@ def _err_estimate(diff: float, r: float) -> float:
     return diff * r / (1.0 - r)
 
 
-def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray, tol: float,
-             max_iter: Optional[int] = None) -> tuple[np.ndarray, int]:
+def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray,
+             tol: float) -> tuple[np.ndarray, int]:
     """Repeat ``w <- step(w)`` until it settles; return the limit and the step count.
 
     With d = w_k - w_{k-1}, diff = mean|d| and r = diff_k / diff_{k-1}, the
     loop stops once diff <= tol and ``_err_estimate(diff, r)`` <= tol.
 
-    Raises SolverError after ``max_iter`` steps (default
-    ``_default_max_iter(w.size)``), or as soon as the step change, from step
-    2*STALL_WINDOW on, is no smaller than it was STALL_WINDOW steps earlier:
-    a contracting iteration shrinks over any such window, however slowly.
+    Raises SolverError after ``_default_max_iter(w.size)`` steps, or as soon
+    as the step change, from step 2*STALL_WINDOW on, is no smaller than it
+    was STALL_WINDOW steps earlier: a contracting iteration shrinks over any
+    such window, however slowly.
     """
     n = w.size
-    if max_iter is None:
-        max_iter = _default_max_iter(n)
+    max_iter = _default_max_iter(n)
     window = np.full(STALL_WINDOW, math.inf)   # step changes of the last window
     buf = np.empty_like(w)                     # |d|, overwritten every step
     diff = prev_diff = math.inf
@@ -149,11 +148,11 @@ def _mass_step(P: UlamMatrix) -> Callable[[np.ndarray], np.ndarray]:
     return step
 
 
-def power_fixed_density(P: UlamMatrix, start: np.ndarray, tol: float,
-                        max_iter: Optional[int] = None) -> tuple[np.ndarray, int]:
+def power_fixed_density(P: UlamMatrix, start: np.ndarray,
+                        tol: float) -> tuple[np.ndarray, int]:
     """Iterate the transfer matrix from a nonnegative start until the iterate
     is within ~tol (L1) of the fixed density, renormalizing mass each step."""
-    return _iterate(_mass_step(P), start / np.mean(start), tol, max_iter)
+    return _iterate(_mass_step(P), start / np.mean(start), tol)
 
 
 def _corrected_step(P: UlamMatrix, rho: float,
@@ -194,7 +193,6 @@ def _clip_negative(phi: np.ndarray) -> np.ndarray:
 
 
 def invariant_density(P: UlamMatrix, tol: float = 1e-10,
-                      max_iter: Optional[int] = None,
                       I_l: Interval = Interval(0.0, 0.5)) -> InvariantDensityResult:
     """Fixed density of the Ulam matrix, the simplicity of its eigenvalue 1
     and the second eigenpair that decides it.
@@ -226,7 +224,7 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     if not (I_l.lo == 0.0 and 0 < k < n):
         raise ValueError(f"I_l = [{I_l.lo}, {I_l.hi}) must be [0,b) covering k cells "
                          f"with 0 < k < n = {n} (k = {k})")
-    rho, psi = second_eigenpair(P, None, Interval(0.0, k / n), tol, max_iter)
+    rho, psi = second_eigenpair(P, None, Interval(0.0, k / n), tol)
     if abs(1.0 + rho) <= 10.0 * tol:
         raise DegenerateSpectrumError(
             f"second eigenvalue {rho!r} is -1, which ties in modulus with a second "
@@ -234,7 +232,7 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     simple = abs(1.0 - rho) > 10.0 * tol
     step = _corrected_step(P, rho, psi.values) if simple else _mass_step(P)
     try:
-        phi, steps = _iterate(step, np.ones(n), tol, max_iter)
+        phi, steps = _iterate(step, np.ones(n), tol)
     except SolverError as exc:
         w = exc.iterate
         if (exc.stalled and np.mean(np.abs(step(step(w)) - w)) <= 10.0 * tol
@@ -287,8 +285,7 @@ def _deflated_start(n: int, I_l: Interval) -> np.ndarray:
 
 
 def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
-                     tol: float = 1e-10,
-                     max_iter: Optional[int] = None) -> tuple[float, DensityGrid]:
+                     tol: float = 1e-10) -> tuple[float, DensityGrid]:
     """Second eigenvalue and eigenvector of the Ulam matrix.
 
     Deflated power iteration on the mass-zero subspace, where the second
@@ -339,7 +336,7 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
         return u
 
     try:
-        w, _ = _iterate(step, w, tol, max_iter)
+        w, _ = _iterate(step, w, tol)
     except SolverError as exc:
         # a run stalls when two eigenvalues share the top modulus (a
         # rotating complex pair, or 1 and -1); the last iterate spans them
@@ -381,8 +378,7 @@ def restrict_invariant(P: UlamMatrix, sub_domain: Interval) -> tuple[np.ndarray,
     return sub, Q
 
 
-def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12,
-                max_iter: Optional[int] = None) -> float:
+def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12) -> float:
     """Exponential escape rate -log(lambda) of the closed system Q through a hole.
 
     ``hole_cells`` index cells of Q; their columns are zeroed, and the
@@ -418,5 +414,5 @@ def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12,
         v /= lam
         return v
 
-    _iterate(step, keep / np.mean(keep), tol, max_iter)
+    _iterate(step, keep / np.mean(keep), tol)
     return -math.log(lam)

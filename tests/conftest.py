@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from metamap import Branch, PiecewiseMap, build_ulam, spectral
+from metamap import spectral
 from metamap.families import family_a, family_b
+from metamap.map_model import Branch, PiecewiseMap
 from metamap.metastability import prepare_sweep, run_sweep_row
-from metamap.transfer_operator import UlamMatrix
+from metamap.transfer_operator import UlamMatrix, build_ulam
 
 ACCEPTANCE_EPS = (0.02, 0.01, 0.005, 0.0025)
 ACCEPTANCE_N = 3840
@@ -113,8 +114,8 @@ def record_solves(monkeypatch):
     calls = []
     iterate = spectral._iterate
 
-    def wrapped(step, w, tol, max_iter=None):
-        out = iterate(step, w, tol, max_iter)
+    def wrapped(step, w, tol):
+        out = iterate(step, w, tol)
         calls.append((step.__qualname__.split(".")[0], tol, w, out[1]))
         return out
     monkeypatch.setattr(spectral, "_iterate", wrapped)

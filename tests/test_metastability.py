@@ -6,7 +6,7 @@ import pytest
 from conftest import FINE_EPS, FINE_N, block_rates, record_solves
 
 from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFamily,
-                               PiecewiseMap)
+                               PiecewiseMap, evaluate)
 from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
                                    convergence_study, ergodic_densities,
                                    flux_balance, hole_measures,
@@ -58,14 +58,14 @@ def test_hole_points_map_across(fam_a):
     rng = np.random.default_rng(29)
     hl = rep.H_l[0]
     xs = rng.uniform(hl.lo + 1e-12, hl.hi, size=1000)
-    assert all(T.branch_at(x)(x) >= 0.5 for x in xs)
+    assert all(evaluate(T, x)[0] >= 0.5 for x in xs)
     # left points outside the hole stay left
     count = 0
     while count < 1000:
         x = rng.uniform(0, 0.5)
         if hl.lo <= x <= hl.hi:
             continue
-        assert T.branch_at(x)(x) < 0.5
+        assert evaluate(T, x)[0] < 0.5
         count += 1
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
@@ -15,8 +17,9 @@ from metamap.cli import main
 from metamap.families import DEFAULT_EPS_LIST, family_a
 from metamap.map_model import validate_hypotheses
 from metamap.metastability import markov_stationary
+from metamap.runner import run_scenario
 from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
-                               load_scenario, suggested_grid_n)
+                               grid_warnings, load_scenario, suggested_grid_n)
 
 FAMILY_A_JSON = {
     "name": "family-a-from-file",
@@ -88,10 +91,10 @@ def test_dropped_scenario_keys_are_ignored(tmp_path):
 def test_grid_rule_warnings(tmp_path):
     data = dict(FAMILY_A_JSON, grid_n=100)
     scn = load_scenario(write_scenario(tmp_path, data))
-    assert any("multiple" in w for w in scn.warnings)
+    assert any("multiple" in w for w in grid_warnings(scn))
     data = dict(FAMILY_A_JSON, grid_n=384)
     scn = load_scenario(write_scenario(tmp_path, data))
-    assert any("12/min(eps)" in w for w in scn.warnings)
+    assert any("12/min(eps)" in w for w in grid_warnings(scn))
 
 
 def test_missing_file():
@@ -440,3 +443,60 @@ def test_run_second_eigenpair_key_is_ignored(tmp_path):
             assert 0.0 < r[side] < math.inf, (r["eps"], side)
     assert list(payload["saltus"]) == ["0.01", "0.02"]
     assert (out / "saltus_0.02.csv").exists() and (out / "saltus_0.01.csv").exists()
+
+
+@pytest.mark.parametrize("grid_n", [None, 384])
+def test_empty_eps_list_rejected_before_writing(tmp_path, capsys, grid_n):
+    # without a grid_n, the grid rule used to fail on min() of the empty
+    # list; with one, the empty sweep ran and exited 0
+    data = dict(FAMILY_A_JSON, eps_list=[])
+    if grid_n is None:
+        del data["grid_n"]
+    else:
+        data["grid_n"] = grid_n
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.errors == ["eps_list: expected at least one value"]
+    out = tmp_path / "out"
+    assert main(["validate", "--scenario", path]) == 1
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("eps_list: expected at least one value") == 2
+    assert not out.exists()
+
+
+def test_builtin_unknown_name_message():
+    with pytest.raises(ScenarioError) as err:
+        load_scenario("builtin:nope")
+    assert str(err.value) == ("scenario invalid:\n  - scenario: unknown builtin 'nope'; "
+                              "known: ('family_a', 'family_b', 'markov2')")
+
+
+def test_scenario_is_frozen():
+    scn = load_scenario("builtin:family_a")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.grid_n = 768
+
+
+def _run_logged(scn):
+    lines = []
+    assert run_scenario(scn, log=lines.append) == 0
+    payload = json.loads((Path(scn.out_dir) / "sweep.json").read_text())
+    return payload["grid_warnings"], [ln for ln in lines if ln.startswith("warning: grid")]
+
+
+def test_grid_warnings_follow_a_replaced_grid(tmp_path):
+    scn = load_scenario("builtin:family_a")
+    assert grid_warnings(scn) == ["grid n=3840 is below 12/min(eps) = 4800; the narrowest "
+                                  "hole spans fewer than ~4 cells"]
+    scn = dataclasses.replace(scn, grid_n=4800, out_dir=str(tmp_path / "out"))
+    assert _run_logged(scn) == ([], [])
+
+
+def test_grid_warnings_follow_a_replaced_eps_list(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "scenario_family_a.json"
+    scn = dataclasses.replace(load_scenario(str(demo)), eps_list=(0.02, 0.01), grid_n=768,
+                              out_dir=str(tmp_path / "out"))
+    want = ("grid n=768 is below 12/min(eps) = 1200; the narrowest hole spans fewer "
+            "than ~4 cells")
+    assert _run_logged(scn) == ([want], [f"warning: {want}"])

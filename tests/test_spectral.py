@@ -11,6 +11,7 @@ from conftest import (FINE_EPS, FINE_N, block_rates, dense_top_eigenpairs, recor
                       scipy_csc, three_block_cycle)
 
 import metamap
+from metamap import spectral
 from metamap.map_model import Interval
 from metamap.metastability import prepare_sweep, run_sweep_row
 from metamap.spectral import (START_SEED, DegenerateSpectrumError, SolverError,
@@ -65,17 +66,19 @@ def test_invariant_density_unique_for_positive_eps(ulam_a_768):
     assert phi.mass() == pytest.approx(1.0, abs=1e-10)
     assert res.residual <= 1e-9
 
-def test_invariant_density_max_iter_exceeded(ulam_a_768):
+def test_invariant_density_max_iter_exceeded(ulam_a_768, monkeypatch):
+    monkeypatch.setattr(spectral, "_default_max_iter", lambda n: 3)
     with pytest.raises(SolverError):
-        invariant_density(ulam_a_768, tol=1e-10, max_iter=3)
+        invariant_density(ulam_a_768, tol=1e-10)
 
-def test_second_eigenpair_out_of_steps_names_top_ritz_value(ulam_a_768):
+def test_second_eigenpair_out_of_steps_names_top_ritz_value(ulam_a_768, monkeypatch):
     # rho = 0.97074: its Ritz value is real and not 1, so the run that ran
     # out of steps is reported with it rather than returned
     res = invariant_density(ulam_a_768, tol=1e-10)
+    monkeypatch.setattr(spectral, "_default_max_iter", lambda n: 3)
     with pytest.raises(SolverError, match=r"did not converge in 3 steps.*top Ritz "
                                           r"value of the last iterate is 0\.97"):
-        second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5), tol=1e-10, max_iter=3)
+        second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5), tol=1e-10)
 
 def test_second_eigenpair_matches_dense_oracle(ulam_a_768):
     res = invariant_density(ulam_a_768, tol=1e-10)
@@ -504,7 +507,7 @@ def test_kernel_is_plain_power_iteration(P, start):
     # the mass-step kernel takes exactly the steps of plain power iteration
     # and lands on the same bits: 11,375 steps on the two-state chain,
     # 7,719 on the 3-cycle, whose complex pair rotates
-    phi, steps = power_fixed_density(P, start, 1e-10, max_iter=20000)
+    phi, steps = power_fixed_density(P, start, 1e-10)
     ref, ref_steps = _plain_limit(P, start, 1e-10, max_iter=20000)
     assert steps == ref_steps
     assert phi.tobytes() == ref.tobytes()

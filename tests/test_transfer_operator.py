@@ -335,7 +335,7 @@ def test_refinement_consistency_trend(fam_a):
     phis = {}
     for n in (480, 960, 1920):
         P = build_ulam(T, n)
-        vals, _ = power_fixed_density(P, np.ones(n), 1e-10, 200000)
+        vals, _ = power_fixed_density(P, np.ones(n), 1e-10)
         phis[n] = vals
     d1 = np.mean(np.abs(np.repeat(phis[480], 2) - phis[960]))
     d2 = np.mean(np.abs(np.repeat(phis[960], 2) - phis[1920]))

@@ -4,12 +4,14 @@
 # benchmark's fine ladder (n = 15360, eps 0.0064 ... 0.0008) with the
 # sources of <base-rev> and with those of this working tree, each side
 # reading the scenario file from its own checkout, and compare every file
-# they write.
+# they write.  What each run prints (stdout and stderr, the side's output
+# directory written <out>) is compared too, and so is what
+# `metamap validate` prints for the three builtins and the scenario file.
 #
 #   tools/same_bytes.sh <base-rev>
 #
-# <base-rev> is checked out into a temporary detached worktree, removed
-# again on exit.  When a file differs, the diff is followed by one line per
+# <base-rev> is exported with `git archive` into a temporary directory,
+# removed again on exit.  When a file differs, the diff is followed by one line per
 # column (CSV) or key (JSON, list positions written []) of each differing
 # CSV and JSON file: the largest relative move |a-b|/max(|a|,|b|) over its
 # numeric values, the largest absolute move, and how many values differ.
@@ -22,32 +24,33 @@ if [ $# -ne 1 ]; then
 fi
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel) || exit 2
 tmp=$(mktemp -d) || exit 2
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null
-    git -C "$root" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --quiet --detach "$tmp/base" "$1" || exit 2
-# run <out-name> <metamap run arguments...>, with the sources of $top.  A
-# run that fails leaves its files missing or different, which diff reports
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base" "$tmp/out" || exit 2
+git -C "$root" archive -o "$tmp/base.tar" "$1" || exit 2
+tar -xf "$tmp/base.tar" -C "$tmp/base" || exit 2
+# cli <name> <metamap arguments...>, with the sources of $top: what the call
+# prints goes to <name>.txt, the side's output directory written <out>.  A
+# call that fails leaves its files missing or different, which diff reports
 # below
-run() {
-    name=$1
+cli() {
+    log=$tmp/out/$side/$1.txt
     shift
-    PYTHONPATH=$top/src python3 -m metamap.cli run "$@" \
-        --out "$tmp/out/$side/$name" > /dev/null
+    PYTHONPATH=$top/src python3 -m metamap.cli "$@" > "$log" 2>&1
+    sed -i "s|$tmp/out/$side|<out>|g" "$log"
 }
 for side in base tree; do
     if [ "$side" = base ]; then top=$tmp/base; else top=$root; fi
+    mkdir "$tmp/out/$side"
     for s in builtin:family_a builtin:family_b builtin:markov2 \
              "$top/demos/scenario_family_a.json"; do
-        run "$(basename "${s#builtin:}" .json)" --scenario "$s"
+        name=$(basename "${s#builtin:}" .json)
+        cli "$name" run --scenario "$s" --out "$tmp/out/$side/$name"
+        cli "validate_$name" validate --scenario "$s"
     done
     # the grid and eps ladder of the sweep_*_fine benchmark workloads
     for f in family_a family_b; do
-        run "${f}_fine" --scenario "builtin:$f" --grid 15360 \
-            --eps 0.0064,0.0032,0.0016,0.0008
+        cli "${f}_fine" run --scenario "builtin:$f" --grid 15360 \
+            --eps 0.0064,0.0032,0.0016,0.0008 --out "$tmp/out/$side/${f}_fine"
     done
 done
 diff -r "$tmp/out/base" "$tmp/out/tree"
