@@ -44,19 +44,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(scn, args):
     """The scenario with the run command's --eps, --grid and --out applied."""
     changes = {}
-    if args.eps:
+    if args.eps is not None:
+        tokens = args.eps.split(",")
+        if not all(tok.strip() for tok in tokens):
+            raise ScenarioError([f"--eps: empty value in {args.eps!r}"])
         try:
-            eps = [float(tok) for tok in args.eps.split(",")]
+            eps = [float(tok) for tok in tokens]
         except ValueError:
             raise ScenarioError([f"--eps: cannot parse {args.eps!r}"])
-        if not eps or any(e <= 0 for e in eps):
+        if any(e <= 0 for e in eps):
             raise ScenarioError([f"--eps: values must be positive, got {args.eps!r}"])
         changes["eps_list"] = tuple(normalize_eps(eps, field="--eps"))
     if args.grid is not None:
         if args.grid < 2:
             raise ScenarioError([f"--grid: expected an integer >= 2, got {args.grid}"])
         changes["grid_n"] = args.grid
-    if args.out:
+    if args.out is not None:
+        if not args.out:
+            raise ScenarioError(["--out: expected a directory, got ''"])
         changes["out_dir"] = args.out
     return dataclasses.replace(scn, **changes)
 

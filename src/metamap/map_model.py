@@ -317,14 +317,21 @@ class PerturbationFamily:
             raise MapModelError("boundary point must be interior")
 
     def instantiate(self, eps: float) -> PiecewiseMap:
-        """The map at parameter eps; eps=0 reproduces the base exactly."""
+        """The map at parameter eps; eps=0 reproduces the base exactly.
+
+        A branch that eps leaves alone (an affine one with both eps
+        coefficients 0, a smooth one without an eps term) is the base's own
+        ``Branch`` object, so ``build_ulam`` can reuse its assembly.
+        """
         if eps == 0.0:
             return self.base
         branches = []
         for i, br in enumerate(self.base.branches):
             ds = self.slope_eps[i] if self.slope_eps else 0.0
             di = self.intercept_eps[i] if self.intercept_eps else 0.0
-            if br.is_affine:
+            if br.is_affine and ds == 0.0 and di == 0.0:
+                branches.append(br)
+            elif br.is_affine:
                 branches.append(Branch.affine(br.domain.lo, br.domain.hi,
                                               br.slope + eps * ds,
                                               br.intercept + eps * di))

@@ -24,8 +24,12 @@ matvec.  So the steps work in place on the matvec's fresh result, |d| and
 |v| go into one scratch buffer per call, means are ``np.add.reduce`` over
 the length (``np.mean`` without its wrapper: the same bits), and what is
 read only at the end, the deflated step's Rayleigh quotient, is computed
-once from the last step.  Dot products use ``np.einsum`` (see the
-deflated step), so no result depends on the BLAS thread count.
+once from the last step.  The deflated, psi-corrected and escape steps
+rescale by multiplying with the reciprocal of the scalar, which costs
+less than half of an array division at n = 15360; the plain mass step
+divides, so ``power_fixed_density`` keeps the bits of plain power
+iteration.  Dot products use ``np.einsum`` (see the deflated step), so no
+result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -174,7 +178,7 @@ def _corrected_step(P: UlamMatrix, rho: float,
         # cancel to their rounding, which 1/(1 - rho) then magnifies
         s = float(np.einsum("i,i->", psi, np.subtract(y, x, out=buf)))
         y -= np.multiply(psi, s * scale, out=buf)
-        y /= np.add.reduce(y) / n
+        y *= n / np.add.reduce(y)
         return y
     return step
 
@@ -297,8 +301,11 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
     runs this before it has one.  The start is 1 on I_l, -1 right of it,
     plus 1e-6 times a normal draw seeded with START_SEED, less its mean; it
     depends only on (n, I_l), so it is built once per grid and read, never
-    written, by every call.  The eigenvalue is the Rayleigh quotient
-    <v, w>/<w, w> of the last step's input w and its projected image v.
+    written, by every call.  Each step normalizes the projected image v in
+    place, to u = v/nrm with nrm its mean |v|.  The eigenvalue is the
+    Rayleigh quotient <v, w>/<w, w> of the last step's input w and its
+    image, taken as nrm*<u, w>/<w, w> from the dot the step's sign check
+    already computes.
     The eigenvector is L1-normalized with positive integral over I_l; its
     own integral vanishes by construction.
 
@@ -313,7 +320,7 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
     n = P.n
     w = _deflated_start(n, I_l)
     buf = np.empty(n)                          # |v|, overwritten every step
-    last = None                                # the last step's (v, w)
+    last = None                                # the last step's (nrm, <u, w>, w)
 
     def deflated(x):
         v = P.apply(x)
@@ -326,14 +333,14 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
         nrm = np.add.reduce(np.abs(v, out=buf)) / n
         if nrm <= 1e-300:
             raise DegenerateSpectrumError("iterate collapsed; no second eigenvalue found")
-        # v stays as projected, for the Rayleigh quotient of the last step
-        last = (v, w)
-        u = v / nrm
+        v *= 1.0 / nrm
         # einsum, not np.dot: a 1-D dot goes through BLAS threading, which
         # stalls for milliseconds per call in some processes at n >= 15360
-        if np.einsum("i,i->", u, w) < 0:
-            np.negative(u, out=u)
-        return u
+        dot = float(np.einsum("i,i->", v, w))
+        last = (nrm, dot, w)
+        if dot < 0:
+            np.negative(v, out=v)
+        return v
 
     try:
         w, _ = _iterate(step, w, tol)
@@ -357,8 +364,9 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
                 "metastable regime") from exc
         raise SolverError(f"second eigenpair: {exc}; the top Ritz value of the last "
                           f"iterate is {top.real:.6g}", w) from exc
-    v, w_in = last
-    rho = float(np.einsum("i,i->", v, w_in)) / float(np.einsum("i,i->", w_in, w_in))
+    # <v, w> of the projected image v = nrm*u, where u is what the step returned
+    nrm, dot, w_in = last
+    rho = float(nrm) * dot / float(np.einsum("i,i->", w_in, w_in))
     return rho, _finalize_psi(w, I_l.hi, n)
 
 
@@ -411,7 +419,7 @@ def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12) -> float:
         lam = float(np.add.reduce(v)) / m
         if lam <= 0.0:
             raise DegenerateSpectrumError("all mass escapes in one step")
-        v /= lam
+        v *= 1.0 / lam
         return v
 
     _iterate(step, keep / np.mean(keep), tol)

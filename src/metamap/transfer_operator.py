@@ -8,7 +8,12 @@ the integers of n*T (closed form for affine branches, bracketed root finding
 for smooth ones), and each piece's entry is its length in X.  The entries of
 a row are then exact differences of points in [i, i+1], so every row sums to
 1 up to a few ulps at any n.  On affine branches, cut points that coincide
-with a cell boundary leave no sliver entries.  Densities are piecewise
+with a cell boundary leave no sliver entries.  A branch's pieces depend only
+on the branch and its cells, so the pieces of a ``Branch`` object assembled
+before on the same cells are reused: a perturbation that moves some
+branches leaves the others the base map's own objects
+(``PerturbationFamily.instantiate``), and a sweep row assembles only the
+branches eps moves.  Densities are piecewise
 constant on the same grid and evolve by left multiplication,
 (Ld)_j = sum_i d_i P[i,j].
 
@@ -29,6 +34,7 @@ import importlib.util
 import math
 import os
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -262,23 +268,64 @@ def _column_cuts(br: Branch, n: int, X0: float, X1: float,
     return c0, step, np.clip(_snap(cuts, tol), X0, X1)
 
 
+def _pieces(br: Branch, n: int, X0: float, X1: float,
+            tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, entries) of the branch's pieces of [X0, X1], rows
+    nondecreasing; see ``build_ulam``."""
+    c0, step, ccuts = _column_cuts(br, n, X0, X1, tol)
+    r0 = math.floor(X0)
+    rcuts = np.arange(r0 + 1, math.ceil(X1), dtype=float)
+    # both cut sets are sorted, so the stable sort is a merge
+    edges = np.concatenate(([X0], np.sort(np.concatenate((rcuts, ccuts)), kind="stable"), [X1]))
+    lengths = np.diff(edges)
+    p = np.flatnonzero(lengths > 0)     # coincident cuts leave empty pieces
+    # piece p has p cuts before it, floor(left end) - r0 of them row cuts
+    rows = edges[p].astype(np.int32)
+    out = rows, (c0 + step * (p - (rows - r0))).astype(np.int32), lengths[p]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+# Pieces of the branches assembled more than once, keyed by branch identity
+# (never by value) and grid: (id(branch), n, X0, X1) -> (branch, pieces).
+# Holding the branch keeps its id from being reused while the entry lives.
+# A branch assembled once only leaves a weak reference in _SEEN, so the
+# branches a perturbation moves, which one map holds, are never kept.
+_KEPT: dict = {}
+_SEEN: dict = {}
+KEPT_BRANCHES = 16
+
+
+def _memo_pieces(br: Branch, n: int, X0: float, X1: float, tol: float):
+    """``_pieces`` of the branch, reused from the third assembly of the
+    same ``Branch`` object on the same cells."""
+    key = (id(br), n, X0, X1)
+    hit = _KEPT.pop(key, None)
+    if hit is not None:
+        _KEPT[key] = hit        # most recently used last
+        return hit[1]
+    pieces = _pieces(br, n, X0, X1, tol)
+    seen = _SEEN.pop(key, None)
+    if seen is not None and seen() is br:
+        _KEPT[key] = (br, pieces)
+        if len(_KEPT) > KEPT_BRANCHES:
+            del _KEPT[next(iter(_KEPT))]
+    else:
+        # the callback drops the entry when the branch dies, before its id
+        # can be reused
+        _SEEN[key] = weakref.ref(br, lambda _, key=key, seen=_SEEN: seen.pop(key, None))
+    return pieces
+
+
 def _branch_pieces(map_: PiecewiseMap, n: int):
     """(rows, columns, entries) of each branch's pieces, rows nondecreasing;
     see ``build_ulam``."""
     tol = SNAP_ULPS * n * np.finfo(float).eps
     D = _snap(n * np.asarray(map_.critical_set), tol)
     D[0], D[-1] = 0.0, float(n)     # the critical set spans [0,1] to ENDPOINT_TOL
-    for br, X0, X1 in zip(map_.branches, D[:-1], D[1:]):
-        c0, step, ccuts = _column_cuts(br, n, X0, X1, tol)
-        r0 = math.floor(X0)
-        rcuts = np.arange(r0 + 1, math.ceil(X1), dtype=float)
-        # both cut sets are sorted, so the stable sort is a merge
-        edges = np.concatenate(([X0], np.sort(np.concatenate((rcuts, ccuts)), kind="stable"), [X1]))
-        lengths = np.diff(edges)
-        p = np.flatnonzero(lengths > 0)     # coincident cuts leave empty pieces
-        # piece p has p cuts before it, floor(left end) - r0 of them row cuts
-        rows = edges[p].astype(np.int32)
-        yield rows, (c0 + step * (p - (rows - r0))).astype(np.int32), lengths[p]
+    for br, X0, X1 in zip(map_.branches, D[:-1].tolist(), D[1:].tolist()):
+        yield _memo_pieces(br, n, X0, X1, tol)
 
 
 def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
@@ -296,6 +343,13 @@ def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     when a breakpoint lies inside a cell, is stored once with the summed
     entry.  Raises MapModelError if a row still misses 1 by more than
     ROW_SUM_TOL, naming the worst row.
+
+    The pieces of a ``Branch`` object assembled on the same cells twice
+    before are reused, not cut again.  The memo goes by object identity,
+    never by value, and keeps a branch only from its second assembly on, so
+    a branch that one map holds alone is never kept; at most KEPT_BRANCHES
+    branches are kept, the least recently used dropped first.  Reuse
+    changes no bit of the result.
     """
     if n < len(map_.branches):
         raise MapModelError(f"n={n} too coarse for {len(map_.branches)} branches")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -269,6 +270,24 @@ def test_row_takes_the_pair_from_the_density_solve(fam_a):
     inv = invariant_density(art.P, tol=ctx.tol)
     assert row.rho == inv.rho
     assert np.array_equal(art.psi.values, inv.psi.values)
+
+
+@pytest.mark.parametrize("family", ["fam_a", "fam_b"])
+def test_row_fields_are_builtin_numbers(request, family):
+    # a numpy scalar here reaches the writers: a numpy.bool_ leading_simple
+    # makes json.dump refuse sweep.json and the CSV read True, not true
+    ctx = prepare_sweep(request.getfixturevalue(family), [0.02, 0.01], 768)
+    for eps in (0.02, 0.01):
+        row, art = run_sweep_row(ctx, eps)
+        assert row.error is None
+        inv = invariant_density(art.P, tol=ctx.tol, I_l=ctx.I_l)
+        for obj in (row, inv):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if value is None or isinstance(value, (DensityGrid, str, tuple)):
+                    continue
+                expected = {"leading_simple": bool, "iterations": int}.get(f.name, float)
+                assert type(value) is expected, (type(obj).__name__, f.name, type(value))
 
 
 def test_family_b_rows_carry_boundary_warning(fam_b):

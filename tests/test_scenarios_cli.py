@@ -410,6 +410,9 @@ def test_cli_grid_below_two_rejected_before_writing(tmp_path, capsys, grid):
 @pytest.mark.parametrize("eps, message", [
     ("0.01,abc", "--eps: cannot parse '0.01,abc'"),
     ("0.01,-0.001", "--eps: values must be positive, got '0.01,-0.001'"),
+    # an empty --eps used to run the scenario's own eps list
+    ("", "--eps: empty value in ''"),
+    ("0.01,,0.02", "--eps: empty value in '0.01,,0.02'"),
 ])
 def test_cli_eps_rejected_before_writing(tmp_path, capsys, eps, message):
     out = tmp_path / "out"
@@ -418,6 +421,16 @@ def test_cli_eps_rejected_before_writing(tmp_path, capsys, eps, message):
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_empty_out_rejected_before_writing(tmp_path, capsys, monkeypatch):
+    # an empty --out used to fall back to the scenario's out_dir
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--scenario", "builtin:family_a", "--eps", "0.02",
+                 "--grid", "192", "--out", ""])
+    assert code == 1
+    assert "--out: expected a directory, got ''" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_eps_list_of_booleans_rejected(tmp_path):

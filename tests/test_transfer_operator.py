@@ -1,17 +1,22 @@
+import gc
 import math
+import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from conftest import scipy_csc
+from conftest import FINE_EPS, FINE_N, scipy_csc
 
+from metamap import transfer_operator as to
 from metamap.families import family_a, family_b
 from metamap.map_model import (PREIMAGE_XTOL, Branch, Interval, MapModelError,
-                                PiecewiseMap)
+                                PerturbationFamily, PiecewiseMap)
+from metamap.scenarios import load_scenario
 from metamap.spectral import power_fixed_density
 from metamap.transfer_operator import (DensityGrid, UlamMatrix,
                                        UnsupportedRegimeError, build_ulam,
@@ -160,6 +165,80 @@ def test_rows_sum_to_one_on_fine_grids(family, n):
         assert P.matrix.data.min() > 1e-9
 
 
+def _quadratic_family():
+    """Two quadratic branches meeting at a = sqrt(2) - 1; eps moves only the
+    increasing one, by -eps*x."""
+    a = math.sqrt(2) - 1
+    w = 1 - a
+    up = Branch.smooth(0.0, a, lambda x: x * x + 2 * x, lambda x: 2 * x + 2, lambda x: 2.0)
+    down = Branch.smooth(a, 1.0, lambda x: 1 - (((x - a) / w) ** 2 + 2 * (x - a) / w) / 3,
+                         lambda x: -(2 * (x - a) / w + 2) / (3 * w),
+                         lambda x: -2 / (3 * w * w))
+    return PerturbationFamily(base=PiecewiseMap([up, down]),
+                              smooth_eps=((lambda x: -x, lambda x: -1.0, lambda x: 0.0), None))
+
+
+def _csc_bytes(P):
+    m = P.matrix
+    return m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()
+
+
+@pytest.mark.parametrize("case, moved", [
+    ("family_a", {1, 4}), ("family_b", {0, 1, 2, 3, 4, 5}),
+    ("scenario", {1, 4}), ("quadratic", {0})])
+def test_reused_branch_assembly_keeps_the_bytes(case, moved, monkeypatch):
+    if case == "scenario":
+        scn = load_scenario(str(Path(__file__).resolve().parents[1] / "demos"
+                                / "scenario_family_a.json"))
+        fam, n, ladder = scn.family, scn.grid_n, scn.eps_list
+    elif case == "quadratic":
+        fam, n, ladder = _quadratic_family(), 200, (0.02, 0.01)
+    else:
+        fam, n, ladder = {"family_a": family_a, "family_b": family_b}[case](), FINE_N, FINE_EPS
+    base = fam.base.branches
+    build_ulam(fam.base, n)
+    for eps in ladder:
+        map_ = fam.instantiate(eps)
+        assert {i for i, br in enumerate(map_.branches) if br is not base[i]} == moved
+        reused = _csc_bytes(build_ulam(map_, n))
+        # every branch eps leaves alone is kept from its second assembly on
+        assert len(to._KEPT) >= len(base) - len(moved)
+        with monkeypatch.context() as m:
+            m.setattr(to, "_KEPT", {})
+            m.setattr(to, "_SEEN", {})
+            assert _csc_bytes(build_ulam(map_, n)) == reused, eps
+
+
+def test_assembly_is_reused_by_identity_not_by_value(monkeypatch):
+    cut = []
+    column_cuts = to._column_cuts
+    monkeypatch.setattr(to, "_column_cuts", lambda br, *a: cut.append(br) or column_cuts(br, *a))
+    base = family_a().base
+    for _ in range(4):
+        build_ulam(base, 96)
+    # cut on the first two assemblies, reused on the next two
+    assert len(cut) == 2 * len(base.branches)
+    twin = PiecewiseMap([Branch.affine(br.domain.lo, br.domain.hi, br.slope, br.intercept)
+                         for br in base.branches])
+    assert twin == base
+    cut.clear()
+    build_ulam(twin, 96)
+    assert cut == list(twin.branches)
+
+
+def test_branch_assembled_once_is_not_kept():
+    fam = family_a()
+    build_ulam(fam.base, 96)
+    map_ = fam.instantiate(0.01)
+    build_ulam(map_, 96)
+    kept = [to._KEPT[key][0] for key in to._KEPT]
+    assert any(br is fam.base.branches[0] for br in kept)
+    moved = weakref.ref(map_.branches[1])
+    del map_, kept
+    gc.collect()
+    assert moved() is None
+
+
 def test_smooth_branch_representation_matches_affine(fam_a):
     # same map, branches given as callables: identical matrix up to rounding
     smooth_branches = []
@@ -200,12 +279,7 @@ def test_nonlinear_smooth_branches_match_high_precision_reference(n):
     # an increasing and a decreasing branch, both quadratic, meeting at the
     # irrational a = sqrt(2) - 1: every column cut comes from brentq
     a = math.sqrt(2) - 1
-    up = Branch.smooth(0.0, a, lambda x: x * x + 2 * x, lambda x: 2 * x + 2, lambda x: 2.0)
-    w = 1 - a
-    down = Branch.smooth(a, 1.0, lambda x: 1 - (((x - a) / w) ** 2 + 2 * (x - a) / w) / 3,
-                         lambda x: -(2 * (x - a) / w + 2) / (3 * w),
-                         lambda x: -2 / (3 * w * w))
-    P = build_ulam(PiecewiseMap([up, down]), n)
+    P = build_ulam(_quadratic_family().base, n)
     with localcontext() as ctx:
         ctx.prec = 40
         da = Decimal(a)
