@@ -20,11 +20,13 @@ constant on the same grid and evolve by left multiplication,
 ``UlamMatrix`` stores P once, as its CSC arrays, whatever n is.  They are
 also the CSR arrays of P^T, so a density step d -> P^T d is scipy's
 compiled ``csr_matvec`` on them: each output cell gathers from one column
-of P and no transpose is copied.  That kernel, and the two that
-``build_ulam`` uses to build the arrays, are the only part of scipy the
-package uses besides ``brentq``.  ``_load_sparsetools`` loads them on
-their own: importing scipy's sparse package costs about 0.2 s and 21 MB
-per process.
+of P and no transpose is copied.  ``csc_matvec`` on the same arrays gives
+P v, which the psi-corrected density step needs once per run.  These two
+kernels, and the two that ``build_ulam`` uses to build the arrays
+(``coo_tocsr``, a stable counting sort by column, and
+``csr_sum_duplicates``), are the only part of scipy the package uses
+besides ``brentq``.  ``_load_sparsetools`` loads them on their own:
+importing scipy's sparse package costs about 0.2 s and 21 MB per process.
 """
 
 from __future__ import annotations
@@ -203,14 +205,32 @@ class UlamMatrix:
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.matrix.indices, weights=self.matrix.data, minlength=self.n)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """One transfer step of cell values: P^T values."""
-        # the kernel checks no lengths: a short vector would be read past its end
+    def _check(self, values: np.ndarray, name: str = "cell values") -> None:
+        # the kernels check no lengths: a short vector would be read past its end
         if np.shape(values) != (self.n,):
-            raise ValueError(f"expected {self.n} cell values, got shape {np.shape(values)}")
+            raise ValueError(f"expected {self.n} {name}, got shape {np.shape(values)}")
+
+    def apply(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """One transfer step of cell values: P^T values.
+
+        With ``out`` (float64, shape (n,)), P^T values is added into it and
+        ``out`` is returned.
+        """
+        self._check(values)
+        if out is None:
+            out = np.zeros(self.n)
+        else:
+            self._check(out, "output cells")
+        m = self.matrix
+        _sparsetools.csr_matvec(self.n, self.n, m.indptr, m.indices, m.data, values, out)
+        return out
+
+    def apply_adjoint(self, values: np.ndarray) -> np.ndarray:
+        """P values: the same arrays read as P's CSC arrays."""
+        self._check(values)
         m = self.matrix
         out = np.zeros(self.n)
-        _sparsetools.csr_matvec(self.n, self.n, m.indptr, m.indices, m.data, values, out)
+        _sparsetools.csc_matvec(self.n, self.n, m.indptr, m.indices, m.data, values, out)
         return out
 
     def restrict(self, lo: int, hi: int) -> "UlamMatrix":
@@ -278,13 +298,22 @@ def _pieces(br: Branch, n: int, X0: float, X1: float,
     # both cut sets are sorted, so the stable sort is a merge
     edges = np.concatenate(([X0], np.sort(np.concatenate((rcuts, ccuts)), kind="stable"), [X1]))
     lengths = np.diff(edges)
-    p = np.flatnonzero(lengths > 0)     # coincident cuts leave empty pieces
-    # piece p has p cuts before it, floor(left end) - r0 of them row cuts
-    rows = edges[p].astype(np.int32)
-    out = rows, (c0 + step * (p - (rows - r0))).astype(np.int32), lengths[p]
-    for a in out:
+    keep = lengths > 0                  # coincident cuts leave empty pieces
+    if keep.all():
+        p = np.arange(lengths.size, dtype=np.int32)
+        rows = edges[:-1].astype(np.int32)
+    else:
+        p = np.flatnonzero(keep)
+        rows = edges[p].astype(np.int32)
+        lengths = lengths[p]
+        p = p.astype(np.int32)
+    # piece p has p cuts before it, floor(left end) - r0 of them row cuts,
+    # so its column is c0 + step*(p - rows + r0)
+    cols = np.subtract(p, rows, out=p) if step > 0 else np.subtract(rows, p, out=p)
+    cols += np.int32(c0 + step * r0)
+    for a in (rows, cols, lengths):
         a.setflags(write=False)
-    return out
+    return rows, cols, lengths
 
 
 # Pieces of the branches assembled more than once, keyed by branch identity
@@ -362,17 +391,17 @@ def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
         raise MapModelError(
             f"Ulam row {worst} of {n} misses row sum 1 by {dev[worst]:+.3g} "
             f"(ROW_SUM_TOL = {ROW_SUM_TOL:g})")
-    # Rows never decrease along the pieces, so the pieces are P's CSR arrays
-    # as they come.  P's CSC arrays (the CSR arrays of P^T) come from
-    # scipy's compiled transpose, a stable counting sort by column that
-    # keeps each column's rows ascending and puts the (row, column) pairs
-    # that two branches reach side by side, and its duplicate sum, which
-    # adds them in that order: the kernels behind csr_matrix(...).tocsc()
-    # and sum_duplicates(), so the arrays are theirs bit for bit.
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))).astype(np.int32)
+    # Rows never decrease along the pieces.  P's CSC arrays (the CSR arrays
+    # of P^T) come from scipy's compiled COO-to-CSR conversion with rows and
+    # columns swapped: a stable counting sort by column, the same one that
+    # csr_matrix(...).tocsc() runs, so it keeps each column's rows
+    # ascending and puts the (row, column) pairs that two branches reach
+    # side by side, without P's own CSR indptr.  The duplicate sum then adds
+    # them in that order, as sum_duplicates() does: the arrays are theirs
+    # bit for bit.
     colptr = np.empty(n + 1, dtype=np.int32)
     indices, data = np.empty(vals.size, dtype=np.int32), np.empty(vals.size)
-    _sparsetools.csr_tocsc(n, n, indptr, cols, vals, colptr, indices, data)
+    _sparsetools.coo_tocsr(n, n, vals.size, cols, rows, vals, colptr, indices, data)
     _sparsetools.csr_sum_duplicates(n, n, colptr, indices, data)
     nnz = colptr[-1]
     return UlamMatrix(n=n, matrix=CSCArrays(colptr, indices[:nnz], data[:nnz]))
@@ -394,12 +423,20 @@ def cells_within(interval: Interval, n: int, tol: float = 1e-9) -> np.ndarray:
 
 
 def cells_with_center_in(intervals: Sequence[Interval], n: int) -> np.ndarray:
-    """Indices of cells whose center lies inside any of the intervals."""
-    centers = (np.arange(n) + 0.5) / n
+    """Indices of cells whose center lies inside any of the intervals,
+    ascending.
+
+    Cell i's center (i + 0.5)/n lies in [lo, hi] only for i between
+    ceil(lo*n - 0.5) and floor(hi*n - 0.5); the test runs on those cells
+    and one more on each side, which rounding of lo*n and hi*n cannot pass.
+    """
     keep = np.zeros(n, dtype=bool)
     for iv in intervals:
-        keep |= (centers >= iv.lo) & (centers <= iv.hi)
-    return np.nonzero(keep)[0]
+        i = np.arange(max(math.ceil(iv.lo * n - 0.5) - 1, 0),
+                      min(math.floor(iv.hi * n - 0.5) + 2, n))
+        centers = (i + 0.5) / n
+        keep[i[(centers >= iv.lo) & (centers <= iv.hi)]] = True
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True)

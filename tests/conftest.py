@@ -105,6 +105,24 @@ def block_rates(P, x, k):
     return p_lr, p_rl
 
 
+def corrected_step_reference(P, rho, psi):
+    """The psi-corrected density step in its first formulation: the
+    correction's coefficient from one dot over the step's change y - x, and
+    the scaled psi subtracted from the matvec's fresh result.
+    ``spectral._corrected_step`` takes the same number as <P psi - psi, x>."""
+    n = P.n
+    scale = rho / ((rho - 1.0) * float(np.einsum("i,i->", psi, psi)))
+    buf = np.empty(n)
+
+    def step(x):
+        y = P.apply(x)
+        s = float(np.einsum("i,i->", psi, np.subtract(y, x, out=buf)))
+        y -= np.multiply(psi, s * scale, out=buf)
+        y *= n / np.add.reduce(y)
+        return y
+    return step
+
+
 def record_solves(monkeypatch):
     """Wrap ``spectral._iterate``: each run appends (solver, tol, start, steps).
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (FINE_EPS, FINE_N, block_rates, dense_top_eigenpairs, record_solves,
-                      scipy_csc, three_block_cycle)
+from conftest import (FINE_EPS, FINE_N, block_rates, corrected_step_reference,
+                      dense_top_eigenpairs, record_solves, scipy_csc, three_block_cycle)
 
 import metamap
 from metamap import spectral
@@ -342,7 +342,7 @@ def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
     # lazy walk on 12 cells drifting right: the density grows from ~0.003 in
     # cell 0 to ~6 in cell 11, and rho = 0.9973 is no isolated slow mode
     # (the third eigenvalue is 0.9945), so the corrected density run
-    # contracts at 0.9945: 4,035 steps, every iterate nonnegative.  The
+    # contracts at 0.9945: 4,295 steps, every iterate nonnegative.  The
     # name dates from the kernel's one-mode jump, which would have taken
     # cells down to -0.024 here
     m, p, q = 12, 0.02, 0.01
@@ -365,6 +365,22 @@ def test_density_steps_flat_in_eps_at_large_n(fam_b, eps):
     assert res.leading_simple
     assert res.iterations <= 40, res.iterations
     assert res.residual <= 10 * 1e-10
+
+
+@pytest.mark.parametrize("family", ["fam_a", "fam_b"])
+def test_folded_correction_reaches_the_reference_fixed_point(request, family):
+    # <P psi - psi, x> is <psi, P^T x - x>, read from the step's input: the
+    # run takes the reference's steps to the reference's limit (the two
+    # differ by at most 1.8e-14 per cell here)
+    n = 122880
+    P = build_ulam(request.getfixturevalue(family).instantiate(12 / n), n)
+    rho, psi = second_eigenpair(P, None, Interval(0.0, 0.5), 1e-10)
+    got, steps = spectral._iterate(spectral._corrected_step(P, rho, psi.values),
+                                   np.ones(n), 1e-10)
+    ref, ref_steps = spectral._iterate(corrected_step_reference(P, rho, psi.values),
+                                       np.ones(n), 1e-10)
+    assert steps == ref_steps
+    assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("family", ["fam_a", "fam_b"])

@@ -4,6 +4,7 @@ import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -325,13 +326,36 @@ def test_apply_single_cell_mass_preserved(fam_a):
 
 
 def test_apply_dimension_mismatch(fam_a):
-    # the compiled kernel checks no lengths: a short vector must be refused
-    # before it is read past its end
+    # the compiled kernels check no lengths: a short vector must be refused
+    # before it is read, or a short output written, past its end
     P = build_ulam(fam_a.base, 48)
-    with pytest.raises(ValueError):
-        P.apply(np.ones(96))
-    with pytest.raises(ValueError):
-        P.apply(np.ones(24))
+    for size in (96, 24):
+        with pytest.raises(ValueError):
+            P.apply(np.ones(size))
+        with pytest.raises(ValueError):
+            P.apply(np.ones(size), out=np.zeros(48))
+        with pytest.raises(ValueError):
+            P.apply(np.ones(48), out=np.zeros(size))
+        with pytest.raises(ValueError):
+            P.apply_adjoint(np.ones(size))
+
+
+def test_apply_adds_into_out(fam_a):
+    n = 96
+    P = build_ulam(fam_a.instantiate(0.01), n)
+    rng = np.random.default_rng(7)
+    x, acc = rng.standard_normal(n), rng.standard_normal(n)
+    want = acc + scipy_csc(P).toarray().T @ x
+    got = P.apply(x, out=acc)
+    assert got is acc
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_apply_adjoint_is_p_times_values(fam_b):
+    n = 96
+    P = build_ulam(fam_b.instantiate(0.01), n)
+    v = np.random.default_rng(8).standard_normal(n)
+    assert np.max(np.abs(P.apply_adjoint(v) - scipy_csc(P).toarray() @ v)) <= 1e-13
 
 
 def test_mass_conservation_random_grids(fam_a):
@@ -467,6 +491,67 @@ def test_cells_within_and_center_selectors():
     centers = (np.arange(8) + 0.5) / 8
     expected = [i for i, c in enumerate(centers) if 0.24 <= c <= 0.52]
     assert list(got) == expected
+
+
+def _centers_brute_force(intervals, n):
+    centers = (np.arange(n) + 0.5) / n
+    keep = np.zeros(n, dtype=bool)
+    for iv in intervals:
+        keep |= (centers >= iv.lo) & (centers <= iv.hi)
+    return np.nonzero(keep)[0]
+
+
+def test_cells_with_center_in_matches_brute_force():
+    # ends on cell centers, at 0 and 1, reversed (lo > hi: no cell) and
+    # empty (lo == hi: the one cell centered there, if any), overlapping sets
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        n = int(rng.choice([1, 2, 3, 7, 8, 777, 1000, 15360]))
+        ivs = []
+        for _ in range(int(rng.integers(0, 4))):
+            ends = []
+            for _ in range(2):
+                kind = rng.integers(0, 4)
+                if kind == 0:       # a cell center
+                    ends.append((int(rng.integers(0, n)) + 0.5) / n)
+                elif kind == 1:     # a domain end
+                    ends.append(float(rng.integers(0, 2)))
+                else:
+                    ends.append(float(rng.uniform()))
+            lo, hi = ends
+            if rng.integers(0, 5) == 0:
+                hi = lo
+            # reversed pieces are read as given: Interval would refuse them
+            ivs.append(Interval(lo, hi) if lo <= hi else SimpleNamespace(lo=lo, hi=hi))
+        got = cells_with_center_in(ivs, n)
+        want = _centers_brute_force(ivs, n)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), (n, ivs)
+
+
+def test_assembly_duplicates_summed_in_scipys_order():
+    # the pieces, read as P's CSR arrays, through scipy's own tocsc() and
+    # sum_duplicates(): an oracle independent of build_ulam's kernels.  On
+    # the fine ladder, n = 777 and 1000 (breakpoints inside cells) and
+    # eps = 10/(3n) (column cuts on cell boundaries, which leave empty
+    # pieces); family A at n = 1000 reaches three (row, column) pairs from
+    # two branches, so the duplicate sum runs
+    cases = ([(FINE_N, eps) for eps in FINE_EPS]
+             + [(n, eps) for n in (777, 1000) for eps in (0.0, 0.0008, 0.01)]
+             + [(n, 10 / (3 * n)) for n in (777, 1000, FINE_N)])
+    duplicates = 0
+    for family in (family_a(), family_b()):
+        for n, eps in cases:
+            map_ = family.instantiate(eps)
+            rows, cols, vals = map(np.concatenate, zip(*to._branch_pieces(map_, n)))
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+            ref = sparse.csr_matrix((vals, cols, indptr), shape=(n, n)).tocsc()
+            ref.sum_duplicates()
+            got = build_ulam(map_, n).matrix
+            for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
+                         (got.data, ref.data)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, eps)
+            duplicates += vals.size - got.nnz
+    assert duplicates > 0
 
 
 def test_from_matrix_validates_row_sums():

@@ -15,6 +15,10 @@
 # column (CSV) or key (JSON, list positions written []) of each differing
 # CSV and JSON file: the largest relative move |a-b|/max(|a|,|b|) over its
 # numeric values, the largest absolute move, and how many values differ.
+# Each file's lines are ordered by absolute move, largest first, after the
+# columns whose non-numeric values or value counts differ: a residual near
+# zero, such as flux_gap, reads a large relative move for a rounding-level
+# absolute one, and no longer heads the report.
 # The exit status is that of `diff -r`: 0 for the same bytes, 1 when a file
 # differs, 2 on trouble.
 set -u
@@ -102,6 +106,7 @@ for top, _, files in sorted(os.walk(base)):
                 or filecmp.cmp(a, b, shallow=False)):
             continue
         ca, cb = columns(a), columns(b)
+        lines = []
         for key in sorted(set(ca) | set(cb)):
             va, vb = ca.get(key, []), cb.get(key, [])
             differ = sum(x != y for x, y in zip(va, vb)) + abs(len(va) - len(vb))
@@ -120,7 +125,11 @@ for top, _, files in sorted(os.walk(base)):
                     rel, ab = max(rel, d / max(abs(fx), abs(fy))), max(ab, d)
             if len(va) != len(vb):
                 note += f", {len(va)} values against {len(vb)}"
-            print(f"  {os.path.relpath(a, base)} {key}: {rel:.2g}, {ab:.2g}, "
-                  f"{differ} of {max(len(va), len(vb))}{note}")
+            lines.append((math.inf if note else ab,
+                          f"  {os.path.relpath(a, base)} {key}: {rel:.2g}, {ab:.2g}, "
+                          f"{differ} of {max(len(va), len(vb))}{note}"))
+        # sorted is stable: equal moves keep the key order
+        for _, line in sorted(lines, key=lambda t: -t[0]):
+            print(line)
 EOF
 exit "$status"
