@@ -16,14 +16,16 @@ linearly in eps.
 import numpy as np
 
 from metamap.families import family_a
-from metamap.metastability import convergence_study, prepare_sweep, run_sweep_row
+from metamap.metastability import prepare_sweep, run_sweep_row
 
 fam = family_a()
 eps_list = [0.02, 0.01, 0.005, 0.0025]
 n = 3840
 
 print(f"sweeping eps = {eps_list} on a {n}-cell grid")
-rows = convergence_study(fam, eps_list, n)
+ctx = prepare_sweep(fam, eps_list, n)
+results = [run_sweep_row(ctx, eps) for eps in eps_list]
+rows = [row for row, _ in results]
 
 print(f"\npredicted mixture weight alpha = {rows[0].alpha_pred:.4f}")
 print(f"{'eps':>8} {'lhr':>8} {'|phi - mix|_L1':>15} {'mu(I_l)':>9}")
@@ -36,8 +38,7 @@ print(f"\nsuccessive distance ratios: {[f'{r:.2f}' for r in ratios]}"
       "  (about 2 when halving eps: the distance is first order in eps)")
 
 # a picture: the computed density at the smallest eps against the mixture
-ctx = prepare_sweep(fam, eps_list, n)
-_, art = run_sweep_row(ctx, eps_list[-1])
+art = results[-1][1]
 xs = (np.arange(n) + 0.5) / n
 from metamap.svgplot import write_line_plot
 import os

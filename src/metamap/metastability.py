@@ -1,4 +1,4 @@
-"""Holes, hole measures, mixture prediction and eps-sweep convergence studies.
+"""Holes, hole measures, mixture prediction and eps sweeps.
 
 A perturbation opens holes H_l = I_l intersect T_eps^{-1}(I_r) and
 H_r = I_r intersect T_eps^{-1}(I_l).  The perturbed invariant density is
@@ -21,9 +21,8 @@ from .map_model import (ENDPOINT_TOL, Interval, MapModelError, PerturbationFamil
                         PiecewiseMap, evaluate)
 # second_eigenpair is not called here: perfbench/tracer.py patches it under this name
 from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,  # noqa: F401
-                       invariant_density, power_fixed_density, restrict_invariant,
-                       second_eigenpair)
-from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam,
+                       invariant_density, power_fixed_density, second_eigenpair)
+from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam, cells_below,
                                 cells_with_center_in)
 
 BOUNDARY_TOUCH_TOL = 1e-12
@@ -241,24 +240,23 @@ class SweepRow:
               "leading_simple", "error")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepContext:
-    """Shared eps=0 objects of one convergence study."""
+    """Shared eps=0 objects of one convergence study; ``k`` is the number
+    of cells that I_l overlaps, the left block of ``P0``."""
 
     family: PerturbationFamily
     n: int
     tol: float
     I_l: Interval
     I_r: Interval
+    k: int
     P0: UlamMatrix
     phi_l: DensityGrid
     phi_r: DensityGrid
     half_diff: DensityGrid
     alpha_pred: float
     mixture: DensityGrid
-    # half -> (its cells, P0 restricted to them); filled by the first row
-    # that needs it, so a half that is not invariant fails that row only
-    halves: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclass
@@ -290,8 +288,8 @@ def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
     phi_l, phi_r = ergodic_densities(family, P0, tol)
     half_diff = DensityGrid(n, 0.5 * (phi_l.values - phi_r.values))
     alpha, mixture = predict_mixture(analytic_lhr(family, phi_l, phi_r), phi_l, phi_r)
-    return SweepContext(family=family, n=n, tol=tol,
-                        I_l=I_l, I_r=I_r, P0=P0, phi_l=phi_l, phi_r=phi_r,
+    return SweepContext(family=family, n=n, tol=tol, I_l=I_l, I_r=I_r,
+                        k=cells_below(b, n), P0=P0, phi_l=phi_l, phi_r=phi_r,
                         half_diff=half_diff, alpha_pred=alpha, mixture=mixture)
 
 
@@ -311,8 +309,7 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
             l1_psi = psi.l1_distance(ctx.half_diff)
         else:
             warnings.append("leading eigenvalue not simple; second pair skipped")
-        esc_l = _escape_side(ctx, holes.H_l, ctx.I_l, holes.mu_l_Hl, warnings)
-        esc_r = _escape_side(ctx, holes.H_r, ctx.I_r, holes.mu_r_Hr, warnings)
+        esc_l, esc_r = _escape_ratios(ctx, holes, warnings)
         row = SweepRow(eps=eps,
                        lhr_emp=holes.ratio,
                        alpha_pred=ctx.alpha_pred,
@@ -330,34 +327,24 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
         return SweepRow(eps=eps, warnings=tuple(warnings), error=str(exc)), None
 
 
-def _escape_side(ctx: SweepContext, pieces, half: Interval,
-                 mu_star: float, warnings: list[str]) -> Optional[float]:
-    """Escape ratio mu_star / rate of one half through its hole ``pieces``.
+def _escape_ratios(ctx: SweepContext, holes: HoleReport,
+                   warnings: list[str]) -> tuple[Optional[float], Optional[float]]:
+    """Escape ratios mu(H) / rate of both halves through their holes.
 
-    The rate is solved on the half's closed system at the sweep's ``tol``,
-    the one tolerance of every solve in a row.  A hole thinner than one
-    cell gives None and a warning.
+    Both rates come from one ``escape_rate`` run on ``P0``, whose blocks
+    [0,k) and [k,n) are the halves, at the sweep's ``tol``, the one
+    tolerance of every solve in a row.  A hole thinner than one cell gives
+    None and a warning; a half that is not invariant on the grid fails the
+    row with the ValueError that names it.
     """
-    cells = cells_with_center_in(pieces, ctx.n)
-    if cells.size == 0:
-        warnings.append(f"hole in [{half.lo}, {half.hi}] thinner than one cell; "
-                        "escape rate skipped")
-        return None
-    if half not in ctx.halves:
-        ctx.halves[half] = restrict_invariant(ctx.P0, half)
-    sub, Q = ctx.halves[half]
-    # a half's cells are consecutive, so Q's cell i is cell sub[0] + i
-    rate = escape_rate(Q, cells - sub[0], tol=ctx.tol)
-    return mu_star / rate if rate > 0.0 else math.inf
-
-
-def convergence_study(family: PerturbationFamily, eps_list, n: int,
-                      tol: float = 1e-10) -> list[SweepRow]:
-    """Sweep decreasing eps values through the full pipeline.
-
-    Rows are ordered like eps_list; a failed eps carries an error string
-    instead of aborting the rest of the sweep.
-    """
-    eps_list = list(eps_list)
-    ctx = prepare_sweep(family, eps_list, n, tol=tol)
-    return [run_sweep_row(ctx, eps)[0] for eps in eps_list]
+    sides = ((holes.H_l, ctx.I_l, holes.mu_l_Hl), (holes.H_r, ctx.I_r, holes.mu_r_Hr))
+    cells = [cells_with_center_in(pieces, ctx.n) for pieces, _, _ in sides]
+    for c, (_, half, _) in zip(cells, sides):
+        if c.size == 0:
+            warnings.append(f"hole in [{half.lo}, {half.hi}] thinner than one cell; "
+                            "escape rate skipped")
+    if not any(c.size for c in cells):
+        return None, None
+    rates = escape_rate(ctx.P0, np.concatenate(cells), ctx.k, tol=ctx.tol)
+    return tuple(None if c.size == 0 else mu / rate if rate > 0.0 else math.inf
+                 for c, (_, _, mu), rate in zip(cells, sides, rates))

@@ -9,7 +9,8 @@ invariant density (each step removes the second eigenvector's component
 at its rate rho, so the run contracts at the third eigenvalue's rate
 instead of at rho_eps ~ 1 - c*eps), plain mass renormalization for
 ``power_fixed_density`` and for a density whose eigenvalue 1 is not
-simple, and a hole mask with mean-1 renormalization for escape rates.
+simple, and, for the escape rates of both invariant blocks of the eps=0
+matrix in one run, a hole mask with each block renormalized to mean 1.
 ``invariant_density`` runs the deflated kernel first, from a start with a
 seeded generic component, and then the density kernel once; it is the one
 owner of the second pair: a second eigenvalue within 10*tol of 1 means
@@ -45,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .map_model import Interval
-from .transfer_operator import DensityGrid, UlamMatrix, cells_within
+from .transfer_operator import DensityGrid, UlamMatrix, cells_below
 
 START_SEED = 0x5EED
 STALL_WINDOW = 200
@@ -54,9 +55,9 @@ STALL_WINDOW = 200
 class SolverError(RuntimeError):
     """Iteration stalled or did not converge within the allowed number of steps.
 
-    ``iterate`` is the last iterate when ``_iterate`` raised, else None;
-    ``stalled`` is True when the step change stopped shrinking, False when
-    the steps ran out.
+    ``iterate`` is the last iterate when ``_iterate`` stalled or ran out of
+    steps, else None (also when a step change was not finite); ``stalled``
+    is True when the step change stopped shrinking.
     """
 
     def __init__(self, message: str, iterate: Optional[np.ndarray] = None,
@@ -95,10 +96,11 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray,
     With d = w_k - w_{k-1}, diff = mean|d| and r = diff_k / diff_{k-1}, the
     loop stops once diff <= tol and ``_err_estimate(diff, r)`` <= tol.
 
-    Raises SolverError after ``_default_max_iter(w.size)`` steps, or as soon
-    as the step change, from step 2*STALL_WINDOW on, is no smaller than it
-    was STALL_WINDOW steps earlier: a contracting iteration shrinks over any
-    such window, however slowly.
+    Raises SolverError after ``_default_max_iter(w.size)`` steps, on the
+    first step change that is not finite, or as soon as the step change,
+    from step 2*STALL_WINDOW on, is no smaller than it was STALL_WINDOW
+    steps earlier: a contracting iteration shrinks over any such window,
+    however slowly.
     """
     n = w.size
     max_iter = _default_max_iter(n)
@@ -113,6 +115,10 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray,
         r = diff / prev_diff if prev_diff > 0.0 else math.inf
         if diff <= tol and _err_estimate(diff, r) <= tol:
             return w, k
+        if not math.isfinite(diff):
+            # NaN fails every comparison below, so the run would use up its budget
+            raise SolverError(f"power iteration step {k} has a step change of {diff}, "
+                              "which is not finite")
         slot = k % STALL_WINDOW
         if k >= 2 * STALL_WINDOW and diff >= window[slot]:
             raise SolverError(
@@ -237,8 +243,7 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     second fixed density.
     """
     n = P.n
-    # the cells that [0,b) overlaps, as DensityGrid.indicator(I_l, n) counts them
-    k = int(np.count_nonzero(np.arange(n) / n < I_l.hi))
+    k = cells_below(I_l.hi, n)
     if not (I_l.lo == 0.0 and 0 < k < n):
         raise ValueError(f"I_l = [{I_l.lo}, {I_l.hi}) must be [0,b) covering k cells "
                          f"with 0 < k < n = {n} (k = {k})")
@@ -362,6 +367,8 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
         # a run stalls when two eigenvalues share the top modulus (a
         # rotating complex pair, or 1 and -1); the last iterate spans them
         w = exc.iterate
+        if w is None:
+            raise
         aw = deflated(w)
         q, _ = np.linalg.qr(np.column_stack([w, aw, deflated(aw)]))
         theta, y = np.linalg.eig(q.T @ np.column_stack([deflated(c) for c in q.T]))
@@ -384,57 +391,66 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
     return rho, _finalize_psi(w, I_l.hi, n)
 
 
-def restrict_invariant(P: UlamMatrix, sub_domain: Interval) -> tuple[np.ndarray, UlamMatrix]:
-    """The cells of ``sub_domain`` and P restricted to them.
+def escape_rate(P: UlamMatrix, hole_cells, k: int,
+                tol: float = 1e-12) -> tuple[float, float]:
+    """Escape rates -log(lambda) of the blocks [0,k) and [k,n) of P through
+    their hole cells, from one run.
 
-    Raises ValueError unless the restriction is closed (its rows still sum
-    to 1).
+    P must move no mass between the blocks, so that P with its hole columns
+    zeroed is block diagonal: a row whose entries in the other block's
+    columns sum to more than 1e-9 raises a ValueError naming its block.
+    One pass over P's entries checks this.  Each step zeroes the
+    hole cells and rescales each block to mean 1 on its own; a block's
+    lambda is the mean of its part of the unrescaled step.  A block without
+    hole cells is held at zero and its rate is 0.0.  Hole cells outside
+    0..n-1, and a hole covering a whole block, raise ValueError.
     """
-    sub = cells_within(sub_domain, P.n)
-    if sub.size == 0:
-        raise ValueError("sub_domain contains no whole cells")
-    # the cells within an interval are consecutive
-    Q = P.restrict(int(sub[0]), int(sub[-1]) + 1)
-    if np.max(np.abs(Q.row_sums() - 1.0)) > 1e-9:
-        raise ValueError("sub_domain is not invariant under the map")
-    return sub, Q
-
-
-def escape_rate(Q: UlamMatrix, hole_cells, tol: float = 1e-12) -> float:
-    """Exponential escape rate -log(lambda) of the closed system Q through a hole.
-
-    ``hole_cells`` index cells of Q; their columns are zeroed, and the
-    leading eigenvalue lambda of the resulting substochastic matrix is found
-    by power iteration on nonnegative vectors renormalized to mean 1.  A
-    closed system on part of a grid comes from ``restrict_invariant``.  An
-    empty hole gives 0.0.
-    """
-    m = Q.n
+    n, m = P.n, P.matrix
+    if not 0 < k < n:
+        raise ValueError(f"block split k = {k} must leave 0 < k < n = {n}")
     # np.unique would import numpy.ma (13-18 ms) in a fresh process
     hole = np.asarray(hole_cells, dtype=int).ravel()
-    outside = hole[(hole < 0) | (hole >= m)]
+    outside = hole[(hole < 0) | (hole >= n)]
     if outside.size:
-        raise ValueError(f"hole cells {sorted(set(outside.tolist()))[:4]}... outside 0..{m - 1}")
-    if hole.size == 0:
-        return 0.0
-    keep = np.ones(m)
+        raise ValueError(f"hole cells {sorted(set(outside.tolist()))[:4]}... outside 0..{n - 1}")
+    keep = np.ones(n)
     keep[hole] = 0.0
-    if not keep.any():
-        raise ValueError("hole covers the whole system; escape rate undefined")
-    lam = 1.0
+    lams, blocks = {0: 1.0, k: 1.0}, []         # the open blocks' (cells, size)
+    split = m.indptr[k]
+    # other: P's entries in the other block's columns, which P's CSC
+    # arrays hold as one range
+    for lo, hi, other in ((0, k, slice(split, None)), (k, n, slice(0, split))):
+        rows = m.indices[other]
+        out = (rows >= lo) & (rows < hi)
+        if out.any():
+            moved = np.bincount(rows[out], weights=m.data[other][out])
+            worst = int(np.argmax(moved))
+            if moved[worst] > 1e-9:
+                raise ValueError(f"block [{lo}, {hi}) of {n} cells is not invariant: row "
+                                 f"{worst} moves {moved[worst]:.3g} of its mass out of it")
+        if keep[lo:hi].all():
+            keep[lo:hi] = 0.0
+        elif not keep[lo:hi].any():
+            raise ValueError(f"hole covers the whole block [{lo}, {hi}); "
+                             "escape rate undefined")
+        else:
+            blocks.append((slice(lo, hi), hi - lo))
+    shut = np.flatnonzero(keep == 0.0)
 
     def step(w):
-        # Mean-1 iterates keep the mean-L1 step change on the scale of the
-        # iterate; sum-1 iterates shrink it by 1/m and stop too early.
-        nonlocal lam
-        v = Q.apply(w)
+        # Mean-1 blocks keep the mean-L1 step change on the scale of the
+        # iterate; sum-1 blocks shrink it by 1/m and stop too early.
+        v = P.apply(w)
         # the iterates are nonnegative, so this zeroes what v *= keep would
-        v[hole] = 0.0
-        lam = float(np.add.reduce(v)) / m
-        if lam <= 0.0:
-            raise DegenerateSpectrumError("all mass escapes in one step")
-        v *= 1.0 / lam
+        v[shut] = 0.0
+        for cells, size in blocks:
+            lam = lams[cells.start] = float(np.add.reduce(v[cells])) / size
+            if lam <= 0.0:
+                raise DegenerateSpectrumError(
+                    f"all mass of block [{cells.start}, {cells.stop}) escapes in one step")
+            v[cells] *= 1.0 / lam
         return v
 
-    _iterate(step, keep / np.mean(keep), tol)
-    return -math.log(lam)
+    _iterate(step, keep, tol)
+    # 0.0 - log: a block held at zero keeps lambda = 1 and rate 0.0, not -0.0
+    return 0.0 - math.log(lams[0]), 0.0 - math.log(lams[k])

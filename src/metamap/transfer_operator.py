@@ -27,6 +27,9 @@ kernels, and the two that ``build_ulam`` uses to build the arrays
 ``csr_sum_duplicates``), are the only part of scipy the package uses
 besides ``brentq``.  ``_load_sparsetools`` loads them on their own:
 importing scipy's sparse package costs about 0.2 s and 21 MB per process.
+P is never copied into blocks: ``cells_below(b, n)`` names the left block
+[0,k) of a split at b, and ``cells_with_center_in`` the cells of a hole,
+both as cells of the full grid.
 """
 
 from __future__ import annotations
@@ -233,18 +236,6 @@ class UlamMatrix:
         _sparsetools.csc_matvec(self.n, self.n, m.indptr, m.indices, m.data, values, out)
         return out
 
-    def restrict(self, lo: int, hi: int) -> "UlamMatrix":
-        """Submatrix on the cells lo..hi-1 (rows and columns)."""
-        m = self.matrix
-        start, stop = m.indptr[lo], m.indptr[hi]
-        rows = m.indices[start:stop]
-        keep = (rows >= lo) & (rows < hi)
-        # the kept entries before each of the columns' starts
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        return UlamMatrix(n=hi - lo, matrix=CSCArrays(
-            kept[m.indptr[lo:hi + 1] - start].astype(np.int32),
-            rows[keep] - np.int32(lo), m.data[start:stop][keep]))
-
 
 def _snap(X: np.ndarray, tol: float) -> np.ndarray:
     """X with every value within tol of an integer moved onto that integer."""
@@ -415,11 +406,10 @@ def variation_inflation_constant(lam: float, dist: float, min_branch_width: floa
     return dist / lam + 2.0 / min_branch_width
 
 
-def cells_within(interval: Interval, n: int, tol: float = 1e-9) -> np.ndarray:
-    """Indices of cells fully contained in the interval (up to tol)."""
-    bounds = np.arange(n + 1) / n
-    keep = (bounds[:-1] >= interval.lo - tol) & (bounds[1:] <= interval.hi + tol)
-    return np.nonzero(keep)[0]
+def cells_below(b: float, n: int) -> int:
+    """The number of cells that [0, b) overlaps, those with i/n < b: the
+    cells where ``DensityGrid.indicator(Interval(0, b), n)`` is positive."""
+    return int(np.count_nonzero(np.arange(n) / n < b))
 
 
 def cells_with_center_in(intervals: Sequence[Interval], n: int) -> np.ndarray:

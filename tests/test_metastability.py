@@ -9,8 +9,7 @@ from conftest import FINE_EPS, FINE_N, block_rates, record_solves
 from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFamily,
                                PiecewiseMap, evaluate)
 from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
-                                   convergence_study, ergodic_densities,
-                                   flux_balance, hole_measures,
+                                   ergodic_densities, flux_balance, hole_measures,
                                    markov_stationary, predict_mixture,
                                    prepare_sweep, run_sweep_row)
 from metamap.spectral import escape_rate, invariant_density
@@ -194,8 +193,16 @@ def test_prepare_sweep_assembles_base_matrix_once(fam_a, monkeypatch):
     assert ctx.phi_l.integrate(0, 0.5) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_sweep_context_is_frozen(fam_a):
+    ctx = prepare_sweep(fam_a, [0.01], 384)
+    assert ctx.k == 192
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.k = 191
+
+
 def test_convergence_study_small_grid(fam_a):
-    rows = convergence_study(fam_a, [0.02, 0.01], 768)
+    ctx = prepare_sweep(fam_a, [0.02, 0.01], 768)
+    rows = [run_sweep_row(ctx, eps)[0] for eps in (0.02, 0.01)]
     assert len(rows) == 2
     assert all(r.error is None for r in rows)
     assert rows[0].l1_phi_vs_mixture > rows[1].l1_phi_vs_mixture
@@ -210,7 +217,9 @@ def test_convergence_study_small_grid(fam_a):
 def test_convergence_study_reaches_small_eps_on_fine_grid(fam_a):
     # the grid rule n >= 12/eps asks for n = 122880 at eps = 1e-4; the paper's
     # mixture limit shows as an L1 distance that keeps shrinking with eps
-    rows = convergence_study(fam_a, [8e-4, 4e-4, 2e-4, 1e-4], 122880)
+    eps_list = [8e-4, 4e-4, 2e-4, 1e-4]
+    ctx = prepare_sweep(fam_a, eps_list, 122880)
+    rows = [run_sweep_row(ctx, eps)[0] for eps in eps_list]
     assert [r.error for r in rows] == [None] * 4
     l1 = [r.l1_phi_vs_mixture for r in rows]
     assert all(b < a for a, b in zip(l1, l1[1:])), l1
@@ -244,14 +253,30 @@ def test_mixture_claim_in_rate_form_on_two_grids(fam_a, fam_b):
 
 
 def test_convergence_study_empty(fam_a):
-    assert convergence_study(fam_a, [], 768) == []
+    # an empty ladder is accepted: the eps=0 context is built, and no row runs
+    ctx = prepare_sweep(fam_a, [], 768)
+    assert ctx.k == 384 and ctx.alpha_pred == pytest.approx(0.25, abs=1e-6)
 
 
 def test_convergence_study_eps_validation(fam_a):
     with pytest.raises(ValueError):
-        convergence_study(fam_a, [0.01, 0.02], 768)
+        prepare_sweep(fam_a, [0.01, 0.02], 768)
     with pytest.raises(ValueError):
-        convergence_study(fam_a, [0.01, -0.001], 768)
+        prepare_sweep(fam_a, [0.01, -0.001], 768)
+
+
+def test_straddling_cell_fails_every_row_by_name(fam_a):
+    # at n = 769 cell 384 straddles b = 1/2, so P0 moves mass between its
+    # blocks: the escape run refuses it, and each row carries the error
+    # that names the leaking block instead of aborting the sweep
+    eps_list = [0.02, 0.01]
+    ctx = prepare_sweep(fam_a, eps_list, 769)
+    assert ctx.k == 385
+    for eps in eps_list:
+        row, art = run_sweep_row(ctx, eps)
+        assert art is None
+        assert row.error == ("block [0, 385) of 769 cells is not invariant: row 384 "
+                             "moves 0.5 of its mass out of it"), (eps, row.error)
 
 
 def test_sweep_rows_carry_failures_not_exceptions(fam_a):
@@ -291,8 +316,8 @@ def test_row_fields_are_builtin_numbers(request, family):
 
 
 def test_family_b_rows_carry_boundary_warning(fam_b):
-    rows = convergence_study(fam_b, [0.01], 768)
-    assert any("touches the boundary" in w for w in rows[0].warnings)
+    row, _ = run_sweep_row(prepare_sweep(fam_b, [0.01], 768), 0.01)
+    assert any("touches the boundary" in w for w in row.warnings)
 
 
 def test_psi_direction_positive_correlation(fam_a):
@@ -329,34 +354,34 @@ def test_two_block_chain_matches_weight_and_rho(sweep_a):
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-9])
 def test_every_solve_of_a_row_runs_at_the_sweep_tol(fam_a, monkeypatch, tol):
-    # one stopping rule per row: the deflated pair, the density and both
-    # escape sides all stop at the tol the sweep was prepared with
+    # one stopping rule per row: the deflated pair, the density and the
+    # one escape run for both sides all stop at the tol the sweep was
+    # prepared with
     ctx = prepare_sweep(fam_a, [0.01], 768, tol=tol)
     calls = record_solves(monkeypatch)
     row, _ = run_sweep_row(ctx, 0.01)
     assert row.error is None, row.error
     assert [(solver, t) for solver, t, _, _ in calls] == [
-        ("second_eigenpair", tol), ("_corrected_step", tol),
-        ("escape_rate", tol), ("escape_rate", tol)]
+        ("second_eigenpair", tol), ("_corrected_step", tol), ("escape_rate", tol)]
 
 
 @pytest.mark.parametrize("family", ["fam_a", "fam_b"])
 def test_escape_ratios_at_the_sweep_tol_match_tight_solves(request, family):
-    # a row solves each escape rate at the sweep's tol = 1e-10, not at
+    # a row solves both escape rates at the sweep's tol = 1e-10, not at
     # escape_rate's default 1e-12; on the fine ladder the ratios move by at
-    # most 8.3e-11 relative
+    # most 4.3e-11 relative
     fam = request.getfixturevalue(family)
     ctx = prepare_sweep(fam, FINE_EPS, FINE_N)
     for eps in FINE_EPS:
         row, art = run_sweep_row(ctx, eps)
         holes = hole_measures(compute_holes(art.map_eps, fam.boundary_b),
                               ctx.phi_l, ctx.phi_r)
-        for pieces, half, mu, ratio in ((holes.H_l, ctx.I_l, holes.mu_l_Hl, row.escape_ratio_l),
-                                        (holes.H_r, ctx.I_r, holes.mu_r_Hr, row.escape_ratio_r)):
-            sub, Q = ctx.halves[half]
-            hole = cells_with_center_in(pieces, FINE_N) - sub[0]
-            tight = mu / escape_rate(Q, hole, tol=1e-12)
-            assert abs(ratio - tight) <= 1e-9 * tight, (eps, half, ratio, tight)
+        hole = cells_with_center_in(holes.H_l + holes.H_r, FINE_N)
+        rates = escape_rate(ctx.P0, hole, ctx.k, tol=1e-12)
+        for mu, rate, ratio in zip((holes.mu_l_Hl, holes.mu_r_Hr), rates,
+                                   (row.escape_ratio_l, row.escape_ratio_r)):
+            tight = mu / rate
+            assert abs(ratio - tight) <= 1e-9 * tight, (eps, ratio, tight)
 
 
 def random_two_half_family(rng):

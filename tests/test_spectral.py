@@ -16,10 +16,9 @@ from metamap.map_model import Interval
 from metamap.metastability import prepare_sweep, run_sweep_row
 from metamap.spectral import (START_SEED, DegenerateSpectrumError, SolverError,
                               escape_rate, invariant_density,
-                              power_fixed_density, restrict_invariant,
-                              second_eigenpair)
-from metamap.transfer_operator import (DensityGrid, UlamMatrix, build_ulam,
-                                       cells_with_center_in, cells_within)
+                              power_fixed_density, second_eigenpair)
+from metamap.transfer_operator import (CSCArrays, DensityGrid, UlamMatrix, build_ulam,
+                                       cells_with_center_in)
 
 
 def markov_matrix(eps_lr, eps_rl):
@@ -138,56 +137,87 @@ def test_slow_contraction_converges_without_stalling():
     assert steps > 400
     assert np.max(np.abs(phi - 1.0)) <= 1e-9
 
-def left_system(P):
-    """P restricted to the invariant left half [0, 1/2]."""
-    return restrict_invariant(P, Interval(0.0, 0.5))[1]
-
 def test_escape_rate_empty_hole_is_zero(fam_a):
-    Q = left_system(build_ulam(fam_a.base, 768))
-    assert escape_rate(Q, []) == 0.0
+    P0 = build_ulam(fam_a.base, 768)
+    assert escape_rate(P0, [], 384) == (0.0, 0.0)
+    # a block without hole cells is held at zero: rate 0.0, not -0.0
+    left, right = escape_rate(P0, [250], 384)
+    assert left > 0.0 and math.copysign(1.0, right) == 1.0 and right == 0.0
 
 def test_escape_rate_full_hole_rejected(fam_a):
-    Q = left_system(build_ulam(fam_a.base, 48))
-    with pytest.raises(ValueError):
-        escape_rate(Q, list(range(24)))
+    P0 = build_ulam(fam_a.base, 48)
+    for hole in (range(24), range(24, 48), [3] + list(range(24, 48))):
+        with pytest.raises(ValueError, match="whole block"):
+            escape_rate(P0, list(hole), 24)
 
 def test_escape_rate_hole_outside_subdomain_rejected(fam_a):
     # without the range check a negative index would silently wrap
-    Q = left_system(build_ulam(fam_a.base, 48))
-    for cell in (-1, Q.n, 30):
-        with pytest.raises(ValueError):
-            escape_rate(Q, [3, cell])
+    P0 = build_ulam(fam_a.base, 48)
+    for cell in (-1, P0.n, 1000):
+        with pytest.raises(ValueError, match="outside 0..47"):
+            escape_rate(P0, [3, cell], 24)
+    for k in (0, 48):
+        with pytest.raises(ValueError, match="0 < k < n"):
+            escape_rate(P0, [3], k)
 
-def test_restrict_invariant_noninvariant_subdomain_rejected(fam_a):
-    P = build_ulam(fam_a.base, 48)
-    with pytest.raises(ValueError):
-        restrict_invariant(P, Interval(0.3, 0.7))
+def test_escape_rate_on_a_leaking_matrix_rejected(fam_a):
+    # eps = 0.01 opens holes between the blocks [0, 24) and [24, 48): the
+    # run refuses the matrix and names the block that leaks
+    P = build_ulam(fam_a.instantiate(0.01), 48)
+    with pytest.raises(ValueError, match=r"block \[0, 24\) of 48 cells is not invariant: "
+                                         r"row 15 moves 0\.48 of its mass"):
+        escape_rate(P, [3, 30], 24)
+    # a split off the boundary cuts the left half's closed system
+    with pytest.raises(ValueError, match=r"block \[0, 12\) of 48 cells is not invariant: "
+                                         r"row 4 moves 1 of"):
+        escape_rate(build_ulam(fam_a.base, 48), [3], 12)
+
+    # a leak from the right block only, at and past the per-row bound 1e-9
+    def chain(leak):
+        return UlamMatrix.from_matrix(np.array([[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0],
+                                                [0, 0, 0.5, 0.5], [leak, 0, 0.5, 0.5 - leak]]))
+    # within the bound the leak escapes with the hole's mass
+    assert escape_rate(chain(5e-10), [0, 2], 2) == pytest.approx(
+        escape_rate(chain(0.0), [0, 2], 2), rel=0, abs=2e-9)
+    with pytest.raises(ValueError, match=r"block \[2, 4\) of 4 cells is not invariant: "
+                                         r"row 3 moves 2e-09 of"):
+        escape_rate(chain(2e-9), [0, 2], 2)
+
+def test_escape_rate_all_mass_escaping_named():
+    # every row of the block [0, 2) maps onto its hole cell 1 at once
+    P = UlamMatrix.from_matrix(np.array([[0, 1, 0, 0], [0, 1, 0, 0],
+                                         [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]]))
+    with pytest.raises(DegenerateSpectrumError,
+                       match=r"all mass of block \[0, 2\) escapes in one step"):
+        escape_rate(P, [1, 2], 2)
 
 def test_escape_monotone_in_hole(fam_a):
-    Q = left_system(build_ulam(fam_a.base, 768))
-    small = escape_rate(Q, range(250, 254))
-    large = escape_rate(Q, range(250, 258))
-    nested = escape_rate(Q, list(range(250, 258)) + [100])
+    P0 = build_ulam(fam_a.base, 768)
+    small = escape_rate(P0, range(250, 254), 384)[0]
+    large = escape_rate(P0, range(250, 258), 384)[0]
+    nested = escape_rate(P0, list(range(250, 258)) + [100], 384)[0]
     assert small <= large <= nested
     assert small > 0
 
 def test_escape_eigenvalue_matches_dense_oracle(fam_a):
-    n = 768
+    # one run gives both blocks' rates: each matches the top eigenvalue of
+    # its own block of P0 with the hole columns zeroed
+    n, k = 768, 384
     P0 = build_ulam(fam_a.base, n)
-    hole = list(range(250, 254))
-    rate = escape_rate(left_system(P0), hole)
-    sub = cells_within(Interval(0.0, 0.5), n)
-    Q = scipy_csc(P0).toarray()[np.ix_(sub, sub)]
+    hole = list(range(250, 254)) + list(range(520, 530))
+    rates = escape_rate(P0, hole, k)
+    Q = scipy_csc(P0).toarray()
     Q[:, hole] = 0.0
-    lam = np.max(np.abs(np.linalg.eigvals(Q)))
-    assert abs(math.exp(-rate) - lam) <= 1e-13 * lam
+    for block, rate in zip((slice(0, k), slice(k, n)), rates):
+        lam = np.max(np.abs(np.linalg.eigvals(Q[block, block])))
+        assert abs(math.exp(-rate) - lam) <= 1e-13 * lam
 
 def test_escape_rate_tracks_hole_measure(fam_a):
     # left system with the hole opened by eps = 0.02 at 1/3
     n, eps = 768, 0.02
-    Q = left_system(build_ulam(fam_a.base, n))
+    P0 = build_ulam(fam_a.base, n)
     hole = cells_with_center_in([Interval(1 / 3 - eps, 1 / 3)], n)
-    assert 0.85 <= 2 * eps / escape_rate(Q, hole) <= 1.15
+    assert 0.85 <= 2 * eps / escape_rate(P0, hole, n // 2)[0] <= 1.15
 
 @pytest.mark.parametrize("family", ["fam_a", "fam_b"])
 def test_solvers_are_reentrant(request, family):
@@ -199,26 +229,26 @@ def test_solvers_are_reentrant(request, family):
     fam = request.getfixturevalue(family)
     n = 1200
     P = build_ulam(fam.instantiate(0.01), n)
-    Q = left_system(build_ulam(fam.base, n))
-    hole = cells_with_center_in([Interval(1 / 3 - 0.01, 1 / 3)], n)
-    inputs = [a.copy() for a in (P.matrix.data, Q.matrix.data, hole)]
+    P0 = build_ulam(fam.base, n)
+    hole = cells_with_center_in([Interval(1 / 3 - 0.01, 1 / 3), Interval(2 / 3, 0.7)], n)
+    inputs = [a.copy() for a in (P.matrix.data, P0.matrix.data, hole)]
 
     def solve():
         res = invariant_density(P)
         rho, psi = second_eigenpair(P, res.phi, Interval(0.0, 0.5))
-        return res, rho, psi, escape_rate(Q, hole)
+        return res, rho, psi, escape_rate(P0, hole, n // 2)
 
     def bits(out):
-        res, rho, psi, rate = out
+        res, rho, psi, rates = out
         return (res.phi.values.tobytes(), res.psi.values.tobytes(), res.rho,
                 res.residual, res.iterations, *block_rates(P, res.phi.values, n // 2),
-                rho, psi.values.tobytes(), rate)
+                rho, psi.values.tobytes(), rates)
 
     first = solve()
     snapshot = bits(first)
     # the first call's arrays must not be overwritten by the second call
     assert bits(solve()) == snapshot == bits(first)
-    for before, after in zip(inputs, (P.matrix.data, Q.matrix.data, hole)):
+    for before, after in zip(inputs, (P.matrix.data, P0.matrix.data, hole)):
         assert before.tobytes() == after.tobytes()
 
 def test_complex_second_eigenvalue_detected():
@@ -396,8 +426,8 @@ def test_density_steps_on_the_fine_ladder(request, family):
 @pytest.mark.parametrize("family", ["fam_a", "fam_b"])
 def test_sweep_row_steps_on_the_fine_ladder(request, monkeypatch, family):
     # every solve of a sweep_*_fine row: the second pair takes 20-23 steps,
-    # the density 22-25 and each escape side 18-23 at the sweep's tol (23-28
-    # at escape_rate's default 1e-12)
+    # the density 22-25 and the one escape run for both sides 21-23 at the
+    # sweep's tol
     bounds = {"second_eigenpair": 26, "_corrected_step": 35, "escape_rate": 25}
     ctx = prepare_sweep(request.getfixturevalue(family), FINE_EPS, FINE_N)
     calls = record_solves(monkeypatch)
@@ -407,7 +437,7 @@ def test_sweep_row_steps_on_the_fine_ladder(request, monkeypatch, family):
         assert row.error is None, row.error
         steps = [(solver, k) for solver, _, _, k in calls]
         assert [solver for solver, _ in steps] == [
-            "second_eigenpair", "_corrected_step", "escape_rate", "escape_rate"]
+            "second_eigenpair", "_corrected_step", "escape_rate"]
         assert all(k <= bounds[solver] for solver, k in steps), (eps, steps)
 
 
@@ -527,6 +557,36 @@ def test_kernel_is_plain_power_iteration(P, start):
     ref, ref_steps = _plain_limit(P, start, 1e-10, max_iter=20000)
     assert steps == ref_steps
     assert phi.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_step_change_stops_the_run(bad):
+    # a NaN step change fails diff <= tol and the stall test alike, so the
+    # run used to spend its whole budget (20,000 steps on 8 cells) and then
+    # report "did not converge"; it stops on the first one that is not finite
+    calls = []
+
+    def step(w):
+        calls.append(w)
+        return 0.5 * w if len(calls) < 3 else np.full(8, bad)
+
+    with pytest.raises(SolverError, match=rf"step 3 has a step change of {bad}, "
+                                          "which is not finite") as exc:
+        spectral._iterate(step, np.ones(8), 1e-10)
+    assert len(calls) == 3
+    assert exc.value.iterate is None and not exc.value.stalled
+
+
+def test_second_eigenpair_on_nan_entries_names_them():
+    # the deflated run turns NaN at once; the Ritz check of a stalled run
+    # is not attempted on a NaN iterate, so the SolverError reaches the row
+    P = UlamMatrix(n=2, matrix=CSCArrays(np.array([0, 2, 4], dtype=np.int32),
+                                         np.array([0, 1, 0, 1], dtype=np.int32),
+                                         np.array([0.5, math.nan, 0.5, 0.5])))
+    with pytest.raises(SolverError, match="step 1 has a step change of nan"):
+        second_eigenpair(P, None, Interval(0.0, 0.5))
+    with pytest.raises(SolverError, match="not finite"):
+        invariant_density(P)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

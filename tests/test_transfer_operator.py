@@ -21,7 +21,7 @@ from metamap.scenarios import load_scenario
 from metamap.spectral import power_fixed_density
 from metamap.transfer_operator import (DensityGrid, UlamMatrix,
                                        UnsupportedRegimeError, build_ulam,
-                                       cells_with_center_in, cells_within,
+                                       cells_below, cells_with_center_in,
                                        lasota_yorke_constants,
                                        variation_inflation_constant)
 
@@ -485,8 +485,13 @@ def test_indicator_normalization():
     assert g.values[-1] == 0.0
 
 
-def test_cells_within_and_center_selectors():
-    assert list(cells_within(Interval(0.0, 0.5), 8)) == [0, 1, 2, 3]
+def test_cells_below_and_center_selectors():
+    # cells_below counts the cells where the indicator of [0, b) is positive
+    for n in (1, 7, 8, 769, 3840):
+        for b in (0.0, 1e-9, 0.25, 0.5, 0.5 + 1e-12, 1 / 3, 1.0):
+            expected = int(np.count_nonzero(DensityGrid.indicator(Interval(0.0, b), n).values))
+            assert cells_below(b, n) == expected, (n, b)
+    assert cells_below(0.5, 8) == 4 and cells_below(0.5, 769) == 385
     got = cells_with_center_in([Interval(0.24, 0.52)], 8)
     centers = (np.arange(8) + 0.5) / 8
     expected = [i for i, c in enumerate(centers) if 0.24 <= c <= 0.52]
