@@ -17,7 +17,7 @@ from metamap.map_model import validate_hypotheses
 from metamap.metastability import (compute_holes, ergodic_densities,
                                    hole_measures, predict_mixture)
 from metamap.spectral import invariant_density
-from metamap.transfer_operator import build_ulam
+from metamap.transfer_operator import build_ulam, cells_below
 
 fam = family_b()
 report = validate_hypotheses(fam, [0.02, 0.01, 0.005], depth=8)
@@ -28,7 +28,7 @@ for d in report.diagnostics:
         print(f"  {d}")
 
 n = 3840
-phi_l, phi_r = ergodic_densities(fam, build_ulam(fam.base, n))
+phi_l, phi_r = ergodic_densities(build_ulam(fam.base, n), cells_below(fam.boundary_b, n))
 print(f"\n{'eps':>8} {'hole ratio':>11} {'|phi-mix|':>10} {'|phi-phi_r|':>12} {'mu(I_l)':>9}")
 for eps in (0.02, 0.01, 0.005):
     T = fam.instantiate(eps)

@@ -5,7 +5,8 @@ H_r = I_r intersect T_eps^{-1}(I_l).  The perturbed invariant density is
 predicted to approach alpha*phi_l + (1-alpha)*phi_r with
 alpha/(1-alpha) equal to the limiting ratio mu_r(H_r)/mu_l(H_l); the second
 eigenvector approaches (phi_l - phi_r)/2.  This module measures all of that
-on Ulam grids across a sweep of eps values.
+on Ulam grids across a sweep of eps values, where the halves are the cell
+blocks [0,k) and [k,n), k = ``cells_below(b, n)``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 
 from .map_model import (ENDPOINT_TOL, Interval, MapModelError, PerturbationFamily,
                         PiecewiseMap, evaluate)
+from . import spectral
 # second_eigenpair is not called here: perfbench/tracer.py patches it under this name
 from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,  # noqa: F401
-                       invariant_density, power_fixed_density, second_eigenpair)
+                       invariant_density, second_eigenpair)
 from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam, cells_below,
                                 cells_with_center_in)
 
@@ -198,22 +200,20 @@ def flux_balance(phi_eps: DensityGrid, report: HoleReport) -> float:
     return abs(mu_l - mu_r)
 
 
-def ergodic_densities(family: PerturbationFamily, P0: UlamMatrix,
+def ergodic_densities(P0: UlamMatrix, k: int,
                       tol: float = 1e-10) -> tuple[DensityGrid, DensityGrid]:
-    """The eps=0 ergodic densities phi_l, phi_r on the grid of ``P0``.
+    """The eps=0 ergodic densities phi_l, phi_r of the blocks [0,k), [k,n)
+    of ``P0``, the Ulam matrix of a family's base map.
 
-    ``P0`` is the Ulam matrix of ``family.base``.  Each density is the
-    power-iteration limit of ``P0`` started from the normalized half
-    indicator (the half is invariant, so the iterates stay supported there).
-    Where the density is Lebesgue on its half, as on the builtins, that
-    start is already fixed and the run stops after one step.
+    Each is the plain power-iteration limit of ``P0`` from its block's cell
+    indicator; where it is Lebesgue on its block, as on the builtins, that
+    start is already fixed and the run stops after one step.  A block that
+    leaks mass raises the ValueError naming it before any run.
     """
-    n, b = P0.n, family.boundary_b
-    out = []
-    for half in (Interval(0.0, b), Interval(b, 1.0)):
-        start = DensityGrid.indicator(half, n, normalize=True).values
-        out.append(DensityGrid(n, power_fixed_density(P0, start, tol)[0]))
-    return out[0], out[1]
+    spectral._check_closed_blocks(P0, k)
+    step, left = spectral._mass_step(P0), np.arange(P0.n) < k
+    return tuple(DensityGrid(P0.n, spectral._iterate(step, w / np.mean(w), tol)[0])
+                 for w in (left, ~left))
 
 
 @dataclass(frozen=True)
@@ -242,14 +242,12 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepContext:
-    """Shared eps=0 objects of one convergence study; ``k`` is the number
-    of cells that I_l overlaps, the left block of ``P0``."""
+    """Shared eps=0 objects of one convergence study; the halves are the
+    blocks [0,k) and [k,n) of ``P0``."""
 
     family: PerturbationFamily
     n: int
     tol: float
-    I_l: Interval
-    I_r: Interval
     k: int
     P0: UlamMatrix
     phi_l: DensityGrid
@@ -275,6 +273,8 @@ def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
     """Check the sweep's eps ladder and build its eps=0 context.
 
     ``eps_list`` must be positive and strictly decreasing; it may be empty.
+    The halves are the blocks [0,k), [k,n) of P0, k = ``cells_below(b, n)``;
+    a cell that straddles b fails the whole sweep in ``ergodic_densities``.
     The predicted mixture weight comes from :func:`analytic_lhr` on the
     eps=0 ergodic densities.
     """
@@ -282,15 +282,14 @@ def prepare_sweep(family: PerturbationFamily, eps_list, n: int,
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    b = family.boundary_b
-    I_l, I_r = Interval(0.0, b), Interval(b, 1.0)
+    k = cells_below(family.boundary_b, n)
     P0 = build_ulam(family.base, n)
-    phi_l, phi_r = ergodic_densities(family, P0, tol)
+    phi_l, phi_r = ergodic_densities(P0, k, tol)
     half_diff = DensityGrid(n, 0.5 * (phi_l.values - phi_r.values))
     alpha, mixture = predict_mixture(analytic_lhr(family, phi_l, phi_r), phi_l, phi_r)
-    return SweepContext(family=family, n=n, tol=tol, I_l=I_l, I_r=I_r,
-                        k=cells_below(b, n), P0=P0, phi_l=phi_l, phi_r=phi_r,
-                        half_diff=half_diff, alpha_pred=alpha, mixture=mixture)
+    return SweepContext(family=family, n=n, tol=tol, k=k, P0=P0, phi_l=phi_l,
+                        phi_r=phi_r, half_diff=half_diff, alpha_pred=alpha,
+                        mixture=mixture)
 
 
 def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[EpsArtifacts]]:
@@ -302,7 +301,7 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
         holes = hole_measures(compute_holes(map_eps, ctx.family.boundary_b),
                               ctx.phi_l, ctx.phi_r)
         warnings.extend(holes.warnings)
-        inv = invariant_density(P, tol=ctx.tol, I_l=ctx.I_l)
+        inv = invariant_density(P, tol=ctx.tol, k=ctx.k)
         phi, rho, psi = inv.phi, inv.rho, inv.psi
         l1_psi = None
         if inv.leading_simple:
@@ -334,14 +333,14 @@ def _escape_ratios(ctx: SweepContext, holes: HoleReport,
     Both rates come from one ``escape_rate`` run on ``P0``, whose blocks
     [0,k) and [k,n) are the halves, at the sweep's ``tol``, the one
     tolerance of every solve in a row.  A hole thinner than one cell gives
-    None and a warning; a half that is not invariant on the grid fails the
-    row with the ValueError that names it.
+    None and a warning.
     """
-    sides = ((holes.H_l, ctx.I_l, holes.mu_l_Hl), (holes.H_r, ctx.I_r, holes.mu_r_Hr))
+    b = ctx.family.boundary_b
+    sides = ((holes.H_l, (0.0, b), holes.mu_l_Hl), (holes.H_r, (b, 1.0), holes.mu_r_Hr))
     cells = [cells_with_center_in(pieces, ctx.n) for pieces, _, _ in sides]
-    for c, (_, half, _) in zip(cells, sides):
+    for c, (_, (lo, hi), _) in zip(cells, sides):
         if c.size == 0:
-            warnings.append(f"hole in [{half.lo}, {half.hi}] thinner than one cell; "
+            warnings.append(f"hole in [{lo}, {hi}] thinner than one cell; "
                             "escape rate skipped")
     if not any(c.size for c in cells):
         return None, None

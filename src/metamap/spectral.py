@@ -7,17 +7,19 @@ callers differ only in their step: the deflated step for the second
 eigenpair (P^T with the mean removed), the psi-corrected mass step for the
 invariant density (each step removes the second eigenvector's component
 at its rate rho, so the run contracts at the third eigenvalue's rate
-instead of at rho_eps ~ 1 - c*eps), plain mass renormalization for
-``power_fixed_density`` and for a density whose eigenvalue 1 is not
+instead of at rho_eps ~ 1 - c*eps), plain mass renormalization for the
+eps=0 ergodic densities and for a density whose eigenvalue 1 is not
 simple, and, for the escape rates of both invariant blocks of the eps=0
 matrix in one run, a hole mask with each block renormalized to mean 1.
-``invariant_density`` runs the deflated kernel first, from a start with a
-seeded generic component, and then the density kernel once; it is the one
-owner of the second pair: a second eigenvalue within 10*tol of 1 means
-eigenvalue 1 is not simple, and otherwise the pair is kept on the result;
-a second eigenvalue that is not real, or is -1, raises.  A deflated run
-that stalls is named by a Rayleigh-Ritz check on its last iterate (three
-vectors, six matvecs), so every outcome costs O(nnz) at any n.
+One cell count k names the blocks [0,k) and [k,n) throughout.
+``invariant_density`` runs the deflated kernel first, from 1 on [0,k) and
+-1 on [k,n) with a seeded generic component, and then the density kernel
+once; it is the one owner of the second pair: a second eigenvalue within
+10*tol of 1 means eigenvalue 1 is not simple, and otherwise the pair is
+kept on the result; a second eigenvalue that is not real, or is -1,
+raises.  A deflated run that stalls is named by a Rayleigh-Ritz check on
+its last iterate (three vectors, six matvecs), so every outcome costs
+O(nnz) at any n.
 
 A step costs one sparse matvec and a few passes over the vector, and at
 the grid sizes used the passes and their Python calls cost as much as the
@@ -31,9 +33,9 @@ P^T x into the scaled psi, so it makes no pass over y - x and no separate
 subtraction.  The deflated, psi-corrected and escape steps
 rescale by multiplying with the reciprocal of the scalar, which costs
 less than half of an array division at n = 15360; the plain mass step
-divides, so ``power_fixed_density`` keeps the bits of plain power
-iteration.  Dot products use ``np.einsum`` (see the deflated step), so no
-result depends on the BLAS thread count.
+divides, so it keeps the bits of plain power iteration.  Dot products use
+``np.einsum`` (see the deflated step), so no result depends on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -161,13 +163,6 @@ def _mass_step(P: UlamMatrix) -> Callable[[np.ndarray], np.ndarray]:
     return step
 
 
-def power_fixed_density(P: UlamMatrix, start: np.ndarray,
-                        tol: float) -> tuple[np.ndarray, int]:
-    """Iterate the transfer matrix from a nonnegative start until the iterate
-    is within ~tol (L1) of the fixed density, renormalizing mass each step."""
-    return _iterate(_mass_step(P), start / np.mean(start), tol)
-
-
 def _corrected_step(P: UlamMatrix, rho: float,
                     psi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Mass step that removes the psi component at its exact rate rho.
@@ -217,18 +212,17 @@ def _clip_negative(phi: np.ndarray) -> np.ndarray:
 
 
 def invariant_density(P: UlamMatrix, tol: float = 1e-10,
-                      I_l: Interval = Interval(0.0, 0.5)) -> InvariantDensityResult:
+                      k: Optional[int] = None) -> InvariantDensityResult:
     """Fixed density of the Ulam matrix, the simplicity of its eigenvalue 1
     and the second eigenpair that decides it.
 
-    ``I_l`` = [0,b) names the left block: the k cells it overlaps, which
-    must leave 0 < k < n.  ``second_eigenpair`` with I_l = [0, k/n) runs
-    first.  A second eigenvalue that is not real raises
-    DegenerateSpectrumError, a stalled run that its Ritz check cannot name
-    SolverError.  A second eigenvalue within 10*tol of -1 raises
-    DegenerateSpectrumError as well: it ties in modulus with a second
-    eigenvalue 1, so it decides nothing.  A second eigenvalue rho with
-    |1 - rho| <= 10*tol means eigenvalue 1 is not simple.
+    ``k`` names the left block [0,k), 0 < k < n, by default the cells
+    below 1/2.  ``_second_pair`` runs first.  A second eigenvalue that is
+    not real raises DegenerateSpectrumError, a stalled run that its Ritz
+    check cannot name SolverError.  A second eigenvalue within 10*tol of -1
+    raises DegenerateSpectrumError as well: it ties in modulus with a
+    second eigenvalue 1, so it decides nothing.  A second eigenvalue rho
+    with |1 - rho| <= 10*tol means eigenvalue 1 is not simple.
 
     The density kernel then runs once, from the uniform density: with the
     psi-corrected step (``_corrected_step``) when eigenvalue 1 is simple,
@@ -243,11 +237,10 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
     second fixed density.
     """
     n = P.n
-    k = cells_below(I_l.hi, n)
-    if not (I_l.lo == 0.0 and 0 < k < n):
-        raise ValueError(f"I_l = [{I_l.lo}, {I_l.hi}) must be [0,b) covering k cells "
-                         f"with 0 < k < n = {n} (k = {k})")
-    rho, psi = second_eigenpair(P, None, Interval(0.0, k / n), tol)
+    if k is None:
+        k = cells_below(0.5, n)
+    _check_split(k, n)
+    rho, psi = _second_pair(P, k, tol)
     if abs(1.0 + rho) <= 10.0 * tol:
         raise DegenerateSpectrumError(
             f"second eigenvalue {rho!r} is -1, which ties in modulus with a second "
@@ -280,27 +273,24 @@ def invariant_density(P: UlamMatrix, tol: float = 1e-10,
                    probe_distance=abs(c) * psi.l1_norm())
 
 
-def _finalize_psi(values: np.ndarray, b_left: float, n: int) -> DensityGrid:
-    """Apply the sign convention (positive integral over [0, b]) and L1-normalize."""
-    g = DensityGrid(n, values)
-    if g.integrate(0.0, b_left) < 0.0:
-        g = DensityGrid(n, -g.values)
-    norm = g.l1_norm()
+def _finalize_psi(values: np.ndarray, k: int) -> DensityGrid:
+    """L1-normalized, with a positive sum over the left block [0,k)."""
+    norm = float(np.mean(np.abs(values)))
     if norm <= 0:
         raise DegenerateSpectrumError("second eigenvector collapsed to zero")
-    return DensityGrid(n, g.values / norm)
+    sign = 1.0 if np.add.reduce(values[:k]) >= 0.0 else -1.0
+    return DensityGrid(values.size, values / (sign * norm))
 
 
 @functools.lru_cache(maxsize=4)
-def _deflated_start(n: int, I_l: Interval) -> np.ndarray:
-    """The deflated run's start on n cells, built once per (n, I_l).
-
-    Read-only: every caller of ``second_eigenpair`` on the grid shares it.
-    """
-    w = DensityGrid.indicator(I_l, n).values - DensityGrid.indicator(Interval(I_l.hi, 1.0), n).values
+def _deflated_start(n: int, k: int) -> np.ndarray:
+    """The deflated run's start, read-only: 1 on [0,k), -1 on [k,n), plus
+    1e-6 times a normal draw seeded with START_SEED, less its mean."""
+    w = np.full(n, -1.0)
+    w[:k] = 1.0
     # any fixed start misses the eigenvectors it has no component along; a
     # seeded generic component shrinks those to a null set
-    w = w + 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
+    w += 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
     w = w - np.mean(w)
     w /= np.mean(np.abs(w))
     w.setflags(write=False)
@@ -309,24 +299,32 @@ def _deflated_start(n: int, I_l: Interval) -> np.ndarray:
 
 def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
                      tol: float = 1e-10) -> tuple[float, DensityGrid]:
+    """``_second_pair`` on the left block that ``I_l`` = [0,b) names: the k
+    cells it overlaps, which must leave 0 < k < n.  ``phi`` is not read."""
+    n = P.n
+    k = cells_below(I_l.hi, n)
+    if not (I_l.lo == 0.0 and 0 < k < n):
+        raise ValueError(f"I_l = [{I_l.lo}, {I_l.hi}) must be [0,b) covering k cells "
+                         f"with 0 < k < n = {n} (k = {k})")
+    return _second_pair(P, k, tol)
+
+
+def _second_pair(P: UlamMatrix, k: int, tol: float) -> tuple[float, DensityGrid]:
     """Second eigenvalue and eigenvector of the Ulam matrix.
 
     Deflated power iteration on the mass-zero subspace, where the second
-    eigenvalue dominates.  ``phi`` is not read: P's rows sum to 1, so P^T
-    keeps the mass of every vector, and on mass-zero vectors the operator
-    deflated against phi is P^T itself.  Each step therefore only removes
-    the mean of P^T w, which holds no more than rounding drift, so the
-    result does not depend on the density passed, and ``invariant_density``
-    runs this before it has one.  The start is 1 on I_l, -1 right of it,
-    plus 1e-6 times a normal draw seeded with START_SEED, less its mean; it
-    depends only on (n, I_l), so it is built once per grid and read, never
-    written, by every call.  Each step normalizes the projected image v in
+    eigenvalue dominates.  P's rows sum to 1, so P^T keeps the mass of
+    every vector, and on mass-zero vectors the operator deflated against
+    the density is P^T itself: each step only removes the mean of P^T w,
+    which holds no more than rounding drift.  The start is
+    ``_deflated_start(n, k)``, built once per grid and read, never written,
+    by every call.  Each step normalizes the projected image v in
     place, to u = v/nrm with nrm its mean |v|.  The eigenvalue is the
     Rayleigh quotient <v, w>/<w, w> of the last step's input w and its
     image, taken as nrm*<u, w>/<w, w> from the dot the step's sign check
     already computes.
-    The eigenvector is L1-normalized with positive integral over I_l; its
-    own integral vanishes by construction.
+    The eigenvector is L1-normalized with positive sum over the left block
+    [0,k); its own integral vanishes by construction.
 
     When the iteration stalls or runs out of steps, its last iterate w is
     checked by Rayleigh-Ritz on span{w, Aw, A^2 w}, A the deflated step
@@ -337,7 +335,7 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
     raises SolverError naming the top Ritz value.
     """
     n = P.n
-    w = _deflated_start(n, I_l)
+    w = _deflated_start(n, k)
     buf = np.empty(n)                          # |v|, overwritten every step
     last = None                                # the last step's (nrm, <u, w>, w)
 
@@ -377,7 +375,7 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
                 x = q @ yt.real
                 x /= np.mean(np.abs(x))
                 if np.mean(np.abs(deflated(x) - t.real * x)) <= 10.0 * tol:
-                    return 1.0, _finalize_psi(x, I_l.hi, n)
+                    return 1.0, _finalize_psi(x, k)
         top = theta[np.argmax(np.abs(theta))]
         if abs(top.imag) > 1e-8 * max(1.0, abs(top)):
             raise DegenerateSpectrumError(
@@ -388,34 +386,21 @@ def second_eigenpair(P: UlamMatrix, phi: Optional[DensityGrid], I_l: Interval,
     # <v, w> of the projected image v = nrm*u, where u is what the step returned
     nrm, dot, w_in = last
     rho = float(nrm) * dot / float(np.einsum("i,i->", w_in, w_in))
-    return rho, _finalize_psi(w, I_l.hi, n)
+    return rho, _finalize_psi(w, k)
 
 
-def escape_rate(P: UlamMatrix, hole_cells, k: int,
-                tol: float = 1e-12) -> tuple[float, float]:
-    """Escape rates -log(lambda) of the blocks [0,k) and [k,n) of P through
-    their hole cells, from one run.
-
-    P must move no mass between the blocks, so that P with its hole columns
-    zeroed is block diagonal: a row whose entries in the other block's
-    columns sum to more than 1e-9 raises a ValueError naming its block.
-    One pass over P's entries checks this.  Each step zeroes the
-    hole cells and rescales each block to mean 1 on its own; a block's
-    lambda is the mean of its part of the unrescaled step.  A block without
-    hole cells is held at zero and its rate is 0.0.  Hole cells outside
-    0..n-1, and a hole covering a whole block, raise ValueError.
-    """
-    n, m = P.n, P.matrix
+def _check_split(k: int, n: int) -> None:
+    """Refuse blocks [0,k) and [k,n) of which one is empty."""
     if not 0 < k < n:
         raise ValueError(f"block split k = {k} must leave 0 < k < n = {n}")
-    # np.unique would import numpy.ma (13-18 ms) in a fresh process
-    hole = np.asarray(hole_cells, dtype=int).ravel()
-    outside = hole[(hole < 0) | (hole >= n)]
-    if outside.size:
-        raise ValueError(f"hole cells {sorted(set(outside.tolist()))[:4]}... outside 0..{n - 1}")
-    keep = np.ones(n)
-    keep[hole] = 0.0
-    lams, blocks = {0: 1.0, k: 1.0}, []         # the open blocks' (cells, size)
+
+
+def _check_closed_blocks(P: UlamMatrix, k: int) -> None:
+    """Refuse an empty block, or a P with a row whose entries in the other
+    block's columns sum to more than 1e-9, naming its block.  One pass over
+    P's entries, about 20 us at n = 15360."""
+    n, m = P.n, P.matrix
+    _check_split(k, n)
     split = m.indptr[k]
     # other: P's entries in the other block's columns, which P's CSC
     # arrays hold as one range
@@ -428,6 +413,31 @@ def escape_rate(P: UlamMatrix, hole_cells, k: int,
             if moved[worst] > 1e-9:
                 raise ValueError(f"block [{lo}, {hi}) of {n} cells is not invariant: row "
                                  f"{worst} moves {moved[worst]:.3g} of its mass out of it")
+
+
+def escape_rate(P: UlamMatrix, hole_cells, k: int,
+                tol: float = 1e-12) -> tuple[float, float]:
+    """Escape rates -log(lambda) of the blocks [0,k) and [k,n) of P through
+    their hole cells, from one run.
+
+    P must move no mass between the blocks, so that P with its hole columns
+    zeroed is block diagonal (``_check_closed_blocks``).  Each step zeroes the
+    hole cells and rescales each block to mean 1 on its own; a block's
+    lambda is the mean of its part of the unrescaled step.  A block without
+    hole cells is held at zero and its rate is 0.0.  Hole cells outside
+    0..n-1, and a hole covering a whole block, raise ValueError.
+    """
+    n = P.n
+    _check_closed_blocks(P, k)
+    # np.unique would import numpy.ma (13-18 ms) in a fresh process
+    hole = np.asarray(hole_cells, dtype=int).ravel()
+    outside = hole[(hole < 0) | (hole >= n)]
+    if outside.size:
+        raise ValueError(f"hole cells {sorted(set(outside.tolist()))[:4]}... outside 0..{n - 1}")
+    keep = np.ones(n)
+    keep[hole] = 0.0
+    lams, blocks = {0: 1.0, k: 1.0}, []         # the open blocks' (cells, size)
+    for lo, hi in ((0, k), (k, n)):
         if keep[lo:hi].all():
             keep[lo:hi] = 0.0
         elif not keep[lo:hi].any():

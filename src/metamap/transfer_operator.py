@@ -100,25 +100,8 @@ class DensityGrid:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def indicator(cls, interval: Interval, n: int, normalize: bool = False) -> "DensityGrid":
-        """Cell averages of 1_interval, optionally rescaled to mass 1."""
-        bounds = np.arange(n + 1) / n
-        over = np.clip(np.minimum(bounds[1:], interval.hi)
-                       - np.maximum(bounds[:-1], interval.lo), 0.0, None)
-        vals = over * n
-        if normalize:
-            m = vals.mean()
-            if m <= 0:
-                raise ValueError("cannot normalize an empty indicator")
-            vals = vals / m
-        return cls(n, vals)
-
     def l1_norm(self) -> float:
         return float(np.mean(np.abs(self.values)))
-
-    def mass(self) -> float:
-        return float(np.mean(self.values))
 
     def total_variation(self) -> float:
         return float(np.sum(np.abs(np.diff(self.values))))
@@ -199,9 +182,16 @@ class UlamMatrix:
         # astype copies, so the caller's arrays stay writable
         arrays = CSCArrays(indptr.astype(np.int32), indices.astype(np.int32),
                            data.astype(float))
+        finite = np.isfinite(arrays.data)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            col = int(np.searchsorted(arrays.indptr, j, side="right")) - 1
+            raise ValueError(f"matrix entry ({arrays.indices[j]}, {col}) is "
+                             f"{arrays.data[j]}, which is not finite")
         out = cls(n=n, matrix=arrays)
         bad = np.max(np.abs(out.row_sums() - 1.0))
-        if bad > ROW_SUM_TOL:
+        # not <=: a NaN deviation fails every comparison
+        if not bad <= ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 (max deviation {bad:.3g})")
         return out
 
@@ -407,8 +397,8 @@ def variation_inflation_constant(lam: float, dist: float, min_branch_width: floa
 
 
 def cells_below(b: float, n: int) -> int:
-    """The number of cells that [0, b) overlaps, those with i/n < b: the
-    cells where ``DensityGrid.indicator(Interval(0, b), n)`` is positive."""
+    """The number k of cells that [0, b) overlaps, those with i/n < b: the
+    blocks [0,k) and [k,n) of every split at b in the package."""
     return int(np.count_nonzero(np.arange(n) / n < b))
 
 

@@ -9,7 +9,7 @@ from metamap import spectral
 from metamap.families import family_a, family_b
 from metamap.map_model import Branch, PiecewiseMap
 from metamap.metastability import prepare_sweep, run_sweep_row
-from metamap.transfer_operator import UlamMatrix, build_ulam
+from metamap.transfer_operator import DensityGrid, UlamMatrix, build_ulam
 
 ACCEPTANCE_EPS = (0.02, 0.01, 0.005, 0.0025)
 ACCEPTANCE_N = 3840
@@ -123,10 +123,23 @@ def corrected_step_reference(P, rho, psi):
     return step
 
 
+def plain_power(P, start, tol):
+    """Plain power iteration of P^T from a nonnegative start, renormalized
+    to mean 1 each step, through the kernel: (limit, steps)."""
+    return spectral._iterate(spectral._mass_step(P), start / np.mean(start), tol)
+
+
+def lebesgue_halves(n):
+    """Lebesgue densities of [0, 1/2) and [1/2, 1) on an even n cells, each
+    at mass 1."""
+    left = np.arange(n) < n // 2
+    return DensityGrid(n, np.where(left, 2.0, 0.0)), DensityGrid(n, np.where(left, 0.0, 2.0))
+
+
 def record_solves(monkeypatch):
     """Wrap ``spectral._iterate``: each run appends (solver, tol, start, steps).
 
-    The solver names the function whose step ran: ``second_eigenpair``,
+    The solver names the function whose step ran: ``_second_pair``,
     ``_corrected_step``, ``_mass_step`` or ``escape_rate``.
     """
     calls = []

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import lebesgue_halves
+
 from metamap.map_model import (Branch, HypothesisViolation, MapModelError,
                                PerturbationFamily, PiecewiseMap,
                                branch_preimages, distortion, evaluate,
                                infinitesimal_holes, min_expansion,
                                postcritical_hierarchy, validate_hypotheses)
 from metamap.families import DEFAULT_EPS_LIST
-from metamap.transfer_operator import DensityGrid
 
 
 def test_evaluate_branch_interior(fam_a):
@@ -177,9 +178,7 @@ def test_validate_family_a_passes(fam_a):
 
 def test_validate_family_a_with_densities_checks_I3(fam_a):
     n = 384
-    from metamap.map_model import Interval
-    phi_l = DensityGrid.indicator(Interval(0, 0.5), n, normalize=True)
-    phi_r = DensityGrid.indicator(Interval(0.5, 1), n, normalize=True)
+    phi_l, phi_r = lebesgue_halves(n)
     report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8, phi_l=phi_l, phi_r=phi_r)
     assert report.passes_I3 is True
     report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FINE_EPS, FINE_N, block_rates, record_solves
+from conftest import FINE_EPS, FINE_N, block_rates, lebesgue_halves, record_solves
 
 from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFamily,
                                PiecewiseMap, evaluate)
@@ -14,12 +14,6 @@ from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
                                    prepare_sweep, run_sweep_row)
 from metamap.spectral import escape_rate, invariant_density
 from metamap.transfer_operator import DensityGrid, build_ulam, cells_with_center_in
-
-
-def lebesgue_halves(n):
-    phi_l = DensityGrid.indicator(Interval(0, 0.5), n, normalize=True)
-    phi_r = DensityGrid.indicator(Interval(0.5, 1), n, normalize=True)
-    return phi_l, phi_r
 
 
 def test_holes_family_a_closed_form(fam_a):
@@ -133,7 +127,7 @@ def test_predict_mixture_weights():
     assert alpha == pytest.approx(0.25)
     assert mix.values[0] == pytest.approx(0.5)
     assert mix.values[-1] == pytest.approx(1.5)
-    assert mix.mass() == pytest.approx(1.0, abs=1e-12)
+    assert np.mean(mix.values) == pytest.approx(1.0, abs=1e-12)
     assert predict_mixture(1.0, phi_l, phi_r)[0] == pytest.approx(0.5)
     alpha_inf, mix_inf = predict_mixture(math.inf, phi_l, phi_r)
     assert alpha_inf == 1.0
@@ -173,7 +167,7 @@ def test_ergodic_densities_closed_form_matches_computed(fam_a):
     n = 768
     P0 = build_ulam(fam_a.base, n)
     phi_l_exact, phi_r_exact = lebesgue_halves(n)
-    phi_l_num, phi_r_num = ergodic_densities(fam_a, P0)
+    phi_l_num, phi_r_num = ergodic_densities(P0, n // 2)
     assert phi_l_exact.l1_distance(phi_l_num) <= 1e-8
     assert phi_r_exact.l1_distance(phi_r_num) <= 1e-8
     assert phi_l_num.integrate(0, 0.5) == pytest.approx(1.0, abs=1e-9)
@@ -265,18 +259,17 @@ def test_convergence_study_eps_validation(fam_a):
         prepare_sweep(fam_a, [0.01, -0.001], 768)
 
 
-def test_straddling_cell_fails_every_row_by_name(fam_a):
+def test_straddling_cell_fails_every_row_by_name(fam_a, monkeypatch):
     # at n = 769 cell 384 straddles b = 1/2, so P0 moves mass between its
-    # blocks: the escape run refuses it, and each row carries the error
-    # that names the leaking block instead of aborting the sweep
-    eps_list = [0.02, 0.01]
-    ctx = prepare_sweep(fam_a, eps_list, 769)
-    assert ctx.k == 385
-    for eps in eps_list:
-        row, art = run_sweep_row(ctx, eps)
-        assert art is None
-        assert row.error == ("block [0, 385) of 769 cells is not invariant: row 384 "
-                             "moves 0.5 of its mass out of it"), (eps, row.error)
+    # blocks for every eps: the sweep is refused as a whole, naming the
+    # leaking block, before any solver run.  The sweep used to run both
+    # ergodic densities for about 17,400 steps each, onto the uniform
+    # density, and then fail each row at the escape run
+    calls = record_solves(monkeypatch)
+    with pytest.raises(ValueError, match=r"^block \[0, 385\) of 769 cells is not invariant: "
+                                         r"row 384 moves 0\.5 of its mass out of it$"):
+        prepare_sweep(fam_a, [0.02, 0.01], 769)
+    assert calls == []
 
 
 def test_sweep_rows_carry_failures_not_exceptions(fam_a):
@@ -305,7 +298,7 @@ def test_row_fields_are_builtin_numbers(request, family):
     for eps in (0.02, 0.01):
         row, art = run_sweep_row(ctx, eps)
         assert row.error is None
-        inv = invariant_density(art.P, tol=ctx.tol, I_l=ctx.I_l)
+        inv = invariant_density(art.P, tol=ctx.tol, k=ctx.k)
         for obj in (row, inv):
             for f in dataclasses.fields(obj):
                 value = getattr(obj, f.name)
@@ -362,7 +355,7 @@ def test_every_solve_of_a_row_runs_at_the_sweep_tol(fam_a, monkeypatch, tol):
     row, _ = run_sweep_row(ctx, 0.01)
     assert row.error is None, row.error
     assert [(solver, t) for solver, t, _, _ in calls] == [
-        ("second_eigenpair", tol), ("_corrected_step", tol), ("escape_rate", tol)]
+        ("_second_pair", tol), ("_corrected_step", tol), ("escape_rate", tol)]
 
 
 @pytest.mark.parametrize("family", ["fam_a", "fam_b"])
@@ -436,7 +429,7 @@ def test_analytic_lhr_matches_measured_hole_ratio(fam_a, fam_b):
     cases = [(fam_a, 1), (fam_b, 1)]
     cases += [random_two_half_family(np.random.default_rng(seed)) for seed in range(40)]
     for k, (fam, m) in enumerate(cases):
-        phi_l, phi_r = ergodic_densities(fam, build_ulam(fam.base, 240 * m))
+        phi_l, phi_r = ergodic_densities(build_ulam(fam.base, 240 * m), 120 * m)
         measured = hole_measures(compute_holes(fam.instantiate(0.01), 0.5), phi_l, phi_r)
         assert analytic_lhr(fam, phi_l, phi_r) == pytest.approx(measured.ratio, rel=1e-12), k
 
@@ -473,7 +466,7 @@ def test_ergodic_density_of_a_half_that_is_not_lebesgue():
     fam = PerturbationFamily(base=base, boundary_b=0.5)
     n = 768
     P0 = build_ulam(base, n)
-    phi_l, phi_r = ergodic_densities(fam, P0)
+    phi_l, phi_r = ergodic_densities(P0, n // 2)
     lebesgue_l, lebesgue_r = lebesgue_halves(n)
     for phi in (phi_l, phi_r):
         assert np.mean(np.abs(P0.apply(phi.values) - phi.values)) <= 1e-9

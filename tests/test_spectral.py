@@ -8,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (FINE_EPS, FINE_N, block_rates, corrected_step_reference,
-                      dense_top_eigenpairs, record_solves, scipy_csc, three_block_cycle)
+                      dense_top_eigenpairs, plain_power, record_solves, scipy_csc,
+                      three_block_cycle)
 
 import metamap
 from metamap import spectral
 from metamap.map_model import Interval
 from metamap.metastability import prepare_sweep, run_sweep_row
 from metamap.spectral import (START_SEED, DegenerateSpectrumError, SolverError,
-                              escape_rate, invariant_density,
-                              power_fixed_density, second_eigenpair)
+                              escape_rate, invariant_density, second_eigenpair)
 from metamap.transfer_operator import (CSCArrays, DensityGrid, UlamMatrix, build_ulam,
                                        cells_with_center_in)
 
@@ -43,7 +43,7 @@ def test_markov2_second_eigenpair():
     assert psi.values[0] == pytest.approx(1.0, abs=1e-9)
     assert psi.values[1] == pytest.approx(-1.0, abs=1e-9)
     assert psi.integrate(0.0, 0.5) > 0
-    assert abs(psi.mass()) <= 1e-12
+    assert abs(np.mean(psi.values)) <= 1e-12
 
 def test_eps_zero_degenerate_top_eigenvalue(fam_a):
     P = build_ulam(fam_a.base, 768)
@@ -62,7 +62,7 @@ def test_invariant_density_unique_for_positive_eps(ulam_a_768):
     assert res.leading_simple
     phi = res.phi
     assert phi.values.min() >= 0.0
-    assert phi.mass() == pytest.approx(1.0, abs=1e-10)
+    assert np.mean(phi.values) == pytest.approx(1.0, abs=1e-10)
     assert res.residual <= 1e-9
 
 def test_invariant_density_max_iter_exceeded(ulam_a_768, monkeypatch):
@@ -100,31 +100,34 @@ def test_psi_normalization_invariants(ulam_a_768):
     res = invariant_density(ulam_a_768, tol=1e-10)
     rho, psi = second_eigenpair(ulam_a_768, res.phi, Interval(0, 0.5), tol=1e-10)
     assert 0.0 < rho < 1.0
-    assert abs(psi.mass()) <= 1e-8
+    assert abs(np.mean(psi.values)) <= 1e-8
     assert psi.l1_norm() == pytest.approx(1.0, abs=1e-10)
     assert psi.integrate(0.0, 0.5) > 0.0
     residual = np.mean(np.abs(ulam_a_768.apply(psi.values) - rho * psi.values))
     assert residual <= 1e-8
 
 def test_deflation_restarts_from_seeded_noise():
-    # symmetric doubly stochastic chain: stationary density is uniform, so an
-    # I_l spanning everything makes the indicator part of the start project
-    # to zero and the iteration runs on its seeded noise
-    P = UlamMatrix.from_matrix(np.array([[0.6, 0.2, 0.2],
-                                         [0.2, 0.6, 0.2],
-                                         [0.2, 0.2, 0.6]]))
+    # symmetric doubly stochastic chain whose block start 1_[0,2) - 1_[2,4)
+    # is itself an eigenvector, of eigenvalue 0.1: only the start's seeded
+    # noise has a component along the second eigenvector (1, -1, 1, -1), of
+    # eigenvalue 0.5, and the iteration runs on it
+    a, b, c = (np.array(v, dtype=float) for v in ([1, 1, -1, -1], [1, -1, 1, -1],
+                                                  [1, -1, -1, 1]))
+    P = UlamMatrix.from_matrix((1.0 + 0.1 * np.outer(a, a) + 0.5 * np.outer(b, b)
+                                + 0.2 * np.outer(c, c)) / 4.0)
     res = invariant_density(P, tol=1e-12)
     assert np.max(np.abs(res.phi.values - 1.0)) <= 1e-10
-    rho, psi = second_eigenpair(P, res.phi, Interval(0.0, 1.0), tol=1e-10)
-    assert rho == pytest.approx(0.4, abs=1e-9)
-    assert abs(psi.mass()) <= 1e-9
+    rho, psi = second_eigenpair(P, res.phi, Interval(0.0, 0.5), tol=1e-10)
+    assert rho == pytest.approx(0.5, abs=1e-9)
+    assert np.max(np.abs(np.abs(psi.values) - 1.0)) <= 1e-8
+    assert abs(np.mean(psi.values)) <= 1e-9
     assert psi.l1_norm() == pytest.approx(1.0, abs=1e-10)
 
 def test_slow_contraction_converges_without_stalling():
     # rho = 0.998: one real slow mode, which plain power iteration settles
     # in 11,375 steps
     P = markov_matrix(1e-3, 1e-3)
-    phi, _ = power_fixed_density(P, np.array([2.0, 0.0]), 1e-10)
+    phi, _ = plain_power(P, np.array([2.0, 0.0]), 1e-10)
     assert np.max(np.abs(phi - 1.0)) <= 1e-9
     # a complex pair of modulus ~0.997 rotates: the step change shrinks by
     # only ~0.55 per 200-step window, slowly but steadily, so its 7,719
@@ -133,7 +136,7 @@ def test_slow_contraction_converges_without_stalling():
     P = UlamMatrix.from_matrix(np.array([[1 - theta, theta, 0],
                                          [0, 1 - theta, theta],
                                          [theta, 0, 1 - theta]]))
-    phi, steps = power_fixed_density(P, np.array([3.0, 0.0, 0.0]), 1e-10)
+    phi, steps = plain_power(P, np.array([3.0, 0.0, 0.0]), 1e-10)
     assert steps > 400
     assert np.max(np.abs(phi - 1.0)) <= 1e-9
 
@@ -260,8 +263,8 @@ def test_complex_second_eigenvalue_detected():
                                          [0, 1 - theta, theta],
                                          [theta, 0, 1 - theta]]))
     with pytest.raises(DegenerateSpectrumError, match="complex"):
-        invariant_density(P, tol=1e-12, I_l=Interval(0.0, 1 / 3))
-    phi, _ = power_fixed_density(P, np.array([3.0, 0.0, 0.0]), 1e-12)
+        invariant_density(P, tol=1e-12, k=1)
+    phi, _ = plain_power(P, np.array([3.0, 0.0, 0.0]), 1e-12)
     assert np.max(np.abs(phi - 1.0)) <= 1e-10
     with pytest.raises(DegenerateSpectrumError, match="complex"):
         second_eigenpair(P, DensityGrid(3, phi), Interval(0.0, 1 / 3), tol=1e-12)
@@ -279,10 +282,10 @@ def test_complex_second_eigenvalue_leaves_leading_simple():
     assert abs(lam1 - 1.0) <= 1e-12
     assert abs(lam2.imag) > 0.1 and abs(lam2) < 1.0 - 0.1
     for start in ([3.0, 0.0, 0.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]):
-        phi, _ = power_fixed_density(P, np.array(start), 1e-12)
+        phi, _ = plain_power(P, np.array(start), 1e-12)
         assert np.max(np.abs(phi - 1.0)) <= 1e-10, start
     with pytest.raises(DegenerateSpectrumError, match="complex"):
-        invariant_density(P, tol=1e-12, I_l=Interval(0.0, 2 / 3))
+        invariant_density(P, tol=1e-12, k=2)
 
 
 def test_complex_second_eigenvalue_named_at_large_n():
@@ -291,8 +294,8 @@ def test_complex_second_eigenvalue_named_at_large_n():
     # eigensolve reaches
     P = three_block_cycle(12288)
     with pytest.raises(DegenerateSpectrumError, match="complex"):
-        invariant_density(P, I_l=Interval(0.0, 1 / 3))
-    phi, _ = power_fixed_density(P, np.ones(P.n), 1e-10)
+        invariant_density(P, k=P.n // 3)
+    phi, _ = plain_power(P, np.ones(P.n), 1e-10)
     with pytest.raises(DegenerateSpectrumError, match="complex"):
         second_eigenpair(P, DensityGrid(P.n, phi), Interval(0.0, 1 / 3))
 
@@ -320,7 +323,13 @@ def test_left_block_must_be_a_proper_leading_block(ulam_a_768, lo, hi):
     # [0,0) covers k = 0 cells and [0,1) all n, so one block is empty; the
     # blocks are [0,k) and [k,n), so I_l must start at 0
     with pytest.raises(ValueError, match=r"must be \[0,b\) covering k cells"):
-        invariant_density(ulam_a_768, I_l=Interval(lo, hi))
+        second_eigenpair(ulam_a_768, None, Interval(lo, hi))
+
+
+@pytest.mark.parametrize("k", [-1, 0, 768, 769])
+def test_invariant_density_refuses_an_empty_block(ulam_a_768, k):
+    with pytest.raises(ValueError, match=rf"block split k = {k} must leave 0 < k < n = 768"):
+        invariant_density(ulam_a_768, k=k)
 
 
 def test_aggregation_waits_for_settled_weight(fam_a):
@@ -365,7 +374,7 @@ def test_invariant_density_nonnegative_after_jumps(fam_b, eps):
     n = 1536
     res = invariant_density(build_ulam(fam_b.instantiate(eps), n), tol=1e-10)
     assert res.phi.values.min() >= 0.0
-    assert res.phi.mass() == pytest.approx(1.0, abs=1e-12)
+    assert np.mean(res.phi.values) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
@@ -379,7 +388,7 @@ def test_jump_refused_where_it_would_leave_the_nonnegative_cone():
     A = np.diag(np.full(m - 1, p), 1) + np.diag(np.full(m - 1, q), -1)
     A += np.diag(1.0 - A.sum(axis=1))
     P = UlamMatrix.from_matrix(A)
-    res = invariant_density(P, tol=1e-10, I_l=Interval(0.0, 1 / m))
+    res = invariant_density(P, tol=1e-10, k=1)
     assert res.leading_simple
     assert res.residual <= 1e-9
     # the deflated run contracts at 0.9945/0.9973 per step for 8,166 steps;
@@ -428,7 +437,7 @@ def test_sweep_row_steps_on_the_fine_ladder(request, monkeypatch, family):
     # every solve of a sweep_*_fine row: the second pair takes 20-23 steps,
     # the density 22-25 and the one escape run for both sides 21-23 at the
     # sweep's tol
-    bounds = {"second_eigenpair": 26, "_corrected_step": 35, "escape_rate": 25}
+    bounds = {"_second_pair": 26, "_corrected_step": 35, "escape_rate": 25}
     ctx = prepare_sweep(request.getfixturevalue(family), FINE_EPS, FINE_N)
     calls = record_solves(monkeypatch)
     for eps in FINE_EPS:
@@ -437,31 +446,35 @@ def test_sweep_row_steps_on_the_fine_ladder(request, monkeypatch, family):
         assert row.error is None, row.error
         steps = [(solver, k) for solver, _, _, k in calls]
         assert [solver for solver, _ in steps] == [
-            "second_eigenpair", "_corrected_step", "escape_rate"]
+            "_second_pair", "_corrected_step", "escape_rate"]
         assert all(k <= bounds[solver] for solver, k in steps), (eps, steps)
 
 
 def test_deflated_start_built_once_per_grid(fam_a, monkeypatch):
-    # the start depends only on (n, I_l): each grid and each left block gets
-    # its own read-only array, with the bits of the construction it replaced
-    def inline(n, I_l):
-        w = (DensityGrid.indicator(I_l, n).values
-             - DensityGrid.indicator(Interval(I_l.hi, 1.0), n).values)
-        w = w + 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
-        w = w - np.mean(w)
-        w /= np.mean(np.abs(w))
-        return w
-
+    # the start depends only on (n, k): each grid and each left block gets
+    # its own read-only array
     cases = [(768, Interval(0.0, 0.5)), (1200, Interval(0.0, 0.5)), (768, Interval(0.0, 0.25))]
     calls = record_solves(monkeypatch)
     for n, I_l in cases + cases:
         second_eigenpair(build_ulam(fam_a.instantiate(0.01), n), None, I_l)
     starts = [w for _, _, w, _ in calls]
-    for (n, I_l), first, again in zip(cases, starts, starts[len(cases):]):
+    for first, again in zip(starts, starts[len(cases):]):
         assert again is first
         assert not first.flags.writeable
-        assert first.tobytes() == inline(n, I_l).tobytes()
     assert len({id(w) for w in starts}) == len(cases)
+
+
+def test_deflated_start_is_exactly_plus_and_minus_one_on_the_blocks():
+    # on an uneven split the start is +1 on [0,k) and -1 on [k,n) to the
+    # bit before its seeded component is added and the mean removed; the
+    # cell averages of the indicator of [0, 1/3) it replaced carried
+    # rounding of ~1e-13 in single cells
+    n, k = 999, 333
+    w = np.where(np.arange(n) < k, 1.0, -1.0)
+    w += 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
+    w = w - np.mean(w)
+    w /= np.mean(np.abs(w))
+    assert spectral._deflated_start(n, k).tobytes() == w.tobytes()
 
 
 def test_density_solve_independent_of_blas_threads():
@@ -553,7 +566,7 @@ def test_kernel_is_plain_power_iteration(P, start):
     # the mass-step kernel takes exactly the steps of plain power iteration
     # and lands on the same bits: 11,375 steps on the two-state chain,
     # 7,719 on the 3-cycle, whose complex pair rotates
-    phi, steps = power_fixed_density(P, start, 1e-10)
+    phi, steps = plain_power(P, start, 1e-10)
     ref, ref_steps = _plain_limit(P, start, 1e-10, max_iter=20000)
     assert steps == ref_steps
     assert phi.tobytes() == ref.tobytes()
@@ -617,7 +630,7 @@ def test_aggregation_converges_where_power_iteration_does(seed, n, split, log_co
     except SolverError:
         return
     try:
-        res = invariant_density(P, tol=tol, I_l=Interval(0.0, k / n))
+        res = invariant_density(P, tol=tol, k=k)
     except DegenerateSpectrumError:
         # no verdict, rightly: the second eigenvalue is complex
         lam2 = dense_top_eigenpairs(P, k=2)[1][0]

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from conftest import FINE_EPS, FINE_N, scipy_csc
+from conftest import FINE_EPS, FINE_N, plain_power, scipy_csc
 
 from metamap import transfer_operator as to
 from metamap.families import family_a, family_b
 from metamap.map_model import (PREIMAGE_XTOL, Branch, Interval, MapModelError,
                                 PerturbationFamily, PiecewiseMap)
 from metamap.scenarios import load_scenario
-from metamap.spectral import power_fixed_density
 from metamap.transfer_operator import (DensityGrid, UlamMatrix,
                                        UnsupportedRegimeError, build_ulam,
                                        cells_below, cells_with_center_in,
@@ -433,7 +432,7 @@ def test_refinement_consistency_trend(fam_a):
     phis = {}
     for n in (480, 960, 1920):
         P = build_ulam(T, n)
-        vals, _ = power_fixed_density(P, np.ones(n), 1e-10)
+        vals, _ = plain_power(P, np.ones(n), 1e-10)
         phis[n] = vals
     d1 = np.mean(np.abs(np.repeat(phis[480], 2) - phis[960]))
     d2 = np.mean(np.abs(np.repeat(phis[960], 2) - phis[1920]))
@@ -453,14 +452,14 @@ def test_row_sparsity_bound(fam_a):
 def test_density_grid_norms():
     d = DensityGrid(4, np.array([1.0, -3.0, 2.0, 0.0]))
     assert d.l1_norm() == pytest.approx(1.5)
-    assert d.mass() == pytest.approx(0.0)
+    assert np.mean(d.values) == pytest.approx(0.0)
     assert d.total_variation() == pytest.approx(4 + 5 + 2)
 
 
 def test_density_grid_integrate_partial_cells():
     d = DensityGrid(4, np.array([2.0, 4.0, 0.0, 1.0]))
     assert d.integrate(0.125, 0.375) == pytest.approx(2 * 0.125 + 4 * 0.125)
-    assert d.integrate(0.0, 1.0) == pytest.approx(d.mass())
+    assert d.integrate(0.0, 1.0) == pytest.approx(np.mean(d.values))
 
 
 def test_integrate_matches_full_grid_weighting():
@@ -478,18 +477,12 @@ def test_integrate_matches_full_grid_weighting():
         assert d.integrate(lo, hi) == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
-def test_indicator_normalization():
-    g = DensityGrid.indicator(Interval(0.0, 0.5), 6, normalize=True)
-    assert g.mass() == pytest.approx(1.0, abs=1e-15)
-    assert g.values[0] == pytest.approx(2.0)
-    assert g.values[-1] == 0.0
-
-
 def test_cells_below_and_center_selectors():
-    # cells_below counts the cells where the indicator of [0, b) is positive
+    # cells_below counts the cells that [0, b) overlaps by a positive length
     for n in (1, 7, 8, 769, 3840):
+        bounds = np.arange(n + 1) / n
         for b in (0.0, 1e-9, 0.25, 0.5, 0.5 + 1e-12, 1 / 3, 1.0):
-            expected = int(np.count_nonzero(DensityGrid.indicator(Interval(0.0, b), n).values))
+            expected = int(np.count_nonzero(np.minimum(bounds[1:], b) - bounds[:-1] > 0.0))
             assert cells_below(b, n) == expected, (n, b)
     assert cells_below(0.5, 8) == 4 and cells_below(0.5, 769) == 385
     got = cells_with_center_in([Interval(0.24, 0.52)], 8)
@@ -564,3 +557,15 @@ def test_from_matrix_validates_row_sums():
         UlamMatrix.from_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
     m = UlamMatrix.from_matrix(sparse.csr_matrix(np.array([[0.5, 0.5], [0.25, 0.75]])))
     assert m.n == 2
+
+
+@pytest.mark.parametrize("matrix, named", [
+    ([[0.5, math.nan], [0.5, 0.5]], r"entry \(0, 1\) is nan"),
+    ([[0.5, 0.5], [math.inf, 0.5]], r"entry \(1, 0\) is inf"),
+    (sparse.csr_matrix(np.array([[0.5, 0.5], [0.5, -math.inf]])), r"entry \(1, 1\) is -inf"),
+])
+def test_from_matrix_rejects_non_finite_entries(matrix, named):
+    # a NaN row sum fails the comparison bad > ROW_SUM_TOL, so such a matrix
+    # was accepted and its NaN reached the solvers
+    with pytest.raises(ValueError, match=named + ", which is not finite"):
+        UlamMatrix.from_matrix(matrix if hasattr(matrix, "tocsc") else np.array(matrix))

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The determinism contract in one command: run the three builtin scenarios,
-# demos/scenario_family_a.json, and builtin families A and B on the
-# benchmark's fine ladder (n = 15360, eps 0.0064 ... 0.0008) with the
+# demos/scenario_family_a.json, builtin families A and B on the
+# benchmark's fine ladder (n = 15360, eps 0.0064 ... 0.0008), and family A
+# on n = 769, whose cell 384 straddles b = 1/2 (a sweep that fails), with the
 # sources of <base-rev> and with those of this working tree, each side
 # reading the scenario file from its own checkout, and compare every file
 # they write.  What each run prints (stdout and stderr, the side's output
@@ -56,6 +57,8 @@ for side in base tree; do
         cli "${f}_fine" run --scenario "builtin:$f" --grid 15360 \
             --eps 0.0064,0.0032,0.0016,0.0008 --out "$tmp/out/$side/${f}_fine"
     done
+    cli family_a_straddling run --scenario builtin:family_a --grid 769 \
+        --eps 0.02,0.01 --out "$tmp/out/$side/family_a_straddling"
 done
 diff -r "$tmp/out/base" "$tmp/out/tree"
 status=$?
