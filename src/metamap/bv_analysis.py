@@ -61,25 +61,24 @@ class SaltusDecomposition:
 
 
 def saltus_decompose(d: DensityGrid, hierarchy: dict[int, list[float]],
-                     lip_bound: float,
-                     kappa: float = JUMP_THRESHOLD_KAPPA) -> SaltusDecomposition:
+                     lip_bound: float) -> SaltusDecomposition:
     """Detect jumps of a grid density and split off the regular part.
 
     A cell boundary carries a jump iff the neighboring cell difference
-    exceeds kappa * lip_bound / n (a Lipschitz regular part only produces
-    O(lip/n) differences).  Adjacent above-threshold boundaries are merged:
-    the Ulam projection smears a step across the cell containing it, so the
-    two partial differences are summed and located at the larger one.  The
-    depth of a jump is the first layer of ``hierarchy`` (see
-    :func:`map_model.postcritical_hierarchy`) with a point within half a cell
-    of it, or None when no layer has one.
+    exceeds JUMP_THRESHOLD_KAPPA * lip_bound / n (a Lipschitz regular part
+    only produces O(lip/n) differences).  Adjacent above-threshold
+    boundaries are merged: the Ulam projection smears a step across the cell
+    containing it, so the two partial differences are summed and located at
+    the larger one.  The depth of a jump is the first layer of
+    ``hierarchy`` (see :func:`map_model.postcritical_hierarchy`) with a
+    point within half a cell of it, or None when no layer has one.
     """
     if lip_bound <= 0:
         raise ValueError("lip_bound must be positive")
     n = d.n
     v = d.values
     diffs = np.diff(v)                      # diffs[i] sits at boundary (i+1)/n
-    threshold = kappa * lip_bound / n
+    threshold = JUMP_THRESHOLD_KAPPA * lip_bound / n
     above = np.abs(diffs) > threshold
     idx = np.nonzero(above)[0]
 
@@ -132,8 +131,9 @@ class DecayRow:
 
 
 def jump_decay_profile(dec: SaltusDecomposition, ly: LasotaYorkeConstants,
-                       m_max: int, slack: float = DECAY_SLACK) -> list[DecayRow]:
-    """Tail sums of jump sizes beyond each depth m against lam^-m * C_LY.
+                       m_max: int) -> list[DecayRow]:
+    """Tail sums of jump sizes beyond each depth m against lam^-m * C_LY;
+    a row passes when its tail is at most DECAY_SLACK times its bound.
 
     Unmatched jumps have no certified depth and are counted in every tail, so
     misattribution can only make the check harder to pass.
@@ -144,5 +144,5 @@ def jump_decay_profile(dec: SaltusDecomposition, ly: LasotaYorkeConstants,
                    if j.depth is None or j.depth > m)
         bound = ly.lam ** (-m) * ly.C_LY
         rows.append(DecayRow(m=m, tail=tail, bound=bound,
-                             passed=tail <= slack * bound))
+                             passed=tail <= DECAY_SLACK * bound))
     return rows

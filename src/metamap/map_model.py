@@ -18,6 +18,8 @@ import numpy as np
 
 ENDPOINT_TOL = 1e-12
 PREIMAGE_XTOL = 1e-13
+DERIVATIVE_SAMPLES = 2048  # a smooth branch's samples of T' and T''
+HYPOTHESIS_TOL = 1e-9      # validate_hypotheses' distance tolerance
 
 
 class MapModelError(ValueError):
@@ -107,25 +109,28 @@ class Branch:
         a, b = self(self.domain.lo), self(self.domain.hi)
         return (a, b) if a <= b else (b, a)
 
-    def min_abs_derivative(self, samples: int = 2048) -> float:
+    def min_abs_derivative(self) -> float:
         """Lower bound for inf |T'| over the closed branch domain.
 
-        Exact for affine branches; for smooth branches a dense sample is
-        corrected downward by a curvature term so the bound is safe.
+        Exact for affine branches; for smooth branches a sample of
+        DERIVATIVE_SAMPLES points is corrected downward by a curvature term
+        so the bound is safe.
         """
         if self.is_affine:
             return abs(self.slope)
-        xs = np.linspace(self.domain.lo, self.domain.hi, samples)
+        xs = np.linspace(self.domain.lo, self.domain.hi, DERIVATIVE_SAMPLES)
         d = np.abs([self.df(x) for x in xs])
         curv = np.max(np.abs([self.d2f(x) for x in xs]))
-        h = (self.domain.hi - self.domain.lo) / (samples - 1)
+        h = (self.domain.hi - self.domain.lo) / (DERIVATIVE_SAMPLES - 1)
         return float(np.min(d) - 0.5 * curv * h)
 
-    def max_distortion(self, samples: int = 2048) -> float:
-        """sup |T''| / |T'| over the branch; 0 for affine branches."""
+    def max_distortion(self) -> float:
+        """sup |T''| / |T'| over the branch; 0 for affine branches.  Smooth
+        ones are sampled at DERIVATIVE_SAMPLES points, doubled until the
+        maximum settles."""
         if self.is_affine:
             return 0.0
-        prev = -1.0
+        prev, samples = -1.0, DERIVATIVE_SAMPLES
         while True:
             xs = np.linspace(self.domain.lo, self.domain.hi, samples)
             vals = np.abs([self.d2f(x) for x in xs]) / np.abs([self.df(x) for x in xs])
@@ -134,23 +139,23 @@ class Branch:
                 return cur
             prev, samples = cur, samples * 2
 
-    def preimage(self, y: float, tol: float = ENDPOINT_TOL) -> Optional[float]:
+    def preimage(self, y: float) -> Optional[float]:
         """The unique x in the branch domain with T(x) = y, or None.
 
-        Affine branches are solved in closed form; smooth branches by
-        bracketed root finding to xtol 1e-13.
+        y may lie ENDPOINT_TOL outside the image.  Affine branches are solved
+        in closed form; smooth ones by bracketed root finding to PREIMAGE_XTOL.
         """
         lo, hi = self.image()
-        if not (lo - tol <= y <= hi + tol):
+        if not (lo - ENDPOINT_TOL <= y <= hi + ENDPOINT_TOL):
             return None
         if self.is_affine:
             x = (y - self.intercept) / self.slope
             return min(max(x, self.domain.lo), self.domain.hi)
         a, b = self.domain.lo, self.domain.hi
         fa, fb = self.f(a) - y, self.f(b) - y
-        if abs(fa) <= tol:
+        if abs(fa) <= ENDPOINT_TOL:
             return a
-        if abs(fb) <= tol:
+        if abs(fb) <= ENDPOINT_TOL:
             return b
         if fa * fb > 0:
             return None
@@ -398,19 +403,19 @@ class HypothesisReport:
 
 
 def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
-                        phi_l=None, phi_r=None,
-                        tol: float = 1e-9) -> HypothesisReport:
+                        phi_l=None, phi_r=None) -> HypothesisReport:
     """Check the finite-horizon structural hypotheses of a family at the
     perturbation sizes ``eps_list``.
 
     * no-return: forward images of the critical set up to ``depth`` steps stay
-      at distance > tol from the infinitesimal holes;
+      at distance > HYPOTHESIS_TOL from the infinitesimal holes;
     * expansion: min |T'| > 2;
-    * boundary: either the boundary point is critical with a genuine one-sided
-      gap across it, or it is a fixed point of every instantiation (probed at
-      each eps of ``eps_list``, skipping one whose map is not admissible);
+    * boundary: either the boundary point is critical with a one-sided gap
+      wider than HYPOTHESIS_TOL across it, or it is a fixed point, to
+      HYPOTHESIS_TOL, of every instantiation (probed at each eps of
+      ``eps_list``, skipping one whose map is not admissible);
     * hole positivity (only when phi_l/phi_r grids are supplied): the ergodic
-      densities are positive at the infinitesimal holes.
+      densities exceed HYPOTHESIS_TOL at the infinitesimal holes.
 
     Failures are reported with diagnostics, never raised.
     """
@@ -434,7 +439,7 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
     for k, pts in layers.items():
         for p in pts:
             d = min((abs(p - h) for h in holes), default=math.inf)
-            if d <= tol:
+            if d <= HYPOTHESIS_TOL:
                 passes_i2 = False
                 diags.append(
                     f"(I2) fails: iterate {k} of the critical set hits "
@@ -456,13 +461,13 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
         # One-sided values must straddle the boundary strictly; the boundary
         # stays critical automatically (domains do not move in this model).
         left, right = vals0[0], vals0[-1]
-        passes_p2 = left < b - tol and right > b + tol
+        passes_p2 = left < b - HYPOTHESIS_TOL and right > b + HYPOTHESIS_TOL
         if not passes_p2:
             diags.append(
                 f"(P2b) fails: need T0(b-) < b < T0(b+), got "
                 f"T0(b-)={left:.12g}, b={b:.12g}, T0(b+)={right:.12g}")
     else:
-        passes_p2 = len(vals0) == 1 and abs(vals0[0] - b) <= tol
+        passes_p2 = len(vals0) == 1 and abs(vals0[0] - b) <= HYPOTHESIS_TOL
         if passes_p2:
             probed = False
             for eps in eps_list:
@@ -475,7 +480,7 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
                     continue
                 probed = True
                 veps = evaluate(map_eps, b)
-                if len(veps) != 1 or abs(veps[0] - b) > tol:
+                if len(veps) != 1 or abs(veps[0] - b) > HYPOTHESIS_TOL:
                     passes_p2 = False
                     diags.append(f"(P2a) fails: T_eps(b) != b at eps={eps}")
                     break
@@ -489,7 +494,7 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
         for h in holes:
             grid = phi_l if h < b else phi_r
             v = grid.value_near(h)
-            if v <= tol:
+            if v <= HYPOTHESIS_TOL:
                 passes_i3 = False
                 diags.append(f"(I3) fails: ergodic density ~{v:.3g} at hole {h:.12g}")
     else:

@@ -29,6 +29,7 @@ from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam, cells_below
 
 BOUNDARY_TOUCH_TOL = 1e-12
 MIN_HOLE_WIDTH = 1e-14
+HOLE_CHECK_SAMPLES = 7  # interior points of a hole that must map across b
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,10 @@ def compute_holes(map_eps: PiecewiseMap, b: float) -> HoleReport:
                       warnings=tuple(warnings))
 
 
-def _check_hole_geometry(map_eps, b, H_l, H_r, samples: int = 7):
-    qs = (np.arange(1, samples + 1)) / (samples + 1)
+def _check_hole_geometry(map_eps, b, H_l, H_r):
+    """Raise MapModelError unless HOLE_CHECK_SAMPLES evenly spaced interior
+    points of each hole map into the other half, to 1e-9."""
+    qs = np.arange(1, HOLE_CHECK_SAMPLES + 1) / (HOLE_CHECK_SAMPLES + 1)
     for iv in H_l:
         for q in qs:
             x = iv.lo + q * iv.length

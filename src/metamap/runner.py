@@ -71,13 +71,13 @@ def write_density_csv(path, x: list[str], mixture: list[str], phi,
 
 
 def run_scenario(scn: Scenario, log=print) -> int:
-    os.makedirs(scn.out_dir, exist_ok=True)
     if scn.kind == "markov":
         return _run_markov(scn, log)
     return _run_family(scn, log)
 
 
 def _run_markov(scn: Scenario, log) -> int:
+    os.makedirs(scn.out_dir, exist_ok=True)
     path = os.path.join(scn.out_dir, "markov.csv")
     with open(path, "w", newline="") as fh:
         fh.write("eps_lr,eps_rl,alpha,rho\n")
@@ -95,6 +95,9 @@ def _run_family(scn: Scenario, log) -> int:
     for w in warnings:
         log(f"warning: {w}")
 
+    # a sweep that prepare_sweep refuses leaves no directory and no file
+    ctx = prepare_sweep(fam, scn.eps_list, scn.grid_n)
+    os.makedirs(scn.out_dir, exist_ok=True)
     report = validate_hypotheses(fam, scn.eps_list)
     hyp_path = os.path.join(scn.out_dir, "hypotheses.txt")
     with open(hyp_path, "w") as fh:
@@ -109,8 +112,6 @@ def _run_family(scn: Scenario, log) -> int:
             fh.write(f"  {d}\n")
     log(f"hypotheses: I2={report.passes_I2} I4a={report.passes_I4a} "
         f"P2={report.passes_P2} (details in {hyp_path})")
-
-    ctx = prepare_sweep(fam, scn.eps_list, scn.grid_n)
     log(f"alpha_pred = {ctx.alpha_pred!r} on n = {scn.grid_n}")
 
     results = [run_sweep_row(ctx, e) for e in scn.eps_list]

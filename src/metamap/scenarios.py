@@ -18,6 +18,8 @@ from typing import Optional
 from .families import DEFAULT_EPS_LIST, DEFAULT_GRID_N, family_a, family_b
 from .map_model import Branch, MapModelError, PerturbationFamily, PiecewiseMap
 
+DENOMINATOR_LIMIT = 10 ** 6  # largest denominator a critical point is read with
+
 
 class ScenarioError(ValueError):
     """Scenario file failed to parse or validate; carries per-field messages."""
@@ -76,11 +78,12 @@ def normalize_eps(eps_list, field: str = "eps_list") -> list[float]:
     return eps
 
 
-def critical_denominator_lcm(map_: PiecewiseMap, limit: int = 10 ** 6) -> int:
-    """lcm of the denominators of the critical points (rational grid alignment)."""
+def critical_denominator_lcm(map_: PiecewiseMap) -> int:
+    """lcm of the denominators of the critical points (rational grid
+    alignment), each read with denominator at most DENOMINATOR_LIMIT."""
     lcm = 1
     for c in map_.critical_set:
-        den = Fraction(c).limit_denominator(limit).denominator
+        den = Fraction(c).limit_denominator(DENOMINATOR_LIMIT).denominator
         lcm = lcm * den // math.gcd(lcm, den)
     return lcm
 

@@ -9,13 +9,12 @@ for smooth ones), and each piece's entry is its length in X.  The entries of
 a row are then exact differences of points in [i, i+1], so every row sums to
 1 up to a few ulps at any n.  On affine branches, cut points that coincide
 with a cell boundary leave no sliver entries.  A branch's pieces depend only
-on the branch and its cells, so the pieces of a ``Branch`` object assembled
-before on the same cells are reused: a perturbation that moves some
-branches leaves the others the base map's own objects
+on the branch's fields and its cells, so a branch assembled on the same cells
+twice before, or a branch equal to it, reuses them: a perturbation that moves
+some branches leaves the others the base map's own
 (``PerturbationFamily.instantiate``), and a sweep row assembles only the
-branches eps moves.  Densities are piecewise
-constant on the same grid and evolve by left multiplication,
-(Ld)_j = sum_i d_i P[i,j].
+branches eps moves.  Densities are piecewise constant on the same grid and
+evolve by left multiplication, (Ld)_j = sum_i d_i P[i,j].
 
 ``UlamMatrix`` stores P once, as its CSC arrays, whatever n is.  They are
 also the CSR arrays of P^T, so a density step d -> P^T d is scipy's
@@ -297,35 +296,10 @@ def _pieces(br: Branch, n: int, X0: float, X1: float,
     return rows, cols, lengths
 
 
-# Pieces of the branches assembled more than once, keyed by branch identity
-# (never by value) and grid: (id(branch), n, X0, X1) -> (branch, pieces).
-# Holding the branch keeps its id from being reused while the entry lives.
-# A branch assembled once only leaves a weak reference in _SEEN, so the
-# branches a perturbation moves, which one map holds, are never kept.
-_KEPT: dict = {}
-_SEEN: dict = {}
-KEPT_BRANCHES = 16
-
-
-def _memo_pieces(br: Branch, n: int, X0: float, X1: float, tol: float):
-    """``_pieces`` of the branch, reused from the third assembly of the
-    same ``Branch`` object on the same cells."""
-    key = (id(br), n, X0, X1)
-    hit = _KEPT.pop(key, None)
-    if hit is not None:
-        _KEPT[key] = hit        # most recently used last
-        return hit[1]
-    pieces = _pieces(br, n, X0, X1, tol)
-    seen = _SEEN.pop(key, None)
-    if seen is not None and seen() is br:
-        _KEPT[key] = (br, pieces)
-        if len(_KEPT) > KEPT_BRANCHES:
-            del _KEPT[next(iter(_KEPT))]
-    else:
-        # the callback drops the entry when the branch dies, before its id
-        # can be reused
-        _SEEN[key] = weakref.ref(br, lambda _, key=key, seen=_SEEN: seen.pop(key, None))
-    return pieces
+# Each branch's pieces per grid: branch -> {(n, X0, X1): pieces, or None
+# after its first assembly on those cells}.  Keys compare by value, and a
+# branch's entry goes when the branch dies.
+_REUSED = weakref.WeakKeyDictionary()
 
 
 def _branch_pieces(map_: PiecewiseMap, n: int):
@@ -335,7 +309,14 @@ def _branch_pieces(map_: PiecewiseMap, n: int):
     D = _snap(n * np.asarray(map_.critical_set), tol)
     D[0], D[-1] = 0.0, float(n)     # the critical set spans [0,1] to ENDPOINT_TOL
     for br, X0, X1 in zip(map_.branches, D[:-1].tolist(), D[1:].tolist()):
-        yield _memo_pieces(br, n, X0, X1, tol)
+        grids, key = _REUSED.setdefault(br, {}), (n, X0, X1)
+        pieces = grids.get(key)
+        if pieces is None:
+            pieces = _pieces(br, n, X0, X1, tol)
+            # kept from the second assembly on: a branch one map holds alone
+            # is cut once and never kept
+            grids[key] = pieces if key in grids else None
+        yield pieces
 
 
 def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
@@ -354,12 +335,12 @@ def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     entry.  Raises MapModelError if a row still misses 1 by more than
     ROW_SUM_TOL, naming the worst row.
 
-    The pieces of a ``Branch`` object assembled on the same cells twice
-    before are reused, not cut again.  The memo goes by object identity,
-    never by value, and keeps a branch only from its second assembly on, so
-    a branch that one map holds alone is never kept; at most KEPT_BRANCHES
-    branches are kept, the least recently used dropped first.  Reuse
-    changes no bit of the result.
+    The pieces of a branch assembled on the same cells twice before are
+    reused, not cut again.  Branches compare by value, so an equal branch of
+    another map reuses them too.  A branch is kept only from its second
+    assembly on, so one that a single map holds is never kept; it keeps one
+    entry per grid for as long as it lives, with no bound on their number.
+    Reuse changes no bit of the result.
     """
     if n < len(map_.branches):
         raise MapModelError(f"n={n} too coarse for {len(map_.branches)} branches")

@@ -433,6 +433,19 @@ def test_cli_empty_out_rejected_before_writing(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+def test_refused_sweep_writes_no_file(tmp_path, capsys):
+    # at n = 769 cell 384 straddles b = 1/2, which prepare_sweep refuses;
+    # the run used to write hypotheses.txt first and leave it behind
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "builtin:family_a", "--grid", "769",
+                 "--eps", "0.02,0.01", "--out", str(out)])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert "fatal: block [0, 385) of 769 cells is not invariant" in printed.err
+    assert "hypotheses:" not in printed.out
+    assert not out.exists()
+
+
 def test_eps_list_of_booleans_rejected(tmp_path):
     # JSON true is a Python bool, which is an int
     with pytest.raises(ScenarioError) as err:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -202,41 +203,79 @@ def test_reused_branch_assembly_keeps_the_bytes(case, moved, monkeypatch):
         assert {i for i, br in enumerate(map_.branches) if br is not base[i]} == moved
         reused = _csc_bytes(build_ulam(map_, n))
         # every branch eps leaves alone is kept from its second assembly on
-        assert len(to._KEPT) >= len(base) - len(moved)
+        assert all(_kept(br, n) for i, br in enumerate(base) if i not in moved)
         with monkeypatch.context() as m:
-            m.setattr(to, "_KEPT", {})
-            m.setattr(to, "_SEEN", {})
+            m.setattr(to, "_REUSED", weakref.WeakKeyDictionary())
             assert _csc_bytes(build_ulam(map_, n)) == reused, eps
 
 
-def test_assembly_is_reused_by_identity_not_by_value(monkeypatch):
+def _kept(br, n):
+    """Whether pieces of a branch equal to ``br`` are kept on n cells."""
+    return any(pieces is not None for (m, *_), pieces in to._REUSED.get(br, {}).items()
+               if m == n)
+
+
+def _count_cuts(monkeypatch):
     cut = []
     column_cuts = to._column_cuts
     monkeypatch.setattr(to, "_column_cuts", lambda br, *a: cut.append(br) or column_cuts(br, *a))
+    return cut
+
+
+def test_assembly_is_reused_by_value(monkeypatch):
+    cut = _count_cuts(monkeypatch)
     base = family_a().base
-    for _ in range(4):
-        build_ulam(base, 96)
-    # cut on the first two assemblies, reused on the next two
-    assert len(cut) == 2 * len(base.branches)
-    twin = PiecewiseMap([Branch.affine(br.domain.lo, br.domain.hi, br.slope, br.intercept)
-                         for br in base.branches])
-    assert twin == base
-    cut.clear()
-    build_ulam(twin, 96)
-    assert cut == list(twin.branches)
+    with monkeypatch.context() as m:
+        m.setattr(to, "_REUSED", weakref.WeakKeyDictionary())
+        first = _csc_bytes(build_ulam(base, 96))
+        for _ in range(3):
+            assert _csc_bytes(build_ulam(base, 96)) == first
+        # cut on the first two assemblies, reused on the next two
+        assert len(cut) == 2 * len(base.branches)
+        # a twin map: equal branches, none of them the same object
+        twin = PiecewiseMap([dataclasses.replace(br) for br in base.branches])
+        assert twin == base and not set(map(id, twin.branches)) & set(map(id, base.branches))
+        cut.clear()
+        assert _csc_bytes(build_ulam(twin, 96)) == first
+        assert cut == []
 
 
 def test_branch_assembled_once_is_not_kept():
     fam = family_a()
     build_ulam(fam.base, 96)
-    map_ = fam.instantiate(0.01)
+    # an eps no other test uses, so that no equal moved branch is alive
+    map_ = fam.instantiate(0.0123)
     build_ulam(map_, 96)
-    kept = [to._KEPT[key][0] for key in to._KEPT]
-    assert any(br is fam.base.branches[0] for br in kept)
+    assert _kept(fam.base.branches[0], 96)
+    assert to._REUSED[map_.branches[1]] == {(96, 16.0, 32.0): None}
     moved = weakref.ref(map_.branches[1])
-    del map_, kept
+    twin = dataclasses.replace(map_.branches[1])
+    del map_
     gc.collect()
     assert moved() is None
+    # its entry went with it: an equal branch finds none
+    assert twin not in to._REUSED
+
+
+def test_reused_pieces_go_with_their_branch(monkeypatch):
+    cut = _count_cuts(monkeypatch)
+    # a map no other test builds, so that no equal branch outlives it
+    fam = PerturbationFamily(base=PiecewiseMap([Branch.affine(0.0, 0.4, 2.5, 0.0),
+                                                Branch.affine(0.4, 1.0, -5 / 3, 5 / 3)]))
+    for n in (100, 200):
+        build_ulam(fam.base, n)
+        build_ulam(fam.base, n)
+    # one entry per grid, both kept
+    assert all(_kept(br, 100) and _kept(br, 200) and len(to._REUSED[br]) == 2
+               for br in fam.base.branches)
+    cut.clear()
+    build_ulam(fam.base, 100)
+    build_ulam(fam.base, 200)
+    assert cut == []
+    twins = [dataclasses.replace(br) for br in fam.base.branches]
+    del fam
+    gc.collect()
+    assert not any(br in to._REUSED for br in twins)
 
 
 def test_smooth_branch_representation_matches_affine(fam_a):
