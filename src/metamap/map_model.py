@@ -267,10 +267,12 @@ def infinitesimal_holes(map_: PiecewiseMap, b: float) -> list[float]:
     return sorted(holes)
 
 
-def _dedup(points: list[float], tol: float = ENDPOINT_TOL) -> list[float]:
+def _dedup(points: list[float]) -> list[float]:
+    """The points sorted, each dropped that lies within ENDPOINT_TOL above
+    the last one kept."""
     out: list[float] = []
     for p in sorted(points):
-        if not out or p - out[-1] > tol:
+        if not out or p - out[-1] > ENDPOINT_TOL:
             out.append(p)
     return out
 

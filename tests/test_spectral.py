@@ -15,6 +15,7 @@ import metamap
 from metamap import spectral
 from metamap.map_model import Interval
 from metamap.metastability import prepare_sweep, run_sweep_row
+from metamap.scenarios import load_scenario
 from metamap.spectral import (START_SEED, DegenerateSpectrumError, SolverError,
                               escape_rate, invariant_density, second_eigenpair)
 from metamap.transfer_operator import (CSCArrays, DensityGrid, UlamMatrix, build_ulam,
@@ -602,6 +603,138 @@ def test_second_eigenpair_on_nan_entries_names_them():
         invariant_density(P)
 
 
+@pytest.mark.parametrize("col", [20, 44])
+def test_nan_entry_in_a_middle_column_named_at_step_1(fam_a, col):
+    # past n = 32 a step is first read on its end blocks only; every solver
+    # step rescales a block by a sum over it, so a NaN in [0, 32) reaches
+    # cell 0, one in [32, 64) cell 63, and the run still names it at the
+    # step where it appears
+    n = 64
+
+    def with_nan(P):
+        m = P.matrix
+        data = m.data.copy()
+        data[m.indptr[col]] = math.nan
+        return UlamMatrix(n=n, matrix=CSCArrays(m.indptr, m.indices, data))
+
+    P = with_nan(build_ulam(fam_a.instantiate(0.01), n))
+    with pytest.raises(SolverError, match="step 1 has a step change of nan"):
+        second_eigenpair(P, None, Interval(0.0, 0.5))
+    with pytest.raises(SolverError, match="step 1 has a step change of nan"):
+        invariant_density(P)
+    with pytest.raises(SolverError, match="step 1 has a step change of nan"):
+        escape_rate(with_nan(build_ulam(fam_a.base, n)), [3, 40], n // 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_end_blocks_stop_the_run_at_once(bad):
+    # an end sum that is not finite is read in full, so an infinite one is
+    # named at its own step, not as the NaN of the step after
+    n = 4096
+    calls = []
+
+    def step(w):
+        calls.append(w)
+        return 0.5 * w if len(calls) < 3 else np.full(n, bad)
+
+    with pytest.raises(SolverError, match=rf"step 3 has a step change of {bad}, "):
+        spectral._iterate(step, np.ones(n), 1e-10)
+    assert len(calls) == 3
+
+
+def test_nan_in_the_middle_cells_only_named_by_the_stall_window():
+    # a caller's step whose NaN stays off the end blocks, while the ends
+    # keep moving, is read in full at step STALL_WINDOW at the latest
+    n = 4096
+    sign = np.ones(n)
+    sign[:n // 32] = sign[-(n // 32):] = -1.0
+
+    def step(w):
+        nxt = w * sign
+        nxt[n // 2] = math.nan
+        return nxt
+
+    with pytest.raises(SolverError, match=rf"step {spectral.STALL_WINDOW} has a step "
+                                          "change of nan"):
+        spectral._iterate(step, np.ones(n), 1e-10)
+
+
+def full_read_iterate(step, w, tol):
+    """``spectral._iterate`` reading the full step change at every step,
+    the kernel's stopping rule before the end-block read."""
+    n = w.size
+    max_iter = spectral._default_max_iter(n)
+    window = np.full(spectral.STALL_WINDOW, math.inf)
+    diff = prev_diff = math.inf
+    for k in range(1, max_iter + 1):
+        nxt = step(w)
+        diff = float(np.add.reduce(np.abs(nxt - w))) / n
+        w = nxt
+        r = diff / prev_diff if prev_diff > 0.0 else math.inf
+        if diff <= tol and spectral._err_estimate(diff, r) <= tol:
+            return w, k
+        if not math.isfinite(diff):
+            raise SolverError(f"power iteration step {k} has a step change of {diff}, "
+                              "which is not finite")
+        slot = k % spectral.STALL_WINDOW
+        if k >= 2 * spectral.STALL_WINDOW and diff >= window[slot]:
+            raise SolverError(f"power iteration stalled at step {k}", w, stalled=True)
+        window[slot] = diff
+        prev_diff = diff
+    raise SolverError(f"power iteration did not converge in {max_iter} steps", w)
+
+
+def _sweep_rows(monkeypatch, ctx, eps_list):
+    """Each row of the sweep with its phi and psi bytes, and each kernel
+    run's (solver, steps)."""
+    calls = record_solves(monkeypatch)
+    rows = []
+    for eps in eps_list:
+        row, art = run_sweep_row(ctx, eps)
+        assert row.error is None, row.error
+        rows.append((row, art.phi.values.tobytes(), art.psi.values.tobytes()))
+    return rows, [(solver, k) for solver, _, _, k in calls]
+
+
+@pytest.mark.parametrize("family, n, eps_list", [
+    ("family_a", FINE_N, FINE_EPS), ("family_b", FINE_N, FINE_EPS),
+    ("family_a", None, None), ("family_b", None, None)],
+    ids=["a_fine", "b_fine", "a_builtin", "b_builtin"])
+def test_end_block_read_keeps_every_step_and_bit(monkeypatch, family, n, eps_list):
+    # the fine ladder of the sweep benchmarks and the builtin defaults:
+    # the same rows, phi/psi bytes and steps per run as reading every step
+    # in full
+    scn = load_scenario(f"builtin:{family}")
+    n, eps_list = n or scn.grid_n, eps_list or scn.eps_list
+    ctx = prepare_sweep(scn.family, eps_list, n)
+    got = _sweep_rows(monkeypatch, ctx, eps_list)
+    monkeypatch.setattr(spectral, "_iterate", full_read_iterate)
+    ref = _sweep_rows(monkeypatch, ctx, eps_list)
+    assert got == ref
+
+
+@pytest.mark.parametrize("where", ["middle", "ends"])
+@pytest.mark.parametrize("rate", [0.2, 0.5, 0.9])
+def test_end_block_read_matches_the_full_read(where, rate):
+    # a step that moves only the middle cells is never skipped; one that
+    # moves only the end blocks is skipped until its end sum falls to
+    # 4*tol*n
+    n, m = 4096, 4096 // 32
+    moving = np.zeros(n, dtype=bool)
+    if where == "middle":
+        moving[m:n - m] = True
+    else:
+        moving[:m] = moving[n - m:] = True
+    target = np.random.default_rng(5).random(n)
+
+    def step(w):
+        return np.where(moving, target + rate * (w - target), w)
+
+    got, steps = spectral._iterate(step, np.zeros(n), 1e-10)
+    ref, ref_steps = full_read_iterate(step, np.zeros(n), 1e-10)
+    assert steps == ref_steps
+    assert got.tobytes() == ref.tobytes()
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 80),
        split=st.floats(0.05, 0.95), log_coupling=st.floats(-6.0, math.log10(0.3)),
@@ -750,3 +883,19 @@ def test_aggregation_stall_falls_back_to_plain_step(seed):
     res = invariant_density(P, tol=tol)
     assert res.leading_simple
     assert res.residual <= 10 * tol
+
+
+def test_full_read_after_a_skip_takes_the_ratio_zero():
+    # full read, skipped step, full read: the last step change is below tol
+    # and 0.6 times the first one, so only a ratio over the skipped step
+    # stops the run at step 3, as reading every step in full does
+    n, m, tol = 4096, 4096 // 32, 1e-10
+    middle = np.zeros(n)
+    middle[m:n - m] = 1.0
+    ends = 1.0 - middle
+    last = 2.4 * tol * middle + ends
+    for kernel in (spectral._iterate, full_read_iterate):
+        iterates = iter([1.5 * tol * middle, 1.5 * tol * middle + ends] + [last] * 3)
+        w, steps = kernel(lambda w: next(iterates), np.zeros(n), tol)
+        assert steps == 3
+        assert w is last

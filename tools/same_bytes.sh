@@ -8,6 +8,10 @@
 # they write.  What each run prints (stdout and stderr, the side's output
 # directory written <out>) is compared too, and so is what
 # `metamap validate` prints for the three builtins and the scenario file.
+# So are the steps: each call writes <name>.steps, one line per run of the
+# power iteration kernel `spectral._iterate`, in order, naming the solver
+# whose step it ran (`_second_pair`, `_corrected_step`, `_mass_step`,
+# `escape_rate`) and its step count, or "raised" for a run that raised.
 #
 #   tools/same_bytes.sh <base-rev>
 #
@@ -34,13 +38,31 @@ mkdir "$tmp/base" "$tmp/out" || exit 2
 git -C "$root" archive -o "$tmp/base.tar" "$1" || exit 2
 tar -xf "$tmp/base.tar" -C "$tmp/base" || exit 2
 # cli <name> <metamap arguments...>, with the sources of $top: what the call
-# prints goes to <name>.txt, the side's output directory written <out>.  A
-# call that fails leaves its files missing or different, which diff reports
-# below
+# prints goes to <name>.txt, the side's output directory written <out>, and
+# its kernel runs to <name>.steps.  A call that fails leaves its files
+# missing or different, which diff reports below
+traced_cli='
+import sys
+from metamap import cli, spectral
+iterate = spectral._iterate
+def traced(step, w, tol):
+    solver = step.__qualname__.split(".")[0]
+    try:
+        out = iterate(step, w, tol)
+    except Exception:
+        print(solver, "raised", file=log)
+        raise
+    print(solver, out[1], file=log)
+    return out
+spectral._iterate = traced
+with open(sys.argv[1], "w") as log:
+    sys.exit(cli.main(sys.argv[2:]))
+'
 cli() {
     log=$tmp/out/$side/$1.txt
+    steps=$tmp/out/$side/$1.steps
     shift
-    PYTHONPATH=$top/src python3 -m metamap.cli "$@" > "$log" 2>&1
+    PYTHONPATH=$top/src python3 -c "$traced_cli" "$steps" "$@" > "$log" 2>&1
     sed -i "s|$tmp/out/$side|<out>|g" "$log"
 }
 for side in base tree; do
