@@ -26,10 +26,6 @@ class MapModelError(ValueError):
     """Invalid map geometry or domain violation."""
 
 
-class HypothesisViolation(MapModelError):
-    """A structural hypothesis of the metastable setting is broken."""
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed subinterval of [0,1]."""
@@ -233,40 +229,6 @@ def distortion(map_: PiecewiseMap) -> float:
     return max(b.max_distortion() for b in map_.branches)
 
 
-def branch_preimages(map_: PiecewiseMap, y: float) -> list[tuple[float, int]]:
-    """All (x, branch index) with T restricted to that branch mapping x to y."""
-    if y < -ENDPOINT_TOL or y > 1.0 + ENDPOINT_TOL:
-        raise MapModelError(f"y={y} outside [0,1]")
-    out = []
-    for i, br in enumerate(map_.branches):
-        x = br.preimage(y)
-        if x is not None:
-            out.append((x, i))
-    return out
-
-
-def infinitesimal_holes(map_: PiecewiseMap, b: float) -> list[float]:
-    """Preimages of the boundary point b, excluding b itself.
-
-    Each returned point must lie in the critical set; a preimage strictly
-    inside a branch would mean the two halves [0,b], [b,1] are not invariant.
-    """
-    if not (0.0 < b < 1.0):
-        raise MapModelError("boundary point must be interior")
-    crit = map_.critical_set
-    holes: list[float] = []
-    for x, i in branch_preimages(map_, b):
-        if abs(x - b) <= ENDPOINT_TOL:
-            continue
-        if min(abs(x - c) for c in crit) > ENDPOINT_TOL:
-            raise HypothesisViolation(
-                f"preimage {x} of boundary {b} lies strictly inside branch {i}; "
-                "the two halves are not invariant at eps=0")
-        if not any(abs(x - h) <= ENDPOINT_TOL for h in holes):
-            holes.append(x)
-    return sorted(holes)
-
-
 def _dedup(points: list[float]) -> list[float]:
     """The points sorted, each dropped that lies within ENDPOINT_TOL above
     the last one kept."""
@@ -409,15 +371,21 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
     """Check the finite-horizon structural hypotheses of a family at the
     perturbation sizes ``eps_list``.
 
+    The holes are those of :meth:`PerturbationFamily.first_order_holes`,
+    the branch ends that eps opens.
+
+    * invariant halves: no branch of T0 maps a point strictly inside it,
+      other than b, to b; P2 fails otherwise;
     * no-return: forward images of the critical set up to ``depth`` steps stay
-      at distance > HYPOTHESIS_TOL from the infinitesimal holes;
+      at distance > HYPOTHESIS_TOL from the holes;
     * expansion: min |T'| > 2;
     * boundary: either the boundary point is critical with a one-sided gap
       wider than HYPOTHESIS_TOL across it, or it is a fixed point, to
       HYPOTHESIS_TOL, of every instantiation (probed at each eps of
       ``eps_list``, skipping one whose map is not admissible);
-    * hole positivity (only when phi_l/phi_r grids are supplied): the ergodic
-      densities exceed HYPOTHESIS_TOL at the infinitesimal holes.
+    * hole positivity (only when phi_l/phi_r grids are supplied): each hole's
+      half's ergodic density exceeds HYPOTHESIS_TOL in the cell just beside
+      the hole's branch end, on the hole's side.
 
     Failures are reported with diagnostics, never raised.
     """
@@ -428,19 +396,25 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
     lam = min_expansion(T0)
     dis = distortion(T0)
 
+    b = family.boundary_b
+    holes = family.first_order_holes()
+    # a preimage of b strictly inside a branch, other than b itself, sends
+    # mass across b at eps=0
     halves_invariant = True
-    try:
-        holes = infinitesimal_holes(T0, family.boundary_b)
-    except HypothesisViolation as exc:
-        halves_invariant = False
-        holes = []
-        diags.append(f"setup fails: {exc}")
+    for i, br in enumerate(T0.branches):
+        x = br.preimage(b)
+        if x is not None and min(abs(x - br.domain.lo), abs(x - br.domain.hi),
+                                 abs(x - b)) > ENDPOINT_TOL:
+            halves_invariant = False
+            diags.append(f"setup fails: preimage {x} of boundary {b} lies strictly inside "
+                         f"branch {i}; the two halves are not invariant at eps=0")
+            break
 
     passes_i2 = True
     layers = postcritical_hierarchy(T0, depth)
     for k, pts in layers.items():
         for p in pts:
-            d = min((abs(p - h) for h in holes), default=math.inf)
+            d = min((abs(p - c) for c, *_ in holes), default=math.inf)
             if d <= HYPOTHESIS_TOL:
                 passes_i2 = False
                 diags.append(
@@ -453,9 +427,7 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
     if not passes_i4a:
         diags.append(f"(I4a) fails: min expansion {lam} <= 2")
 
-    b = family.boundary_b
-    crit = T0.critical_set
-    b_critical = min(abs(b - c) for c in crit) <= ENDPOINT_TOL
+    b_critical = min(abs(b - c) for c in T0.critical_set) <= ENDPOINT_TOL
     vals0 = evaluate(T0, b)
     if not halves_invariant:
         passes_p2 = False
@@ -493,12 +465,11 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
     passes_i3: Optional[bool] = None
     if phi_l is not None and phi_r is not None:
         passes_i3 = True
-        for h in holes:
-            grid = phi_l if h < b else phi_r
-            v = grid.value_near(h)
+        for c, side, _, left in holes:
+            v = (phi_l if left else phi_r).value_beside(c, side)
             if v <= HYPOTHESIS_TOL:
                 passes_i3 = False
-                diags.append(f"(I3) fails: ergodic density ~{v:.3g} at hole {h:.12g}")
+                diags.append(f"(I3) fails: ergodic density ~{v:.3g} at hole {c:.12g}")
     else:
         diags.append("(I3) not checked: no ergodic densities supplied")
     diags.append("(I1)/(P1) assumed; verify via spectral simplicity probe")

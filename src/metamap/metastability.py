@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .map_model import (ENDPOINT_TOL, Interval, MapModelError, PerturbationFamily,
-                        PiecewiseMap, evaluate)
+from .map_model import (Interval, MapModelError, PerturbationFamily, PiecewiseMap,
+                        evaluate)
 from . import spectral
 # second_eigenpair is not called here: perfbench/tracer.py patches it under this name
-from .spectral import (DegenerateSpectrumError, SolverError, escape_rate,  # noqa: F401
-                       invariant_density, second_eigenpair)
+from .spectral import (SolverError, escape_rate, invariant_density,  # noqa: F401
+                       second_eigenpair)
 from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam, cells_below,
                                 cells_with_center_in)
 
@@ -150,10 +150,7 @@ def analytic_lhr(family: PerturbationFamily, phi_l: DensityGrid,
     """
     num = den = 0.0
     for c, side, rate, left in family.first_order_holes():
-        phi = phi_l if left else phi_r
-        # the cell holding c nudged into the branch, so a c on a cell boundary
-        # (up to rounding) reads the cell on the hole's side
-        v = rate * float(phi.values[math.floor((c + side * ENDPOINT_TOL) * phi.n)])
+        v = rate * (phi_l if left else phi_r).value_beside(c, side)
         if left:
             den += v
         else:
@@ -325,7 +322,8 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
                        leading_simple=inv.leading_simple,
                        warnings=tuple(warnings))
         return row, EpsArtifacts(eps=eps, map_eps=map_eps, P=P, phi=phi, psi=psi)
-    except (MapModelError, SolverError, DegenerateSpectrumError, ValueError) as exc:
+    # MapModelError and DegenerateSpectrumError are ValueErrors
+    except (SolverError, ValueError) as exc:
         return SweepRow(eps=eps, warnings=tuple(warnings), error=str(exc)), None
 
 

@@ -38,7 +38,11 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    # quoted as RFC 4180 asks, so an error message keeps to its field
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:

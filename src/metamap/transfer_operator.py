@@ -44,7 +44,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .map_model import Branch, Interval, MapModelError, PiecewiseMap, min_expansion, distortion
+from .map_model import (ENDPOINT_TOL, Branch, Interval, MapModelError, PiecewiseMap,
+                        distortion, min_expansion)
 
 ROW_SUM_TOL = 1e-12
 # a cut point n*x within SNAP_ULPS * n * machine epsilon of an integer is
@@ -120,15 +121,20 @@ class DensityGrid:
         b = min(max(math.ceil(hi * self.n) + 1, a), self.n)
         bounds = np.arange(a, b + 1) / self.n
         over = np.clip(np.minimum(bounds[1:], hi) - np.maximum(bounds[:-1], lo), 0.0, None)
-        # einsum, not np.dot: see the deflated step in spectral.second_eigenpair
+        # einsum, not np.dot: see the deflated step in spectral._second_pair
         return float(np.einsum("i,i->", over, self.values[a:b]))
 
-    def value_near(self, x: float) -> float:
-        """Cell value at x averaged with its immediate neighbors."""
-        i = min(max(int(np.searchsorted(np.arange(self.n + 1) / self.n, x, side="right") - 1), 0),
-                self.n - 1)
-        lo, hi = max(i - 1, 0), min(i + 2, self.n)
-        return float(np.mean(self.values[lo:hi]))
+    def value_beside(self, x: float, side: int) -> float:
+        """The value of the cell just below x (side -1) or above it (+1).
+
+        x is nudged by ENDPOINT_TOL towards ``side``, so an x on a cell
+        boundary, up to rounding, reads the cell on that side: a density
+        may jump there.  Raises ValueError when that cell is off the grid.
+        """
+        i = math.floor((x + side * ENDPOINT_TOL) * self.n)
+        if not 0 <= i < self.n:
+            raise ValueError(f"no cell {'below' if side < 0 else 'above'} x={x}")
+        return float(self.values[i])
 
 
 @dataclass(frozen=True)
@@ -297,8 +303,9 @@ def _pieces(br: Branch, n: int, X0: float, X1: float,
 
 
 # Each branch's pieces per grid: branch -> {(n, X0, X1): pieces, or None
-# after its first assembly on those cells}.  Keys compare by value, and a
-# branch's entry goes when the branch dies.
+# after its first assembly on those cells}.  Keys compare by value.  Each
+# assembly re-keys the entry under its own branch, so the entry goes when the
+# last equal branch to reach it dies, not the first.
 _REUSED = weakref.WeakKeyDictionary()
 
 
@@ -309,7 +316,8 @@ def _branch_pieces(map_: PiecewiseMap, n: int):
     D = _snap(n * np.asarray(map_.critical_set), tol)
     D[0], D[-1] = 0.0, float(n)     # the critical set spans [0,1] to ENDPOINT_TOL
     for br, X0, X1 in zip(map_.branches, D[:-1].tolist(), D[1:].tolist()):
-        grids, key = _REUSED.setdefault(br, {}), (n, X0, X1)
+        grids, key = _REUSED.pop(br, {}), (n, X0, X1)
+        _REUSED[br] = grids
         pieces = grids.get(key)
         if pieces is None:
             pieces = _pieces(br, n, X0, X1, tol)
@@ -338,8 +346,9 @@ def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     The pieces of a branch assembled on the same cells twice before are
     reused, not cut again.  Branches compare by value, so an equal branch of
     another map reuses them too.  A branch is kept only from its second
-    assembly on, so one that a single map holds is never kept; it keeps one
-    entry per grid for as long as it lives, with no bound on their number.
+    assembly on, so one that a single map holds is never kept.  Its pieces
+    stay, one entry per grid with no bound on their number, for as long as
+    the equal branch that assembled last lives.
     Reuse changes no bit of the result.
     """
     if n < len(map_.branches):

@@ -5,12 +5,12 @@ import pytest
 
 from conftest import lebesgue_halves
 
-from metamap.map_model import (Branch, HypothesisViolation, MapModelError,
-                               PerturbationFamily, PiecewiseMap,
-                               branch_preimages, distortion, evaluate,
-                               infinitesimal_holes, min_expansion,
-                               postcritical_hierarchy, validate_hypotheses)
+from metamap.map_model import (Branch, MapModelError, PerturbationFamily,
+                               PiecewiseMap, distortion, evaluate,
+                               min_expansion, postcritical_hierarchy,
+                               validate_hypotheses)
 from metamap.families import DEFAULT_EPS_LIST
+from metamap.transfer_operator import DensityGrid
 
 
 def test_evaluate_branch_interior(fam_a):
@@ -90,8 +90,14 @@ def test_distortion_smooth_branch_dense_grid_oracle():
     assert distortion(m) == pytest.approx(oracle, abs=1e-4)
 
 
+def _branch_preimages(map_, y):
+    """Every (x, branch index) with the branch mapping x to y."""
+    return [(x, i) for i, br in enumerate(map_.branches)
+            if (x := br.preimage(y)) is not None]
+
+
 def test_branch_preimages_of_half(fam_a):
-    got = branch_preimages(fam_a.base, 0.5)
+    got = _branch_preimages(fam_a.base, 0.5)
     expected = [(1 / 6, 0), (1 / 3, 1), (1 / 3, 2), (2 / 3, 3), (2 / 3, 4), (5 / 6, 5)]
     assert len(got) == len(expected)
     for (x, i), (xe, ie) in zip(got, expected):
@@ -99,7 +105,7 @@ def test_branch_preimages_of_half(fam_a):
 
 
 def test_branch_preimages_of_zero(fam_a):
-    got = branch_preimages(fam_a.base, 0.0)
+    got = _branch_preimages(fam_a.base, 0.0)
     expected = [(0.0, 0), (1 / 6, 1), (0.5, 2)]
     assert len(got) == len(expected)
     for (x, i), (xe, ie) in zip(got, expected):
@@ -108,7 +114,7 @@ def test_branch_preimages_of_zero(fam_a):
 
 def test_branch_without_y_in_image_contributes_nothing(fam_a):
     # 0.9 lies only in the images of the three right branches
-    got = branch_preimages(fam_a.base, 0.9)
+    got = _branch_preimages(fam_a.base, 0.9)
     assert [i for _, i in got] == [3, 4, 5]
 
 
@@ -118,7 +124,7 @@ def test_preimage_evaluate_round_trip(fam_a):
     for _ in range(1000):
         x = rng.uniform(1e-9, 1 - 1e-9)
         y = evaluate(T, x)[0]
-        pres = [p for p, _ in branch_preimages(T, y)]
+        pres = [p for p, _ in _branch_preimages(T, y)]
         assert min(abs(p - x) for p in pres) <= 1e-12
 
 
@@ -128,24 +134,39 @@ def test_smooth_preimage_bracketing():
     for y in (0.1, 0.5, 0.9):
         x = br.preimage(y)
         assert abs(x * x + 2 * x - y) <= 1e-11
+    # one preimage per branch, the smooth one bracketed, the affine one closed form
+    for y in (0.1, 0.5, 0.9):
+        for x, i in _branch_preimages(m, y):
+            assert abs(m.branches[i](x) - y) <= 1e-11
+        assert [i for _, i in _branch_preimages(m, y)] == [0, 1]
 
 
-def test_infinitesimal_holes_family_a(fam_a):
-    holes = infinitesimal_holes(fam_a.base, 0.5)
-    assert np.allclose(holes, [1 / 6, 1 / 3, 2 / 3, 5 / 6], atol=1e-12)
+def test_first_order_holes_family_a(fam_a):
+    # the lifted branch 3x - 1/2 opens 1/3-, the lowered 3x - 3/2 opens 2/3+
+    holes = fam_a.first_order_holes()
+    assert [(side, left) for _, side, _, left in holes] == [(-1, True), (1, False)]
+    assert np.allclose([c for c, *_ in holes], [1 / 3, 2 / 3], atol=1e-12)
+    assert [rate for _, _, rate, _ in holes] == pytest.approx([1.0, 1 / 3], rel=1e-12)
 
 
-def test_infinitesimal_holes_family_b(fam_b):
-    # right-branch bottoms include the endpoint x = 1 (its one-sided value is 1/2)
-    holes = infinitesimal_holes(fam_b.base, 0.5)
-    assert np.allclose(holes, [1 / 6, 1 / 3, 2 / 3, 5 / 6, 1.0], atol=1e-12)
+def test_first_order_holes_family_b(fam_b):
+    # every branch end that maps to 1/2 opens, 1/2- and the endpoint 1- among them
+    holes = fam_b.first_order_holes()
+    assert np.allclose([c for c, *_ in holes], [1 / 6, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0],
+                       atol=1e-12)
+    assert [side for _, side, _, _ in holes] == [-1] * 6
+    assert [left for *_, left in holes] == [True] * 3 + [False] * 3
 
 
-def test_infinitesimal_holes_subset_of_critical_set(fam_a, fam_b):
+def test_first_order_holes_lie_in_critical_set(fam_a, fam_b):
     for fam in (fam_a, fam_b):
         crit = fam.base.critical_set
-        for h in infinitesimal_holes(fam.base, 0.5):
-            assert min(abs(h - c) for c in crit) <= 1e-12
+        for c, side, _, _ in fam.first_order_holes():
+            assert min(abs(c - x) for x in crit) <= 1e-12
+            # the branch beside c on the hole's side maps c to b
+            br = next(br for br in fam.base.branches
+                      if br.domain.lo - 1e-12 <= c + side * 1e-9 <= br.domain.hi + 1e-12)
+            assert abs(br(c) - fam.boundary_b) <= 1e-12
 
 
 def test_no_holes_when_only_b_maps_to_b():
@@ -155,7 +176,15 @@ def test_no_holes_when_only_b_maps_to_b():
         Branch.affine(0.5, 0.75, 2.0, -0.5),     # attains 1/2 only at x = 1/2
         Branch.affine(0.75, 1.0, 1.6, -0.6),     # image [0.6, 1], misses 1/2
     ])
-    assert infinitesimal_holes(m, 0.5) == []
+    # moving the branches that miss 1/2 opens no hole, and the preimages of b
+    # at b itself leave the halves invariant
+    fam = PerturbationFamily(base=m, intercept_eps=(0.1, 0.0, 0.0, -0.1))
+    assert fam.first_order_holes() == []
+    report = validate_hypotheses(fam, DEFAULT_EPS_LIST, depth=4)
+    assert not any(d.startswith("setup fails") for d in report.diagnostics)
+    # lifting the branch that reaches b from below opens b- itself
+    fam = PerturbationFamily(base=m, intercept_eps=(0.0, 1.0, 0.0, 0.0))
+    assert fam.first_order_holes() == [(0.5, -1, 0.5, True)]
 
 
 def test_interior_preimage_of_b_is_a_violation():
@@ -163,8 +192,13 @@ def test_interior_preimage_of_b_is_a_violation():
     m = PiecewiseMap([Branch.affine(0, 0.4, 2.5, 0),
                       Branch.affine(0.4, 0.8, 2.5, -1.0),
                       Branch.affine(0.8, 1.0, 5.0, -4.0)])
-    with pytest.raises(HypothesisViolation):
-        infinitesimal_holes(m, 0.5)
+    report = validate_hypotheses(PerturbationFamily(base=m), DEFAULT_EPS_LIST, depth=4)
+    assert not report.passes_P2
+    x = m.branches[0].preimage(0.5)
+    assert report.diagnostics[0] == (
+        f"setup fails: preimage {x} of boundary 0.5 lies strictly inside branch 0; "
+        "the two halves are not invariant at eps=0")
+    assert sum(d.startswith("setup fails") for d in report.diagnostics) == 1
 
 
 def test_validate_family_a_passes(fam_a):
@@ -189,8 +223,27 @@ def test_validate_family_b_boundary_failure(fam_b):
     report = validate_hypotheses(fam_b, DEFAULT_EPS_LIST, depth=8)
     assert not report.passes_P2
     assert any("T0(b-)" in d for d in report.diagnostics)
-    # the endpoint hole at 1 is also hit by the critical orbit
+    # the critical orbit hits the holes at 1/2- and 1-, at every iterate
     assert not report.passes_I2
+    for k in range(1, 9):
+        for h in ("0.5", "1"):
+            assert (f"(I2) fails: iterate {k} of the critical set hits infinitesimal "
+                    f"hole at {h} (distance 0)") in report.diagnostics
+
+
+def test_I3_reads_the_density_on_the_hole_side(fam_a):
+    # phi_l vanishes in the cell just below 1/3, where the hole 1/3- lies,
+    # and is positive above it, so an average across 1/3 would pass
+    n = 384
+    phi_l, phi_r = lebesgue_halves(n)
+    values = phi_l.values.copy()
+    values[n // 3 - 1] = 0.0
+    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8,
+                                 phi_l=DensityGrid(n, values), phi_r=phi_r)
+    assert report.passes_I3 is False
+    assert "(I3) fails: ergodic density ~0 at hole 0.333333333333" in report.diagnostics
+    # the other hole, 2/3+, reads phi_r above 2/3
+    assert sum(d.startswith("(I3) fails") for d in report.diagnostics) == 1
 
 
 def test_validate_doubling_fails_I4a(doubling_map):

@@ -7,7 +7,7 @@ import pytest
 from conftest import FINE_EPS, FINE_N, block_rates, lebesgue_halves, record_solves
 
 from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFamily,
-                               PiecewiseMap, evaluate)
+                               PiecewiseMap, evaluate, validate_hypotheses)
 from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
                                    ergodic_densities, flux_balance, hole_measures,
                                    markov_stationary, predict_mixture,
@@ -420,6 +420,29 @@ def test_sweep_rows_hold_fixed_point_properties_on_random_families():
             assert abs(np.mean(art.psi.values)) <= 1e-12, (seed, eps)
             for ratio in (row.escape_ratio_l, row.escape_ratio_r):
                 assert 0.0 < ratio < math.inf, (seed, eps)
+
+
+# The seeds of random_two_half_family on which validate_hypotheses passes
+# (I2) at eps 0.004, 0.002, 0.001.  The claim in rate form, that
+# l1_phi_vs_mixture falls by at least 1.3x at both halvings on n = 12000m,
+# holds on the same seeds except two:
+# * seed 21 passes (I2), but its distance moves 0.85x, then 4.17x.  On
+#   eps 0.008 ... 0.00025 at n = 24000m it falls from 0.0115 to 0.000396, so
+#   the three-eps window misses a claim that holds.
+# * seed 28 fails (I2): its left hole sits at b-, which the critical orbit
+#   reaches, so mass that leaves through it comes back (left escape ratio
+#   1.32-1.55).  On this ladder its distance still falls 1.34x per halving.
+I2_PASSES = {0, 1, 2, 6, 7, 11, 12, 15, 18, 19, 20, 21, 22, 23, 24, 25, 26, 30,
+             32, 33, 35, 37, 38, 39}
+
+
+def test_I2_on_random_families_is_the_measured_table():
+    passes = {seed for seed in range(40)
+              if validate_hypotheses(random_two_half_family(np.random.default_rng(seed))[0],
+                                     [0.004, 0.002, 0.001]).passes_I2}
+    # on seeds 0-15 the claim holds on exactly these
+    assert passes & set(range(16)) == {0, 1, 2, 6, 7, 11, 12, 15}
+    assert passes == I2_PASSES
 
 
 def test_analytic_lhr_matches_measured_hole_ratio(fam_a, fam_b):

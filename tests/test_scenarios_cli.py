@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -17,7 +18,7 @@ from metamap.cli import main
 from metamap.families import DEFAULT_EPS_LIST, family_a
 from metamap.map_model import validate_hypotheses
 from metamap.metastability import markov_stationary
-from metamap.runner import run_scenario
+from metamap.runner import _cell, run_scenario
 from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
                                grid_warnings, load_scenario, suggested_grid_n)
 
@@ -288,6 +289,25 @@ def test_cli_run_failed_rows_exit_2(tmp_path):
     assert code == 2
     sweep = (tmp_path / "bad" / "sweep.csv").read_text().splitlines()
     assert "escapes" in sweep[1]
+
+
+def test_sweep_csv_quotes_an_error_that_holds_commas(tmp_path):
+    # the eps = 0.2 row's error names an image [lo, hi] and [0,1]
+    out = tmp_path / "bad"
+    assert main(["run", "--scenario", "builtin:family_a", "--eps", "0.2",
+                 "--grid", "192", "--out", str(out)]) == 2
+    with open(out / "sweep.csv", newline="") as fh:
+        head, *rows = list(csv.reader(fh))
+    assert len(head) == 12 and [len(r) for r in rows] == [12]
+    error = json.loads((out / "sweep.json").read_text())["rows"][0]["error"]
+    assert "," in error and rows[0][head.index("error")] == error
+
+
+def test_csv_cell_quotes_only_text_that_needs_it():
+    assert _cell("plain text") == "plain text"
+    assert _cell('say "a, b"') == '"say ""a, b"""'
+    assert _cell("two\nlines") == '"two\nlines"'
+    assert _cell(0.5) == "0.5" and _cell(True) == "true" and _cell(None) == ""
 
 
 def test_cli_run_row_with_complex_second_eigenvalue_fails_alone(tmp_path, monkeypatch):

@@ -278,6 +278,43 @@ def test_reused_pieces_go_with_their_branch(monkeypatch):
     assert not any(br in to._REUSED for br in twins)
 
 
+def test_reused_pieces_outlive_the_branch_that_stored_them(monkeypatch):
+    cut = _count_cuts(monkeypatch)
+    monkeypatch.setattr(to, "_REUSED", weakref.WeakKeyDictionary())
+    first = family_a()
+    build_ulam(first.base, 96)
+    build_ulam(first.base, 96)
+    fresh = family_a()
+    build_ulam(fresh.base, 96)
+    cut.clear()         # the list holds the branches it counted
+    del first
+    gc.collect()
+    # the equal branches of the fresh family still find the pieces
+    build_ulam(fresh.base, 96)
+    assert cut == []
+    # and no entry is left once every equal branch is gone
+    twins = [dataclasses.replace(br) for br in fresh.base.branches]
+    del fresh
+    gc.collect()
+    assert not any(br in to._REUSED for br in twins)
+
+
+def test_value_beside_reads_the_cell_on_the_given_side():
+    n = 384
+    grid = DensityGrid(n, np.where(np.arange(n) < n // 3, 0.0, 2.0))
+    # 1/3 is the boundary of cells 127 and 128, up to rounding
+    for x in (1 / 3, 1 / 3 + 1e-15, 1 / 3 - 1e-15):
+        assert grid.value_beside(x, -1) == 0.0 and grid.value_beside(x, 1) == 2.0
+    # off a boundary both sides read the cell that holds x
+    ramp = DensityGrid(n, np.arange(n, dtype=float))
+    assert ramp.value_beside(200.5 / n, -1) == ramp.value_beside(200.5 / n, 1) == 200.0
+    assert ramp.value_beside(0.0, 1) == 0.0 and ramp.value_beside(1.0, -1) == n - 1
+    # no cell below 0 or above 1, not the other end's cell
+    for x, side in ((0.0, -1), (1.0, 1)):
+        with pytest.raises(ValueError, match="no cell"):
+            ramp.value_beside(x, side)
+
+
 def test_smooth_branch_representation_matches_affine(fam_a):
     # same map, branches given as callables: identical matrix up to rounding
     smooth_branches = []

@@ -1,11 +1,12 @@
 #!/bin/sh
 # The determinism contract in one command: run the three builtin scenarios,
 # demos/scenario_family_a.json, builtin families A and B on the
-# benchmark's fine ladder (n = 15360, eps 0.0064 ... 0.0008), and family A
-# on n = 769, whose cell 384 straddles b = 1/2 (a sweep that fails), with the
-# sources of <base-rev> and with those of this working tree, each side
-# reading the scenario file from its own checkout, and compare every file
-# they write.  What each run prints (stdout and stderr, the side's output
+# benchmark's fine ladder (n = 15360, eps 0.0064 ... 0.0008) and on
+# n = 122880 at eps 0.0001 (1.2-1.7 s and about 14 MB of files per run),
+# and family A on n = 769, whose cell 384 straddles b = 1/2 (a sweep that
+# fails), with the sources of <base-rev> and with those of this working
+# tree, each side reading the scenario file from its own checkout, and
+# compare every file they write.  What each run prints (stdout and stderr, the side's output
 # directory written <out>) is compared too, and so is what
 # `metamap validate` prints for the three builtins and the scenario file.
 # So are the steps: each call writes <name>.steps, one line per run of the
@@ -78,6 +79,9 @@ for side in base tree; do
     for f in family_a family_b; do
         cli "${f}_fine" run --scenario "builtin:$f" --grid 15360 \
             --eps 0.0064,0.0032,0.0016,0.0008 --out "$tmp/out/$side/${f}_fine"
+        # the largest grid of the test suite, which keeps the grid rule
+        cli "${f}_122880" run --scenario "builtin:$f" --grid 122880 \
+            --eps 0.0001 --out "$tmp/out/$side/${f}_122880"
     done
     cli family_a_straddling run --scenario builtin:family_a --grid 769 \
         --eps 0.02,0.01 --out "$tmp/out/$side/family_a_straddling"
