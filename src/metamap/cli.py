@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .map_model import validate_hypotheses
@@ -70,6 +71,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "markov":
+            for flag, e in (("--eps-lr", args.eps_lr), ("--eps-rl", args.eps_rl)):
+                if not math.isfinite(e):
+                    raise ScenarioError([f"{flag}: expected a finite number, got {e!r}"])
             alpha, rho = markov_stationary(args.eps_lr, args.eps_rl)
             print(f"alpha = {alpha!r}")
             print(f"rho = {rho!r}")

@@ -1,10 +1,10 @@
-"""Number formatting for the report writers.
+"""Number formatting for the CSV writer.
 
 Report columns repeat values: the x and mixture columns are shared by every
-density file of a run, the mixture has a handful of distinct values, and
-pixel coordinates repeat along flat stretches of a plot.  ``format_unique``
-formats each distinct value once and indexes the strings back, so a
-writer's cost follows the number of distinct values, not of cells.
+density file of a run, and the mixture has a handful of distinct values.
+``format_unique`` formats each distinct value once and indexes the strings
+back, so the writer's cost follows the number of distinct values, not of
+cells.
 """
 
 from __future__ import annotations

@@ -68,9 +68,14 @@ def normalize_eps(eps_list, field: str = "eps_list") -> list[float]:
 
     Per-eps artifacts are named by the ``:g`` label of eps
     (``density_0.02.csv``), so two distinct values with one label would
-    write the same files; such a list is rejected.
+    write the same files; such a list is rejected, and so is a NaN or an
+    infinity, which the callers' ``e <= 0`` checks let through.
     """
-    eps = sorted({float(e) for e in eps_list}, reverse=True)
+    eps = [float(e) for e in eps_list]
+    bad = [e for e in eps if not math.isfinite(e)]
+    if bad:
+        raise ScenarioError([f"{field}: values must be finite, got {bad[0]!r}"])
+    eps = sorted(set(eps), reverse=True)
     errors = [f"{field}: {a!r} and {b!r} share the file label {a:g}"
               for a, b in zip(eps, eps[1:]) if f"{a:g}" == f"{b:g}"]
     if errors:

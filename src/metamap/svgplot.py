@@ -1,4 +1,10 @@
-"""Minimal SVG line plots: polylines, axes, ticks, legend.  Needs only numpy."""
+"""Minimal SVG line plots: polylines, axes, ticks, legend.  Needs only numpy.
+
+Each polyline's ``points`` text is written from one numpy byte buffer, not
+formatted point by point: ``_points`` writes the digits of every pixel
+coordinate by integer division and decodes the buffer once, with the bytes
+that ``'{:.2f}'`` gives each coordinate.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +12,18 @@ import math
 
 import numpy as np
 
-from .numfmt import format_unique
-
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _PX = "{:.2f}".format
+
+# The byte buffer holds coordinates below _BUFFER_MAX in magnitude.  There
+# r = rint(100*|v|) fits an int32, and the float64 product 100*|v| is off
+# the exact one by at most 2**-23, so r is the correctly rounded value that
+# '{:.2f}' prints unless a half-integer lies within that error.  A
+# coordinate whose product lies within _TIE_MARGIN > 2**-23 of a
+# half-integer (exact ties such as v = m/8 among them), and one that does
+# not fit, goes through _PX itself.
+_BUFFER_MAX = 2.0 ** 24
+_TIE_MARGIN = 1e-4
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -72,14 +86,54 @@ def _unit(v, lo: float, hi: float, log: bool) -> np.ndarray:
     return (v - a) / (b - a)
 
 
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """A polyline's ``points`` text: ``" ".join(f"{x:.2f},{y:.2f}")`` over
+    the pixel coordinates, byte for byte."""
+    v = np.empty(2 * len(px))
+    v[0::2], v[1::2] = px, py
+    t = 100.0 * np.minimum(np.abs(v), _BUFFER_MAX)    # finite unless NaN
+    fits = (t < 100.0 * _BUFFER_MAX) & (np.abs(t - np.floor(t) - 0.5) >= _TIE_MARGIN)
+    slow = np.flatnonzero(~fits)
+    t[slow] = 0.0
+    ip, dec = np.divmod(np.rint(t, out=t).astype(np.int32), 100)
+    # Column j of buf is coordinate j, right-aligned: the sign, the integer
+    # digits, ".", two decimals and the separator, with NUL bytes above.
+    digits = len(str(int(ip.max())))
+    buf = np.zeros((digits + 5, len(v)), np.uint8)
+    buf[-1, 0::2], buf[-1, 1::2] = ord(","), ord(" ")
+    tens, units = np.divmod(dec, 10)
+    buf[-2], buf[-3], buf[-4] = 48 + units, 48 + tens, ord(".")
+    ip, units = np.divmod(ip, 10)
+    buf[-5] = 48 + units
+    lead = np.full(len(v), digits)          # row of the leading digit
+    for row in range(digits - 1, 0, -1):
+        more = ip > 0
+        ip, units = np.divmod(ip, 10)
+        buf[row] = np.where(more, 48 + units, 0)
+        lead -= more
+    neg = np.flatnonzero(np.signbit(v) & fits)
+    buf[lead[neg] - 1, neg] = ord("-")
+    # A coordinate that does not fit leaves a \x01 where _PX's text goes.
+    buf[:-1, slow] = 0
+    buf[-2, slow] = 1
+    cols = buf.T
+    text = cols[cols != 0].tobytes().decode()
+    if len(slow):
+        pieces = text.split("\x01")
+        strs = map(_PX, v[slow].tolist())
+        text = "".join([p for pair in zip(pieces, strs) for p in pair] + pieces[-1:])
+    return text[:-1]
+
+
 def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
                      logx: bool = False, logy: bool = False,
                      width: int = 720, height: int = 480) -> str:
     """Render [(xs, ys, label), ...] as a standalone SVG string.
 
-    Pairs beyond the shorter of xs and ys, pairs with a NaN and, on a log
-    axis, nonpositive values are left out.  Coordinates are computed as
-    arrays and each distinct coordinate is formatted once.
+    Pairs beyond the shorter of xs and ys, pairs with a NaN or an infinity
+    and, on a log axis, nonpositive values are left out.  An axis range too
+    wide for a float64 raises ValueError.  Pixel coordinates are computed as
+    arrays and written by ``_points``.
     """
     ml, mr, mt, mb = 72, 24, 40, 52
     pw, ph = width - ml - mr, height - mt - mb
@@ -88,7 +142,7 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     for xs, ys, label in series:
         n = min(len(xs), len(ys))
         x, y = _floats(xs, n), _floats(ys, n)
-        keep = ~(np.isnan(x) | np.isnan(y))
+        keep = np.isfinite(x) & np.isfinite(y)
         if logx:
             keep &= x > 0
         if logy:
@@ -109,6 +163,10 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     if not logy:
         pad = 0.05 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad
+    for name, lo, hi, v in (("x", x0, x1, all_x), ("y", y0, y1, all_y)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"{name} values from {float(v.min())!r} to "
+                             f"{float(v.max())!r}: the axis range overflows float64")
 
     def tx(v) -> np.ndarray:
         return ml + _unit(v, x0, x1, logx) * pw
@@ -142,14 +200,11 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
         out.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                    f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>')
 
-    # Series often share their x values (the density plot), so all x
-    # coordinates are formatted together; y coordinates one series at a time.
-    x_strs = format_unique(tx(all_x), _PX)
+    px_all = tx(all_x)
     start = 0
     for k, (x, y, label) in enumerate(clean):
         stop = start + len(x)
-        coords = " ".join(map(",".join, zip(x_strs[start:stop],
-                                            format_unique(ty(y), _PX))))
+        coords = _points(px_all[start:stop], ty(y))
         start = stop
         color = PALETTE[k % len(PALETTE)]
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '

@@ -6,7 +6,7 @@ import pytest
 
 from metamap.numfmt import format_unique
 from metamap.runner import write_density_csv
-from metamap.svgplot import (PALETTE, _fmt, _log_ticks, _nice_ticks,
+from metamap.svgplot import (PALETTE, _fmt, _log_ticks, _nice_ticks, _points,
                              render_line_plot)
 
 
@@ -89,13 +89,14 @@ def test_density_csv_rejects_columns_of_different_length(tmp_path):
 
 def reference_render(series, *, title="", xlabel="", ylabel="", logx=False,
                      logy=False, width=720, height=480) -> str:
-    """The per-point renderer: a closure call and a format call per point."""
+    """The per-point renderer: a closure call and a format call per point.
+    Pairs with a NaN or an infinity are left out."""
     ml, mr, mt, mb = 72, 24, 40, 52
     pw, ph = width - ml - mr, height - mt - mb
     clean = []
     for xs, ys, label in series:
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if not (math.isnan(x) or math.isnan(y))
+               if math.isfinite(x) and math.isfinite(y)
                and not (logx and x <= 0) and not (logy and y <= 0)]
         if pts:
             clean.append((pts, label))
@@ -206,13 +207,20 @@ def test_render_line_plot_matches_per_point_reference():
             outcome(reference_render, series, **kwargs), f"seed {seed}"
 
 
-def test_render_line_plot_density_axes_match_reference():
+def check_density_axes_match_reference(n):
     rng = np.random.default_rng(11)
-    n = 3840
     x = (np.arange(n) + 0.5) / n
     phi = rng.choice(rng.uniform(0, 2, 40), size=n)
     series = [(x, phi, "phi"), (x, np.full(n, 0.5), "mixture"), (x, phi - 1, "psi")]
     assert render_line_plot(series, title="d") == reference_render(series, title="d")
+
+
+def test_render_line_plot_density_axes_match_reference():
+    check_density_axes_match_reference(3840)
+
+
+def test_render_line_plot_fine_density_axes_match_reference():
+    check_density_axes_match_reference(122880)
 
 
 def test_render_line_plot_negative_zero_pixel_matches_reference():
@@ -224,8 +232,75 @@ def test_render_line_plot_negative_zero_pixel_matches_reference():
     assert svg == reference_render(series, height=12)
 
 
+def hard_coordinates():
+    """Pixel coordinates where writing '{:.2f}' from rint(100*v) can go
+    wrong: exact ties m/8 and their neighbours, values within 1e-12 of
+    x.xx5, both zeros, tiny negatives, and coordinates too wide for the
+    byte buffer or not finite."""
+    rng = np.random.default_rng(5)
+    ties = np.arange(-80000, 80000) / 8
+    near_half = ((np.round(rng.uniform(-2000, 2000, 20000) * 100) + 0.5) / 100
+                 + rng.uniform(-1e-12, 1e-12, 20000))
+    return np.concatenate([
+        ties, np.nextafter(ties, math.inf), np.nextafter(ties, -math.inf),
+        near_half, (np.arange(-30000, 30000) + 0.5) / 100,
+        [0.0, -0.0, -0.004, -0.005, -0.0050000001, -1e-9, -5e-324, 5e-324,
+         0.994999999, 0.995, 9.995, 99.995, 999.995, -999.995, 1234567.895],
+        [2.0 ** 24 - 0.01, 2.0 ** 24, -2.0 ** 24 - 0.5, 2.0 ** 30, 2.0 ** 31 + 0.375,
+         1e12 + 0.125, -3.3e15, 1e300, -1e300, math.nan, math.inf, -math.inf],
+        rng.uniform(-1e9, 1e9, 2000), rng.standard_normal(2000) * 1e-3])
+
+
+@pytest.mark.parametrize("size", [None, 2, 20, 2001])
+def test_points_match_per_point_format(size):
+    v = hard_coordinates()
+    if size is not None:             # short runs, so each buffer width is used
+        v = np.random.default_rng(size).permutation(v)[:2 * size]
+    v = v[:len(v) // 2 * 2]
+    px, py = v[0::2], v[1::2]
+    expected = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
+    assert _points(px, py) == expected
+
+
+def test_render_line_plot_zero_size_matches_reference():
+    # width=0 or height=0 gives a negative plot size, so pixel coordinates
+    # run below zero
+    rng = np.random.default_rng(4)
+    series = [(np.arange(200.0), rng.standard_normal(200), "a"),
+              (np.arange(200.0), np.full(200, 0.25), "b")]
+    for width, height in [(0, 0), (0, 480), (720, 0)]:
+        svg = render_line_plot(series, width=width, height=height)
+        points = [p.getAttribute("points") for p in
+                  minidom.parseString(svg).getElementsByTagName("polyline")]
+        assert any(c.startswith("-") for p in points for c in p.replace(",", " ").split())
+        assert svg == reference_render(series, width=width, height=height)
+
+
+def test_render_line_plot_leaves_out_infinite_pairs():
+    # a pair with an infinity used to raise OverflowError from the ticks
+    xs = [0.0, 1.0, 2.0, math.inf, 4.0, 5.0]
+    ys = [1.0, -math.inf, 3.0, 4.0, math.inf, 6.0]
+    svg = render_line_plot([(xs, ys, "a")])
+    assert svg == render_line_plot([([0.0, 2.0, 5.0], [1.0, 3.0, 6.0], "a")])
+    assert svg == reference_render([(xs, ys, "a")])
+    assert render_line_plot([([0, 1], [1, math.inf], "a")]) == \
+        render_line_plot([([0], [1], "a")])
+
+
+@pytest.mark.parametrize("series, axis", [
+    ([([0, 1e308], [-1e308, 1e308], "a")], "y"),
+    ([([-1e308, 1e308], [0.0, 1.0], "a")], "x"),
+    # the data span fits, but the 5% padding of the y axis does not
+    ([([0.0, 1.0], [0.0, 1.7e308], "a")], "y"),
+])
+def test_render_line_plot_rejects_an_overflowing_axis_range(series, axis):
+    with pytest.raises(ValueError, match=f"^{axis} values from .* overflows float64"):
+        render_line_plot(series)
+
+
 @pytest.mark.parametrize("series, kwargs", [
     ([], {}),
+    ([([math.inf, 1.0], [2.0, -math.inf], "a")], {}),
     ([([math.nan, 1.0], [2.0, math.nan], "a")], {}),
     ([([0.0, -1.0], [1.0, 2.0], "a")], {"logx": True}),
     ([([1.0, 2.0], [-3.0, 0.0], "a")], {"logy": True}),

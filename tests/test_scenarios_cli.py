@@ -155,6 +155,18 @@ def test_cli_markov_domain_error(capsys):
     assert main(["markov", "--eps-lr", "-1", "--eps-rl", "0.03"]) == 1
 
 
+@pytest.mark.parametrize("lr, rl, message", [
+    # NaN used to pass every check and print alpha = nan with exit 0
+    ("nan", "0.1", "--eps-lr: expected a finite number, got nan"),
+    ("0.1", "inf", "--eps-rl: expected a finite number, got inf"),
+])
+def test_cli_markov_rejects_non_finite_eps(capsys, lr, rl, message):
+    assert main(["markov", "--eps-lr", lr, "--eps-rl", rl]) == 1
+    printed = capsys.readouterr()
+    assert message in printed.err
+    assert "alpha" not in printed.out
+
+
 def test_cli_validate_family_b(capsys):
     assert main(["validate", "--scenario", "builtin:family_b"]) == 0
     out = capsys.readouterr().out
@@ -430,6 +442,11 @@ def test_cli_grid_below_two_rejected_before_writing(tmp_path, capsys, grid):
 @pytest.mark.parametrize("eps, message", [
     ("0.01,abc", "--eps: cannot parse '0.01,abc'"),
     ("0.01,-0.001", "--eps: values must be positive, got '0.01,-0.001'"),
+    ("0.01,-inf", "--eps: values must be positive, got '0.01,-inf'"),
+    # NaN and infinity pass `e <= 0`; they used to write the artifacts and
+    # fail their row with "cannot convert float NaN to integer"
+    ("nan", "--eps: values must be finite, got nan"),
+    ("0.01,inf", "--eps: values must be finite, got inf"),
     # an empty --eps used to run the scenario's own eps list
     ("", "--eps: empty value in ''"),
     ("0.01,,0.02", "--eps: empty value in '0.01,,0.02'"),
@@ -508,6 +525,26 @@ def test_empty_eps_list_rejected_before_writing(tmp_path, capsys, grid_n):
     assert main(["validate", "--scenario", path]) == 1
     assert main(["run", "--scenario", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err.count("eps_list: expected at least one value") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_n", [None, 384])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_eps_list_rejected_before_writing(tmp_path, capsys, bad, grid_n):
+    # without a grid_n, NaN used to fail the grid rule with "fatal: cannot
+    # convert float NaN to integer"; infinity ran and failed its row
+    data = dict(FAMILY_A_JSON, eps_list=[0.02, bad])
+    if grid_n is None:
+        del data["grid_n"]
+    path = write_scenario(tmp_path, data)
+    message = f"eps_list: values must be finite, got {bad!r}"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.errors == [message]
+    out = tmp_path / "out"
+    assert main(["validate", "--scenario", path]) == 1
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count(message) == 2
     assert not out.exists()
 
 

@@ -2,9 +2,10 @@
 # The determinism contract in one command: run the three builtin scenarios,
 # demos/scenario_family_a.json, builtin families A and B on the
 # benchmark's fine ladder (n = 15360, eps 0.0064 ... 0.0008) and on
-# n = 122880 at eps 0.0001 (1.2-1.7 s and about 14 MB of files per run),
-# and family A on n = 769, whose cell 384 straddles b = 1/2 (a sweep that
-# fails), with the sources of <base-rev> and with those of this working
+# n = 122880 at eps 0.0001 (1.2-1.7 s and about 14 MB of files per run;
+# each writes a densities.svg of 3 x 122880 points, the large-n byte check
+# of the SVG writer's coordinate buffer), and family A on n = 769, whose
+# cell 384 straddles b = 1/2 (a sweep that fails), with the sources of <base-rev> and with those of this working
 # tree, each side reading the scenario file from its own checkout, and
 # compare every file they write.  What each run prints (stdout and stderr, the side's output
 # directory written <out>) is compared too, and so is what
