@@ -22,7 +22,7 @@ from metamap.transfer_operator import build_ulam, cells_below
 fam = family_b()
 report = validate_hypotheses(fam, [0.02, 0.01, 0.005], depth=8)
 print("hypothesis check:")
-print(f"  boundary condition P2: {report.passes_P2}")
+print(f"  boundary condition P2: {report.P2}")
 for d in report.diagnostics:
     if "P2" in d or "setup" in d:
         print(f"  {d}")

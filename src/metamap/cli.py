@@ -83,15 +83,7 @@ def main(argv=None) -> int:
             if scn.kind == "markov":
                 print("markov scenarios have no map hypotheses to validate")
                 return 0
-            report = validate_hypotheses(scn.family, scn.eps_list)
-            print(f"min_expansion = {report.min_expansion!r}")
-            print(f"distortion = {report.distortion!r}")
-            print(f"I2 (depth {report.checked_depth}): {'pass' if report.passes_I2 else 'FAIL'}")
-            print(f"I3: {'not checked' if report.passes_I3 is None else ('pass' if report.passes_I3 else 'FAIL')}")
-            print(f"I4a: {'pass' if report.passes_I4a else 'FAIL'}")
-            print(f"P2: {'pass' if report.passes_P2 else 'FAIL'}")
-            for d in report.diagnostics:
-                print(f"  {d}")
+            print("\n".join(validate_hypotheses(scn.family, scn.eps_list).lines()))
             return 0
         return run_scenario(_apply_overrides(scn, args))
     except ScenarioError as exc:

@@ -278,7 +278,7 @@ class PerturbationFamily:
 
     def __post_init__(self):
         nb = len(self.base.branches)
-        for name in ("slope_eps", "intercept_eps"):
+        for name in ("slope_eps", "intercept_eps", "smooth_eps"):
             arr = getattr(self, name)
             if arr and len(arr) != nb:
                 raise MapModelError(f"{name} must have one entry per branch")
@@ -358,12 +358,25 @@ class HypothesisReport:
 
     min_expansion: float
     distortion: float
-    passes_I2: bool
+    I2: bool
     checked_depth: int
-    passes_I3: Optional[bool]
-    passes_I4a: bool
-    passes_P2: bool
+    I3: Optional[bool]
+    I4a: bool
+    P2: bool
     diagnostics: list[str] = field(default_factory=list)
+
+    def lines(self) -> list[str]:
+        """The report as ``metamap validate`` prints it, one line per entry;
+        ``hypotheses.txt`` holds the same lines after its scenario line."""
+        def verdict(ok):
+            return "not checked" if ok is None else ("pass" if ok else "FAIL")
+        return [f"min_expansion = {self.min_expansion!r}",
+                f"distortion = {self.distortion!r}",
+                f"I2 (depth {self.checked_depth}): {verdict(self.I2)}",
+                f"I3: {verdict(self.I3)}",
+                f"I4a: {verdict(self.I4a)}",
+                f"P2: {verdict(self.P2)}",
+                *(f"  {d}" for d in self.diagnostics)]
 
 
 def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
@@ -474,7 +487,6 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
         diags.append("(I3) not checked: no ergodic densities supplied")
     diags.append("(I1)/(P1) assumed; verify via spectral simplicity probe")
 
-    return HypothesisReport(min_expansion=lam, distortion=dis,
-                            passes_I2=passes_i2, checked_depth=depth,
-                            passes_I3=passes_i3, passes_I4a=passes_i4a,
-                            passes_P2=passes_p2, diagnostics=diags)
+    return HypothesisReport(min_expansion=lam, distortion=dis, I2=passes_i2,
+                            checked_depth=depth, I3=passes_i3, I4a=passes_i4a,
+                            P2=passes_p2, diagnostics=diags)

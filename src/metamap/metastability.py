@@ -234,11 +234,6 @@ class SweepRow:
     warnings: tuple[str, ...] = ()
     error: Optional[str] = None
 
-    FIELDS = ("eps", "lhr_emp", "alpha_pred", "l1_phi_vs_mixture",
-              "l1_psi_vs_half_diff", "rho", "flux_gap",
-              "escape_ratio_l", "escape_ratio_r", "mu_Il",
-              "leading_simple", "error")
-
 
 @dataclass(frozen=True)
 class SweepContext:

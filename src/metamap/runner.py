@@ -5,7 +5,7 @@ Artifacts per run (all under the scenario's output directory):
 * ``sweep.csv`` / ``sweep.json``  - one row per eps (JSON carries diagnostics)
 * ``density_<eps>.csv``           - x, phi, mixture, psi per cell
 * ``saltus_<eps>.csv``            - jump location, size, depth
-* ``hypotheses.txt``              - hypothesis report
+* ``hypotheses.txt``              - hypothesis report, as ``metamap validate`` prints it
 * ``densities.svg``, ``l1_vs_eps.svg``, ``rho_vs_eps.svg``
 * ``markov.csv``                  - for markov scenarios
 
@@ -46,10 +46,12 @@ def _cell(value) -> str:
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
+    """One column per SweepRow field but ``warnings``, which sweep.json holds."""
+    columns = [f.name for f in dataclasses.fields(SweepRow) if f.name != "warnings"]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SweepRow.FIELDS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(getattr(row, c)) for c in SweepRow.FIELDS) + "\n")
+            fh.write(",".join(_cell(getattr(row, c)) for c in columns) + "\n")
 
 
 def _cell_centers(n: int) -> np.ndarray:
@@ -105,17 +107,11 @@ def _run_family(scn: Scenario, log) -> int:
     report = validate_hypotheses(fam, scn.eps_list)
     hyp_path = os.path.join(scn.out_dir, "hypotheses.txt")
     with open(hyp_path, "w") as fh:
-        fh.write(f"scenario: {scn.name}\n")
-        fh.write(f"min_expansion: {report.min_expansion!r}\n")
-        fh.write(f"distortion: {report.distortion!r}\n")
-        fh.write(f"I2 (depth {report.checked_depth}): {report.passes_I2}\n")
-        fh.write(f"I3: {report.passes_I3}\n")
-        fh.write(f"I4a: {report.passes_I4a}\n")
-        fh.write(f"P2: {report.passes_P2}\n")
-        for d in report.diagnostics:
-            fh.write(f"  {d}\n")
-    log(f"hypotheses: I2={report.passes_I2} I4a={report.passes_I4a} "
-        f"P2={report.passes_P2} (details in {hyp_path})")
+        fh.write("\n".join([f"scenario: {scn.name}", *report.lines()]) + "\n")
+    hypotheses = dataclasses.asdict(report)
+    # the verdicts that were checked: I3 is None without ergodic densities
+    checked = " ".join(f"{k}={v}" for k, v in hypotheses.items() if isinstance(v, bool))
+    log(f"hypotheses: {checked} (details in {hyp_path})")
     log(f"alpha_pred = {ctx.alpha_pred!r} on n = {scn.grid_n}")
 
     results = [run_sweep_row(ctx, e) for e in scn.eps_list]
@@ -148,7 +144,7 @@ def _run_family(scn: Scenario, log) -> int:
                               art.psi.values if art.psi is not None else None)
 
     write_sweep_csv(os.path.join(scn.out_dir, "sweep.csv"), rows)
-    _write_sweep_json(scn, warnings, ctx.alpha_pred, rows, report, saltus_rows)
+    _write_sweep_json(scn, warnings, ctx.alpha_pred, rows, hypotheses, saltus_rows)
     _write_plots(scn, ctx, rows, arts)
 
     failed = [r for r in rows if r.error]
@@ -159,22 +155,13 @@ def _run_family(scn: Scenario, log) -> int:
     return 2 if failed else 0
 
 
-def _write_sweep_json(scn, warnings, alpha_pred, rows, report, saltus_rows) -> None:
+def _write_sweep_json(scn, warnings, alpha_pred, rows, hypotheses, saltus_rows) -> None:
     payload = {
         "scenario": scn.name,
         "grid_n": scn.grid_n,
         "alpha_pred": alpha_pred,
         "grid_warnings": warnings,
-        "hypotheses": {
-            "min_expansion": report.min_expansion,
-            "distortion": report.distortion,
-            "I2": report.passes_I2,
-            "checked_depth": report.checked_depth,
-            "I3": report.passes_I3,
-            "I4a": report.passes_I4a,
-            "P2": report.passes_P2,
-            "diagnostics": report.diagnostics,
-        },
+        "hypotheses": hypotheses,
         "rows": [dataclasses.asdict(r) for r in rows],
         "saltus": {repr(eps): data for eps, data in sorted(saltus_rows.items())},
     }

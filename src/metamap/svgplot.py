@@ -56,6 +56,13 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
              for f in (0.0, 1 / 3, 2 / 3, 1.0))]
 
 
+def _widen(v: float) -> tuple[float, float]:
+    """A linear axis range around the one value v: v -+ 0.5, or v -+ |v|/2
+    where v -+ 0.5 rounds back to v, as it can from |v| = 2**52 on."""
+    lo, hi = v - 0.5, v + 0.5
+    return (lo, hi) if lo < hi else (v - 0.5 * abs(v), v + 0.5 * abs(v))
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -157,9 +164,9 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     x0, x1 = float(all_x.min()), float(all_x.max())
     y0, y1 = float(all_y.min()), float(all_y.max())
     if x1 == x0:
-        x0, x1 = (0.5 * x0, 2.0 * x1) if logx else (x0 - 0.5, x1 + 0.5)
+        x0, x1 = (0.5 * x0, 2.0 * x1) if logx else _widen(x0)
     if y1 == y0:
-        y0, y1 = (0.5 * y0, 2.0 * y1) if logy else (y0 - 0.5, y1 + 0.5)
+        y0, y1 = (0.5 * y0, 2.0 * y1) if logy else _widen(y0)
     if not logy:
         pad = 0.05 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad

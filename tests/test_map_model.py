@@ -64,7 +64,7 @@ def test_min_expansion_mixed_slopes():
     assert min_expansion(m) == 1.5
     fam = PerturbationFamily(base=m, boundary_b=0.75)
     report = validate_hypotheses(fam, DEFAULT_EPS_LIST, depth=2)
-    assert not report.passes_I4a
+    assert not report.I4a
 
 
 def test_distortion_affine_is_zero(fam_a):
@@ -193,7 +193,7 @@ def test_interior_preimage_of_b_is_a_violation():
                       Branch.affine(0.4, 0.8, 2.5, -1.0),
                       Branch.affine(0.8, 1.0, 5.0, -4.0)])
     report = validate_hypotheses(PerturbationFamily(base=m), DEFAULT_EPS_LIST, depth=4)
-    assert not report.passes_P2
+    assert not report.P2
     x = m.branches[0].preimage(0.5)
     assert report.diagnostics[0] == (
         f"setup fails: preimage {x} of boundary 0.5 lies strictly inside branch 0; "
@@ -203,7 +203,7 @@ def test_interior_preimage_of_b_is_a_violation():
 
 def test_validate_family_a_passes(fam_a):
     report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8)
-    assert report.passes_I2 and report.passes_I4a and report.passes_P2
+    assert report.I2 and report.I4a and report.P2
     assert report.min_expansion == 3.0 and report.distortion == 0.0
     layers = postcritical_hierarchy(fam_a.base, 8)
     every = sorted({p for pts in layers.values() for p in pts})
@@ -214,17 +214,17 @@ def test_validate_family_a_with_densities_checks_I3(fam_a):
     n = 384
     phi_l, phi_r = lebesgue_halves(n)
     report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8, phi_l=phi_l, phi_r=phi_r)
-    assert report.passes_I3 is True
+    assert report.I3 is True
     report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8)
-    assert report.passes_I3 is None
+    assert report.I3 is None
 
 
 def test_validate_family_b_boundary_failure(fam_b):
     report = validate_hypotheses(fam_b, DEFAULT_EPS_LIST, depth=8)
-    assert not report.passes_P2
+    assert not report.P2
     assert any("T0(b-)" in d for d in report.diagnostics)
     # the critical orbit hits the holes at 1/2- and 1-, at every iterate
-    assert not report.passes_I2
+    assert not report.I2
     for k in range(1, 9):
         for h in ("0.5", "1"):
             assert (f"(I2) fails: iterate {k} of the critical set hits infinitesimal "
@@ -240,7 +240,7 @@ def test_I3_reads_the_density_on_the_hole_side(fam_a):
     values[n // 3 - 1] = 0.0
     report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8,
                                  phi_l=DensityGrid(n, values), phi_r=phi_r)
-    assert report.passes_I3 is False
+    assert report.I3 is False
     assert "(I3) fails: ergodic density ~0 at hole 0.333333333333" in report.diagnostics
     # the other hole, 2/3+, reads phi_r above 2/3
     assert sum(d.startswith("(I3) fails") for d in report.diagnostics) == 1
@@ -249,15 +249,15 @@ def test_I3_reads_the_density_on_the_hole_side(fam_a):
 def test_validate_doubling_fails_I4a(doubling_map):
     fam = PerturbationFamily(base=doubling_map, boundary_b=0.5)
     report = validate_hypotheses(fam, DEFAULT_EPS_LIST, depth=4)
-    assert not report.passes_I4a
+    assert not report.I4a
     assert any("(I4a)" in d for d in report.diagnostics)
 
 
 def test_failed_predicates_have_diagnostics(fam_b):
     report = validate_hypotheses(fam_b, DEFAULT_EPS_LIST, depth=8)
-    if not report.passes_I2:
+    if not report.I2:
         assert any("(I2)" in d for d in report.diagnostics)
-    if not report.passes_P2:
+    if not report.P2:
         assert any("(P2" in d for d in report.diagnostics)
 
 
@@ -321,6 +321,16 @@ def test_smooth_branch_perturbation():
         assert evaluate(T, x)[0] == pytest.approx(expected, abs=1e-14)
     # the affine branch is untouched
     assert T.branches[1].slope == base.branches[1].slope
+
+
+@pytest.mark.parametrize("entries", [1, 3])
+def test_smooth_eps_needs_one_entry_per_branch(entries):
+    # a short tuple used to construct and make instantiate raise IndexError;
+    # a long one was accepted
+    bump = (lambda x: x, lambda x: 1.0, lambda x: 0.0)
+    with pytest.raises(MapModelError, match="^smooth_eps must have one entry per branch$"):
+        PerturbationFamily(base=_smooth_plus_affine_map(),
+                           smooth_eps=(bump,) + (None,) * (entries - 1))
 
 
 def test_family_b_definition_matches_mod_formula(fam_b):

@@ -439,7 +439,7 @@ I2_PASSES = {0, 1, 2, 6, 7, 11, 12, 15, 18, 19, 20, 21, 22, 23, 24, 25, 26, 30,
 def test_I2_on_random_families_is_the_measured_table():
     passes = {seed for seed in range(40)
               if validate_hypotheses(random_two_half_family(np.random.default_rng(seed))[0],
-                                     [0.004, 0.002, 0.001]).passes_I2}
+                                     [0.004, 0.002, 0.001]).I2}
     # on seeds 0-15 the claim holds on exactly these
     assert passes & set(range(16)) == {0, 1, 2, 6, 7, 11, 12, 15}
     assert passes == I2_PASSES

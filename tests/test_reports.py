@@ -1,4 +1,5 @@
 import math
+import warnings
 from xml.dom import minidom
 
 import numpy as np
@@ -285,6 +286,21 @@ def test_render_line_plot_leaves_out_infinite_pairs():
     assert svg == reference_render([(xs, ys, "a")])
     assert render_line_plot([([0, 1], [1, math.inf], "a")]) == \
         render_line_plot([([0], [1], "a")])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_render_line_plot_widens_one_large_value(axis):
+    # +-0.5 does not move 1e20: the axis range stayed empty, and the pixel
+    # coordinates came out NaN with a RuntimeWarning
+    xy = [[1.0, 2.0], [1.0, 2.0]]
+    xy[axis] = [1e20, 1e20]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = render_line_plot([(*xy, "a")])
+    assert "nan" not in svg
+    points = minidom.parseString(svg).getElementsByTagName("polyline")[0].getAttribute("points")
+    # the one value sits in the middle of its axis
+    assert {p.split(",")[axis] for p in points.split()} == {["384.00", "234.00"][axis]}
 
 
 @pytest.mark.parametrize("series, axis", [

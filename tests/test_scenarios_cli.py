@@ -17,7 +17,7 @@ from metamap import metastability
 from metamap.cli import main
 from metamap.families import DEFAULT_EPS_LIST, family_a
 from metamap.map_model import validate_hypotheses
-from metamap.metastability import markov_stationary
+from metamap.metastability import SweepRow, markov_stationary
 from metamap.runner import _cell, run_scenario
 from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
                                grid_warnings, load_scenario, suggested_grid_n)
@@ -228,7 +228,7 @@ def test_validate_p2a_fails_when_perturbation_moves_b(tmp_path, lift_outer, eps)
     data["eps_list"] = [0.01, 0.001]
     scn = load_scenario(write_scenario(tmp_path, data))
     report = validate_hypotheses(scn.family, scn.eps_list)
-    assert not report.passes_P2
+    assert not report.P2
     assert f"(P2a) fails: T_eps(b) != b at eps={eps}" in report.diagnostics
     assert ("(P2a) not checked at eps=0.01: branch image [0.6, 1.1] escapes [0,1]"
             in report.diagnostics) == lift_outer
@@ -245,6 +245,39 @@ def test_cli_run_markov_scenario(tmp_path):
     alpha, rho = markov_stationary(0.01, 0.03)
     assert (out / "markov.csv").read_text().splitlines() == [
         "eps_lr,eps_rl,alpha,rho", f"0.01,0.03,{alpha!r},{rho!r}"]
+
+
+@pytest.mark.parametrize("source", ["builtin:family_a", "builtin:family_b",
+                                    "builtin:markov2", "demos/scenario_family_a.json"])
+def test_run_reports_are_written_from_their_records(tmp_path, capsys, source):
+    # hypotheses.txt is its scenario line and what validate prints, the
+    # sweep.json block is the report's asdict, and the sweep.csv columns are
+    # the SweepRow fields but warnings
+    if not source.startswith("builtin:"):
+        source = str(Path(__file__).resolve().parents[1] / source)
+    scn = load_scenario(source)
+    assert main(["validate", "--scenario", source]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", source, "--out", str(out)]) == 0
+    if scn.kind == "markov":
+        assert printed == ["markov scenarios have no map hypotheses to validate"]
+        assert sorted(p.name for p in out.iterdir()) == ["markov.csv"]
+        return
+    assert (out / "hypotheses.txt").read_text().splitlines() == \
+        [f"scenario: {scn.name}", *printed]
+    # family A and its scenario file hold, family B fails (I2) and P2
+    verdict = "FAIL" if scn.name == "family_b" else "pass"
+    assert printed[2:6] == [f"I2 (depth 8): {verdict}", "I3: not checked",
+                            "I4a: pass", f"P2: {verdict}"]
+    payload = json.loads((out / "sweep.json").read_text())
+    assert payload["hypotheses"] == dataclasses.asdict(
+        validate_hypotheses(scn.family, scn.eps_list))
+    header = (out / "sweep.csv").read_text().splitlines()[0]
+    assert header == ("eps,lhr_emp,alpha_pred,l1_phi_vs_mixture,l1_psi_vs_half_diff,rho,"
+                      "flux_gap,escape_ratio_l,escape_ratio_r,mu_Il,leading_simple,error")
+    assert header.split(",") == [f.name for f in dataclasses.fields(SweepRow)
+                                 if f.name != "warnings"]
 
 
 def test_cli_run_skips_saltus_only_at_eps_below_expansion_two(tmp_path, capsys):

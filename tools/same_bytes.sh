@@ -8,8 +8,9 @@
 # cell 384 straddles b = 1/2 (a sweep that fails), with the sources of <base-rev> and with those of this working
 # tree, each side reading the scenario file from its own checkout, and
 # compare every file they write.  What each run prints (stdout and stderr, the side's output
-# directory written <out>) is compared too, and so is what
-# `metamap validate` prints for the three builtins and the scenario file.
+# directory written <out>) is compared too, and so is its exit status, the
+# last line of its <name>.txt, and what `metamap validate` prints for the
+# three builtins and the scenario file.
 # So are the steps: each call writes <name>.steps, one line per run of the
 # power iteration kernel `spectral._iterate`, in order, naming the solver
 # whose step it ran (`_second_pair`, `_corrected_step`, `_mass_step`,
@@ -40,9 +41,9 @@ mkdir "$tmp/base" "$tmp/out" || exit 2
 git -C "$root" archive -o "$tmp/base.tar" "$1" || exit 2
 tar -xf "$tmp/base.tar" -C "$tmp/base" || exit 2
 # cli <name> <metamap arguments...>, with the sources of $top: what the call
-# prints goes to <name>.txt, the side's output directory written <out>, and
-# its kernel runs to <name>.steps.  A call that fails leaves its files
-# missing or different, which diff reports below
+# prints goes to <name>.txt, the side's output directory written <out>,
+# followed by "exit <status>", and its kernel runs to <name>.steps.  A call
+# that fails leaves its files missing or different, which diff reports below
 traced_cli='
 import sys
 from metamap import cli, spectral
@@ -65,7 +66,9 @@ cli() {
     steps=$tmp/out/$side/$1.steps
     shift
     PYTHONPATH=$top/src python3 -c "$traced_cli" "$steps" "$@" > "$log" 2>&1
+    code=$?
     sed -i "s|$tmp/out/$side|<out>|g" "$log"
+    echo "exit $code" >> "$log"
 }
 for side in base tree; do
     if [ "$side" = base ]; then top=$tmp/base; else top=$root; fi
