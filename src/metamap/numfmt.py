@@ -1,28 +1,173 @@
-"""Number formatting for the CSV writer.
+"""``repr`` of a whole float64 array, as bytes, for the CSV writer.
 
-Report columns repeat values: the x and mixture columns are shared by every
-density file of a run, and the mixture has a handful of distinct values.
-``format_unique`` formats each distinct value once and indexes the strings
-back, so the writer's cost follows the number of distinct values, not of
-cells.
+``repr_cells`` writes the bytes that ``repr(float(v))`` gives each value of
+an array without a Python call per value.  A double's shortest round-trip
+form has at most 17 significant digits, and among the forms of one length
+Python prints the one nearest the value.  So, with S the value scaled to
+lie in [1e16, 1e17), the form is S rounded to 15 digits when that lies
+within half an ulp of the value, else S rounded to 16 digits when that
+does, else S rounded to 17 digits, which always does.  A 15-digit decimal
+within half an ulp is the only decimal of 15 or fewer digits there,
+because 15-digit decimals lie further apart than an ulp.
+
+S is computed as ``p + err``: ``p`` the float64 product of the value and
+``10**m``, an integer since S > 2**53, and ``err`` its error, from a Dekker
+two-product with ``10**m`` stored as an exact double-double.  ``err`` is
+off the exact remainder by about 1e-14 of a unit of the 17th digit.
+
+Zeros print as ``0.0`` and ``-0.0``.  Every other value the fast path
+cannot prove goes through ``repr`` itself: non-finite values, ``|v|``
+outside ``[1e-20, 1e15)``, powers of two (their rounding interval is
+lopsided), and values whose remainder lies within ``_MARGIN`` of a tie
+between the two nearest candidates of the length taken, or of the half-ulp
+bound.  Python breaks such a tie to the even digit; the fast path leaves
+it to ``repr``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
+_LO, _HI = 1e-20, 1e15
+_SPLIT = 134217729.0                    # 2**27 + 1: Dekker's splitter
 
-def format_unique(values, fmt: Callable[[float], str]) -> list[str]:
-    """``[fmt(float(v)) for v in values]``, calling ``fmt`` once per distinct
-    value.
 
-    Values are told apart by their float64 bit pattern, not by ``==``:
-    ``-0.0`` and ``0.0`` compare equal but ``repr`` prints them differently,
-    and NaNs compare unequal to themselves.
+def _power(m: int) -> tuple[float, float, float, float]:
+    """10**m as b + lo, exact for m <= 44 (5**44 has 103 bits), and b's
+    Dekker halves."""
+    b = float(10 ** m)
+    c = _SPLIT * b
+    bh = c - (c - b)
+    return b, bh, b - bh, float(10 ** m - int(b))
+
+
+# m = 16 - k for the decimal exponent k of |v| in [1e-20, 1e15) runs from
+# 2 to 36, and one further where log10 misses k by one.
+_POW, _POW_H, _POW_L, _POW_LO = np.array([_power(m) for m in range(45)]).T
+# A remainder this close to a tie (in units of the 17th digit), or this
+# close to the half-ulp bound (relative to it), goes through repr: far
+# above the error of err.  Values with random mantissas below 1e10 hit it
+# about once in 10**6.  Above, an ulp is 2**-19 or more, so the exact
+# decimal of a value is short and often ends on a tie: 4% of [1e13, 1e15).
+_MARGIN = 1e-6
+# (y + 0.5) * 10**-j lies at least 0.5 * 10**-j from an integer, far more
+# than its rounding error for y < 10**9, so its floor is exactly y // 10**j.
+_SCALE = np.array([10.0 ** (j - 7) for j in range(8)]
+                  + [10.0 ** (j - 16) for j in range(8, 17)])[:, None]
+_ROW = np.arange(17, dtype=np.int8)[:, None]
+
+
+def _scaled(a, m):
+    """``a * 10**m`` as ``(p, err, b)``: p = fl(a * b), b = fl(10**m), and
+    err the rest of the exact product."""
+    b, bh, bl, lo = _POW[m], _POW_H[m], _POW_L[m], _POW_LO[m]
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+    return p, err, b
+
+
+def _shortest(a):
+    """The shortest round-trip digits of each ``a`` in [1e-20, 1e15) that is
+    not a power of two: ``(d, decpt, sure)``.  a prints as 0.d * 10**decpt,
+    with d the 17-digit integer of its digits (zeros pad it), and ``sure``
+    is False where a remainder sits too near a tie or the bound."""
+    m = (16.0 - np.floor(np.log10(a))).astype(np.intp)
+    p, err, b = _scaled(a, m)
+    # where log10 missed the exponent by one, S = p + err lies outside [1e16, 1e17)
+    near = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    if len(near):
+        pn, en = p[near], err[near]
+        m[near] += (((pn < 1e16) | ((pn == 1e16) & (en < 0))).astype(np.intp)
+                    - ((pn > 1e17) | ((pn == 1e17) & (en >= 0))))
+        p[near], err[near], b[near] = _scaled(a[near], m[near])
+    fl = np.floor(err)
+    q, r = np.divmod(p.astype(np.int64) + fl.astype(np.int64), 100)
+    t = r + (err - fl)                  # S = 100 q + t, t in units of the 17th digit
+    # half an ulp of a, scaled like S: a's power of two is its exponent bits
+    half = (a.view(np.int64) & 0x7FF0000000000000).view(np.float64) * (b * 2.0 ** -53)
+    r17 = np.floor(t + 0.5)
+    r16 = np.floor(t * 0.1 + 0.5) * 10
+    r15 = np.floor(t * 0.01 + 0.5) * 100
+    d17, d16, d15 = np.abs(t - r17), np.abs(t - r16), np.abs(t - r15)
+    use15, use16 = d15 < half, d16 < half
+    # A tie matters only in the candidate taken; half < 11.2, so a 15-digit
+    # candidate within the bound is never on a tie.
+    sure = np.abs(d15 - half) > half * _MARGIN
+    sure &= use15 | ((np.abs(d16 - half) > half * _MARGIN)
+                     & (np.where(use16, np.abs(d16 - 5), np.abs(d17 - 0.5)) > _MARGIN))
+    last = np.where(use15, r15, np.where(use16, r16, r17))
+    d = q * 100 + last.astype(np.int64)
+    decpt = (17 - m).astype(np.int8)
+    carry = d == 10 ** 17               # rounded up to the next power of ten
+    d[carry] = 10 ** 16
+    decpt[carry] += 1
+    return d, decpt, sure
+
+
+def repr_cells(values) -> np.ndarray:
+    """``repr(float(v))`` of every value, as a uint8 matrix with one row per
+    value: the row's non-NUL bytes, in order, are the ASCII of the repr.
+
+    NUL bytes pad each row, between its parts too (sign, digits, point,
+    exponent), so that every value's bytes are written in the same columns
+    and no row is shifted on its own.  Drop them with ``row[row != 0]``.
     """
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    strs = list(map(fmt, bits.view(np.float64).tolist()))
-    return list(map(strs.__getitem__, inverse.tolist()))
+    v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    a = np.abs(v)
+    fast = (a >= _LO) & (a < _HI)       # False for NaN
+    fast &= (v.view(np.int64) & ((1 << 52) - 1)) != 0
+    a[~fast] = 1.5
+    d, decpt, sure = _shortest(a)
+    fast &= sure
+    # 0.0 and -0.0, common in densities, are the digits of d = 0 with decpt 1
+    zero = v == 0
+    d[zero], decpt[zero] = 0, 1
+    fast |= zero
+
+    # the 17 digits, from the high 8 and the low 9 by exact float arithmetic
+    hi8 = d // 10 ** 9
+    t = np.empty((17, len(v)))
+    np.multiply(hi8 + 0.5, _SCALE[:8], out=t[:8])
+    np.multiply((d - hi8 * 10 ** 9) + 0.5, _SCALE[8:], out=t[8:])
+    np.floor(t, out=t)
+    t[1:8] -= 10 * t[:7]
+    t[9:] -= 10 * t[8:16]
+    digits = t.astype(np.uint8)
+    nd = ((digits != 0) * (_ROW + 1)).max(axis=0)   # significant digits
+    digits += ord("0")
+
+    # Each part of the form in its own rows of cells, NUL where a value has
+    # no byte: 0 the sign, 1 the "0" of 0.xxx, 2-18 the digits before the
+    # point, 19 the point, 20-22 the zeros after "0.", 23-39 the digits
+    # after the point, 40-43 "e-XX".  The exponent form takes decpt <= -4;
+    # |v| < 1e15 keeps fast values below its other side, decpt > 16.
+    expo = (decpt <= -4) & fast
+    below1 = (decpt <= 0) & ~expo & fast
+    n_int = np.where(expo, 1, np.maximum(decpt, 0)) * fast
+    f_lo = np.where(expo, 1, n_int)
+    f_hi = np.where(expo | below1, nd, np.maximum(nd, decpt + 1)) * fast
+    e = 1 - decpt
+    cells = np.empty((44, len(v)), np.uint8)
+    np.multiply(np.signbit(v) & fast, np.uint8(ord("-")), out=cells[0])
+    np.multiply(below1, np.uint8(ord("0")), out=cells[1])
+    np.multiply(digits, _ROW < n_int, out=cells[2:19])
+    np.multiply(f_hi > f_lo, np.uint8(ord(".")), out=cells[19])
+    np.multiply(_ROW[:3] < np.where(below1, -decpt, 0), np.uint8(ord("0")), out=cells[20:23])
+    np.multiply(digits, (_ROW >= f_lo) & (_ROW < f_hi), out=cells[23:40])
+    np.multiply(expo, np.uint8(ord("e")), out=cells[40])
+    np.multiply(expo, np.uint8(ord("-")), out=cells[41])
+    np.multiply(expo, (ord("0") + e // 10).astype(np.uint8), out=cells[42])
+    np.multiply(expo, (ord("0") + e % 10).astype(np.uint8), out=cells[43])
+    cells = cells[cells.any(axis=1)]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        # every part is NUL for a slow value: its repr takes the first rows
+        strs = np.array(list(map(repr, v[slow].tolist())), dtype="S")
+        width = strs.itemsize
+        if width > len(cells):
+            cells = np.vstack([cells, np.zeros((width - len(cells), len(v)), np.uint8)])
+        cells[:width, slow] = strs.view(np.uint8).reshape(len(slow), width).T
+    return cells.T

@@ -50,10 +50,12 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
                if lo <= 10.0 ** k <= hi]
     if len(decades) >= 2:
         return decades
-    return [10.0 ** x for x in
-            (lo_l + f * (hi_l - lo_l)
-             for lo_l, hi_l in [(math.log10(lo), math.log10(hi))]
-             for f in (0.0, 1 / 3, 2 / 3, 1.0))]
+    # dict.fromkeys drops repeats: among subnormals, two of the four round
+    # to one double
+    return list(dict.fromkeys(10.0 ** x for x in
+                              (lo_l + f * (hi_l - lo_l)
+                               for lo_l, hi_l in [(math.log10(lo), math.log10(hi))]
+                               for f in (0.0, 1 / 3, 2 / 3, 1.0))))
 
 
 def _widen(v: float) -> tuple[float, float]:
@@ -61,6 +63,14 @@ def _widen(v: float) -> tuple[float, float]:
     where v -+ 0.5 rounds back to v, as it can from |v| = 2**52 on."""
     lo, hi = v - 0.5, v + 0.5
     return (lo, hi) if lo < hi else (v - 0.5 * abs(v), v + 0.5 * abs(v))
+
+
+def _widen_log(v: float) -> tuple[float, float]:
+    """A log axis range around the one value v > 0: v/2 to 2v, or v to 2v
+    where v/2 rounds to 0, as it does at v = 5e-324; there v sits on the
+    axis's lower end."""
+    lo = 0.5 * v
+    return (lo if lo > 0 else v), 2.0 * v
 
 
 def _fmt(x: float) -> str:
@@ -164,9 +174,9 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     x0, x1 = float(all_x.min()), float(all_x.max())
     y0, y1 = float(all_y.min()), float(all_y.max())
     if x1 == x0:
-        x0, x1 = (0.5 * x0, 2.0 * x1) if logx else _widen(x0)
+        x0, x1 = _widen_log(x0) if logx else _widen(x0)
     if y1 == y0:
-        y0, y1 = (0.5 * y0, 2.0 * y1) if logy else _widen(y0)
+        y0, y1 = _widen_log(y0) if logy else _widen(y0)
     if not logy:
         pad = 0.05 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from xml.dom import minidom
@@ -5,8 +6,11 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from metamap.numfmt import format_unique
-from metamap.runner import write_density_csv
+from metamap import runner
+from metamap.metastability import prepare_sweep, run_sweep_row
+from metamap.numfmt import repr_cells
+from metamap.runner import run_scenario, write_density_csv
+from metamap.scenarios import load_scenario
 from metamap.svgplot import (PALETTE, _fmt, _log_ticks, _nice_ticks, _points,
                              render_line_plot)
 
@@ -25,8 +29,7 @@ def reference_density_csv(x, phi, mixture, psi) -> bytes:
 
 def density_csv(tmp_path, x, phi, mixture, psi) -> bytes:
     path = tmp_path / "density.csv"
-    write_density_csv(path, format_unique(x, repr), format_unique(mixture, repr),
-                      phi, psi)
+    write_density_csv(path, repr_cells(x), repr_cells(mixture), phi, psi)
     return path.read_bytes()
 
 
@@ -49,6 +52,21 @@ def test_density_csv_matches_per_cell_reference(tmp_path, seed, with_psi):
     psi = awkward_values(rng, n) if with_psi else None
     if seed == 0:
         phi[:3] = [math.nan, math.inf, -math.inf]
+    assert density_csv(tmp_path, x, phi, mixture, psi) == \
+        reference_density_csv(x, phi, mixture, psi)
+
+
+@pytest.mark.parametrize("with_psi", [True, False])
+def test_density_csv_in_row_blocks_matches_per_cell_reference(tmp_path, monkeypatch,
+                                                              with_psi):
+    # the writer formats and writes 16384 rows at a time; with blocks of 64,
+    # 300 rows take five, the last one short
+    monkeypatch.setattr(runner, "_DENSITY_ROWS", 64)
+    rng = np.random.default_rng(7)
+    n = 300
+    x = (np.arange(n) + 0.5) / n
+    phi, mixture = awkward_values(rng, n), awkward_values(rng, n)
+    psi = awkward_values(rng, n) if with_psi else None
     assert density_csv(tmp_path, x, phi, mixture, psi) == \
         reference_density_csv(x, phi, mixture, psi)
 
@@ -79,6 +97,23 @@ def test_density_csv_without_psi_leaves_last_field_empty(tmp_path):
     assert lines[0] == "x,phi,mixture,psi"
     assert len(lines) == n + 1
     assert all(line.count(",") == 3 and line.endswith(",") for line in lines[1:])
+
+
+def test_family_b_density_file_matches_per_cell_reference(tmp_path):
+    # phi of family B at eps 0.02 holds exact zeros and cells near 1e-12,
+    # written in the exponent form, beside ordinary ones
+    scn = dataclasses.replace(load_scenario("builtin:family_b"), eps_list=(0.02,),
+                              out_dir=str(tmp_path))
+    assert scn.grid_n == 3840
+    assert run_scenario(scn, log=lambda *a: None) == 0
+    ctx = prepare_sweep(scn.family, scn.eps_list, scn.grid_n)
+    _, art = run_sweep_row(ctx, 0.02)
+    phi = art.phi.values
+    assert np.count_nonzero(phi == 0) == 306
+    assert np.count_nonzero((phi > 1e-13) & (phi < 1e-11)) == 1613
+    x = (np.arange(scn.grid_n) + 0.5) / scn.grid_n
+    assert (tmp_path / "density_0.02.csv").read_bytes() == \
+        reference_density_csv(x, phi, ctx.mixture.values, art.psi.values)
 
 
 def test_density_csv_rejects_columns_of_different_length(tmp_path):
@@ -301,6 +336,22 @@ def test_render_line_plot_widens_one_large_value(axis):
     points = minidom.parseString(svg).getElementsByTagName("polyline")[0].getAttribute("points")
     # the one value sits in the middle of its axis
     assert {p.split(",")[axis] for p in points.split()} == {["384.00", "234.00"][axis]}
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_render_line_plot_log_axis_at_the_least_subnormal(axis):
+    # 0.5 * 5e-324 rounds to 0, and the ticks raised "math domain error"
+    xy = [[1.0, 2.0], [1.0, 2.0]]
+    xy[axis] = [5e-324, 5e-324]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = render_line_plot([(*xy, "a")], logx=axis == 0, logy=axis == 1)
+    assert "nan" not in svg
+    points = minidom.parseString(svg).getElementsByTagName("polyline")[0].getAttribute("points")
+    # the one value sits at the lower end of its axis
+    assert {p.split(",")[axis] for p in points.split()} == {["72.00", "428.00"][axis]}
+    labels = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
+    assert labels.count("4.94066e-324") == 1 and labels.count("9.88131e-324") == 1
 
 
 @pytest.mark.parametrize("series, axis", [
