@@ -133,8 +133,7 @@ def _points(px: np.ndarray, py: np.ndarray) -> str:
     # A coordinate that does not fit leaves a \x01 where _PX's text goes.
     buf[:-1, slow] = 0
     buf[-2, slow] = 1
-    cols = buf.T
-    text = cols[cols != 0].tobytes().decode()
+    text = buf.T.tobytes().translate(None, b"\0").decode()
     if len(slow):
         pieces = text.split("\x01")
         strs = map(_PX, v[slow].tolist())

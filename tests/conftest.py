@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,16 @@ def lebesgue_halves(n):
     at mass 1."""
     left = np.arange(n) < n // 2
     return DensityGrid(n, np.where(left, 2.0, 0.0)), DensityGrid(n, np.where(left, 0.0, 2.0))
+
+
+def traced_peak(f, *args) -> int:
+    """The traced peak, in bytes, of the allocations made by one call."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def record_solves(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
 from metamap.numfmt import repr_cells
 
 
@@ -85,3 +86,13 @@ def test_repr_cells_on_candidates_that_sit_on_a_tie():
 
 def test_repr_cells_of_an_empty_array():
     assert repr_cells(np.array([])).shape[0] == 0
+
+
+def test_repr_cells_makes_no_megabyte_temporaries():
+    # phi and psi of one 3840-cell density file, with zeros and values that
+    # go through repr.  The digits are uint8 from the start: the peak reads
+    # 1.26 MB, against 2.18 MB with float64 digit planes.
+    rng = np.random.default_rng(5)
+    v = rng.random(7680) * 10.0 ** rng.integers(-15, 2, 7680)
+    v[::97], v[1::389] = 0.0, 2.0 ** -1074
+    assert traced_peak(repr_cells, v) < 1.5e6

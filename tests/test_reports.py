@@ -6,6 +6,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from metamap import runner
 from metamap.metastability import prepare_sweep, run_sweep_row
 from metamap.numfmt import repr_cells
@@ -114,6 +115,32 @@ def test_family_b_density_file_matches_per_cell_reference(tmp_path):
     x = (np.arange(scn.grid_n) + 0.5) / scn.grid_n
     assert (tmp_path / "density_0.02.csv").read_bytes() == \
         reference_density_csv(x, phi, ctx.mixture.values, art.psi.values)
+
+
+@pytest.mark.parametrize("with_psi", [True, False])
+def test_density_rows_on_edge_values_match_per_cell_reference(with_psi):
+    # every double's notation, notation switch and repr fallback in every column
+    edges = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300,
+             -1e300, 1e-4, 1e-5, 9.999999999999999e-05, 0.00010000000000000002,
+             1e15, 999999999999999.9, 1e16, 9999999999999998.0, 1.0, 0.1, 1 / 3]
+    twos = [2.0 ** e for e in range(-1074, 1024)]
+    v = np.array(edges + twos)
+    v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    x, phi, mixture, psi = (np.roll(v, k) for k in range(4))
+    psi = psi if with_psi else None
+    got = runner._density_rows(repr_cells(x), repr_cells(mixture), phi, psi)
+    want = reference_density_csv(x, phi, mixture, psi)
+    assert got == want[len(b"x,phi,mixture,psi\n"):]
+
+
+def test_density_rows_make_no_megabyte_temporaries():
+    # one 3840-row block with psi: the peak reads 1.32 MB, against 2.24 MB
+    # with float64 digit planes and a boolean gather of the text
+    rng = np.random.default_rng(5)
+    n = 3840
+    phi, mixture, psi = (rng.random(n) * 10.0 ** rng.integers(-15, 2, n) for _ in range(3))
+    x_cells, mixture_cells = repr_cells((np.arange(n) + 0.5) / n), repr_cells(mixture)
+    assert traced_peak(runner._density_rows, x_cells, mixture_cells, phi, psi) < 1.5e6
 
 
 def test_density_csv_rejects_columns_of_different_length(tmp_path):

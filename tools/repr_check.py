@@ -8,10 +8,13 @@ half of them raw 64-bit patterns and half drawn on the formatter's fast
 range [1e-20, 1e15), and the edge sets of tests/test_numfmt.py: powers of two and of ten from
 1e-25 to 1e17 with their one-ulp neighbours, the switches between fixed
 and exponent notation, zeros, subnormals and non-finite values, and
-values whose 15-, 16- or 17-digit candidates sit on a tie.  It prints the
-number of values checked and of mismatches, with the first few, and exits
-1 on any mismatch.  Too slow for the test suite: N = 10**7 takes about
-30 s on one core.
+values whose 15-, 16- or 17-digit candidates sit on a tie.  It also writes
+the values through the density CSV writer, ``runner._density_rows``, as
+the phi and psi columns of rows whose x and mixture are the values' own
+cells, and compares each row with the join of the cells' reprs.  It prints
+the number of values checked and of mismatches (values and rows), with the
+first few, and exits 1 on any mismatch.  Too slow for the test suite:
+N = 10**7 takes about 60 s on one core.
 """
 
 import math
@@ -20,6 +23,7 @@ import sys
 import numpy as np
 
 from metamap.numfmt import repr_cells
+from metamap.runner import _density_rows
 
 CHUNK = 100_000
 
@@ -50,16 +54,22 @@ def random_values(rng, n: int) -> np.ndarray:
 
 
 def mismatches(v: np.ndarray) -> list[tuple[str, str]]:
+    """(want, got) for each value whose cells are not its repr, and for each
+    density row that is not the join of its cells' reprs."""
     cells = repr_cells(v)
+    reprs = list(map(repr, v.tolist()))
     lines = np.empty((len(v), cells.shape[1] + 1), np.uint8)
     lines[:, :-1] = cells
     lines[:, -1] = ord("\n")
-    got = lines[lines != 0].tobytes()
-    want = "".join(r + "\n" for r in map(repr, v.tolist())).encode()
-    if got == want:
-        return []
-    return [(repr(x), row[row != 0].tobytes().decode())
-            for x, row in zip(v.tolist(), cells) if row[row != 0].tobytes() != repr(x).encode()]
+    got = lines.tobytes().translate(None, b"\0").decode().split("\n")
+    bad = [(w, g) for w, g in zip(reprs, got) if w != g]
+    # phi is v and psi is v reversed, beside x and mixture cells of v itself
+    rows = _density_rows(cells, cells, v, v[::-1]).decode().split("\n")[:-1]
+    want = [f"{r},{r},{r},{s}" for r, s in zip(reprs, reversed(reprs))]
+    bad += [(w, g) for w, g in zip(want, rows) if w != g]
+    if len(rows) != len(want):
+        bad.append((f"{len(want)} rows", f"{len(rows)} rows"))
+    return bad
 
 
 def main(argv) -> int:
@@ -77,7 +87,7 @@ def main(argv) -> int:
         checked += len(v)
     print(f"checked {checked} values: {len(bad)} mismatches")
     for want, got in bad[:10]:
-        print(f"  repr {want}  repr_cells {got}")
+        print(f"  want {want}  got {got}")
     return 1 if bad else 0
 
 
