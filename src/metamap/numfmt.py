@@ -1,29 +1,36 @@
-"""``repr`` of a whole float64 array, as bytes, for the CSV writer.
+"""Float arrays as text bytes, for the density CSVs and the SVG polylines.
 
-``repr_cells`` writes the bytes that ``repr(float(v))`` gives each value of
-an array without a Python call per value.  A double's shortest round-trip
-form has at most 17 significant digits, and among the forms of one length
-Python prints the one nearest the value.  So, with S the value scaled to
-lie in [1e16, 1e17), the form is S rounded to 15 digits when that lies
-within half an ulp of the value, else S rounded to 16 digits when that
-does, else S rounded to 17 digits, which always does.  A 15-digit decimal
-within half an ulp is the only decimal of 15 or fewer digits there,
-because 15-digit decimals lie further apart than an ulp.
+A formatter gives each value one uint8 row whose non-NUL bytes, in order,
+are its text: ``repr_cells`` that of ``repr(float(v))``, ``fixed_cells``
+that of ``'{:.2f}'.format(v)``.  NULs pad each part of a row (sign,
+digits, point, exponent), so every value's bytes are written in the same
+columns and no row is shifted on its own.  ``join_rows`` sets such
+matrices and their separators side by side in one ``bytearray`` and drops
+the NULs with its ``translate``.  Digits are uint8 from the start, so no
+temporary is much larger than the text.  A value that a formatter cannot
+prove takes the first bytes of its row from ``repr`` or ``'{:.2f}'``.
 
-S is computed as ``p + err``: ``p`` the float64 product of the value and
-``10**m``, an integer since S > 2**53, and ``err`` its error, from a Dekker
-two-product with ``10**m`` stored as an exact double-double.  ``err`` is
-off the exact remainder by about 1e-14 of a unit of the 17th digit.  The
-digits of the form are taken from its uint32 high 8 and low 9 digits by
-division by 10, straight into a uint8 matrix.
+``repr_cells``: a double's shortest round-trip form has at most 17
+significant digits, and among the forms of one length Python prints the
+one nearest the value.  So, with S the value scaled to lie in [1e16, 1e17),
+the form is S rounded to 15 digits when that lies within half an ulp of the
+value, else S rounded to 16 digits when that does, else S rounded to 17
+digits, which always does.  A 15-digit decimal within half an ulp is the
+only decimal of 15 or fewer digits there, because 15-digit decimals lie
+further apart than an ulp.  S is ``p + err``: ``p`` the float64 product of
+the value and ``10**m``, an integer since S > 2**53, and ``err`` its error,
+from a Dekker two-product with ``10**m`` stored as an exact double-double;
+``err`` is off the exact remainder by about 1e-14 of a unit of the 17th
+digit.  Zeros print as ``0.0`` and ``-0.0``.  ``repr`` formats the rest of
+what the fast path cannot prove: non-finite values, ``|v|`` outside
+``[1e-20, 1e15)``, powers of two (their rounding interval is lopsided),
+and values whose remainder lies within ``_MARGIN`` of a tie between the
+two nearest candidates of the length taken, or of the half-ulp bound.
+Python breaks such a tie to the even digit.
 
-Zeros print as ``0.0`` and ``-0.0``.  Every other value the fast path
-cannot prove goes through ``repr`` itself: non-finite values, ``|v|``
-outside ``[1e-20, 1e15)``, powers of two (their rounding interval is
-lopsided), and values whose remainder lies within ``_MARGIN`` of a tie
-between the two nearest candidates of the length taken, or of the half-ulp
-bound.  Python breaks such a tie to the even digit; the fast path leaves
-it to ``repr``.
+``fixed_cells`` writes the digits of ``rint(100*|v|)`` and a ``-`` wherever
+v's sign bit is set; ``'{:.2f}'`` formats NaN, infinities, ``|v| >= 2**24``
+and values whose ``100*|v|`` lies near a half-integer (``m/8`` among them).
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ _POW, _POW_H, _POW_L, _POW_LO = np.array([_power(m) for m in range(45)]).T
 # decimal of a value is short and often ends on a tie: 4% of [1e13, 1e15).
 _MARGIN = 1e-6
 _ROW = np.arange(17, dtype=np.int8)[:, None]
+
+# Below _FIXED_MAX, rint(100*|v|) fits a uint32 and the float64 product
+# 100*|v| is off the exact one by at most 2**-23, so it rounds as '{:.2f}'
+# does unless it lies within _TIE_MARGIN > 2**-23 of a half-integer.
+_FIXED_MAX = 2.0 ** 24
+_TIE_MARGIN = 1e-4
 
 
 def _scaled(a, m):
@@ -86,18 +99,24 @@ def _shortest(a):
     t = r + (err - fl)                  # S = 100 q + t, t in units of the 17th digit
     # half an ulp of a, scaled like S: a's power of two is its exponent bits
     half = (a.view(np.int64) & 0x7FF0000000000000).view(np.float64) * (b * 2.0 ** -53)
-    r17 = np.floor(t + 0.5)
-    r16 = np.floor(t * 0.1 + 0.5) * 10
+    tol = half * _MARGIN
+    del p, err, b, fl, r                # n floats each: none is read again
     r15 = np.floor(t * 0.01 + 0.5) * 100
-    d17, d16, d15 = np.abs(t - r17), np.abs(t - r16), np.abs(t - r15)
-    use15, use16 = d15 < half, d16 < half
+    dist = np.abs(t - r15)
+    use15 = dist < half
     # A tie matters only in the candidate taken; half < 11.2, so a 15-digit
     # candidate within the bound is never on a tie.
-    sure = np.abs(d15 - half) > half * _MARGIN
-    sure &= use15 | ((np.abs(d16 - half) > half * _MARGIN)
-                     & (np.where(use16, np.abs(d16 - 5), np.abs(d17 - 0.5)) > _MARGIN))
-    last = np.where(use15, r15, np.where(use16, r16, r17))
-    d = q * 100 + last.astype(np.int64)
+    sure = np.abs(dist - half) > tol
+    r16 = np.floor(t * 0.1 + 0.5) * 10
+    dist = np.abs(t - r16)
+    use16 = dist < half
+    # sure where the 16- or the 17-digit candidate is taken
+    longer = (np.abs(dist - half) > tol) & (~use16 | (np.abs(dist - 5) > _MARGIN))
+    del dist, half, tol
+    r17 = np.floor(t + 0.5)
+    longer &= use16 | (np.abs(np.abs(t - r17) - 0.5) > _MARGIN)
+    sure &= use15 | longer
+    d = q * 100 + np.where(use15, r15, np.where(use16, r16, r17)).astype(np.int64)
     decpt = (17 - m).astype(np.int8)
     carry = d == 10 ** 17               # rounded up to the next power of ten
     d[carry] = 10 ** 16
@@ -105,39 +124,53 @@ def _shortest(a):
     return d, decpt, sure
 
 
+def _digits(h, rows, out) -> None:
+    """Write the decimal digits of the uint32 array ``h``, last first, into
+    ``rows`` of ``out``: a multiply and a shift per row, not np.divmod."""
+    for row in rows:
+        q = h // 10
+        out[row] = h - q * 10
+        h = q
+
+
+def _rows(cells, v, fast, fmt) -> np.ndarray:
+    """The (parts, values) byte matrix ``cells`` as one row per value: the
+    parts that are NUL for every value dropped, and the row of each value
+    that is not ``fast`` holding ``fmt(v)`` in its first bytes."""
+    slow = np.flatnonzero(~fast)
+    cells[:, slow] = 0
+    cells = cells[cells.any(axis=1)]
+    if len(slow):
+        strs = np.array(list(map(fmt, v[slow].tolist())), dtype="S")
+        width = strs.itemsize
+        if width > len(cells):
+            cells = np.vstack([cells, np.zeros((width - len(cells), len(v)), np.uint8)])
+        cells[:width, slow] = strs.view(np.uint8).reshape(len(slow), width).T
+    return cells.T
+
+
 def repr_cells(values) -> np.ndarray:
     """``repr(float(v))`` of every value, as a uint8 matrix with one row per
-    value: the row's non-NUL bytes, in order, are the ASCII of the repr.
-
-    NUL bytes pad each row, between its parts too (sign, digits, point,
-    exponent), so that every value's bytes are written in the same columns
-    and no row is shifted on its own.  Drop them with
-    ``row.tobytes().translate(None, b"\\0")``.
-    """
+    value: the row's non-NUL bytes, in order, are the ASCII of the repr."""
     v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     a = np.abs(v)
     fast = (a >= _LO) & (a < _HI)       # False for NaN
     fast &= (v.view(np.int64) & ((1 << 52) - 1)) != 0
     a[~fast] = 1.5
     d, decpt, sure = _shortest(a)
+    del a
     fast &= sure
     # 0.0 and -0.0, common in densities, are the digits of d = 0 with decpt 1
     zero = v == 0
     d[zero], decpt[zero] = 0, 1
     fast |= zero
 
-    # the 17 digits, last first, from the uint32 high 8 and low 9: numpy
-    # divides unsigned integers by a scalar with a multiply and a shift,
-    # 8 times faster than np.divmod
+    # the 17 digits, from the uint32 high 8 and low 9
     hi = d // 10 ** 9
     digits = np.empty((17, len(v)), np.uint8)
-    for h, rows in (((d - hi * 10 ** 9).astype(np.uint32), range(16, 7, -1)),
-                    (hi.astype(np.uint32), range(7, -1, -1))):
-        for row in rows:
-            q = h // 10
-            h -= q * 10
-            digits[row] = h
-            h = q
+    _digits((d - hi * 10 ** 9).astype(np.uint32), range(16, 7, -1), digits)
+    _digits(hi.astype(np.uint32), range(7, -1, -1), digits)
+    del d, hi
     nd = ((digits != 0) * (_ROW + 1)).max(axis=0)   # significant digits
     digits += ord("0")
 
@@ -163,13 +196,40 @@ def repr_cells(values) -> np.ndarray:
     np.multiply(expo, np.uint8(ord("-")), out=cells[41])
     np.multiply(expo, (ord("0") + e // 10).astype(np.uint8), out=cells[42])
     np.multiply(expo, (ord("0") + e % 10).astype(np.uint8), out=cells[43])
-    cells = cells[cells.any(axis=1)]
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        # every part is NUL for a slow value: its repr takes the first rows
-        strs = np.array(list(map(repr, v[slow].tolist())), dtype="S")
-        width = strs.itemsize
-        if width > len(cells):
-            cells = np.vstack([cells, np.zeros((width - len(cells), len(v)), np.uint8)])
-        cells[:width, slow] = strs.view(np.uint8).reshape(len(slow), width).T
-    return cells.T
+    return _rows(cells, v, fast, repr)
+
+
+def fixed_cells(values) -> np.ndarray:
+    """``'{:.2f}'.format(v)`` of every value, as uint8 rows laid out as
+    ``repr_cells`` lays them out."""
+    v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    t = 100.0 * np.minimum(np.abs(v), _FIXED_MAX)     # finite unless NaN
+    fast = (t < 100.0 * _FIXED_MAX) & (np.abs(t - np.floor(t) - 0.5) >= _TIE_MARGIN)
+    h = np.rint(np.where(fast, t, 0.0)).astype(np.uint32)
+    width = len(str(int(h.max(initial=0)) // 100))  # integer digits
+    # rows: the sign, the integer digits, the point, the two decimals
+    cells = np.empty((width + 4, len(v)), np.uint8)
+    _digits(h, [width + 3, width + 2, *range(width, 0, -1)], cells)
+    cells[1:] += ord("0")
+    # no leading zeros: row width - k, the digit of 10**k, needs h >= 10**(k + 2)
+    cells[1:width] *= h >= 10 ** np.arange(width + 1, 2, -1, dtype=np.uint32)[:, None]
+    cells[width + 1] = ord(".")
+    np.multiply(np.signbit(v) & fast, np.uint8(ord("-")), out=cells[0])
+    return _rows(cells, v, fast, "{:.2f}".format)
+
+
+def join_rows(columns, seps: bytes) -> bytearray:
+    """The text of rows whose fields are the rows of the cell matrices
+    ``columns``, each followed by its byte of ``seps``, the NULs dropped."""
+    n = len(columns[0])
+    width = sum(c.shape[1] + 1 for c in columns)
+    # text views the bytearray, whose translate drops the NULs from one buffer
+    buf = bytearray(n * width)
+    text = np.frombuffer(buf, np.uint8).reshape(n, width)
+    end = 0
+    for cells, sep in zip(columns, seps):
+        start, end = end, end + cells.shape[1]
+        text[:, start:end] = cells
+        text[:, end] = sep
+        end += 1
+    return buf.translate(None, b"\0")

@@ -25,7 +25,7 @@ from .bv_analysis import jump_decay_profile, saltus_decompose
 from .map_model import postcritical_hierarchy, validate_hypotheses
 from .metastability import (SweepRow, markov_stationary, prepare_sweep,
                             run_sweep_row)
-from .numfmt import repr_cells
+from .numfmt import join_rows, repr_cells
 from .scenarios import Scenario, grid_warnings
 from .svgplot import write_line_plot
 from .transfer_operator import lasota_yorke_constants, UnsupportedRegimeError
@@ -79,34 +79,11 @@ def write_density_csv(path, x, mixture, phi, psi=None) -> None:
         fh.write(b"x,phi,mixture,psi\n")
         for start in range(0, n, _DENSITY_ROWS):
             rows = slice(start, start + _DENSITY_ROWS)
-            fh.write(_density_rows(x[rows], mixture[rows], phi[rows],
-                                   None if psi is None else psi[rows]))
-
-
-def _density_rows(x, mixture, phi, psi) -> bytearray:
-    """The rows of a density file: the four cell matrices, the commas and the
-    line ends side by side in one byte matrix, whose non-NUL bytes, row by
-    row, are the rows' text."""
-    n = len(phi)
-    if psi is None:
-        phi_cells, psi_cells = repr_cells(phi), np.zeros((n, 0), np.uint8)
-    else:
-        # one call for both columns halves the formatter's per-call cost
-        both = repr_cells(np.concatenate([phi, psi]))
-        phi_cells, psi_cells = both[:n], both[n:]
-    columns = (x, phi_cells, mixture, psi_cells)
-    width = sum(c.shape[1] + 1 for c in columns)
-    # the matrix is a view of the bytearray, so its translate drops the NULs
-    # from the one buffer
-    buf = bytearray(n * width)
-    text = np.frombuffer(buf, np.uint8).reshape(n, width)
-    end = 0
-    for cells, sep in zip(columns, b",,,\n"):
-        start, end = end, end + cells.shape[1]
-        text[:, start:end] = cells
-        text[:, end] = sep
-        end += 1
-    return buf.translate(None, b"\0")
+            m = len(phi[rows])
+            # one call for both columns halves the formatter's per-call cost
+            both = repr_cells(phi[rows] if psi is None else np.concatenate([phi[rows], psi[rows]]))
+            psi_cells = np.zeros((m, 0), np.uint8) if psi is None else both[m:]
+            fh.write(join_rows([x[rows], both[:m], mixture[rows], psi_cells], b",,,\n"))
 
 
 def run_scenario(scn: Scenario, log=print) -> int:

@@ -50,16 +50,17 @@ class Scenario:
 def _rational(value, path, errors) -> float:
     if isinstance(value, bool):
         errors.append(f"{path}: expected a number or rational string")
-        return math.nan
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    elif not isinstance(value, (int, float, str)):
+        errors.append(f"{path}: expected a number or rational string, got {type(value).__name__}")
+    elif isinstance(value, float) and not math.isfinite(value):   # json reads NaN, Infinity
+        errors.append(f"{path}: expected a finite number, got {value!r}")
+    else:
         try:
             return float(Fraction(value))
         except (ValueError, ZeroDivisionError):
             errors.append(f"{path}: cannot parse rational {value!r}")
-            return math.nan
-    errors.append(f"{path}: expected a number or rational string, got {type(value).__name__}")
+        except OverflowError:
+            errors.append(f"{path}: expected a finite number, got {value!r}")
     return math.nan
 
 
@@ -71,7 +72,10 @@ def normalize_eps(eps_list, field: str = "eps_list") -> list[float]:
     write the same files; such a list is rejected, and so is a NaN or an
     infinity, which the callers' ``e <= 0`` checks let through.
     """
-    eps = [float(e) for e in eps_list]
+    try:
+        eps = [float(e) for e in eps_list]
+    except OverflowError as exc:
+        raise ScenarioError([f"{field}: values must be finite, got one that overflows: {exc}"])
     bad = [e for e in eps if not math.isfinite(e)]
     if bad:
         raise ScenarioError([f"{field}: values must be finite, got {bad[0]!r}"])

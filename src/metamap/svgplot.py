@@ -1,9 +1,10 @@
 """Minimal SVG line plots: polylines, axes, ticks, legend.  Needs only numpy.
 
-Each polyline's ``points`` text is written from one numpy byte buffer, not
-formatted point by point: ``_points`` writes the digits of every pixel
-coordinate by integer division and decodes the buffer once, with the bytes
-that ``'{:.2f}'`` gives each coordinate.
+Each polyline's ``points`` text is written from one byte buffer, not
+formatted point by point: ``numfmt.fixed_cells`` writes the ``'{:.2f}'``
+bytes of every pixel coordinate, and ``numfmt.join_rows`` sets the x and y
+cells side by side with their comma and space separators.  So the bytes
+are those of ``" ".join(f"{x:.2f},{y:.2f}")`` over the coordinates.
 """
 
 from __future__ import annotations
@@ -12,18 +13,9 @@ import math
 
 import numpy as np
 
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-_PX = "{:.2f}".format
+from .numfmt import fixed_cells, join_rows
 
-# The byte buffer holds coordinates below _BUFFER_MAX in magnitude.  There
-# r = rint(100*|v|) fits an int32, and the float64 product 100*|v| is off
-# the exact one by at most 2**-23, so r is the correctly rounded value that
-# '{:.2f}' prints unless a half-integer lies within that error.  A
-# coordinate whose product lies within _TIE_MARGIN > 2**-23 of a
-# half-integer (exact ties such as v = m/8 among them), and one that does
-# not fit, goes through _PX itself.
-_BUFFER_MAX = 2.0 ** 24
-_TIE_MARGIN = 1e-4
+PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -103,44 +95,6 @@ def _unit(v, lo: float, hi: float, log: bool) -> np.ndarray:
     return (v - a) / (b - a)
 
 
-def _points(px: np.ndarray, py: np.ndarray) -> str:
-    """A polyline's ``points`` text: ``" ".join(f"{x:.2f},{y:.2f}")`` over
-    the pixel coordinates, byte for byte."""
-    v = np.empty(2 * len(px))
-    v[0::2], v[1::2] = px, py
-    t = 100.0 * np.minimum(np.abs(v), _BUFFER_MAX)    # finite unless NaN
-    fits = (t < 100.0 * _BUFFER_MAX) & (np.abs(t - np.floor(t) - 0.5) >= _TIE_MARGIN)
-    slow = np.flatnonzero(~fits)
-    t[slow] = 0.0
-    ip, dec = np.divmod(np.rint(t, out=t).astype(np.int32), 100)
-    # Column j of buf is coordinate j, right-aligned: the sign, the integer
-    # digits, ".", two decimals and the separator, with NUL bytes above.
-    digits = len(str(int(ip.max())))
-    buf = np.zeros((digits + 5, len(v)), np.uint8)
-    buf[-1, 0::2], buf[-1, 1::2] = ord(","), ord(" ")
-    tens, units = np.divmod(dec, 10)
-    buf[-2], buf[-3], buf[-4] = 48 + units, 48 + tens, ord(".")
-    ip, units = np.divmod(ip, 10)
-    buf[-5] = 48 + units
-    lead = np.full(len(v), digits)          # row of the leading digit
-    for row in range(digits - 1, 0, -1):
-        more = ip > 0
-        ip, units = np.divmod(ip, 10)
-        buf[row] = np.where(more, 48 + units, 0)
-        lead -= more
-    neg = np.flatnonzero(np.signbit(v) & fits)
-    buf[lead[neg] - 1, neg] = ord("-")
-    # A coordinate that does not fit leaves a \x01 where _PX's text goes.
-    buf[:-1, slow] = 0
-    buf[-2, slow] = 1
-    text = buf.T.tobytes().translate(None, b"\0").decode()
-    if len(slow):
-        pieces = text.split("\x01")
-        strs = map(_PX, v[slow].tolist())
-        text = "".join([p for pair in zip(pieces, strs) for p in pair] + pieces[-1:])
-    return text[:-1]
-
-
 def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
                      logx: bool = False, logy: bool = False,
                      width: int = 720, height: int = 480) -> str:
@@ -149,7 +103,7 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     Pairs beyond the shorter of xs and ys, pairs with a NaN or an infinity
     and, on a log axis, nonpositive values are left out.  An axis range too
     wide for a float64 raises ValueError.  Pixel coordinates are computed as
-    arrays and written by ``_points``.
+    arrays and written by ``numfmt.fixed_cells``.
     """
     ml, mr, mt, mb = 72, 24, 40, 52
     pw, ph = width - ml - mr, height - mt - mb
@@ -216,11 +170,11 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
         out.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                    f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>')
 
-    px_all = tx(all_x)
+    x_cells = fixed_cells(tx(all_x))
     start = 0
     for k, (x, y, label) in enumerate(clean):
         stop = start + len(x)
-        coords = _points(px_all[start:stop], ty(y))
+        coords = join_rows([x_cells[start:stop], fixed_cells(ty(y))], b", ")[:-1].decode()
         start = stop
         color = PALETTE[k % len(PALETTE)]
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '

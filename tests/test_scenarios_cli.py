@@ -131,6 +131,38 @@ def test_bad_rational_cites_field(tmp_path):
     assert "boundary" in str(err.value)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # json reads NaN; validate passed it and run failed on a missing hole
+    (("branches", 1, "intercept_eps"), math.nan,
+     "branches[1].intercept_eps: expected a finite number, got nan"),
+    (("branches", 4, "slope_eps"), -math.inf,
+     "branches[4].slope_eps: expected a finite number, got -inf"),
+    (("boundary",), math.inf, "boundary: expected a finite number, got inf"),
+    # these raised OverflowError out of float()
+    (("branches", 2, "slope"), "-3e400",
+     "branches[2].slope: expected a finite number, got '-3e400'"),
+    (("branches", 0, "intercept"), -10 ** 400,
+     "branches[0].intercept: expected a finite number, got -1000"),
+    (("eps_list", 0), 10 ** 400, "eps_list: values must be finite, got one that overflows"),
+], ids=["nan", "-inf", "inf", "string-overflow", "int-overflow", "eps-int-overflow"])
+def test_non_finite_or_overflowing_numbers_cite_field(tmp_path, capsys, field, value,
+                                                      message):
+    data = json.loads(json.dumps(FAMILY_A_JSON))
+    target = data
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert message in str(err.value)
+    out = tmp_path / "out"
+    for command in (["validate"], ["run", "--out", str(out)]):
+        assert main([*command, "--scenario", path]) == 1
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_fields(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(write_scenario(tmp_path, {"name": "x"}))

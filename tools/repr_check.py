@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Soak check of ``metamap.numfmt.repr_cells`` against ``repr``.
+"""Soak check of ``metamap.numfmt``'s formatters against ``repr`` and ``'{:.2f}'``.
 
     PYTHONPATH=src python3 tools/repr_check.py N SEED
 
 Formats N random values from numpy's default generator seeded with SEED,
-half of them raw 64-bit patterns and half drawn on the formatter's fast
+half of them raw 64-bit patterns and half drawn on the ``repr_cells`` fast
 range [1e-20, 1e15), and the edge sets of tests/test_numfmt.py: powers of two and of ten from
 1e-25 to 1e17 with their one-ulp neighbours, the switches between fixed
 and exponent notation, zeros, subnormals and non-finite values, and
-values whose 15-, 16- or 17-digit candidates sit on a tie.  It also writes
-the values through the density CSV writer, ``runner._density_rows``, as
-the phi and psi columns of rows whose x and mixture are the values' own
-cells, and compares each row with the join of the cells' reprs.  It prints
-the number of values checked and of mismatches (values and rows), with the
-first few, and exits 1 on any mismatch.  Too slow for the test suite:
-N = 10**7 takes about 60 s on one core.
+values whose 15-, 16- or 17-digit candidates sit on a tie.  It compares
+``repr_cells`` with ``repr`` on each value.  It also joins the values with
+``join_rows`` as the density CSV writer does, as the phi and psi columns
+of rows whose x and mixture are the values' own cells, and compares each
+row with the join of the cells' reprs.  Last, it compares ``fixed_cells``
+with ``'{:.2f}'`` on the values and on the values scaled into an SVG
+plot's pixel range, 72 + 648 * fmod(v, 1).  It prints the number of
+values checked and of mismatches (values and rows), with the first few,
+and exits 1 on any mismatch.  Too slow for the test suite: N = 10**7
+takes about 105 s on one core.
 """
 
 import math
@@ -22,8 +25,7 @@ import sys
 
 import numpy as np
 
-from metamap.numfmt import repr_cells
-from metamap.runner import _density_rows
+from metamap.numfmt import fixed_cells, join_rows, repr_cells
 
 CHUNK = 100_000
 
@@ -53,22 +55,35 @@ def random_values(rng, n: int) -> np.ndarray:
     return v
 
 
+def differ(want: list[str], text: bytes) -> list[tuple[str, str]]:
+    """(want, got) for each line of text that is not its want, and for a
+    count of lines that differs."""
+    got = text.decode().split("\n")[:-1]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    if len(got) != len(want):
+        bad.append((f"{len(want)} lines", f"{len(got)} lines"))
+    return bad
+
+
 def mismatches(v: np.ndarray) -> list[tuple[str, str]]:
-    """(want, got) for each value whose cells are not its repr, and for each
-    density row that is not the join of its cells' reprs."""
+    """(want, got) for each value whose cells are not its repr or its
+    '{:.2f}', raw and as a pixel, and for each density row that is not the
+    join of its cells' reprs."""
+    n = len(v)
     cells = repr_cells(v)
     reprs = list(map(repr, v.tolist()))
-    lines = np.empty((len(v), cells.shape[1] + 1), np.uint8)
-    lines[:, :-1] = cells
-    lines[:, -1] = ord("\n")
-    got = lines.tobytes().translate(None, b"\0").decode().split("\n")
-    bad = [(w, g) for w, g in zip(reprs, got) if w != g]
+    bad = differ(reprs, join_rows([cells], b"\n"))
     # phi is v and psi is v reversed, beside x and mixture cells of v itself
-    rows = _density_rows(cells, cells, v, v[::-1]).decode().split("\n")[:-1]
-    want = [f"{r},{r},{r},{s}" for r, s in zip(reprs, reversed(reprs))]
-    bad += [(w, g) for w, g in zip(want, rows) if w != g]
-    if len(rows) != len(want):
-        bad.append((f"{len(want)} rows", f"{len(rows)} rows"))
+    both = repr_cells(np.concatenate([v, v[::-1]]))
+    bad += differ([f"{r},{r},{r},{s}" for r, s in zip(reprs, reversed(reprs))],
+                  join_rows([cells, both[:n], cells, both[n:]], b",,,\n"))
+    # fmod of an infinity is NaN, and arithmetic on a signaling NaN of the
+    # raw patterns is invalid
+    with np.errstate(invalid="ignore"):
+        pixels = 72.0 + 648.0 * np.fmod(v, 1.0)
+        for w in (v, pixels):
+            bad += differ(list(map("{:.2f}".format, w.tolist())),
+                          join_rows([fixed_cells(w)], b"\n"))
     return bad
 
 
