@@ -5,7 +5,8 @@
     metamap validate --scenario <path|builtin:name>
     metamap markov --eps-lr x --eps-rl y
 
-Exit codes: 0 success, 1 fatal error, 2 completed with failed sweep rows.
+Exit codes: 0 success or --help, 1 fatal or usage error, 2 completed with
+failed sweep rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from .map_model import validate_hypotheses
 from .metastability import markov_stationary
 from .runner import run_scenario
-from .scenarios import ScenarioError, load_scenario, normalize_eps
+from .scenarios import ScenarioError, check_grid, check_out_dir, load_scenario, normalize_eps
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scn, args):
-    """The scenario with the run command's --eps, --grid and --out applied."""
+    """The scenario with --eps, --grid and --out checked and applied."""
     changes = {}
     if args.eps is not None:
         tokens = args.eps.split(",")
@@ -53,23 +54,17 @@ def _apply_overrides(scn, args):
             eps = [float(tok) for tok in tokens]
         except ValueError:
             raise ScenarioError([f"--eps: cannot parse {args.eps!r}"])
-        if any(e <= 0 for e in eps):
-            raise ScenarioError([f"--eps: values must be positive, got {args.eps!r}"])
-        changes["eps_list"] = tuple(normalize_eps(eps, field="--eps"))
+        changes["eps_list"] = normalize_eps(eps, "--eps", args.eps)
     if args.grid is not None:
-        if args.grid < 2:
-            raise ScenarioError([f"--grid: expected an integer >= 2, got {args.grid}"])
-        changes["grid_n"] = args.grid
+        changes["grid_n"] = check_grid(args.grid, "--grid")
     if args.out is not None:
-        if not args.out:
-            raise ScenarioError(["--out: expected a directory, got ''"])
-        changes["out_dir"] = args.out
+        changes["out_dir"] = check_out_dir(args.out, "--out")
     return dataclasses.replace(scn, **changes)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "markov":
             for flag, e in (("--eps-lr", args.eps_lr), ("--eps-rl", args.eps_rl)):
                 if not math.isfinite(e):
@@ -86,6 +81,8 @@ def main(argv=None) -> int:
             print("\n".join(validate_hypotheses(scn.family, scn.eps_list).lines()))
             return 0
         return run_scenario(_apply_overrides(scn, args))
+    except SystemExit as exc:                  # argparse exits 2 on a usage error
+        return 1 if exc.code else 0
     except ScenarioError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -178,6 +178,8 @@ def predict_mixture(lhr: float, phi_l: DensityGrid,
 def markov_stationary(eps_lr: float, eps_rl: float) -> tuple[float, float]:
     """Stationary weight of the left state and second eigenvalue of the
     two-state chain with switching probabilities (eps_lr, eps_rl)."""
+    if not (math.isfinite(eps_lr) and math.isfinite(eps_rl)):
+        raise ValueError("switching probabilities must be finite")
     if eps_lr < 0 or eps_rl < 0:
         raise ValueError("switching probabilities must be nonnegative")
     if eps_lr + eps_rl > 1.0:

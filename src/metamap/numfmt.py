@@ -203,7 +203,9 @@ def fixed_cells(values) -> np.ndarray:
     """``'{:.2f}'.format(v)`` of every value, as uint8 rows laid out as
     ``repr_cells`` lays them out."""
     v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    t = 100.0 * np.minimum(np.abs(v), _FIXED_MAX)     # finite unless NaN
+    a = np.abs(v)
+    # NaN fails the test and goes to the cap: no arithmetic on a signaling NaN
+    t = 100.0 * np.where(a <= _FIXED_MAX, a, _FIXED_MAX)
     fast = (t < 100.0 * _FIXED_MAX) & (np.abs(t - np.floor(t) - 0.5) >= _TIE_MARGIN)
     h = np.rint(np.where(fast, t, 0.0)).astype(np.uint32)
     width = len(str(int(h.max(initial=0)) // 100))  # integer digits

@@ -64,14 +64,18 @@ def _rational(value, path, errors) -> float:
     return math.nan
 
 
-def normalize_eps(eps_list, field: str = "eps_list") -> list[float]:
-    """Deduplicate and sort descending: sweeps run from coarse to fine.
-
-    Per-eps artifacts are named by the ``:g`` label of eps
-    (``density_0.02.csv``), so two distinct values with one label would
-    write the same files; such a list is rejected, and so is a NaN or an
-    infinity, which the callers' ``e <= 0`` checks let through.
-    """
+def normalize_eps(eps_list, field: str, given) -> tuple[float, ...]:
+    """The eps ladder deduplicated and sorted descending, coarse to fine.
+    Refused, naming ``field``: anything but a non-empty list of finite
+    numbers > 0 (a value <= 0 quotes ``given``), and two values that share
+    the ``:g`` label that names their files (``density_0.02.csv``)."""
+    if not (isinstance(eps_list, list)
+            and all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps_list)):
+        raise ScenarioError([f"{field}: expected a list of numbers"])
+    if not eps_list:
+        raise ScenarioError([f"{field}: expected at least one value"])
+    if any(e <= 0 for e in eps_list):
+        raise ScenarioError([f"{field}: values must be positive, got {given!r}"])
     try:
         eps = [float(e) for e in eps_list]
     except OverflowError as exc:
@@ -84,7 +88,21 @@ def normalize_eps(eps_list, field: str = "eps_list") -> list[float]:
               for a, b in zip(eps, eps[1:]) if f"{a:g}" == f"{b:g}"]
     if errors:
         raise ScenarioError(errors)
-    return eps
+    return tuple(eps)
+
+
+def check_grid(grid_n, field: str) -> int:
+    """``grid_n``, refused naming ``field`` unless it is an integer >= 2."""
+    if not isinstance(grid_n, int) or grid_n < 2:
+        raise ScenarioError([f"{field}: expected an integer >= 2, got {grid_n!r}"])
+    return grid_n
+
+
+def check_out_dir(out_dir, field: str) -> str:
+    """``out_dir``, refused naming ``field`` unless it is a non-empty string."""
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ScenarioError([f"{field}: expected a directory, got {out_dir!r}"])
+    return out_dir
 
 
 def critical_denominator_lcm(map_: PiecewiseMap) -> int:
@@ -159,12 +177,11 @@ def _parse_branches(raw, errors) -> tuple[list[Branch], list[float], list[float]
     return branches, slope_eps, intercept_eps
 
 
-def _scenario_from_dict(data: dict, source: str) -> Scenario:
+def _scenario_from_dict(data: dict) -> Scenario:
     errors: list[str] = []
     name = data.get("name")
     if not isinstance(name, str) or not name:
         errors.append("name: required non-empty string")
-        name = source
     branches, slope_eps, intercept_eps = _parse_branches(data.get("branches"), errors)
     b = _rational(data.get("boundary"), "boundary", errors)
     family = None
@@ -180,34 +197,22 @@ def _scenario_from_dict(data: dict, source: str) -> Scenario:
         except MapModelError as exc:
             errors.append(f"branches: {exc}")
 
-    eps_list = data.get("eps_list", list(DEFAULT_EPS_LIST))
-    if not (isinstance(eps_list, list)
-            and all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps_list)):
-        errors.append("eps_list: expected a list of numbers")
-        eps_list = list(DEFAULT_EPS_LIST)
-    elif not eps_list:
-        errors.append("eps_list: expected at least one value")
-    elif any(e <= 0 for e in eps_list):
-        errors.append("eps_list: values must be positive")
-    else:
+    def checked(check, *args):
         try:
-            eps_list = normalize_eps(eps_list)
+            return check(*args)
         except ScenarioError as exc:
             errors.extend(exc.errors)
 
-    if errors or family is None:
-        if family is None and not errors:
-            errors.append("branches/boundary: a family scenario needs both")
-        raise ScenarioError(errors)
+    eps_list = data.get("eps_list", list(DEFAULT_EPS_LIST))
+    eps_list = checked(normalize_eps, eps_list, "eps_list", eps_list)
     grid_n = data.get("grid_n")
-    if grid_n is None:
-        grid_n = suggested_grid_n(family, eps_list)
-    elif not isinstance(grid_n, int) or grid_n < 2:
-        raise ScenarioError(["grid_n: expected an integer >= 2"])
-    return Scenario(name=name, family=family,
-                    eps_list=tuple(float(e) for e in eps_list),
-                    grid_n=grid_n,
-                    out_dir=str(data.get("out_dir", "out")))
+    if grid_n is not None:
+        grid_n = checked(check_grid, grid_n, "grid_n")
+    out_dir = checked(check_out_dir, data.get("out_dir", "out"), "out_dir")
+    if errors:                   # family is None only where an error says why
+        raise ScenarioError(errors)
+    return Scenario(name=name, family=family, eps_list=eps_list,
+                    grid_n=grid_n or suggested_grid_n(family, eps_list), out_dir=out_dir)
 
 
 BUILTINS = {scn.name: scn for scn in (
@@ -233,4 +238,4 @@ def load_scenario(source: str) -> Scenario:
         raise ScenarioError([f"file: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"])
     if not isinstance(data, dict):
         raise ScenarioError(["file: top level must be an object"])
-    return _scenario_from_dict(data, source)
+    return _scenario_from_dict(data)

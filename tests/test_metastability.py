@@ -156,6 +156,10 @@ def test_markov_stationary_domain_errors():
         markov_stationary(-0.01, 0.05)
     with pytest.raises(ValueError):
         markov_stationary(0.6, 0.6)
+    # NaN passed every check and gave (nan, nan)
+    for lr, rl in ((math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            markov_stationary(lr, rl)
 
 
 def test_flux_balance_zero_for_empty_holes(fam_a):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import traced_peak
@@ -116,3 +117,13 @@ def test_fixed_cells_match_per_value_format(drawn):
     assert cells.shape[0] == len(v) and cells.dtype == np.uint8
     assert [row[row != 0].tobytes() for row in cells] == \
         ["{:.2f}".format(x).encode() for x in v.tolist()]
+
+
+@pytest.mark.filterwarnings("error")
+def test_signaling_nans_format_without_a_warning():
+    # fixed_cells multiplied |v| by 100 first, which warned "invalid value
+    # encountered in multiply" on a signaling NaN, and raised under -W error
+    v = np.array([0x7FF0000000000001, 0xFFF0000000000001, 0x7FF4000000000000,
+                  0x7FF8000000000000], dtype=np.uint64).view(np.float64)
+    for cells in (fixed_cells(v), repr_cells(v)):
+        assert [row[row != 0].tobytes() for row in cells] == [b"nan"] * 4

@@ -535,6 +535,53 @@ def test_cli_empty_out_rejected_before_writing(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out_dir", [None, 7, ""])
+def test_file_out_dir_not_a_directory_rejected(tmp_path, capsys, monkeypatch, out_dir):
+    # null used to run into ./None and 7 into ./7
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(tmp_path, dict(FAMILY_A_JSON, out_dir=out_dir))
+    message = f"out_dir: expected a directory, got {out_dir!r}"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.errors == [message]
+    assert main(["validate", "--scenario", path]) == 1
+    assert main(["run", "--scenario", path]) == 1
+    assert capsys.readouterr().err.count(message) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eps_list", [0.02, -0.01], "eps_list: values must be positive, got [0.02, -0.01]"),
+    ("grid_n", 1, "grid_n: expected an integer >= 2, got 1"),
+    ("grid_n", 384.0, "grid_n: expected an integer >= 2, got 384.0"),
+])
+def test_file_run_inputs_checked_as_the_flags(tmp_path, field, value, message):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write_scenario(tmp_path, dict(FAMILY_A_JSON, **{field: value})))
+    assert err.value.errors == [message]
+
+
+def test_file_run_input_errors_reported_together(tmp_path):
+    data = dict(FAMILY_A_JSON, eps_list=[], grid_n=0, out_dir=None)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write_scenario(tmp_path, data))
+    assert err.value.errors == ["eps_list: expected at least one value",
+                                "grid_n: expected an integer >= 2, got 0",
+                                "out_dir: expected a directory, got None"]
+
+
+def test_cli_usage_error_exits_1_and_help_exits_0(tmp_path, capsys):
+    # argparse exits 2, the code of a run with failed sweep rows
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "builtin:family_a", "--grid", "abc",
+                 "--out", str(out)]) == 1
+    assert "argument --grid: invalid int value: 'abc'" in capsys.readouterr().err
+    assert main(["frobnicate"]) == 1
+    assert main(["run", "--help"]) == 0
+    assert "--scenario SCENARIO" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_refused_sweep_writes_no_file(tmp_path, capsys):
     # at n = 769 cell 384 straddles b = 1/2, which prepare_sweep refuses;
     # the run used to write hypotheses.txt first and leave it behind

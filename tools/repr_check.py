@@ -78,12 +78,12 @@ def mismatches(v: np.ndarray) -> list[tuple[str, str]]:
     bad += differ([f"{r},{r},{r},{s}" for r, s in zip(reprs, reversed(reprs))],
                   join_rows([cells, both[:n], cells, both[n:]], b",,,\n"))
     # fmod of an infinity is NaN, and arithmetic on a signaling NaN of the
-    # raw patterns is invalid
+    # raw patterns is invalid; fixed_cells takes both without a warning
     with np.errstate(invalid="ignore"):
         pixels = 72.0 + 648.0 * np.fmod(v, 1.0)
-        for w in (v, pixels):
-            bad += differ(list(map("{:.2f}".format, w.tolist())),
-                          join_rows([fixed_cells(w)], b"\n"))
+    for w in (v, pixels):
+        bad += differ(list(map("{:.2f}".format, w.tolist())),
+                      join_rows([fixed_cells(w)], b"\n"))
     return bad
 
 

@@ -10,7 +10,10 @@
 # compare every file they write.  What each run prints (stdout and stderr, the side's output
 # directory written <out>) is compared too, and so is its exit status, the
 # last line of its <name>.txt, and what `metamap validate` prints for the
-# three builtins and the scenario file.
+# three builtins and the scenario file.  Three calls compare only what they
+# print and their exit status: `metamap markov --eps-lr 0.01 --eps-rl 0.03`,
+# and two runs that the input checks refuse, `--grid 1` and
+# `--eps 0.01,-0.001`.
 # So are the steps: each call writes <name>.steps, one line per run of the
 # power iteration kernel `spectral._iterate`, in order, naming the solver
 # whose step it ran (`_second_pair`, `_corrected_step`, `_mass_step`,
@@ -89,6 +92,11 @@ for side in base tree; do
     done
     cli family_a_straddling run --scenario builtin:family_a --grid 769 \
         --eps 0.02,0.01 --out "$tmp/out/$side/family_a_straddling"
+    cli markov markov --eps-lr 0.01 --eps-rl 0.03
+    cli refused_grid run --scenario builtin:family_a --grid 1 \
+        --out "$tmp/out/$side/refused_grid"
+    cli refused_eps run --scenario builtin:family_a --eps 0.01,-0.001 \
+        --out "$tmp/out/$side/refused_eps"
 done
 diff -r "$tmp/out/base" "$tmp/out/tree"
 status=$?
