@@ -313,12 +313,19 @@ def _finalize_psi(values: np.ndarray, k: int) -> DensityGrid:
 @functools.lru_cache(maxsize=4)
 def _deflated_start(n: int, k: int) -> np.ndarray:
     """The deflated run's start, read-only: 1 on [0,k), -1 on [k,n), plus
-    1e-6 times a normal draw seeded with START_SEED, less its mean."""
+    1e-6 times a uniform draw in [-0.5, 0.5) seeded with START_SEED, less
+    its mean."""
     w = np.full(n, -1.0)
     w[:k] = 1.0
     # any fixed start misses the eigenvectors it has no component along; a
-    # seeded generic component shrinks those to a null set
-    w += 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
+    # seeded generic component shrinks those to a null set.  The draw is
+    # splitmix64 in uint64 arithmetic, which wraps: no process pays the
+    # 12-16 ms import of numpy.random for it
+    z = np.arange(1, n + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15 + START_SEED
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    w += 1e-6 * ((z >> 11) * 2.0 ** -53 - 0.5)
     w = w - np.mean(w)
     w /= np.mean(np.abs(w))
     w.setflags(write=False)

@@ -438,6 +438,19 @@ def test_cli_import_skips_scipy_optimize():
     assert proc.returncode == 0
 
 
+def test_cli_run_skips_numpy_random(tmp_path):
+    # the deflated start drew its generic component from numpy.random, whose
+    # import took 12-16 ms of every run process
+    src = os.path.dirname(os.path.dirname(metamap.__file__))
+    code = ("import sys\n"
+            "from metamap.cli import main\n"
+            f"assert main(['run', '--scenario', 'builtin:family_a', '--out', {str(tmp_path)!r}]) == 0\n"
+            "sys.exit('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_loads_only_the_sparse_kernel(tmp_path):
     # importing scipy.sparse costs about 0.2 s per process; the CLI loads only
     # the module of its compiled kernels, which a later import of the package

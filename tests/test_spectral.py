@@ -469,10 +469,17 @@ def test_deflated_start_is_exactly_plus_and_minus_one_on_the_blocks():
     # on an uneven split the start is +1 on [0,k) and -1 on [k,n) to the
     # bit before its seeded component is added and the mean removed; the
     # cell averages of the indicator of [0, 1/3) it replaced carried
-    # rounding of ~1e-13 in single cells
+    # rounding of ~1e-13 in single cells.  The component is splitmix64's
+    # stream from START_SEED, here in Python integers
     n, k = 999, 333
+    mask, state, draws = 2 ** 64 - 1, START_SEED, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        draws.append(((z ^ (z >> 31)) >> 11) * 2.0 ** -53 - 0.5)
     w = np.where(np.arange(n) < k, 1.0, -1.0)
-    w += 1e-6 * np.random.default_rng(START_SEED).standard_normal(n)
+    w += 1e-6 * np.array(draws)
     w = w - np.mean(w)
     w /= np.mean(np.abs(w))
     assert spectral._deflated_start(n, k).tobytes() == w.tobytes()
