@@ -13,10 +13,9 @@ thrown straight back - the right half never really loses anything.
 """
 
 from metamap.families import family_b
-from metamap.map_model import validate_hypotheses
-from metamap.metastability import (compute_holes, ergodic_densities,
-                                   hole_measures, predict_mixture)
-from metamap.spectral import invariant_density
+from metamap.map_model import compute_holes, validate_hypotheses
+from metamap.metastability import hole_measures, predict_mixture
+from metamap.spectral import ergodic_densities, invariant_density
 from metamap.transfer_operator import build_ulam, cells_below
 
 fam = family_b()

@@ -1,5 +1,5 @@
-"""Piecewise expanding interval maps, their perturbation families, and
-hypothesis checks.
+"""Piecewise expanding interval maps, their perturbation families, the
+holes a perturbation opens, and hypothesis checks.
 
 A map of [0,1] is represented as an ordered list of monotone branches over a
 critical partition 0 = c_0 < c_1 < ... < c_d = 1.  At interior partition
@@ -19,7 +19,9 @@ import numpy as np
 ENDPOINT_TOL = 1e-12
 PREIMAGE_XTOL = 1e-13
 DERIVATIVE_SAMPLES = 2048  # a smooth branch's samples of T' and T''
-HYPOTHESIS_TOL = 1e-9      # validate_hypotheses' distance tolerance
+HYPOTHESIS_TOL = 1e-9      # validate_hypotheses' and the hole check's distance tolerance
+MIN_HOLE_WIDTH = 1e-14
+HOLE_CHECK_SAMPLES = 7     # interior points of a hole that must map across b
 
 
 class MapModelError(ValueError):
@@ -345,6 +347,83 @@ class PerturbationFamily:
                     # at c = b itself the side decides the half
                     out.append((c, side, abs(delta / slope), c + side * ENDPOINT_TOL < b))
         return out
+
+
+@dataclass(frozen=True)
+class HoleReport:
+    """Hole geometry (interval lists per side) and, once completed against
+    the unperturbed ergodic densities, the hole measures and their ratio."""
+
+    H_l: tuple[Interval, ...]
+    H_r: tuple[Interval, ...]
+    warnings: tuple[str, ...] = ()
+    mu_l_Hl: Optional[float] = None
+    mu_r_Hr: Optional[float] = None
+    ratio: Optional[float] = None
+
+
+def _escape_pieces(branch, seg_lo: float, seg_hi: float, b: float,
+                   above: bool) -> list[Interval]:
+    """Part of [seg_lo, seg_hi] where the (monotone) branch value is above
+    (or below) the boundary b."""
+    if seg_hi - seg_lo <= MIN_HOLE_WIDTH:
+        return []
+    va, vb = branch(seg_lo), branch(seg_hi)
+    lo_val, hi_val = min(va, vb), max(va, vb)
+    if (hi_val <= b) if above else (lo_val >= b):
+        return []
+    if (lo_val >= b) if above else (hi_val <= b):
+        return [Interval(seg_lo, seg_hi)]
+    x_star = branch.preimage(b)
+    if x_star is None:     # numerical corner: no crossing found
+        return []
+    x_star = min(max(x_star, seg_lo), seg_hi)
+    lo, hi = (x_star, seg_hi) if above == (branch.orientation > 0) else (seg_lo, x_star)
+    return [] if hi - lo <= MIN_HOLE_WIDTH else [Interval(lo, hi)]
+
+
+def compute_holes(map_eps: PiecewiseMap, b: float) -> HoleReport:
+    """Closed-form (affine) or bracketed (smooth) hole geometry at one eps.
+
+    Each branch domain is split at b, the crossing of the branch with the
+    boundary level is located, and the escaping part is intersected with the
+    corresponding half.  Pieces touching b itself are flagged: escape
+    happening next to the boundary is exactly the pathology that breaks the
+    mixture prediction.
+    """
+    if not (0.0 < b < 1.0):
+        raise MapModelError("boundary point must be interior")
+    H_l: list[Interval] = []
+    H_r: list[Interval] = []
+    warnings: list[str] = []
+    for br in map_eps.branches:
+        d0, d1 = br.domain.lo, br.domain.hi
+        H_l.extend(_escape_pieces(br, d0, min(d1, b), b, above=True))
+        H_r.extend(_escape_pieces(br, max(d0, b), d1, b, above=False))
+    for side, pieces in (("left", H_l), ("right", H_r)):
+        for iv in pieces:
+            if abs(iv.lo - b) <= ENDPOINT_TOL or abs(iv.hi - b) <= ENDPOINT_TOL:
+                warnings.append(
+                    f"{side} hole [{iv.lo:.12g}, {iv.hi:.12g}] touches the boundary "
+                    f"point {b:.12g}: escaping mass re-enters immediately and the "
+                    "mixture prediction does not apply")
+    _check_hole_geometry(map_eps, b, H_l, H_r)
+    return HoleReport(H_l=tuple(sorted(H_l, key=lambda iv: iv.lo)),
+                      H_r=tuple(sorted(H_r, key=lambda iv: iv.lo)),
+                      warnings=tuple(warnings))
+
+
+def _check_hole_geometry(map_eps, b, H_l, H_r):
+    """Raise MapModelError unless HOLE_CHECK_SAMPLES evenly spaced interior
+    points of each hole map into the other half, to HYPOTHESIS_TOL."""
+    qs = np.arange(1, HOLE_CHECK_SAMPLES + 1) / (HOLE_CHECK_SAMPLES + 1)
+    for pieces, side, other, lo, hi in ((H_l, "left", "right", b - HYPOTHESIS_TOL, math.inf),
+                                        (H_r, "right", "left", -math.inf, b + HYPOTHESIS_TOL)):
+        for iv in pieces:
+            ys = (evaluate(map_eps, iv.lo + q * iv.length)[0] for q in qs)
+            if any(y < lo or y > hi for y in ys):
+                raise MapModelError(f"computed {side} hole [{iv.lo}, {iv.hi}] does not map "
+                                    f"into the {other} half")
 
 
 @dataclass

@@ -1,12 +1,13 @@
-"""Holes, hole measures, mixture prediction and eps sweeps.
+"""Hole measures, mixture prediction, flux balance, escape ratios and eps sweeps.
 
 A perturbation opens holes H_l = I_l intersect T_eps^{-1}(I_r) and
-H_r = I_r intersect T_eps^{-1}(I_l).  The perturbed invariant density is
-predicted to approach alpha*phi_l + (1-alpha)*phi_r with
-alpha/(1-alpha) equal to the limiting ratio mu_r(H_r)/mu_l(H_l); the second
-eigenvector approaches (phi_l - phi_r)/2.  This module measures all of that
-on Ulam grids across a sweep of eps values, where the halves are the cell
-blocks [0,k) and [k,n), k = ``cells_below(b, n)``.
+H_r = I_r intersect T_eps^{-1}(I_l) (``map_model.compute_holes``).  The
+perturbed invariant density is predicted to approach
+alpha*phi_l + (1-alpha)*phi_r with alpha/(1-alpha) equal to the limiting
+ratio mu_r(H_r)/mu_l(H_l); the second eigenvector approaches
+(phi_l - phi_r)/2.  This module measures all of that on Ulam grids across a
+sweep of eps values, where the halves are the cell blocks [0,k) and [k,n),
+k = ``cells_below(b, n)``; every solve is a public name of ``spectral``.
 """
 
 from __future__ import annotations
@@ -18,108 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .map_model import (Interval, MapModelError, PerturbationFamily, PiecewiseMap,
-                        evaluate)
-from . import spectral
+from .map_model import (HoleReport, MapModelError, PerturbationFamily, PiecewiseMap,
+                        compute_holes)
 # second_eigenpair is not called here: perfbench/tracer.py patches it under this name
-from .spectral import (SolverError, escape_rate, invariant_density,  # noqa: F401
-                       second_eigenpair)
+from .spectral import (SolverError, ergodic_densities, escape_rate,  # noqa: F401
+                       invariant_density, second_eigenpair)
 from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam, cells_below,
                                 cells_with_center_in)
-
-BOUNDARY_TOUCH_TOL = 1e-12
-MIN_HOLE_WIDTH = 1e-14
-HOLE_CHECK_SAMPLES = 7  # interior points of a hole that must map across b
-
-
-@dataclass(frozen=True)
-class HoleReport:
-    """Hole geometry (interval lists per side) and, once completed against
-    the unperturbed ergodic densities, the hole measures and their ratio."""
-
-    H_l: tuple[Interval, ...]
-    H_r: tuple[Interval, ...]
-    warnings: tuple[str, ...] = ()
-    mu_l_Hl: Optional[float] = None
-    mu_r_Hr: Optional[float] = None
-    ratio: Optional[float] = None
-
-
-def _escape_pieces(branch, seg_lo: float, seg_hi: float, b: float,
-                   above: bool) -> list[Interval]:
-    """Part of [seg_lo, seg_hi] where the (monotone) branch value is above
-    (or below) the boundary b."""
-    if seg_hi - seg_lo <= MIN_HOLE_WIDTH:
-        return []
-    va, vb = branch(seg_lo), branch(seg_hi)
-    lo_val, hi_val = min(va, vb), max(va, vb)
-    if above and hi_val <= b:
-        return []
-    if not above and lo_val >= b:
-        return []
-    if (above and lo_val >= b) or (not above and hi_val <= b):
-        return [Interval(seg_lo, seg_hi)]
-    x_star = branch.preimage(b)
-    if x_star is None:     # numerical corner: no crossing found
-        return []
-    x_star = min(max(x_star, seg_lo), seg_hi)
-    increasing = branch.orientation > 0
-    if above == increasing:
-        piece = (x_star, seg_hi)
-    else:
-        piece = (seg_lo, x_star)
-    if piece[1] - piece[0] <= MIN_HOLE_WIDTH:
-        return []
-    return [Interval(piece[0], piece[1])]
-
-
-def compute_holes(map_eps: PiecewiseMap, b: float) -> HoleReport:
-    """Closed-form (affine) or bracketed (smooth) hole geometry at one eps.
-
-    Each branch domain is split at b, the crossing of the branch with the
-    boundary level is located, and the escaping part is intersected with the
-    corresponding half.  Pieces touching b itself are flagged: escape
-    happening next to the boundary is exactly the pathology that breaks the
-    mixture prediction.
-    """
-    if not (0.0 < b < 1.0):
-        raise MapModelError("boundary point must be interior")
-    H_l: list[Interval] = []
-    H_r: list[Interval] = []
-    warnings: list[str] = []
-    for i, br in enumerate(map_eps.branches):
-        d0, d1 = br.domain.lo, br.domain.hi
-        H_l.extend(_escape_pieces(br, d0, min(d1, b), b, above=True))
-        H_r.extend(_escape_pieces(br, max(d0, b), d1, b, above=False))
-    for side, pieces in (("left", H_l), ("right", H_r)):
-        for iv in pieces:
-            if abs(iv.lo - b) <= BOUNDARY_TOUCH_TOL or abs(iv.hi - b) <= BOUNDARY_TOUCH_TOL:
-                warnings.append(
-                    f"{side} hole [{iv.lo:.12g}, {iv.hi:.12g}] touches the boundary "
-                    f"point {b:.12g}: escaping mass re-enters immediately and the "
-                    "mixture prediction does not apply")
-    _check_hole_geometry(map_eps, b, H_l, H_r)
-    return HoleReport(H_l=tuple(sorted(H_l, key=lambda iv: iv.lo)),
-                      H_r=tuple(sorted(H_r, key=lambda iv: iv.lo)),
-                      warnings=tuple(warnings))
-
-
-def _check_hole_geometry(map_eps, b, H_l, H_r):
-    """Raise MapModelError unless HOLE_CHECK_SAMPLES evenly spaced interior
-    points of each hole map into the other half, to 1e-9."""
-    qs = np.arange(1, HOLE_CHECK_SAMPLES + 1) / (HOLE_CHECK_SAMPLES + 1)
-    for iv in H_l:
-        for q in qs:
-            x = iv.lo + q * iv.length
-            if evaluate(map_eps, x)[0] < b - 1e-9:
-                raise MapModelError(
-                    f"computed left hole [{iv.lo}, {iv.hi}] does not map into the right half")
-    for iv in H_r:
-        for q in qs:
-            x = iv.lo + q * iv.length
-            if evaluate(map_eps, x)[0] > b + 1e-9:
-                raise MapModelError(
-                    f"computed right hole [{iv.lo}, {iv.hi}] does not map into the left half")
 
 
 def hole_measures(report: HoleReport, phi_l: DensityGrid,
@@ -200,22 +106,6 @@ def flux_balance(phi_eps: DensityGrid, report: HoleReport) -> float:
     mu_l = sum(phi_eps.integrate(iv.lo, iv.hi) for iv in report.H_l)
     mu_r = sum(phi_eps.integrate(iv.lo, iv.hi) for iv in report.H_r)
     return abs(mu_l - mu_r)
-
-
-def ergodic_densities(P0: UlamMatrix, k: int,
-                      tol: float = 1e-10) -> tuple[DensityGrid, DensityGrid]:
-    """The eps=0 ergodic densities phi_l, phi_r of the blocks [0,k), [k,n)
-    of ``P0``, the Ulam matrix of a family's base map.
-
-    Each is the plain power-iteration limit of ``P0`` from its block's cell
-    indicator; where it is Lebesgue on its block, as on the builtins, that
-    start is already fixed and the run stops after one step.  A block that
-    leaks mass raises the ValueError naming it before any run.
-    """
-    spectral._check_closed_blocks(P0, k)
-    step, left = spectral._mass_step(P0), np.arange(P0.n) < k
-    return tuple(DensityGrid(P0.n, spectral._iterate(step, w / np.mean(w), tol)[0])
-                 for w in (left, ~left))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ callers differ only in their step: the deflated step for the second
 eigenpair (P^T with the mean removed), the psi-corrected mass step for the
 invariant density (each step removes the second eigenvector's component
 at its rate rho, so the run contracts at the third eigenvalue's rate
-instead of at rho_eps ~ 1 - c*eps), plain mass renormalization for the
-eps=0 ergodic densities and for a density whose eigenvalue 1 is not
-simple, and, for the escape rates of both invariant blocks of the eps=0
-matrix in one run, a hole mask with each block renormalized to mean 1.
-One cell count k names the blocks [0,k) and [k,n) throughout.
+instead of at rho_eps ~ 1 - c*eps), plain mass renormalization for a
+density whose eigenvalue 1 is not simple, and the block step of
+``_solve_blocks``, which zeroes hole cells and renormalizes each invariant
+block of the eps=0 matrix to mean 1: one run without holes gives both
+ergodic densities, one run with them both escape rates.  One cell count k
+names the blocks [0,k) and [k,n) throughout.
 ``invariant_density`` runs the deflated kernel first, from 1 on [0,k) and
 -1 on [k,n) with a seeded generic component, and then the density kernel
 once; it is the one owner of the second pair: a second eigenvalue within
@@ -34,7 +35,7 @@ last n // 32 cells already proves the step cannot stop (see
 reads its correction's coefficient from its input, as <P psi - psi, x>,
 and lets the matvec add P^T x into the scaled psi, so it makes no pass
 over y - x and no separate subtraction.  The deflated, psi-corrected and
-escape steps rescale by multiplying with the reciprocal of the scalar,
+block steps rescale by multiplying with the reciprocal of the scalar,
 which costs less than half of an array division at n = 15360; the plain
 mass step divides, so it keeps the bits of plain power iteration.  Dot
 products use ``np.einsum`` (see the deflated step), so no result depends
@@ -117,7 +118,7 @@ def _iterate(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray,
     however slowly.  A step change that is not finite is named at the
     step where it appears when it reaches cell 0 or cell n-1 there, which
     lie in the blocks [0,k) and [k,n) for every split k.  The package's
-    steps (mass, corrected, deflated, escape) each rescale a block by a
+    steps (mass, corrected, deflated, block) each rescale a block by a
     sum over it, so a NaN anywhere in a block reaches all of it in the
     step where it appears.  A caller's own step may be named later, at
     step STALL_WINDOW at the latest.
@@ -450,52 +451,78 @@ def _check_closed_blocks(P: UlamMatrix, k: int) -> None:
                                  f"{worst} moves {moved[worst]:.3g} of its mass out of it")
 
 
-def escape_rate(P: UlamMatrix, hole_cells, k: int,
-                tol: float = 1e-12) -> tuple[float, float]:
-    """Escape rates -log(lambda) of the blocks [0,k) and [k,n) of P through
-    their hole cells, from one run.
+def _solve_blocks(P: UlamMatrix, k: int, hole: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, tuple[float, float]]:
+    """Leading eigenvectors, at mean 1 on their blocks, and eigenvalues of
+    the blocks [0,k) and [k,n) of P with the ``hole`` cells' columns zeroed:
+    one run from 1 outside the holes, refused unless P moves no mass
+    between the blocks (``_check_closed_blocks``).
 
-    P must move no mass between the blocks, so that P with its hole columns
-    zeroed is block diagonal (``_check_closed_blocks``).  Each step zeroes the
-    hole cells and rescales each block to mean 1 on its own; a block's
-    lambda is the mean of its part of the unrescaled step.  A block without
-    hole cells is held at zero and its rate is 0.0.  Hole cells outside
-    0..n-1, and a hole covering a whole block, raise ValueError.
+    Each step zeroes the hole cells and rescales each block to mean 1 on
+    its own; a block's eigenvalue is the mean of its part of the unrescaled
+    step.  Returns the limit and the pair of eigenvalues.
     """
     n = P.n
     _check_closed_blocks(P, k)
-    # np.unique would import numpy.ma (13-18 ms) in a fresh process
-    hole = np.asarray(hole_cells, dtype=int).ravel()
-    outside = hole[(hole < 0) | (hole >= n)]
-    if outside.size:
-        raise ValueError(f"hole cells {sorted(set(outside.tolist()))[:4]}... outside 0..{n - 1}")
-    keep = np.ones(n)
-    keep[hole] = 0.0
-    lams, blocks = {0: 1.0, k: 1.0}, []         # the open blocks' (cells, size)
-    for lo, hi in ((0, k), (k, n)):
-        if keep[lo:hi].all():
-            keep[lo:hi] = 0.0
-        elif not keep[lo:hi].any():
-            raise ValueError(f"hole covers the whole block [{lo}, {hi}); "
-                             "escape rate undefined")
-        else:
-            blocks.append((slice(lo, hi), hi - lo))
-    shut = np.flatnonzero(keep == 0.0)
+    w = np.ones(n)
+    w[hole] = 0.0
+    lams = [1.0, 1.0]
 
     def step(w):
         # Mean-1 blocks keep the mean-L1 step change on the scale of the
         # iterate; sum-1 blocks shrink it by 1/m and stop too early.
         v = P.apply(w)
-        # the iterates are nonnegative, so this zeroes what v *= keep would
-        v[shut] = 0.0
-        for cells, size in blocks:
-            lam = lams[cells.start] = float(np.add.reduce(v[cells])) / size
+        # the iterates are nonnegative, so this zeroes what a 0/1 mask would
+        v[hole] = 0.0
+        for i, (lo, hi) in enumerate(((0, k), (k, n))):
+            lam = lams[i] = float(np.add.reduce(v[lo:hi])) / (hi - lo)
             if lam <= 0.0:
                 raise DegenerateSpectrumError(
-                    f"all mass of block [{cells.start}, {cells.stop}) escapes in one step")
-            v[cells] *= 1.0 / lam
+                    f"all mass of block [{lo}, {hi}) escapes in one step")
+            v[lo:hi] *= 1.0 / lam
         return v
 
-    _iterate(step, keep, tol)
-    # 0.0 - log: a block held at zero keeps lambda = 1 and rate 0.0, not -0.0
-    return 0.0 - math.log(lams[0]), 0.0 - math.log(lams[k])
+    w, _ = _iterate(step, w, tol)
+    return w, tuple(lams)
+
+
+def ergodic_densities(P0: UlamMatrix, k: int,
+                      tol: float = 1e-10) -> tuple[DensityGrid, DensityGrid]:
+    """The eps=0 ergodic densities phi_l, phi_r, each at mean 1 on the
+    grid, of the blocks [0,k), [k,n) of ``P0``, the Ulam matrix of a
+    family's base map: one ``_solve_blocks`` run without holes.  A block
+    whose density is Lebesgue, as on the builtins, starts at its limit.
+    """
+    n = P0.n
+    w, _ = _solve_blocks(P0, k, np.empty(0, dtype=int), tol)
+    left = np.arange(n) < k
+    return (DensityGrid(n, np.where(left, w * (n / k), 0.0)),
+            DensityGrid(n, np.where(left, 0.0, w * (n / (n - k)))))
+
+
+def escape_rate(P: UlamMatrix, hole_cells, k: int,
+                tol: float = 1e-12) -> tuple[float, float]:
+    """Escape rates -log(lambda) of the blocks [0,k) and [k,n) of P through
+    their hole cells, from one ``_solve_blocks`` run.
+
+    A block without hole cells is closed: its rate is 0.0.  Hole cells
+    outside 0..n-1, and a hole covering a whole block, raise ValueError.
+    """
+    n = P.n
+    _check_split(k, n)
+    # np.unique would import numpy.ma (13-18 ms) in a fresh process
+    hole = np.asarray(hole_cells, dtype=int).ravel()
+    outside = hole[(hole < 0) | (hole >= n)]
+    if outside.size:
+        raise ValueError(f"hole cells {sorted(set(outside.tolist()))[:4]}... outside 0..{n - 1}")
+    shut = np.zeros(n, dtype=bool)
+    shut[hole] = True
+    blocks = ((0, k), (k, n))
+    for lo, hi in blocks:
+        if shut[lo:hi].all():
+            raise ValueError(f"hole covers the whole block [{lo}, {hi}); "
+                             "escape rate undefined")
+    _, lams = _solve_blocks(P, k, hole, tol)
+    # 0.0 - log: lambda = 1 gives the rate 0.0, not -0.0
+    return tuple(0.0 - math.log(lam) if shut[lo:hi].any() else 0.0
+                 for lam, (lo, hi) in zip(lams, blocks))

@@ -151,7 +151,7 @@ def record_solves(monkeypatch):
     """Wrap ``spectral._iterate``: each run appends (solver, tol, start, steps).
 
     The solver names the function whose step ran: ``_second_pair``,
-    ``_corrected_step``, ``_mass_step`` or ``escape_rate``.
+    ``_corrected_step``, ``_mass_step`` or ``_solve_blocks``.
     """
     calls = []
     iterate = spectral._iterate

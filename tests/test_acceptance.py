@@ -12,11 +12,9 @@ from conftest import dense_top_eigenpairs
 
 from metamap.bv_analysis import jump_decay_profile, saltus_decompose
 from metamap.families import family_a, family_b
-from metamap.map_model import Interval, postcritical_hierarchy
-from metamap.metastability import (compute_holes, hole_measures,
-                                   markov_stationary, predict_mixture,
-                                   ergodic_densities)
-from metamap.spectral import invariant_density, second_eigenpair
+from metamap.map_model import Interval, compute_holes, postcritical_hierarchy
+from metamap.metastability import hole_measures, markov_stationary, predict_mixture
+from metamap.spectral import ergodic_densities, invariant_density, second_eigenpair
 from metamap.transfer_operator import (DensityGrid, build_ulam,
                                        lasota_yorke_constants)
 

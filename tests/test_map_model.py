@@ -6,7 +6,7 @@ import pytest
 from conftest import lebesgue_halves
 
 from metamap.map_model import (Branch, MapModelError, PerturbationFamily,
-                               PiecewiseMap, distortion, evaluate,
+                               PiecewiseMap, compute_holes, distortion, evaluate,
                                min_expansion, postcritical_hierarchy,
                                validate_hypotheses)
 from metamap.families import DEFAULT_EPS_LIST
@@ -348,3 +348,9 @@ def test_family_b_definition_matches_mod_formula(fam_b):
             expected = (-3 * x) % 0.5 + 0.5 - eps
         vals = evaluate(T, x)
         assert min(abs(v - expected) for v in vals) <= 1e-9
+
+
+def test_compute_holes_refuses_a_boundary_outside_the_interior(fam_a):
+    for b in (0.0, 1.0):
+        with pytest.raises(MapModelError, match="boundary point must be interior"):
+            compute_holes(fam_a.base, b)

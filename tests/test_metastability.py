@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FINE_EPS, FINE_N, block_rates, lebesgue_halves, record_solves
+from conftest import (FINE_EPS, FINE_N, block_rates, lebesgue_halves, record_solves,
+                      scipy_csc)
 
-from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFamily,
-                               PiecewiseMap, evaluate, validate_hypotheses)
-from metamap.metastability import (HoleReport, analytic_lhr, compute_holes,
-                                   ergodic_densities, flux_balance, hole_measures,
+from metamap.map_model import (Branch, HoleReport, Interval, MapModelError,
+                               PerturbationFamily, PiecewiseMap, compute_holes, evaluate,
+                               validate_hypotheses)
+from metamap.metastability import (analytic_lhr, flux_balance, hole_measures,
                                    markov_stationary, predict_mixture,
                                    prepare_sweep, run_sweep_row)
-from metamap.spectral import escape_rate, invariant_density
+from metamap.spectral import ergodic_densities, escape_rate, invariant_density
 from metamap.transfer_operator import DensityGrid, build_ulam, cells_with_center_in
 
 
@@ -276,6 +277,43 @@ def test_straddling_cell_fails_every_row_by_name(fam_a, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("family", ["fam_a", "fam_b"])
+def test_prepare_sweep_solves_the_eps0_blocks_in_one_run(request, monkeypatch, family):
+    # both ergodic densities come from one block run; each builtin half is
+    # Lebesgue, so the start is already fixed and the run takes one step
+    calls = record_solves(monkeypatch)
+    prepare_sweep(request.getfixturevalue(family), [0.01], 768)
+    assert [(solver, steps) for solver, _, _, steps in calls] == [("_solve_blocks", 1)]
+
+
+def test_ergodic_densities_refuse_a_leaking_block(fam_a):
+    # eps = 0.01 opens holes between the blocks [0, 24) and [24, 48)
+    with pytest.raises(ValueError, match=r"^block \[0, 24\) of 48 cells is not invariant: "
+                                         r"row 15 moves 0\.48 of its mass out of it$"):
+        ergodic_densities(build_ulam(fam_a.instantiate(0.01), 48), 24)
+
+
+def test_one_sided_escape_ratio_matches_dense_oracle(fam_a):
+    # at n = 768, eps = 0.001 the right hole [2/3, 2/3 + eps/3] covers no
+    # cell centre: the row skips the right rate and keeps the left one,
+    # whose lambda is the top eigenvalue of P0's left block with its hole
+    # columns zeroed
+    n, eps = 768, 0.001
+    ctx = prepare_sweep(fam_a, [eps], n)
+    row, _ = run_sweep_row(ctx, eps)
+    assert row.error is None, row.error
+    assert row.warnings == ("hole in [0.5, 1.0] thinner than one cell; escape rate skipped",)
+    assert row.escape_ratio_r is None
+    holes = hole_measures(compute_holes(fam_a.instantiate(eps), 0.5), ctx.phi_l, ctx.phi_r)
+    Q = scipy_csc(ctx.P0).toarray()
+    Q[:, cells_with_center_in(holes.H_l, n)] = 0.0
+    lams = np.linalg.eigvals(Q[:ctx.k, :ctx.k])
+    lam = float(lams[np.argmax(np.abs(lams))].real)
+    expected = holes.mu_l_Hl / -math.log(lam)
+    assert row.escape_ratio_l == pytest.approx(0.7571188307, rel=1e-9)
+    assert abs(row.escape_ratio_l - expected) <= 1e-9 * expected
+
+
 def test_sweep_rows_carry_failures_not_exceptions(fam_a):
     # eps = 0.2 pushes the perturbed branch image outside [0,1]
     ctx = prepare_sweep(fam_a, [0.01], 384)
@@ -359,7 +397,7 @@ def test_every_solve_of_a_row_runs_at_the_sweep_tol(fam_a, monkeypatch, tol):
     row, _ = run_sweep_row(ctx, 0.01)
     assert row.error is None, row.error
     assert [(solver, t) for solver, t, _, _ in calls] == [
-        ("_second_pair", tol), ("_corrected_step", tol), ("escape_rate", tol)]
+        ("_second_pair", tol), ("_corrected_step", tol), ("_solve_blocks", tol)]
 
 
 @pytest.mark.parametrize("family", ["fam_a", "fam_b"])

@@ -144,7 +144,7 @@ def test_slow_contraction_converges_without_stalling():
 def test_escape_rate_empty_hole_is_zero(fam_a):
     P0 = build_ulam(fam_a.base, 768)
     assert escape_rate(P0, [], 384) == (0.0, 0.0)
-    # a block without hole cells is held at zero: rate 0.0, not -0.0
+    # a block without hole cells is closed: rate 0.0, not -0.0
     left, right = escape_rate(P0, [250], 384)
     assert left > 0.0 and math.copysign(1.0, right) == 1.0 and right == 0.0
 
@@ -254,6 +254,23 @@ def test_solvers_are_reentrant(request, family):
     assert bits(solve()) == snapshot == bits(first)
     for before, after in zip(inputs, (P.matrix.data, P0.matrix.data, hole)):
         assert before.tobytes() == after.tobytes()
+
+def test_rank_one_chain_has_no_second_eigenvalue():
+    # P^T maps every mass-zero vector to 0, so the deflated iterate vanishes
+    # at the first step
+    P = UlamMatrix.from_matrix(np.full((4, 4), 0.25))
+    with pytest.raises(DegenerateSpectrumError,
+                       match=r"^iterate collapsed; no second eigenvalue found$"):
+        invariant_density(P, k=2)
+
+
+def test_err_estimate_unbounded_without_contraction():
+    # a step change that does not shrink leaves no finite distance to a limit
+    for r in (1.0, 1.5, math.inf):
+        assert spectral._err_estimate(1e-3, r) == math.inf
+    assert spectral._err_estimate(0.0, 2.0) == 0.0
+    assert spectral._err_estimate(1e-3, 0.5) == pytest.approx(1e-3)
+
 
 def test_complex_second_eigenvalue_detected():
     # three-state cyclic chain: eigenvalues 1 and a complex pair.  The
@@ -438,7 +455,7 @@ def test_sweep_row_steps_on_the_fine_ladder(request, monkeypatch, family):
     # every solve of a sweep_*_fine row: the second pair takes 20-23 steps,
     # the density 22-25 and the one escape run for both sides 21-23 at the
     # sweep's tol
-    bounds = {"_second_pair": 26, "_corrected_step": 35, "escape_rate": 25}
+    bounds = {"_second_pair": 26, "_corrected_step": 35, "_solve_blocks": 25}
     ctx = prepare_sweep(request.getfixturevalue(family), FINE_EPS, FINE_N)
     calls = record_solves(monkeypatch)
     for eps in FINE_EPS:
@@ -447,7 +464,7 @@ def test_sweep_row_steps_on_the_fine_ladder(request, monkeypatch, family):
         assert row.error is None, row.error
         steps = [(solver, k) for solver, _, _, k in calls]
         assert [solver for solver, _ in steps] == [
-            "_second_pair", "_corrected_step", "escape_rate"]
+            "_second_pair", "_corrected_step", "_solve_blocks"]
         assert all(k <= bounds[solver] for solver, k in steps), (eps, steps)
 
 

@@ -4,10 +4,12 @@
 # benchmark's fine ladder (n = 15360, eps 0.0064 ... 0.0008) and on
 # n = 122880 at eps 0.0001 (1.2-1.7 s and about 14 MB of files per run;
 # each writes a densities.svg of 3 x 122880 points, the large-n byte check
-# of the SVG writer's coordinate buffer), and family A on n = 769, whose
-# cell 384 straddles b = 1/2 (a sweep that fails), with the sources of <base-rev> and with those of this working
-# tree, each side reading the scenario file from its own checkout, and
-# compare every file they write.  What each run prints (stdout and stderr, the side's output
+# of the SVG writer's coordinate buffer), family A on n = 769, whose
+# cell 384 straddles b = 1/2 (a sweep that fails), and family A on n = 768
+# at eps 0.001, whose right hole covers no cell centre (a row that solves
+# the left escape rate only), with the sources of <base-rev> and with those
+# of this working tree, each side reading the scenario file from its own
+# checkout, and compare every file they write.  What each run prints (stdout and stderr, the side's output
 # directory written <out>) is compared too, and so is its exit status, the
 # last line of its <name>.txt, and what `metamap validate` prints for the
 # three builtins and the scenario file.  Three calls compare only what they
@@ -17,7 +19,7 @@
 # So are the steps: each call writes <name>.steps, one line per run of the
 # power iteration kernel `spectral._iterate`, in order, naming the solver
 # whose step it ran (`_second_pair`, `_corrected_step`, `_mass_step`,
-# `escape_rate`) and its step count, or "raised" for a run that raised.
+# `_solve_blocks`) and its step count, or "raised" for a run that raised.
 #
 #   tools/same_bytes.sh <base-rev>
 #
@@ -92,6 +94,8 @@ for side in base tree; do
     done
     cli family_a_straddling run --scenario builtin:family_a --grid 769 \
         --eps 0.02,0.01 --out "$tmp/out/$side/family_a_straddling"
+    cli family_a_thin_hole run --scenario builtin:family_a --grid 768 \
+        --eps 0.001 --out "$tmp/out/$side/family_a_thin_hole"
     cli markov markov --eps-lr 0.01 --eps-rl 0.03
     cli refused_grid run --scenario builtin:family_a --grid 1 \
         --out "$tmp/out/$side/refused_grid"
