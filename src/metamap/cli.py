@@ -44,7 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scn, args):
-    """The scenario with --eps, --grid and --out checked and applied."""
+    """The scenario with --eps, --grid and --out checked and applied; a
+    markov scenario has no eps ladder or grid, and refuses the first two."""
+    errors = [f"{flag}: a markov scenario has no eps ladder or grid"
+              for flag, value in (("--eps", args.eps), ("--grid", args.grid))
+              if scn.kind == "markov" and value is not None]
+    if errors:
+        raise ScenarioError(errors)
     changes = {}
     if args.eps is not None:
         tokens = args.eps.split(",")

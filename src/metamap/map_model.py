@@ -43,9 +43,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -100,7 +97,7 @@ class Branch:
     @property
     def orientation(self) -> int:
         """+1 for increasing branches, -1 for decreasing."""
-        d = self.slope if self.is_affine else self.df(self.domain.midpoint())
+        d = self.slope if self.is_affine else self.df(0.5 * (self.domain.lo + self.domain.hi))
         return 1 if d > 0 else -1
 
     def image(self) -> tuple[float, float]:
@@ -210,14 +207,12 @@ def evaluate(map_: PiecewiseMap, x: float) -> tuple[float, ...]:
     if x < -ENDPOINT_TOL or x > 1.0 + ENDPOINT_TOL:
         raise MapModelError(f"x={x} outside [0,1]")
     x = min(max(x, 0.0), 1.0)
-    vals = []
+    out: list[float] = []
     for br in map_.branches:
         if br.domain.lo - ENDPOINT_TOL <= x <= br.domain.hi + ENDPOINT_TOL:
-            vals.append(br(x))
-    out: list[float] = []
-    for v in vals:
-        if not any(abs(v - w) <= ENDPOINT_TOL for w in out):
-            out.append(v)
+            v = br(x)
+            if not any(abs(v - w) <= ENDPOINT_TOL for w in out):
+                out.append(v)
     return tuple(out)
 
 
@@ -368,8 +363,7 @@ def _escape_pieces(branch, seg_lo: float, seg_hi: float, b: float,
     (or below) the boundary b."""
     if seg_hi - seg_lo <= MIN_HOLE_WIDTH:
         return []
-    va, vb = branch(seg_lo), branch(seg_hi)
-    lo_val, hi_val = min(va, vb), max(va, vb)
+    lo_val, hi_val = sorted((branch(seg_lo), branch(seg_hi)))
     if (hi_val <= b) if above else (lo_val >= b):
         return []
     if (lo_val >= b) if above else (hi_val <= b):
@@ -387,43 +381,34 @@ def compute_holes(map_eps: PiecewiseMap, b: float) -> HoleReport:
 
     Each branch domain is split at b, the crossing of the branch with the
     boundary level is located, and the escaping part is intersected with the
-    corresponding half.  Pieces touching b itself are flagged: escape
-    happening next to the boundary is exactly the pathology that breaks the
-    mixture prediction.
+    corresponding half.  MapModelError is raised unless HOLE_CHECK_SAMPLES
+    evenly spaced interior points of each piece map, under the branch that
+    opened it, into the other half to HYPOTHESIS_TOL.  Branches tile [0,1]
+    in order and open at most one piece per side, so pieces come ascending.
+    Pieces touching b itself are flagged: escape happening next to the
+    boundary is exactly the pathology that breaks the mixture prediction.
     """
     if not (0.0 < b < 1.0):
         raise MapModelError("boundary point must be interior")
+    qs = np.arange(1, HOLE_CHECK_SAMPLES + 1) / (HOLE_CHECK_SAMPLES + 1)
     H_l: list[Interval] = []
     H_r: list[Interval] = []
-    warnings: list[str] = []
     for br in map_eps.branches:
         d0, d1 = br.domain.lo, br.domain.hi
-        H_l.extend(_escape_pieces(br, d0, min(d1, b), b, above=True))
-        H_r.extend(_escape_pieces(br, max(d0, b), d1, b, above=False))
-    for side, pieces in (("left", H_l), ("right", H_r)):
-        for iv in pieces:
-            if abs(iv.lo - b) <= ENDPOINT_TOL or abs(iv.hi - b) <= ENDPOINT_TOL:
-                warnings.append(
-                    f"{side} hole [{iv.lo:.12g}, {iv.hi:.12g}] touches the boundary "
-                    f"point {b:.12g}: escaping mass re-enters immediately and the "
-                    "mixture prediction does not apply")
-    _check_hole_geometry(map_eps, b, H_l, H_r)
-    return HoleReport(H_l=tuple(sorted(H_l, key=lambda iv: iv.lo)),
-                      H_r=tuple(sorted(H_r, key=lambda iv: iv.lo)),
-                      warnings=tuple(warnings))
-
-
-def _check_hole_geometry(map_eps, b, H_l, H_r):
-    """Raise MapModelError unless HOLE_CHECK_SAMPLES evenly spaced interior
-    points of each hole map into the other half, to HYPOTHESIS_TOL."""
-    qs = np.arange(1, HOLE_CHECK_SAMPLES + 1) / (HOLE_CHECK_SAMPLES + 1)
-    for pieces, side, other, lo, hi in ((H_l, "left", "right", b - HYPOTHESIS_TOL, math.inf),
-                                        (H_r, "right", "left", -math.inf, b + HYPOTHESIS_TOL)):
-        for iv in pieces:
-            ys = (evaluate(map_eps, iv.lo + q * iv.length)[0] for q in qs)
-            if any(y < lo or y > hi for y in ys):
-                raise MapModelError(f"computed {side} hole [{iv.lo}, {iv.hi}] does not map "
-                                    f"into the {other} half")
+        for pieces, side, other, seg, above in ((H_l, "left", "right", (d0, min(d1, b)), True),
+                                                (H_r, "right", "left", (max(d0, b), d1), False)):
+            for iv in _escape_pieces(br, *seg, b, above):
+                ys = [br(iv.lo + q * iv.length) for q in qs]
+                if min(ys) < b - HYPOTHESIS_TOL if above else max(ys) > b + HYPOTHESIS_TOL:
+                    raise MapModelError(f"computed {side} hole [{iv.lo}, {iv.hi}] does not "
+                                        f"map into the {other} half")
+                pieces.append(iv)
+    warnings = [f"{side} hole [{iv.lo:.12g}, {iv.hi:.12g}] touches the boundary "
+                f"point {b:.12g}: escaping mass re-enters immediately and the "
+                "mixture prediction does not apply"
+                for side, pieces in (("left", H_l), ("right", H_r)) for iv in pieces
+                if abs(iv.lo - b) <= ENDPOINT_TOL or abs(iv.hi - b) <= ENDPOINT_TOL]
+    return HoleReport(H_l=tuple(H_l), H_r=tuple(H_r), warnings=tuple(warnings))
 
 
 @dataclass
@@ -466,8 +451,8 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
     The holes are those of :meth:`PerturbationFamily.first_order_holes`,
     the branch ends that eps opens.
 
-    * invariant halves: no branch of T0 maps a point strictly inside it,
-      other than b, to b; P2 fails otherwise;
+    * invariant halves: ``compute_holes(T0, b)`` opens no hole; P2 fails
+      otherwise, as it does when that call raises;
     * no-return: forward images of the critical set up to ``depth`` steps stay
       at distance > HYPOTHESIS_TOL from the holes;
     * expansion: min |T'| > 2;
@@ -486,25 +471,23 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
     T0 = family.base
     diags: list[str] = []
     lam = min_expansion(T0)
-    dis = distortion(T0)
 
     b = family.boundary_b
     holes = family.first_order_holes()
-    # a preimage of b strictly inside a branch, other than b itself, sends
-    # mass across b at eps=0
-    halves_invariant = True
-    for i, br in enumerate(T0.branches):
-        x = br.preimage(b)
-        if x is not None and min(abs(x - br.domain.lo), abs(x - br.domain.hi),
-                                 abs(x - b)) > ENDPOINT_TOL:
-            halves_invariant = False
-            diags.append(f"setup fails: preimage {x} of boundary {b} lies strictly inside "
-                         f"branch {i}; the two halves are not invariant at eps=0")
-            break
+    # the halves are invariant exactly when T0 opens no hole
+    try:
+        zero = compute_holes(T0, b)
+    except MapModelError as exc:
+        opened = [str(exc)]
+    else:
+        opened = [f"T0 opens the {side} hole [{iv.lo!r}, {iv.hi!r}] across boundary {b}"
+                  for side, pieces in (("left", zero.H_l), ("right", zero.H_r))
+                  for iv in pieces]
+    if opened:
+        diags.append(f"setup fails: {opened[0]}; the two halves are not invariant at eps=0")
 
     passes_i2 = True
-    layers = postcritical_hierarchy(T0, depth)
-    for k, pts in layers.items():
+    for k, pts in postcritical_hierarchy(T0, depth).items():
         for p in pts:
             d = min((abs(p - c) for c, *_ in holes), default=math.inf)
             if d <= HYPOTHESIS_TOL:
@@ -521,7 +504,7 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
 
     b_critical = min(abs(b - c) for c in T0.critical_set) <= ENDPOINT_TOL
     vals0 = evaluate(T0, b)
-    if not halves_invariant:
+    if opened:
         passes_p2 = False
     elif b_critical:
         # One-sided values must straddle the boundary strictly; the boundary
@@ -566,6 +549,6 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
         diags.append("(I3) not checked: no ergodic densities supplied")
     diags.append("(I1)/(P1) assumed; verify via spectral simplicity probe")
 
-    return HypothesisReport(min_expansion=lam, distortion=dis, I2=passes_i2,
+    return HypothesisReport(min_expansion=lam, distortion=distortion(T0), I2=passes_i2,
                             checked_depth=depth, I3=passes_i3, I4a=passes_i4a,
                             P2=passes_p2, diagnostics=diags)

@@ -28,6 +28,12 @@ from .transfer_operator import (DensityGrid, UlamMatrix, build_ulam, cells_below
                                 cells_with_center_in)
 
 
+def _hole_masses(report: HoleReport, density_l: DensityGrid, density_r: DensityGrid):
+    """The mass of H_l under density_l and of H_r under density_r."""
+    return [sum(d.integrate(iv.lo, iv.hi) for iv in pieces)
+            for d, pieces in ((density_l, report.H_l), (density_r, report.H_r))]
+
+
 def hole_measures(report: HoleReport, phi_l: DensityGrid,
                   phi_r: DensityGrid) -> HoleReport:
     """Complete a hole report with measures under the eps=0 ergodic densities.
@@ -35,8 +41,7 @@ def hole_measures(report: HoleReport, phi_l: DensityGrid,
     mu_l(H_l) must be positive (relabel the halves otherwise); the ratio is
     mu_r(H_r) / mu_l(H_l).
     """
-    mu_l = sum(phi_l.integrate(iv.lo, iv.hi) for iv in report.H_l)
-    mu_r = sum(phi_r.integrate(iv.lo, iv.hi) for iv in report.H_r)
+    mu_l, mu_r = _hole_masses(report, phi_l, phi_r)
     if mu_l == 0.0 and mu_r == 0.0:
         raise MapModelError("both holes have measure zero: no perturbation to analyze")
     if mu_l == 0.0:
@@ -71,12 +76,9 @@ def predict_mixture(lhr: float, phi_l: DensityGrid,
                     phi_r: DensityGrid) -> tuple[float, DensityGrid]:
     """Mixture weight and density alpha*phi_l + (1-alpha)*phi_r from the
     limiting hole ratio; lhr = +inf gives alpha = 1."""
-    if math.isinf(lhr) and lhr > 0:
-        alpha = 1.0
-    else:
-        if lhr < 0:
-            raise ValueError("limiting hole ratio must be >= 0")
-        alpha = lhr / (1.0 + lhr)
+    if lhr < 0:
+        raise ValueError("limiting hole ratio must be >= 0")
+    alpha = 1.0 if math.isinf(lhr) else lhr / (1.0 + lhr)
     values = alpha * phi_l.values + (1.0 - alpha) * phi_r.values
     return alpha, DensityGrid(phi_l.n, values)
 
@@ -103,8 +105,7 @@ def flux_balance(phi_eps: DensityGrid, report: HoleReport) -> float:
     Exactly zero (up to solver residual) for the true fixed density: the two
     holes exchange equal mass under stationarity.
     """
-    mu_l = sum(phi_eps.integrate(iv.lo, iv.hi) for iv in report.H_l)
-    mu_r = sum(phi_eps.integrate(iv.lo, iv.hi) for iv in report.H_r)
+    mu_l, mu_r = _hole_masses(report, phi_eps, phi_eps)
     return abs(mu_l - mu_r)
 
 
@@ -190,10 +191,8 @@ def run_sweep_row(ctx: SweepContext, eps: float) -> tuple[SweepRow, Optional[Eps
         warnings.extend(holes.warnings)
         inv = invariant_density(P, tol=ctx.tol, k=ctx.k)
         phi, rho, psi = inv.phi, inv.rho, inv.psi
-        l1_psi = None
-        if inv.leading_simple:
-            l1_psi = psi.l1_distance(ctx.half_diff)
-        else:
+        l1_psi = psi.l1_distance(ctx.half_diff) if inv.leading_simple else None
+        if not inv.leading_simple:
             warnings.append("leading eigenvalue not simple; second pair skipped")
         esc_l, esc_r = _escape_ratios(ctx, holes, warnings)
         row = SweepRow(eps=eps,

@@ -157,12 +157,11 @@ def _run_family(scn: Scenario, log) -> int:
     _write_sweep_json(scn, warnings, ctx.alpha_pred, rows, hypotheses, saltus_rows)
     _write_plots(scn, ctx, rows, arts)
 
-    failed = [r for r in rows if r.error]
     for r in rows:
         status = f"FAILED: {r.error}" if r.error else "ok"
         log(f"eps={r.eps:g}: {status}")
     log(f"artifacts in {scn.out_dir}")
-    return 2 if failed else 0
+    return 2 if any(r.error for r in rows) else 0
 
 
 def _write_sweep_json(scn, warnings, alpha_pred, rows, hypotheses, saltus_rows) -> None:
@@ -196,11 +195,10 @@ def _write_plots(scn, ctx, rows, arts) -> None:
     if ok:
         eps = [r.eps for r in ok]
         series = [(eps, [r.l1_phi_vs_mixture for r in ok], "|phi - mixture|_L1")]
-        if any(r.l1_psi_vs_half_diff is not None for r in ok):
-            pts = [(r.eps, r.l1_psi_vs_half_diff) for r in ok
-                   if r.l1_psi_vs_half_diff is not None]
-            series.append(([p[0] for p in pts], [p[1] for p in pts],
-                           "|psi - half-diff|_L1"))
+        with_psi = [r for r in ok if r.l1_psi_vs_half_diff is not None]
+        if with_psi:
+            series.append(([r.eps for r in with_psi],
+                           [r.l1_psi_vs_half_diff for r in with_psi], "|psi - half-diff|_L1"))
         write_line_plot(os.path.join(scn.out_dir, "l1_vs_eps.svg"), series,
                         title=f"{scn.name}: L1 distances vs eps",
                         xlabel="eps", ylabel="L1 distance", logx=True, logy=True)

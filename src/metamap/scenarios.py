@@ -115,12 +115,22 @@ def critical_denominator_lcm(map_: PiecewiseMap) -> int:
     return lcm
 
 
+def _grid_rule(eps_list) -> float:
+    """The grid rule's least n, 12/min(eps); inf below about 6.7e-308."""
+    return 12.0 / min(eps_list)
+
+
 def suggested_grid_n(family: PerturbationFamily, eps_list) -> int:
     """Grid rule: at least 12/min(eps), rounded up to a multiple of the
     critical-point denominator lcm (keeps Ulam entries exact for affine maps
-    and gives the narrow hole a few cells)."""
+    and gives the narrow hole a few cells).  Refused on ``eps_list`` where
+    12/min(eps) is inf."""
+    need = _grid_rule(eps_list)
+    if math.isinf(need):
+        raise ScenarioError([f"eps_list: {min(eps_list)!r} is too small for the grid rule "
+                             "12/min(eps); give grid_n"])
     lcm = critical_denominator_lcm(family.base)
-    n0 = max(int(math.ceil(12.0 / min(eps_list))), 2 * len(family.base.branches), lcm)
+    n0 = max(math.ceil(need), 2 * len(family.base.branches), lcm)
     return ((n0 + lcm - 1) // lcm) * lcm
 
 
@@ -135,7 +145,7 @@ def grid_warnings(scn: Scenario) -> list[str]:
             f"grid n={scn.grid_n} is not a multiple of the critical denominator "
             f"lcm {lcm}; Ulam entries will not align with the branch endpoints")
     if scn.eps_list:
-        need = 12.0 / min(scn.eps_list)
+        need = _grid_rule(scn.eps_list)
         if scn.grid_n < need:
             out.append(
                 f"grid n={scn.grid_n} is below 12/min(eps) = {need:.0f}; the "
@@ -208,11 +218,13 @@ def _scenario_from_dict(data: dict) -> Scenario:
     grid_n = data.get("grid_n")
     if grid_n is not None:
         grid_n = checked(check_grid, grid_n, "grid_n")
+    elif family is not None and eps_list is not None:
+        grid_n = checked(suggested_grid_n, family, eps_list)
     out_dir = checked(check_out_dir, data.get("out_dir", "out"), "out_dir")
     if errors:                   # family is None only where an error says why
         raise ScenarioError(errors)
-    return Scenario(name=name, family=family, eps_list=eps_list,
-                    grid_n=grid_n or suggested_grid_n(family, eps_list), out_dir=out_dir)
+    return Scenario(name=name, family=family, eps_list=eps_list, grid_n=grid_n,
+                    out_dir=out_dir)
 
 
 BUILTINS = {scn.name: scn for scn in (

@@ -16,12 +16,14 @@ import numpy as np
 from .numfmt import fixed_cells, join_rows
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 720, 480   # pixel size of every plot
+TICK_TARGET = 5            # ticks a linear axis aims for
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -96,8 +98,7 @@ def _unit(v, lo: float, hi: float, log: bool) -> np.ndarray:
 
 
 def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-                     logx: bool = False, logy: bool = False,
-                     width: int = 720, height: int = 480) -> str:
+                     logx: bool = False, logy: bool = False) -> str:
     """Render [(xs, ys, label), ...] as a standalone SVG string.
 
     Pairs beyond the shorter of xs and ys, pairs with a NaN or an infinity
@@ -106,7 +107,7 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     arrays and written by ``numfmt.fixed_cells``.
     """
     ml, mr, mt, mb = 72, 24, 40, 52
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     clean = []
     for xs, ys, label in series:
@@ -147,11 +148,11 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     xticks = _log_ticks(x0, x1) if logx else _nice_ticks(x0, x1)
     yticks = _log_ticks(y0, y1) if logy else _nice_ticks(y0, y1)
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-           f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-           f'<rect width="{width}" height="{height}" fill="white"/>']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+           f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        out.append(f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
                    f'font-size="15">{_escape(title)}</text>')
     for t, px in zip(xticks, tx(xticks).tolist()):
         out.append(f'<line x1="{px:.2f}" y1="{mt}" x2="{px:.2f}" y2="{mt + ph}" '
@@ -164,7 +165,7 @@ def render_line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str =
     out.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
                'stroke="black"/>')
     if xlabel:
-        out.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" '
+        out.append(f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 12}" '
                    f'text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import lebesgue_halves
 
-from metamap.map_model import (Branch, MapModelError, PerturbationFamily,
+from metamap import map_model
+from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFamily,
                                PiecewiseMap, compute_holes, distortion, evaluate,
                                min_expansion, postcritical_hierarchy,
                                validate_hypotheses)
@@ -196,9 +197,59 @@ def test_interior_preimage_of_b_is_a_violation():
     assert not report.P2
     x = m.branches[0].preimage(0.5)
     assert report.diagnostics[0] == (
-        f"setup fails: preimage {x} of boundary 0.5 lies strictly inside branch 0; "
+        f"setup fails: T0 opens the left hole [{x!r}, 0.4] across boundary 0.5; "
         "the two halves are not invariant at eps=0")
     assert sum(d.startswith("setup fails") for d in report.diagnostics) == 1
+
+
+def test_branch_wholly_across_b_is_a_violation(fam_a):
+    # family A with its first branch lifted to 3x + 1/2: [0, 1/6] maps onto
+    # [1/2, 1], so every point of it crosses b, and b is attained only at the
+    # branch end 0
+    branches = list(fam_a.base.branches)
+    branches[0] = Branch.affine(0.0, 1 / 6, 3.0, 0.5)
+    fam = PerturbationFamily(base=PiecewiseMap(branches),
+                             intercept_eps=fam_a.intercept_eps, boundary_b=0.5)
+    report = validate_hypotheses(fam, DEFAULT_EPS_LIST)
+    assert not report.P2
+    assert "P2: FAIL" in report.lines()
+    assert [d for d in report.diagnostics if d.startswith("setup fails")] == [
+        f"setup fails: T0 opens the left hole [0.0, {1 / 6!r}] across boundary 0.5; "
+        "the two halves are not invariant at eps=0"]
+
+
+def test_validate_reports_a_hole_finder_refusal(monkeypatch, fam_a):
+    # the report never raises: a refusal from compute_holes becomes its one
+    # setup line
+    def refuse(map_, b):
+        raise MapModelError("computed left hole [0.1, 0.2] does not map into the right half")
+    monkeypatch.setattr(map_model, "compute_holes", refuse)
+    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST)
+    assert not report.P2
+    assert [d for d in report.diagnostics if d.startswith("setup fails")] == [
+        "setup fails: computed left hole [0.1, 0.2] does not map into the right half; "
+        "the two halves are not invariant at eps=0"]
+
+
+@pytest.mark.parametrize("side, other", [("left", "right"), ("right", "left")])
+def test_compute_holes_refuses_a_piece_off_its_crossing(monkeypatch, fam_a, side, other):
+    # a piece whose points the branch that opened it keeps on their own side
+    # of b is not a hole: family A's branch on [1/3, 1/2] maps onto [0, 1/2],
+    # and its branch on [1/2, 2/3] onto [1/2, 1]
+    T0 = fam_a.base
+    target = T0.branches[2 if side == "left" else 3]
+    real = map_model._escape_pieces
+
+    def offset(branch, seg_lo, seg_hi, b, above):
+        if branch is target and above == (side == "left"):
+            return [Interval(seg_lo, seg_hi)]
+        return real(branch, seg_lo, seg_hi, b, above)
+    monkeypatch.setattr(map_model, "_escape_pieces", offset)
+    lo, hi = target.domain.lo, target.domain.hi
+    with pytest.raises(MapModelError) as info:
+        compute_holes(T0, 0.5)
+    assert str(info.value) == (f"computed {side} hole [{lo}, {hi}] does not map into "
+                               f"the {other} half")
 
 
 def test_validate_family_a_passes(fam_a):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from metamap import runner
+from metamap import runner, svgplot
 from metamap.metastability import prepare_sweep, run_sweep_row
 from metamap.numfmt import fixed_cells, join_rows, repr_cells
 from metamap.runner import run_scenario, write_density_csv
@@ -257,7 +257,7 @@ def random_values(rng, n, log_axis):
     return v
 
 
-def test_render_line_plot_matches_per_point_reference():
+def test_render_line_plot_matches_per_point_reference(monkeypatch):
     for seed in range(300):
         rng = np.random.default_rng(seed)
         logx, logy = bool(rng.integers(2)), bool(rng.integers(2))
@@ -271,10 +271,12 @@ def test_render_line_plot_matches_per_point_reference():
             if rng.integers(2):
                 xs, ys = xs.tolist(), ys.tolist()
             series.append((xs, ys, f"series {k}" if rng.integers(4) else ""))
-        kwargs = dict(title="t", xlabel="x", ylabel="y", logx=logx, logy=logy,
-                      width=width, height=height)
+        kwargs = dict(title="t", xlabel="x", ylabel="y", logx=logx, logy=logy)
+        monkeypatch.setattr(svgplot, "WIDTH", width)
+        monkeypatch.setattr(svgplot, "HEIGHT", height)
         assert outcome(render_line_plot, series, **kwargs) == \
-            outcome(reference_render, series, **kwargs), f"seed {seed}"
+            outcome(reference_render, series, width=width, height=height, **kwargs), \
+            f"seed {seed}"
 
 
 def check_density_axes_match_reference(n):
@@ -293,11 +295,12 @@ def test_render_line_plot_fine_density_axes_match_reference():
     check_density_axes_match_reference(122880)
 
 
-def test_render_line_plot_negative_zero_pixel_matches_reference():
+def test_render_line_plot_negative_zero_pixel_matches_reference(monkeypatch):
     # height 12 puts the middle of the y range at pixel 0, so a value just
     # below the middle lands on a tiny negative pixel coordinate
     series = [([0.0, 1.0, 2.0], [-1.0, -1e-9, 1.0], "a")]
-    svg = render_line_plot(series, height=12)
+    monkeypatch.setattr(svgplot, "HEIGHT", 12)
+    svg = render_line_plot(series)
     assert "-0.00" in svg
     assert svg == reference_render(series, height=12)
 
@@ -333,14 +336,16 @@ def test_points_match_per_point_format(size):
     assert join_rows([fixed_cells(px), fixed_cells(py)], b", ")[:-1].decode() == expected
 
 
-def test_render_line_plot_zero_size_matches_reference():
+def test_render_line_plot_zero_size_matches_reference(monkeypatch):
     # width=0 or height=0 gives a negative plot size, so pixel coordinates
     # run below zero
     rng = np.random.default_rng(4)
     series = [(np.arange(200.0), rng.standard_normal(200), "a"),
               (np.arange(200.0), np.full(200, 0.25), "b")]
     for width, height in [(0, 0), (0, 480), (720, 0)]:
-        svg = render_line_plot(series, width=width, height=height)
+        monkeypatch.setattr(svgplot, "WIDTH", width)
+        monkeypatch.setattr(svgplot, "HEIGHT", height)
+        svg = render_line_plot(series)
         points = [p.getAttribute("points") for p in
                   minidom.parseString(svg).getElementsByTagName("polyline")]
         assert any(c.startswith("-") for p in points for c in p.replace(",", " ").split())

@@ -673,6 +673,46 @@ def test_non_finite_eps_list_rejected_before_writing(tmp_path, capsys, bad, grid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_eps_too_small_for_the_grid_rule_rejected_before_writing(tmp_path, capsys, command):
+    # without a grid_n, 12/min(eps) is inf below about 6.7e-308, and the grid
+    # rule used to end both commands with an OverflowError traceback
+    data = dict(FAMILY_A_JSON, eps_list=[1e-320], out_dir=7)
+    del data["grid_n"]
+    path = write_scenario(tmp_path, data)
+    message = "eps_list: 1e-320 is too small for the grid rule 12/min(eps); give grid_n"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    # collected with the other field errors
+    assert err.value.errors == [message, "out_dir: expected a directory, got 7"]
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--scenario", path, *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # with a grid_n the file loads, and only the grid warning speaks of the rule
+    scn = load_scenario(write_scenario(tmp_path, dict(FAMILY_A_JSON, eps_list=[1e-320])))
+    assert grid_warnings(scn) == ["grid n=384 is below 12/min(eps) = inf; the narrowest "
+                                  "hole spans fewer than ~4 cells"]
+
+
+def test_cli_run_markov_refuses_eps_and_grid(tmp_path, capsys):
+    # both flags used to be dropped without a word, and the run wrote the
+    # builtin pair
+    out = tmp_path / "out"
+    for flags, named in ((["--eps", "0.5"], ["--eps"]), (["--grid", "99"], ["--grid"]),
+                         (["--eps", "0.5", "--grid", "99"], ["--eps", "--grid"])):
+        code = main(["run", "--scenario", "builtin:markov2", *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if ln.startswith("  - ")] == [
+            f"  - {flag}: a markov scenario has no eps ladder or grid" for flag in named]
+        assert not out.exists()
+    # --out still applies
+    assert main(["run", "--scenario", "builtin:markov2", "--out", str(out)]) == 0
+    assert out.is_dir() and any(out.iterdir())
+
+
 def test_builtin_unknown_name_message():
     with pytest.raises(ScenarioError) as err:
         load_scenario("builtin:nope")
