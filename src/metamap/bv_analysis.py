@@ -27,10 +27,6 @@ class Jump:
     size: float
     depth: Optional[int]    # None = unmatched (counts as infinite depth)
 
-    @property
-    def matched(self) -> bool:
-        return self.depth is not None
-
 
 @dataclass(frozen=True)
 class SaltusDecomposition:
@@ -50,7 +46,7 @@ class SaltusDecomposition:
         return sum(abs(j.size) for j in self.jumps if lo <= j.location <= hi)
 
     def unmatched(self) -> tuple[Jump, ...]:
-        return tuple(j for j in self.jumps if not j.matched)
+        return tuple(j for j in self.jumps if j.depth is None)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -78,34 +74,18 @@ def saltus_decompose(d: DensityGrid, hierarchy: dict[int, list[float]],
     n = d.n
     v = d.values
     diffs = np.diff(v)                      # diffs[i] sits at boundary (i+1)/n
-    threshold = JUMP_THRESHOLD_KAPPA * lip_bound / n
-    above = np.abs(diffs) > threshold
-    idx = np.nonzero(above)[0]
-
-    jumps_raw: list[tuple[float, float]] = []
-    group: list[int] = []
-
-    def flush():
-        if not group:
-            return
-        size = float(sum(diffs[i] for i in group))
-        anchor = max(group, key=lambda i: abs(diffs[i]))
-        jumps_raw.append(((anchor + 1) / n, size))
-        group.clear()
-
-    for i in idx:
-        if group and i != group[-1] + 1:
-            flush()
-        group.append(int(i))
-    flush()
-
+    mag = np.abs(diffs)
+    above = mag > JUMP_THRESHOLD_KAPPA * lip_bound / n
     half_cell = 0.5 / n
-
-    def depth(u: float) -> Optional[int]:
-        return next((k for k, pts in hierarchy.items()
-                     if any(abs(p - u) <= half_cell for p in pts)), None)
-
-    jumps = tuple(Jump(location=u, size=s, depth=depth(u)) for u, s in jumps_raw)
+    idx = np.flatnonzero(above)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else ()
+    # a run sits at its largest |diff|, the first one on a tie
+    locations = ((int(run[np.argmax(mag[run])]) + 1) / n for run in runs)
+    jumps = tuple(
+        Jump(location=u, size=sum(diffs[run].tolist()),
+             depth=next((k for k, pts in hierarchy.items()
+                         if any(abs(p - u) <= half_cell for p in pts)), None))
+        for run, u in zip(runs, locations))
 
     # Saltus part with the step kernel vanishing at the right endpoint: a sum
     # from the last cell leftward of exactly the above-threshold boundary

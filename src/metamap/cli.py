@@ -92,7 +92,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 1
 

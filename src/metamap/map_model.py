@@ -282,6 +282,12 @@ class PerturbationFamily:
         if not (0.0 < self.boundary_b < 1.0):
             raise MapModelError("boundary point must be interior")
 
+    def _branch_eps(self):
+        """(branch, slope_eps, intercept_eps, smooth_eps) per base branch, unset as 0.0/None."""
+        nb = len(self.base.branches)
+        return zip(self.base.branches, self.slope_eps or (0.0,) * nb,
+                   self.intercept_eps or (0.0,) * nb, self.smooth_eps or (None,) * nb)
+
     def instantiate(self, eps: float) -> PiecewiseMap:
         """The map at parameter eps; eps=0 reproduces the base exactly.
 
@@ -292,26 +298,22 @@ class PerturbationFamily:
         if eps == 0.0:
             return self.base
         branches = []
-        for i, br in enumerate(self.base.branches):
-            ds = self.slope_eps[i] if self.slope_eps else 0.0
-            di = self.intercept_eps[i] if self.intercept_eps else 0.0
+        for br, ds, di, g in self._branch_eps():
             if br.is_affine and ds == 0.0 and di == 0.0:
                 branches.append(br)
             elif br.is_affine:
                 branches.append(Branch.affine(br.domain.lo, br.domain.hi,
                                               br.slope + eps * ds,
                                               br.intercept + eps * di))
+            elif g is None:
+                branches.append(br)
             else:
-                g = self.smooth_eps[i] if self.smooth_eps else None
-                if g is None:
-                    branches.append(br)
-                else:
-                    gf, gdf, gd2f = g
-                    branches.append(Branch.smooth(
-                        br.domain.lo, br.domain.hi,
-                        lambda x, _f=br.f, _g=gf, _e=eps: _f(x) + _e * _g(x),
-                        lambda x, _df=br.df, _dg=gdf, _e=eps: _df(x) + _e * _dg(x),
-                        lambda x, _d2f=br.d2f, _d2g=gd2f, _e=eps: _d2f(x) + _e * _d2g(x)))
+                gf, gdf, gd2f = g
+                branches.append(Branch.smooth(
+                    br.domain.lo, br.domain.hi,
+                    lambda x, _f=br.f, _g=gf, _e=eps: _f(x) + _e * _g(x),
+                    lambda x, _df=br.df, _dg=gdf, _e=eps: _df(x) + _e * _dg(x),
+                    lambda x, _d2f=br.d2f, _d2g=gd2f, _e=eps: _d2f(x) + _e * _d2g(x)))
         return PiecewiseMap(branches)
 
     def first_order_holes(self) -> list[tuple[float, int, float, bool]]:
@@ -326,16 +328,13 @@ class PerturbationFamily:
         """
         b = self.boundary_b
         out = []
-        for i, br in enumerate(self.base.branches):
+        for br, ds, di, g in self._branch_eps():
             for c, side in ((br.domain.lo, 1), (br.domain.hi, -1)):
                 if abs(br(c) - b) > ENDPOINT_TOL:
                     continue
                 if br.is_affine:
-                    slope = br.slope
-                    delta = ((self.slope_eps[i] if self.slope_eps else 0.0) * c
-                             + (self.intercept_eps[i] if self.intercept_eps else 0.0))
+                    slope, delta = br.slope, ds * c + di
                 else:
-                    g = self.smooth_eps[i] if self.smooth_eps else None
                     slope, delta = br.df(c), g[0](c) if g else 0.0
                 # points at distance t inside map to b + slope*side*t + eps*delta
                 if slope * side * delta < 0:
@@ -466,8 +465,6 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
 
     Failures are reported with diagnostics, never raised.
     """
-    if depth < 1:
-        raise MapModelError("depth must be >= 1")
     T0 = family.base
     diags: list[str] = []
     lam = min_expansion(T0)

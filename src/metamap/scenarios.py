@@ -17,6 +17,7 @@ from typing import Optional
 
 from .families import DEFAULT_EPS_LIST, DEFAULT_GRID_N, family_a, family_b
 from .map_model import Branch, MapModelError, PerturbationFamily, PiecewiseMap
+from .transfer_operator import MAX_GRID_N
 
 DENOMINATOR_LIMIT = 10 ** 6  # largest denominator a critical point is read with
 
@@ -92,9 +93,13 @@ def normalize_eps(eps_list, field: str, given) -> tuple[float, ...]:
 
 
 def check_grid(grid_n, field: str) -> int:
-    """``grid_n``, refused naming ``field`` unless it is an integer >= 2."""
+    """``grid_n``, refused naming ``field`` unless it is an integer from 2
+    to MAX_GRID_N."""
     if not isinstance(grid_n, int) or grid_n < 2:
         raise ScenarioError([f"{field}: expected an integer >= 2, got {grid_n!r}"])
+    if grid_n > MAX_GRID_N:
+        raise ScenarioError([f"{field}: expected at most {MAX_GRID_N} cells, the int32 "
+                             f"index limit, got {grid_n!r}"])
     return grid_n
 
 
@@ -116,7 +121,7 @@ def critical_denominator_lcm(map_: PiecewiseMap) -> int:
 
 
 def _grid_rule(eps_list) -> float:
-    """The grid rule's least n, 12/min(eps); inf below about 6.7e-308."""
+    """The grid rule's least n, 12/min(eps)."""
     return 12.0 / min(eps_list)
 
 
@@ -124,9 +129,9 @@ def suggested_grid_n(family: PerturbationFamily, eps_list) -> int:
     """Grid rule: at least 12/min(eps), rounded up to a multiple of the
     critical-point denominator lcm (keeps Ulam entries exact for affine maps
     and gives the narrow hole a few cells).  Refused on ``eps_list`` where
-    12/min(eps) is inf."""
+    12/min(eps) exceeds MAX_GRID_N, below about 5.6e-9."""
     need = _grid_rule(eps_list)
-    if math.isinf(need):
+    if need > MAX_GRID_N:
         raise ScenarioError([f"eps_list: {min(eps_list)!r} is too small for the grid rule "
                              "12/min(eps); give grid_n"])
     lcm = critical_denominator_lcm(family.base)

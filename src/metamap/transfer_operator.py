@@ -51,6 +51,8 @@ ROW_SUM_TOL = 1e-12
 # a cut point n*x within SNAP_ULPS * n * machine epsilon of an integer is
 # taken to lie on that cell boundary: that is the rounding of n*x from float data
 SNAP_ULPS = 8
+# the largest grid n: cell indices are stored as int32
+MAX_GRID_N = 2**31 - 1
 
 
 class UnsupportedRegimeError(ValueError):
@@ -349,10 +351,13 @@ def build_ulam(map_: PiecewiseMap, n: int) -> UlamMatrix:
     assembly on, so one that a single map holds is never kept.  Its pieces
     stay, one entry per grid with no bound on their number, for as long as
     the equal branch that assembled last lives.
-    Reuse changes no bit of the result.
+    Reuse changes no bit of the result.  Raises MapModelError, before it
+    allocates anything, for n above MAX_GRID_N.
     """
     if n < len(map_.branches):
         raise MapModelError(f"n={n} too coarse for {len(map_.branches)} branches")
+    if n > MAX_GRID_N:
+        raise MapModelError(f"n={n} exceeds {MAX_GRID_N}, the most cells int32 indices can name")
     # int32 indices, as scipy chooses at these sizes; the per-branch arrays
     # are freed once joined
     rows, cols, vals = map(np.concatenate, zip(*_branch_pieces(map_, n)))

@@ -103,6 +103,68 @@ def test_linear_ramp_has_no_jumps(fam_a):
     assert dec.lipschitz_estimate == pytest.approx(1.0)
 
 
+def _reference_jumps(values, hierarchy, threshold):
+    # a plain loop: runs of adjacent boundaries with |diff| > threshold, each
+    # summed left to right and located at its first largest |diff|
+    diffs = np.diff(values)
+    runs, run = [], []
+    for i, dv in enumerate(diffs):
+        if abs(dv) > threshold:
+            run.append(i)
+        elif run:
+            runs.append(run)
+            run = []
+    if run:
+        runs.append(run)
+    n = len(values)
+    out = []
+    for run in runs:
+        anchor, size = run[0], 0.0
+        for i in run:
+            size += float(diffs[i])
+            if abs(diffs[i]) > abs(diffs[anchor]):
+                anchor = i
+        u = (anchor + 1) / n
+        depth = None
+        for k in hierarchy:
+            if any(abs(p - u) <= 0.5 / n for p in hierarchy[k]):
+                depth = k
+                break
+        out.append((u, size, depth))
+    return out
+
+
+# n = 16 and lip_bound = 1: a boundary carries a jump above 5/16
+@pytest.mark.parametrize("values, expected", [
+    # a step split across cell 5: boundaries 5/16 and 6/16, the larger second
+    ([0.0] * 5 + [0.7] + [2.0] * 10, [(6 / 16, 2.0, 1)]),
+    # a run of three rising steps, the largest last
+    ([0.0] * 3 + [1.0, 2.0, 3.5] + [3.5] * 10, [(5 / 16, 3.5, 2)]),
+    # a tie of |diff| inside a run, opposite signs: the first one names it
+    ([0.0] * 7 + [1.0] + [0.0] * 8, [(7 / 16, 0.0, None)]),
+    # two runs apart by one sub-threshold boundary (diff 0.25), the first
+    # with a tie
+    ([0.0] * 2 + [1.0, 2.0, 2.25, 3.25, 4.25] + [4.25] * 9,
+     [(2 / 16, 2.0, None), (5 / 16, 2.0, 2)]),
+])
+def test_saltus_runs_match_a_plain_loop(tmp_path, values, expected):
+    n = 16
+    # 6/16 is in layers 1 and 2, 5.1/16 lies within half a cell of 5/16, and
+    # 2.6/16 lies just beyond half a cell of 2/16
+    hierarchy = {1: [0.9, 6 / 16], 2: [5.1 / 16, 6 / 16], 3: [2.6 / 16]}
+    dec = saltus_decompose(DensityGrid(n, np.array(values)), hierarchy, lip_bound=1.0)
+    got = [(j.location, j.size, j.depth) for j in dec.jumps]
+    assert got == _reference_jumps(np.array(values), hierarchy, 5.0 / n)
+    assert [(u, k) for u, _, k in got] == [(u, k) for u, _, k in expected]
+    assert [s for _, s, _ in got] == pytest.approx([s for _, s, _ in expected], abs=1e-15)
+    for j in dec.jumps:
+        assert type(j.location) is float and type(j.size) is float
+    path = tmp_path / "saltus.csv"
+    dec.write_csv(path)
+    assert path.read_text() == "location,size,depth\n" + "".join(
+        f"{u!r},{s!r},{'' if k is None else k}\n" for u, s, k in got)
+
+
 def test_lip_bound_must_be_positive(fam_a):
     hier = postcritical_hierarchy(fam_a.base, 3)
     with pytest.raises(ValueError):

@@ -374,6 +374,45 @@ def test_smooth_branch_perturbation():
     assert T.branches[1].slope == base.branches[1].slope
 
 
+def test_eps_terms_with_only_slope_eps(fam_a):
+    fam = PerturbationFamily(base=fam_a.base, slope_eps=(1.0, 0.0, 0.0, -1.0, 0.0, 0.0))
+    T = fam.instantiate(0.1)
+    assert [T.branches[i] is fam_a.base.branches[i] for i in range(6)] == [
+        False, True, True, False, True, True]
+    assert (T.branches[0].slope, T.branches[0].intercept) == (3.1, 0.0)
+    assert (T.branches[3].slope, T.branches[3].intercept) == (-3.1, 2.5)
+    # 3x at 1/6 moves by eps/6 and -3x + 5/2 at 2/3 by -2eps/3, each across b
+    assert fam.first_order_holes() == [(1 / 6, -1, (1 / 6) / 3, True),
+                                       (2 / 3, -1, (2 / 3) / 3, False)]
+
+
+def test_eps_terms_with_only_intercept_eps(fam_a):
+    fam = PerturbationFamily(base=fam_a.base, intercept_eps=(0.0, 3.0, 0.0, 0.0, -1.0, 0.0))
+    T = fam.instantiate(0.1)
+    assert [T.branches[i] is fam_a.base.branches[i] for i in range(6)] == [
+        True, False, True, True, False, True]
+    assert (T.branches[1].slope, T.branches[1].intercept) == (3.0, -0.5 + 0.1 * 3.0)
+    assert (T.branches[4].slope, T.branches[4].intercept) == (3.0, -1.5 - 0.1)
+    # 3x - 1/2 at 1/3 lifts by 3eps, 3x - 3/2 at 2/3 lowers by eps
+    assert fam.first_order_holes() == [(1 / 3, -1, 1.0, True), (2 / 3, 1, 1 / 3, False)]
+
+
+def test_eps_terms_of_a_smooth_plus_affine_map():
+    # 1.5x + 2x^2 maps [0, 1/4] onto [0, 1/2] with slope 2.5 at 1/4; the
+    # affine branch maps [1/4, 1] onto [0, 1]
+    smooth = Branch.smooth(0.0, 0.25, lambda x: 1.5 * x + 2 * x * x,
+                           lambda x: 1.5 + 4 * x, lambda x: 4.0)
+    base = PiecewiseMap([smooth, Branch.affine(0.25, 1.0, 4 / 3, -1 / 3)])
+    g = (lambda x: x, lambda x: 1.0, lambda x: 0.0)
+    fam = PerturbationFamily(base=base, smooth_eps=(g, None), boundary_b=0.5)
+    T = fam.instantiate(0.1)
+    assert T.branches[0] is not smooth and T.branches[1] is base.branches[1]
+    assert T.branches[0](0.2) == 1.5 * 0.2 + 2 * 0.2 * 0.2 + 0.1 * 0.2
+    # T0(1/4) = b, and eps * g(1/4) = eps/4 lifts the points below it across b
+    # up to distance (1/4) / 2.5 * eps
+    assert fam.first_order_holes() == [(0.25, -1, 0.1, True)]
+
+
 @pytest.mark.parametrize("entries", [1, 3])
 def test_smooth_eps_needs_one_entry_per_branch(entries):
     # a short tuple used to construct and make instantiate raise IndexError;

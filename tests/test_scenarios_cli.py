@@ -517,6 +517,36 @@ def test_cli_grid_below_two_rejected_before_writing(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+def test_cli_grid_beyond_int32_rejected_before_writing(tmp_path, capsys):
+    # int32 cell indices name at most 2**31 - 1 cells; this grid used to try
+    # a 16 GiB allocation before the assembly could misname its rows
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "builtin:family_a", "--eps", "0.02",
+                 "--grid", "2147483648", "--out", str(out)])
+    assert code == 1
+    assert ("--grid: expected at most 2147483647 cells, the int32 index limit, "
+            "got 2147483648") in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write_scenario(tmp_path, dict(FAMILY_A_JSON, grid_n=2 ** 31)))
+    assert err.value.errors == ["grid_n: expected at most 2147483647 cells, the int32 "
+                                "index limit, got 2147483648"]
+
+
+def test_cli_reports_an_allocation_failure_as_fatal(tmp_path, capsys, monkeypatch):
+    # a grid that fits int32 but not memory used to end in a traceback
+    def run_scenario(scn):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape "
+                          "(1000000002,) and data type int64")
+
+    monkeypatch.setattr(metamap.cli, "run_scenario", run_scenario)
+    code = main(["run", "--scenario", "builtin:family_a", "--eps", "0.02",
+                 "--grid", "1000000002", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("fatal: Unable to allocate 7.45 GiB for an array "
+                                       "with shape (1000000002,) and data type int64\n")
+
+
 @pytest.mark.parametrize("eps, message", [
     ("0.01,abc", "--eps: cannot parse '0.01,abc'"),
     ("0.01,-0.001", "--eps: values must be positive, got '0.01,-0.001'"),
@@ -694,6 +724,26 @@ def test_eps_too_small_for_the_grid_rule_rejected_before_writing(tmp_path, capsy
     scn = load_scenario(write_scenario(tmp_path, dict(FAMILY_A_JSON, eps_list=[1e-320])))
     assert grid_warnings(scn) == ["grid n=384 is below 12/min(eps) = inf; the narrowest "
                                   "hole spans fewer than ~4 cells"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_eps_beyond_the_int32_grid_rejected_before_writing(tmp_path, capsys, command):
+    # 12/1e-300 is finite, and the file used to load with n = 1.2e301: validate
+    # passed it and run ended in "fatal: Maximum allowed size exceeded"
+    data = dict(FAMILY_A_JSON, eps_list=[1e-300])
+    del data["grid_n"]
+    path = write_scenario(tmp_path, data)
+    message = "eps_list: 1e-300 is too small for the grid rule 12/min(eps); give grid_n"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.errors == [message]
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--scenario", path, *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # the largest grid int32 indices name still loads
+    assert suggested_grid_n(family_a(), [12 / 2147483646]) <= 2147483647
 
 
 def test_cli_run_markov_refuses_eps_and_grid(tmp_path, capsys):

@@ -378,6 +378,19 @@ def test_too_coarse_grid_rejected(fam_a):
         build_ulam(fam_a.base, 4)
 
 
+def test_grid_beyond_int32_refused_before_assembly(fam_a, monkeypatch):
+    # int32 indices name at most 2**31 - 1 cells; this grid used to start a
+    # 16 GiB assembly whose row indices past that limit read -2147483648
+    def no_assembly(map_, n):
+        raise AssertionError("assembly started")
+
+    monkeypatch.setattr(to, "_branch_pieces", no_assembly)
+    with pytest.raises(MapModelError, match=r"^n=2147483648 exceeds 2147483647, the most "
+                                            r"cells int32 indices can name$"):
+        build_ulam(fam_a.base, 2 ** 31)
+    assert to.MAX_GRID_N == np.iinfo(np.int32).max
+
+
 def test_apply_preserves_uniform_density(fam_a):
     P = build_ulam(fam_a.base, 384)
     d = DensityGrid(384, np.ones(384))
