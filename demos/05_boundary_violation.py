@@ -19,7 +19,7 @@ from metamap.spectral import ergodic_densities, invariant_density
 from metamap.transfer_operator import build_ulam, cells_below
 
 fam = family_b()
-report = validate_hypotheses(fam, [0.02, 0.01, 0.005], depth=8)
+report = validate_hypotheses(fam, depth=8)
 print("hypothesis check:")
 print(f"  boundary condition P2: {report.P2}")
 for d in report.diagnostics:

@@ -84,7 +84,7 @@ def main(argv=None) -> int:
             if scn.kind == "markov":
                 print("markov scenarios have no map hypotheses to validate")
                 return 0
-            print("\n".join(validate_hypotheses(scn.family, scn.eps_list).lines()))
+            print("\n".join(validate_hypotheses(scn.family).lines()))
             return 0
         return run_scenario(_apply_overrides(scn, args))
     except SystemExit as exc:                  # argparse exits 2 on a usage error

@@ -256,6 +256,14 @@ def postcritical_hierarchy(map_: PiecewiseMap, depth: int) -> dict[int, list[flo
     return layers
 
 
+def _delta(br: Branch, ds: float, di: float, g, x: float) -> float:
+    """delta(x), the eps-derivative of T_eps(x) on branch ``br`` with the eps
+    terms ``_branch_eps`` gives it: T_eps(x) = T0(x) + eps*delta(x)."""
+    if br.is_affine:
+        return ds * x + di
+    return g[0](x) if g else 0.0
+
+
 @dataclass(frozen=True)
 class PerturbationFamily:
     """eps -> PiecewiseMap with branch coefficients linear in eps.
@@ -332,10 +340,8 @@ class PerturbationFamily:
             for c, side in ((br.domain.lo, 1), (br.domain.hi, -1)):
                 if abs(br(c) - b) > ENDPOINT_TOL:
                     continue
-                if br.is_affine:
-                    slope, delta = br.slope, ds * c + di
-                else:
-                    slope, delta = br.df(c), g[0](c) if g else 0.0
+                slope = br.slope if br.is_affine else br.df(c)
+                delta = _delta(br, ds, di, g, c)
                 # points at distance t inside map to b + slope*side*t + eps*delta
                 if slope * side * delta < 0:
                     # at c = b itself the side decides the half
@@ -442,10 +448,10 @@ class HypothesisReport:
                 *(f"  {d}" for d in self.diagnostics)]
 
 
-def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
+def validate_hypotheses(family: PerturbationFamily, depth: int = 8,
                         phi_l=None, phi_r=None) -> HypothesisReport:
-    """Check the finite-horizon structural hypotheses of a family at the
-    perturbation sizes ``eps_list``.
+    """Check the finite-horizon structural hypotheses of a family, for
+    every eps at once.
 
     The holes are those of :meth:`PerturbationFamily.first_order_holes`,
     the branch ends that eps opens.
@@ -456,9 +462,9 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
       at distance > HYPOTHESIS_TOL from the holes;
     * expansion: min |T'| > 2;
     * boundary: either the boundary point is critical with a one-sided gap
-      wider than HYPOTHESIS_TOL across it, or it is a fixed point, to
-      HYPOTHESIS_TOL, of every instantiation (probed at each eps of
-      ``eps_list``, skipping one whose map is not admissible);
+      wider than HYPOTHESIS_TOL across it, or it is a fixed point of every
+      instantiation: T0(b) = b and delta(b) = 0, each to HYPOTHESIS_TOL, on
+      the branch that holds b inside, as T_eps(b) = T0(b) + eps*delta(b);
     * hole positivity (only when phi_l/phi_r grids are supplied): each hole's
       half's ergodic density exceeds HYPOTHESIS_TOL in the cell just beside
       the hole's branch end, on the hole's side.
@@ -500,12 +506,12 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
         diags.append(f"(I4a) fails: min expansion {lam} <= 2")
 
     b_critical = min(abs(b - c) for c in T0.critical_set) <= ENDPOINT_TOL
-    vals0 = evaluate(T0, b)
     if opened:
         passes_p2 = False
     elif b_critical:
         # One-sided values must straddle the boundary strictly; the boundary
         # stays critical automatically (domains do not move in this model).
+        vals0 = evaluate(T0, b)
         left, right = vals0[0], vals0[-1]
         passes_p2 = left < b - HYPOTHESIS_TOL and right > b + HYPOTHESIS_TOL
         if not passes_p2:
@@ -513,26 +519,14 @@ def validate_hypotheses(family: PerturbationFamily, eps_list, depth: int = 8,
                 f"(P2b) fails: need T0(b-) < b < T0(b+), got "
                 f"T0(b-)={left:.12g}, b={b:.12g}, T0(b+)={right:.12g}")
     else:
-        passes_p2 = len(vals0) == 1 and abs(vals0[0] - b) <= HYPOTHESIS_TOL
-        if passes_p2:
-            probed = False
-            for eps in eps_list:
-                # an eps beyond the family's admissible range has no map
-                # to probe; its sweep row reports the same error
-                try:
-                    map_eps = family.instantiate(eps)
-                except MapModelError as exc:
-                    diags.append(f"(P2a) not checked at eps={eps}: {exc}")
-                    continue
-                probed = True
-                veps = evaluate(map_eps, b)
-                if len(veps) != 1 or abs(veps[0] - b) > HYPOTHESIS_TOL:
-                    passes_p2 = False
-                    diags.append(f"(P2a) fails: T_eps(b) != b at eps={eps}")
-                    break
-            passes_p2 = passes_p2 and probed
-        else:
-            diags.append(f"(P2a) fails: T0(b)={vals0} but b={b} is not critical")
+        br, *terms = next(t for t in family._branch_eps()
+                          if t[0].domain.lo < b < t[0].domain.hi)
+        delta = _delta(br, *terms, b)
+        passes_p2 = abs(br(b) - b) <= HYPOTHESIS_TOL and abs(delta) <= HYPOTHESIS_TOL
+        if not passes_p2:
+            diags.append(
+                f"(P2a) fails: b={b:.12g} is not critical, so T_eps(b) = T0(b) + "
+                f"eps*delta(b) must stay b, got T0(b)={br(b):.12g}, delta(b)={delta:.3g}")
 
     passes_i3: Optional[bool] = None
     if phi_l is not None and phi_r is not None:

@@ -114,7 +114,7 @@ def _run_family(scn: Scenario, log) -> int:
     # a sweep that prepare_sweep refuses leaves no directory and no file
     ctx = prepare_sweep(fam, scn.eps_list, scn.grid_n)
     os.makedirs(scn.out_dir, exist_ok=True)
-    report = validate_hypotheses(fam, scn.eps_list)
+    report = validate_hypotheses(fam)
     hyp_path = os.path.join(scn.out_dir, "hypotheses.txt")
     with open(hyp_path, "w") as fh:
         fh.write("\n".join([f"scenario: {scn.name}", *report.lines()]) + "\n")

@@ -129,14 +129,20 @@ def suggested_grid_n(family: PerturbationFamily, eps_list) -> int:
     """Grid rule: at least 12/min(eps), rounded up to a multiple of the
     critical-point denominator lcm (keeps Ulam entries exact for affine maps
     and gives the narrow hole a few cells).  Refused on ``eps_list`` where
-    12/min(eps) exceeds MAX_GRID_N, below about 5.6e-9."""
+    12/min(eps) exceeds MAX_GRID_N, below about 5.6e-9, and on ``branches``
+    where the multiple of the lcm does."""
     need = _grid_rule(eps_list)
     if need > MAX_GRID_N:
         raise ScenarioError([f"eps_list: {min(eps_list)!r} is too small for the grid rule "
                              "12/min(eps); give grid_n"])
     lcm = critical_denominator_lcm(family.base)
     n0 = max(math.ceil(need), 2 * len(family.base.branches), lcm)
-    return ((n0 + lcm - 1) // lcm) * lcm
+    n = ((n0 + lcm - 1) // lcm) * lcm
+    if n > MAX_GRID_N:
+        raise ScenarioError([f"branches: the grid rule rounds up to n={n}, a multiple of the "
+                             f"critical denominator lcm {lcm}, above {MAX_GRID_N}, the int32 "
+                             "index limit; give grid_n"])
+    return n
 
 
 def grid_warnings(scn: Scenario) -> list[str]:

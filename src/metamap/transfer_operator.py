@@ -393,8 +393,18 @@ def variation_inflation_constant(lam: float, dist: float, min_branch_width: floa
 
 def cells_below(b: float, n: int) -> int:
     """The number k of cells that [0, b) overlaps, those with i/n < b: the
-    blocks [0,k) and [k,n) of every split at b in the package."""
-    return int(np.count_nonzero(np.arange(n) / n < b))
+    blocks [0,k) and [k,n) of every split at b in the package.
+
+    Counted without an array of n floats: for i < 2**53, i/n is correctly
+    rounded and nondecreasing in i, so k is ceil(b*n), clamped to [0, n]
+    and moved past the few i where that rounding disagrees.
+    """
+    k = min(max(math.ceil(b * n), 0), n)
+    while k > 0 and (k - 1) / n >= b:
+        k -= 1
+    while k < n and k / n < b:
+        k += 1
+    return k
 
 
 def cells_with_center_in(intervals: Sequence[Interval], n: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from metamap.map_model import (Branch, Interval, MapModelError, PerturbationFami
                                PiecewiseMap, compute_holes, distortion, evaluate,
                                min_expansion, postcritical_hierarchy,
                                validate_hypotheses)
-from metamap.families import DEFAULT_EPS_LIST
 from metamap.transfer_operator import DensityGrid
 
 
@@ -64,7 +63,7 @@ def test_min_expansion_mixed_slopes():
                       Branch.affine(0.5, 1, 1.6, -0.8)])
     assert min_expansion(m) == 1.5
     fam = PerturbationFamily(base=m, boundary_b=0.75)
-    report = validate_hypotheses(fam, DEFAULT_EPS_LIST, depth=2)
+    report = validate_hypotheses(fam, depth=2)
     assert not report.I4a
 
 
@@ -181,7 +180,7 @@ def test_no_holes_when_only_b_maps_to_b():
     # at b itself leave the halves invariant
     fam = PerturbationFamily(base=m, intercept_eps=(0.1, 0.0, 0.0, -0.1))
     assert fam.first_order_holes() == []
-    report = validate_hypotheses(fam, DEFAULT_EPS_LIST, depth=4)
+    report = validate_hypotheses(fam, depth=4)
     assert not any(d.startswith("setup fails") for d in report.diagnostics)
     # lifting the branch that reaches b from below opens b- itself
     fam = PerturbationFamily(base=m, intercept_eps=(0.0, 1.0, 0.0, 0.0))
@@ -193,7 +192,7 @@ def test_interior_preimage_of_b_is_a_violation():
     m = PiecewiseMap([Branch.affine(0, 0.4, 2.5, 0),
                       Branch.affine(0.4, 0.8, 2.5, -1.0),
                       Branch.affine(0.8, 1.0, 5.0, -4.0)])
-    report = validate_hypotheses(PerturbationFamily(base=m), DEFAULT_EPS_LIST, depth=4)
+    report = validate_hypotheses(PerturbationFamily(base=m), depth=4)
     assert not report.P2
     x = m.branches[0].preimage(0.5)
     assert report.diagnostics[0] == (
@@ -210,7 +209,7 @@ def test_branch_wholly_across_b_is_a_violation(fam_a):
     branches[0] = Branch.affine(0.0, 1 / 6, 3.0, 0.5)
     fam = PerturbationFamily(base=PiecewiseMap(branches),
                              intercept_eps=fam_a.intercept_eps, boundary_b=0.5)
-    report = validate_hypotheses(fam, DEFAULT_EPS_LIST)
+    report = validate_hypotheses(fam)
     assert not report.P2
     assert "P2: FAIL" in report.lines()
     assert [d for d in report.diagnostics if d.startswith("setup fails")] == [
@@ -224,7 +223,7 @@ def test_validate_reports_a_hole_finder_refusal(monkeypatch, fam_a):
     def refuse(map_, b):
         raise MapModelError("computed left hole [0.1, 0.2] does not map into the right half")
     monkeypatch.setattr(map_model, "compute_holes", refuse)
-    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST)
+    report = validate_hypotheses(fam_a)
     assert not report.P2
     assert [d for d in report.diagnostics if d.startswith("setup fails")] == [
         "setup fails: computed left hole [0.1, 0.2] does not map into the right half; "
@@ -253,7 +252,7 @@ def test_compute_holes_refuses_a_piece_off_its_crossing(monkeypatch, fam_a, side
 
 
 def test_validate_family_a_passes(fam_a):
-    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8)
+    report = validate_hypotheses(fam_a, depth=8)
     assert report.I2 and report.I4a and report.P2
     assert report.min_expansion == 3.0 and report.distortion == 0.0
     layers = postcritical_hierarchy(fam_a.base, 8)
@@ -264,14 +263,14 @@ def test_validate_family_a_passes(fam_a):
 def test_validate_family_a_with_densities_checks_I3(fam_a):
     n = 384
     phi_l, phi_r = lebesgue_halves(n)
-    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8, phi_l=phi_l, phi_r=phi_r)
+    report = validate_hypotheses(fam_a, depth=8, phi_l=phi_l, phi_r=phi_r)
     assert report.I3 is True
-    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8)
+    report = validate_hypotheses(fam_a, depth=8)
     assert report.I3 is None
 
 
 def test_validate_family_b_boundary_failure(fam_b):
-    report = validate_hypotheses(fam_b, DEFAULT_EPS_LIST, depth=8)
+    report = validate_hypotheses(fam_b, depth=8)
     assert not report.P2
     assert any("T0(b-)" in d for d in report.diagnostics)
     # the critical orbit hits the holes at 1/2- and 1-, at every iterate
@@ -289,7 +288,7 @@ def test_I3_reads_the_density_on_the_hole_side(fam_a):
     phi_l, phi_r = lebesgue_halves(n)
     values = phi_l.values.copy()
     values[n // 3 - 1] = 0.0
-    report = validate_hypotheses(fam_a, DEFAULT_EPS_LIST, depth=8,
+    report = validate_hypotheses(fam_a, depth=8,
                                  phi_l=DensityGrid(n, values), phi_r=phi_r)
     assert report.I3 is False
     assert "(I3) fails: ergodic density ~0 at hole 0.333333333333" in report.diagnostics
@@ -299,13 +298,13 @@ def test_I3_reads_the_density_on_the_hole_side(fam_a):
 
 def test_validate_doubling_fails_I4a(doubling_map):
     fam = PerturbationFamily(base=doubling_map, boundary_b=0.5)
-    report = validate_hypotheses(fam, DEFAULT_EPS_LIST, depth=4)
+    report = validate_hypotheses(fam, depth=4)
     assert not report.I4a
     assert any("(I4a)" in d for d in report.diagnostics)
 
 
 def test_failed_predicates_have_diagnostics(fam_b):
-    report = validate_hypotheses(fam_b, DEFAULT_EPS_LIST, depth=8)
+    report = validate_hypotheses(fam_b, depth=8)
     if not report.I2:
         assert any("(I2)" in d for d in report.diagnostics)
     if not report.P2:
@@ -411,6 +410,29 @@ def test_eps_terms_of_a_smooth_plus_affine_map():
     # T0(1/4) = b, and eps * g(1/4) = eps/4 lifts the points below it across b
     # up to distance (1/4) / 2.5 * eps
     assert fam.first_order_holes() == [(0.25, -1, 0.1, True)]
+
+
+@pytest.mark.parametrize("g, delta", [((lambda x: x - 0.5, lambda x: 1.0, lambda x: 0.0), None),
+                                      ((lambda x: x, lambda x: 1.0, lambda x: 0.0), 0.5)],
+                         ids=["zero_at_b", "nonzero_at_b"])
+def test_p2a_reads_a_smooth_branch_eps_term_at_b(g, delta):
+    # b = 1/2 lies inside the smooth branch 1/2 + 3/2 (x - 1/2) + 4 (x - 1/2)^3
+    # on [1/4, 3/4], which fixes it; the four slope-4 branches keep each half
+    # invariant, and P2a holds exactly when the eps term g vanishes at b
+    c = 0.5
+    smooth = Branch.smooth(0.25, 0.75, lambda x: c + 1.5 * (x - c) + 4 * (x - c) ** 3,
+                           lambda x: 1.5 + 12 * (x - c) ** 2, lambda x: 24 * (x - c))
+    base = PiecewiseMap([Branch.affine(0, 0.125, 4, 0), Branch.affine(0.125, 0.25, 4, -0.5),
+                         smooth, Branch.affine(0.75, 0.875, 4, -2.5),
+                         Branch.affine(0.875, 1, 4, -3)])
+    fam = PerturbationFamily(base=base, smooth_eps=(None, None, g, None, None))
+    report = validate_hypotheses(fam)
+    assert not any(d.startswith("setup fails") for d in report.diagnostics)
+    p2a = [d for d in report.diagnostics if d.startswith("(P2a)")]
+    assert report.P2 == (delta is None)
+    assert p2a == ([] if delta is None else [
+        "(P2a) fails: b=0.5 is not critical, so T_eps(b) = T0(b) + eps*delta(b) "
+        "must stay b, got T0(b)=0.5, delta(b)=0.5"])
 
 
 @pytest.mark.parametrize("entries", [1, 3])

@@ -16,7 +16,7 @@ import metamap
 from metamap import metastability
 from metamap.cli import main
 from metamap.families import DEFAULT_EPS_LIST, family_a
-from metamap.map_model import validate_hypotheses
+from metamap.map_model import evaluate, validate_hypotheses
 from metamap.metastability import SweepRow, markov_stationary
 from metamap.runner import _cell, run_scenario
 from metamap.scenarios import (ScenarioError, critical_denominator_lcm,
@@ -223,27 +223,36 @@ def p2a_scenario(lift_outer=True, **middle):
 
 
 def test_cli_p2a_probe_outside_admissible_range_is_skipped(tmp_path, capsys):
-    # (P2a) is probed at the scenario's eps; the map at eps = 0.01 raises
-    # "branch image [0.6, 1.1] escapes [0,1]", which used to abort both
-    # commands.  Now the probe is skipped and only that eps's row fails.
+    # (P2a) reads the family's eps terms at b and builds no map, so the map
+    # at eps = 0.01, whose branch image [0.6, 1.1] escapes [0,1], aborts
+    # neither command and is reported once, by its own sweep row
     data = p2a_scenario()
     data["eps_list"] = [0.01, 0.002, 0.001]
     path = write_scenario(tmp_path, data)
-    skipped = "(P2a) not checked at eps=0.01: branch image [0.6, 1.1] escapes [0,1]"
     assert main(["validate", "--scenario", path]) == 0
     out = capsys.readouterr().out
-    assert "P2: pass" in out and skipped in out
+    assert "P2: pass" in out and "(P2a) not checked" not in out
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     payload = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert payload["hypotheses"]["P2"] is True
-    assert skipped in payload["hypotheses"]["diagnostics"]
+    assert not any("(P2a) not checked" in d for d in payload["hypotheses"]["diagnostics"])
     errors = [r["error"] for r in payload["rows"]]
     assert errors == ["branch image [0.6, 1.1] escapes [0,1]", None, None]
 
 
+def test_cli_validate_and_run_print_one_report_whatever_the_eps(tmp_path, capsys):
+    # validate reads no eps ladder, so a run on other eps, one of them
+    # inadmissible, writes the report that validate prints
+    path = write_scenario(tmp_path, p2a_scenario())
+    assert main(["validate", "--scenario", path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--eps", "0.01,0.002", "--out", str(out)]) == 2
+    assert (out / "hypotheses.txt").read_text().splitlines() == ["scenario: p2a", *printed]
+
+
 def test_cli_p2a_probes_the_scenario_eps(tmp_path, capsys):
-    # admissible only for eps <= 1/1200: probes fixed at eps 0.01 and 0.001
-    # were both skipped, and P2 read FAIL with no failure diagnostic
+    # admissible only for eps <= 1/1200, and b stays fixed for every eps
     data = p2a_scenario()
     data["branches"][2]["intercept_eps"] = 600
     data["branches"][4]["intercept_eps"] = -200
@@ -255,15 +264,31 @@ def test_cli_p2a_probes_the_scenario_eps(tmp_path, capsys):
 
 @pytest.mark.parametrize("lift_outer, eps", [(False, 0.01), (True, 0.001)])
 def test_validate_p2a_fails_when_perturbation_moves_b(tmp_path, lift_outer, eps):
-    # T_eps(1/2) = 1/2 - eps/4 on the middle branch
+    # T_eps(1/2) = 1/2 - eps/4 on the middle branch, so delta(1/2) = -1/4,
+    # whether or not eps = 0.01 leaves the family admissible
     data = p2a_scenario(lift_outer, slope_eps=-4, intercept_eps=1.75)
     data["eps_list"] = [0.01, 0.001]
     scn = load_scenario(write_scenario(tmp_path, data))
-    report = validate_hypotheses(scn.family, scn.eps_list)
+    assert evaluate(scn.family.instantiate(eps), 0.5) == (pytest.approx(0.5 - eps / 4),)
+    report = validate_hypotheses(scn.family)
     assert not report.P2
-    assert f"(P2a) fails: T_eps(b) != b at eps={eps}" in report.diagnostics
-    assert ("(P2a) not checked at eps=0.01: branch image [0.6, 1.1] escapes [0,1]"
-            in report.diagnostics) == lift_outer
+    assert ("(P2a) fails: b=0.5 is not critical, so T_eps(b) = T0(b) + eps*delta(b) "
+            "must stay b, got T0(b)=0.5, delta(b)=-0.25") in report.diagnostics
+    assert not any(d.startswith("(P2a) not checked") for d in report.diagnostics)
+
+
+def test_validate_p2a_fails_on_a_move_inside_the_tolerance_at_each_eps(tmp_path):
+    # delta(x) = 9e-6 - 16e-6 x keeps the middle branch's image inside
+    # [0, 1], and delta(1/2) = 1e-6 moves b by at most 5e-10, inside
+    # HYPOTHESIS_TOL, at each eps of the ladder; b is still not fixed for
+    # every eps
+    data = p2a_scenario(slope_eps=-16e-6, intercept_eps=9e-6)
+    data["eps_list"] = [0.0005, 0.00025]
+    scn = load_scenario(write_scenario(tmp_path, data))
+    report = validate_hypotheses(scn.family)
+    assert not report.P2
+    assert ("(P2a) fails: b=0.5 is not critical, so T_eps(b) = T0(b) + eps*delta(b) "
+            "must stay b, got T0(b)=0.5, delta(b)=1e-06") in report.diagnostics
 
 
 def test_cli_validate_markov_scenario(capsys):
@@ -304,7 +329,7 @@ def test_run_reports_are_written_from_their_records(tmp_path, capsys, source):
                             "I4a: pass", f"P2: {verdict}"]
     payload = json.loads((out / "sweep.json").read_text())
     assert payload["hypotheses"] == dataclasses.asdict(
-        validate_hypotheses(scn.family, scn.eps_list))
+        validate_hypotheses(scn.family))
     header = (out / "sweep.csv").read_text().splitlines()[0]
     assert header == ("eps,lhr_emp,alpha_pred,l1_phi_vs_mixture,l1_psi_vs_half_diff,rho,"
                       "flux_gap,escape_ratio_l,escape_ratio_r,mu_Il,leading_simple,error")
@@ -744,6 +769,31 @@ def test_eps_beyond_the_int32_grid_rejected_before_writing(tmp_path, capsys, com
     assert not out.exists()
     # the largest grid int32 indices name still loads
     assert suggested_grid_n(family_a(), [12 / 2147483646]) <= 2147483647
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_grid_rounded_up_beyond_the_int32_limit_rejected_before_writing(tmp_path, capsys,
+                                                                        command):
+    # 12/min(eps) is 600, but the critical denominators 999983 and 999979 are
+    # prime, and the file used to load with their product as its grid: run
+    # ended in "fatal: Unable to allocate 7.28 TiB"
+    c1, c2 = "499991/999983", "749985/999979"
+    data = {"name": "lcm", "boundary": "1/2", "eps_list": [0.02],
+            "branches": [{"domain": ["0", c1], "slope": "3/2", "intercept": 0},
+                         {"domain": [c1, c2], "slope": 3, "intercept": "-1499973/999983"},
+                         {"domain": [c2, "1"], "slope": 3, "intercept": -2}]}
+    path = write_scenario(tmp_path, data)
+    message = ("branches: the grid rule rounds up to n=999962000357, a multiple of the "
+               "critical denominator lcm 999962000357, above 2147483647, the int32 index "
+               "limit; give grid_n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.errors == [message]
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--scenario", path, *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_markov_refuses_eps_and_grid(tmp_path, capsys):

@@ -574,6 +574,14 @@ def test_cells_below_and_center_selectors():
             expected = int(np.count_nonzero(np.minimum(bounds[1:], b) - bounds[:-1] > 0.0))
             assert cells_below(b, n) == expected, (n, b)
     assert cells_below(0.5, 8) == 4 and cells_below(0.5, 769) == 385
+    # the count, with no array, equals the array form at random b, at j/n
+    # and one ulp either side of it
+    rng = np.random.default_rng(7)
+    for _ in range(5000):
+        n = int(rng.integers(1, 20001))
+        edge = int(rng.integers(0, n + 1)) / n
+        for b in (rng.random(), edge, np.nextafter(edge, -1.0), np.nextafter(edge, 2.0)):
+            assert cells_below(float(b), n) == np.count_nonzero(np.arange(n) / n < b), (b, n)
     got = cells_with_center_in([Interval(0.24, 0.52)], 8)
     centers = (np.arange(8) + 0.5) / 8
     expected = [i for i, c in enumerate(centers) if 0.24 <= c <= 0.52]
